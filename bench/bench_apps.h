@@ -20,7 +20,6 @@
 #include "analytics/mutual_information.h"
 #include "analytics/savitzky_golay.h"
 #include "common/rng.h"
-#include "common/trace.h"
 #include "core/run_stats.h"
 
 namespace smart::bench {
@@ -34,9 +33,6 @@ class AnalyticsApp {
   virtual const RunStats& stats() const = 0;
   /// Toggle cross-rank combination (window apps are off by construction).
   virtual void set_global_combination(bool flag) = 0;
-  /// Installs a per-phase CSV recorder on the underlying scheduler (see
-  /// RunOptions::phase_tracer); nullptr clears it.
-  virtual void set_phase_tracer(PhaseTracer* tracer) = 0;
   /// Records the run's master seed on the underlying scheduler so its
   /// RunStats dumps (RUNSTATS lines) echo how to reproduce the run.
   virtual void set_master_seed(std::size_t seed) = 0;
@@ -53,7 +49,6 @@ class SingleKeyApp : public AnalyticsApp {
   }
   const RunStats& stats() const override { return sched_->stats(); }
   void set_global_combination(bool flag) override { sched_->set_global_combination(flag); }
-  void set_phase_tracer(PhaseTracer* tracer) override { sched_->set_phase_tracer(tracer); }
   void set_master_seed(std::size_t seed) override { sched_->set_master_seed(seed); }
 
  protected:
@@ -70,7 +65,6 @@ class WindowApp : public AnalyticsApp {
   }
   const RunStats& stats() const override { return sched_->stats(); }
   void set_global_combination(bool flag) override { sched_->set_global_combination(flag); }
-  void set_phase_tracer(PhaseTracer* tracer) override { sched_->set_phase_tracer(tracer); }
   void set_master_seed(std::size_t seed) override { sched_->set_master_seed(seed); }
 
  private:
@@ -98,7 +92,6 @@ class KMeansApp : public AnalyticsApp {
   }
   const RunStats& stats() const override { return sched_->stats(); }
   void set_global_combination(bool flag) override { sched_->set_global_combination(flag); }
-  void set_phase_tracer(PhaseTracer* tracer) override { sched_->set_phase_tracer(tracer); }
   void set_master_seed(std::size_t seed) override { sched_->set_master_seed(seed); }
 
  private:

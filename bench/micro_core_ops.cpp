@@ -123,13 +123,10 @@ BENCHMARK(BM_MapCodec)->Args({1, 100})->Args({0, 100})->Args({1, 10000})->Args({
 
 void BM_LocalCombine(benchmark::State& state) {
   // The scheduler's local-combination phase in isolation: 8 worker maps of
-  // N buckets each fold into one, serially (worker-after-worker, the old
-  // path) or as the pool's binomial merge tree (parallel_local_combine).
+  // N buckets each fold worker-after-worker into one.
   register_red_objs();
-  const bool parallel = state.range(0) != 0;
-  const int keys = static_cast<int>(state.range(1));
+  const int keys = static_cast<int>(state.range(0));
   constexpr int kWorkers = 8;
-  ThreadPool pool(kWorkers);
   const MergeFn merge = [](const RedObj& red, std::unique_ptr<RedObj>& com) {
     static_cast<Bucket&>(*com).count += static_cast<const Bucket&>(red).count;
   };
@@ -144,26 +141,12 @@ void BM_LocalCombine(benchmark::State& state) {
       }
     }
     state.ResumeTiming();
-    if (parallel) {
-      for (std::size_t dist = 1; dist < kWorkers; dist *= 2) {
-        pool.parallel_region([&](int w) {
-          const auto uw = static_cast<std::size_t>(w);
-          if (uw % (2 * dist) != 0) return;
-          const std::size_t src = uw + dist;
-          if (src >= kWorkers) return;
-          merge_map_into(std::move(maps[src]), maps[uw], merge);
-        });
-      }
-      benchmark::DoNotOptimize(maps[0]);
-    } else {
-      CombinationMap fresh;
-      for (auto& m : maps) merge_map_into(std::move(m), fresh, merge);
-      benchmark::DoNotOptimize(fresh);
-    }
+    CombinationMap fresh;
+    for (auto& m : maps) merge_map_into(std::move(m), fresh, merge);
+    benchmark::DoNotOptimize(fresh);
   }
-  state.SetLabel(parallel ? "parallel" : "serial");
 }
-BENCHMARK(BM_LocalCombine)->Args({0, 512})->Args({1, 512})->Args({0, 8192})->Args({1, 8192});
+BENCHMARK(BM_LocalCombine)->Arg(512)->Arg(8192);
 
 void BM_MapSerializeRoundTrip(benchmark::State& state) {
   // The global-combination cost unit: serialize + deserialize a map.

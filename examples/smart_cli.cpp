@@ -17,10 +17,10 @@
 #include "bench/bench_apps.h"
 #include "common/arg_parser.h"
 #include "common/table.h"
-#include "common/trace.h"
 #include "obs/attribution.h"
 #include "obs/critpath.h"
 #include "obs/gather.h"
+#include "obs/trace_export.h"
 #include "sim/emulator.h"
 #include "sim/heat3d.h"
 #include "sim/minilulesh.h"
@@ -92,6 +92,15 @@ void list_choices() {
   std::cout << "simulations: heat3d lulesh emulator\nanalytics:  ";
   for (const auto& name : smart::bench::app_names()) std::cout << " " << name;
   std::cout << " summary topk\nmodes:       time space\n";
+}
+
+/// Trace exports taken from a wrapped ring are lossy; say so on stderr.
+void warn_dropped_events(std::size_t dropped) {
+  if (dropped > 0) {
+    std::fprintf(stderr,
+                 "warning: trace dropped %zu event(s) (ring full; raise SMART_TRACE_EVENTS)\n",
+                 dropped);
+  }
 }
 
 /// Writes the attribution outputs for a path result; `out` may be "-" for
@@ -178,14 +187,11 @@ int run(const ArgParser& args) {
   const std::string trace_out = args.has("trace-out") ? args.get("trace-out") : "";
   const std::string metrics_out = args.has("metrics-out") ? args.get("metrics-out") : "";
   const std::string phase_csv = args.has("phase-csv") ? args.get("phase-csv") : "";
-  if (!trace_out.empty() || !critpath_out.empty() || !critpath_json.empty()) {
+  if (!trace_out.empty() || !critpath_out.empty() || !critpath_json.empty() ||
+      !phase_csv.empty()) {
     obs::TraceCollector::instance().set_enabled(true);
   }
   if (!metrics_out.empty()) obs::set_metrics_enabled(true);
-  // One tracer across ranks: it is mutex-protected and assigns dense thread
-  // ids, so the CSV shows every rank's phases on one timeline.
-  PhaseTracer phase_tracer;
-  PhaseTracer* tracer = phase_csv.empty() ? nullptr : &phase_tracer;
 
   WallTimer wall;
   auto stats = simmpi::launch(ranks, [&](simmpi::Communicator& comm) {
@@ -200,7 +206,6 @@ int run(const ArgParser& args) {
     // through the shared bench facade.
     if (app_name == "summary") {
       analytics::SummaryStats<double> job(SchedArgs(threads, 1));
-      job.set_phase_tracer(tracer);
       for (int s = 0; s < steps; ++s) {
         const double* data = sim.step();
         job.run(data, sim.output_len(), nullptr, 0);
@@ -222,7 +227,6 @@ int run(const ArgParser& args) {
     }
     if (app_name == "topk") {
       analytics::TopK<double> job(SchedArgs(threads, 1), 5);
-      job.set_phase_tracer(tracer);
       for (int s = 0; s < steps; ++s) {
         const double* data = sim.step();
         job.run(data, sim.output_len(), nullptr, 0);
@@ -238,7 +242,6 @@ int run(const ArgParser& args) {
     }
 
     auto app = smart::bench::make_app(app_name, threads, sim.data_min(), sim.data_max());
-    app->set_phase_tracer(tracer);
     app->set_master_seed(static_cast<std::size_t>(master_seed));
     if (mode == "time") {
       for (int s = 0; s < steps; ++s) app->run(sim.step(), sim.output_len());
@@ -249,7 +252,6 @@ int run(const ArgParser& args) {
       analytics::Histogram<double> hist(SchedArgs(threads, 1), sim.data_min(), sim.data_max(),
                                         256);
       hist.set_global_combination(false);
-      hist.set_phase_tracer(tracer);
       std::thread analytics_task([&] {
         while (hist.run(nullptr, 0)) {
         }
@@ -282,13 +284,7 @@ int run(const ArgParser& args) {
         if (ok) {
           std::printf("trace written to %s (%zu rank(s) missing)\n", trace_out.c_str(),
                       missing.size());
-          const std::size_t dropped = obs::TraceCollector::instance().dropped_events();
-          if (dropped > 0) {
-            std::fprintf(stderr,
-                         "warning: trace dropped %zu event(s) (ring full; raise "
-                         "SMART_TRACE_EVENTS)\n",
-                         dropped);
-          }
+          warn_dropped_events(obs::TraceCollector::instance().dropped_events());
         } else {
           std::fprintf(stderr, "error: could not write trace to %s\n", trace_out.c_str());
         }
@@ -308,10 +304,14 @@ int run(const ArgParser& args) {
   }, net);
 
   if (!phase_csv.empty()) {
+    // Ranks are threads of this process, so the global collector holds
+    // every rank's scheduler spans on one timeline.
+    obs::TraceCollector& tc = obs::TraceCollector::instance();
     std::ofstream os(phase_csv);
     if (os) {
-      phase_tracer.dump_csv(os);
+      obs::write_phase_csv(os, tc.snapshot_events());
       std::printf("phase CSV written to %s\n", phase_csv.c_str());
+      warn_dropped_events(tc.dropped_events());
     } else {
       std::fprintf(stderr, "error: could not write phase CSV to %s\n", phase_csv.c_str());
     }

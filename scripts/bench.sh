@@ -12,7 +12,7 @@
 #   * BM_CombinationMapInsert vs BM_LegacyStdMapInsert — cold seeding;
 #   * BM_MapCodec — wire-format v2 (interned types) vs legacy v1, with a
 #     wire_bytes counter per size;
-#   * BM_LocalCombine — serial vs pool-parallel local combination;
+#   * BM_LocalCombine — the serial local-combination fold;
 #   * BM_MapSerializeRoundTrip / BM_MapCombineAlgorithms — the codec and
 #     tree/ring crossover benches the combiner defaults come from.
 #

@@ -6,6 +6,9 @@
 #   scripts/check.sh --no-asan  # skip the ASan pass
 #   scripts/check.sh --tier1    # tier-1 only (what CI gates on)
 #
+# The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
+# warning-free under -Wall -Wextra, and a new warning fails the check.
+#
 # The TSan half rebuilds test_threading and test_space_sharing in a separate
 # build tree (build-tsan/) with -DSMART_SANITIZE=thread and runs them; the
 # runtime is thread-heavy (thread pool, circular buffer, simmpi mailboxes),
@@ -35,8 +38,8 @@ for arg in "$@"; do
   esac
 done
 
-echo "== tier-1: build =="
-cmake -B "$repo/build" -S "$repo" >/dev/null
+echo "== tier-1: build (warnings are errors) =="
+cmake -B "$repo/build" -S "$repo" -DSMART_WERROR=ON >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 
 echo "== tier-1: ctest =="
@@ -75,6 +78,29 @@ assert len(span_ranks) >= 2, f"spans from one rank only: {span_ranks}"
 assert starts & ends, "no matched send->recv flow pair"
 print(f"   trace ok: {len(events)} events, span ranks {sorted(span_ranks)}, "
       f"{len(starts & ends)} matched flow pair(s)")
+EOF
+
+echo "== tier-1: phase CSV export =="
+# --phase-csv exports the scheduler's obs spans (category "sched") as a flat
+# timeline: a 4-rank run must write an RFC 4180 CSV with the five-column
+# header and rows for the reduction and both combination phases.
+phase_csv="$repo/build/check_phases.csv"
+"$repo/build/examples/smart_cli" --sim heat3d --app histogram --ranks 4 \
+  --threads 2 --steps 3 --phase-csv "$phase_csv" >/dev/null
+python3 - "$phase_csv" <<'EOF'
+import csv, sys
+with open(sys.argv[1], newline="") as f:
+    rows = list(csv.reader(f))
+header = ["phase", "thread", "begin_s", "end_s", "duration_s"]
+assert rows and rows[0] == header, f"bad header: {rows[:1]}"
+assert all(len(r) == 5 for r in rows[1:]), "a row does not have five fields"
+phases = {r[0] for r in rows[1:]}
+missing = {"reduction", "local_combine", "global_combine"} - phases
+assert not missing, f"phases missing from the CSV: {sorted(missing)}"
+for r in rows[1:]:
+    begin, end, duration = map(float, r[2:])
+    assert begin <= end and duration >= 0.0, f"bad interval: {r}"
+print(f"   phase csv ok: {len(rows) - 1} rows, phases {sorted(phases)}")
 EOF
 
 echo "== tier-1: transport trace validation (8-rank bcast) =="

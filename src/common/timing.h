@@ -1,6 +1,6 @@
-// Wall-clock and per-thread CPU timers, plus the virtual-time accounting the
-// benchmark harnesses use to report scalability on machines with fewer
-// physical cores than simulated ranks (see DESIGN.md Section 1).
+// Wall-clock and per-thread CPU timers.  The per-thread CPU timer underlies
+// the virtual-time accounting that reports scalability on machines with
+// fewer physical cores than simulated ranks (see DESIGN.md Section 1).
 //
 // The key idea: CLOCK_THREAD_CPUTIME_ID charges a thread only for the cycles
 // it actually executed, independent of how the OS interleaved it with other
@@ -8,14 +8,8 @@
 // wall time an ideal machine with one core per rank would have shown.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <ctime>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace smart {
 
@@ -54,74 +48,6 @@ class ThreadCpuTimer {
 
  private:
   double start_;
-};
-
-/// Accumulates per-lane busy time (one lane per simulated rank or worker)
-/// and reports the virtual makespan: max over lanes of total busy time.
-///
-/// Thread-safe; lanes are identified by small dense integers.
-class VirtualTimeLedger {
- public:
-  explicit VirtualTimeLedger(int lanes = 0) : busy_(static_cast<std::size_t>(lanes), 0.0) {}
-
-  void charge(int lane, double seconds) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (lane >= static_cast<int>(busy_.size())) {
-      busy_.resize(static_cast<std::size_t>(lane) + 1, 0.0);
-    }
-    busy_[static_cast<std::size_t>(lane)] += seconds;
-  }
-
-  /// Virtual wall time of an ideal one-core-per-lane machine.
-  double makespan() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    double m = 0.0;
-    for (double b : busy_) m = std::max(m, b);
-    return m;
-  }
-
-  /// Total CPU work across lanes; makespan * lanes / total = efficiency.
-  double total_busy() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    double t = 0.0;
-    for (double b : busy_) t += b;
-    return t;
-  }
-
-  int lanes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int>(busy_.size());
-  }
-
-  double lane_busy(int lane) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return busy_.at(static_cast<std::size_t>(lane));
-  }
-
-  void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fill(busy_.begin(), busy_.end(), 0.0);
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> busy_;
-};
-
-/// RAII helper: charges the enclosing scope's thread CPU time to a ledger lane.
-class ScopedCharge {
- public:
-  ScopedCharge(VirtualTimeLedger& ledger, int lane) : ledger_(ledger), lane_(lane) {}
-
-  ScopedCharge(const ScopedCharge&) = delete;
-  ScopedCharge& operator=(const ScopedCharge&) = delete;
-
-  ~ScopedCharge() { ledger_.charge(lane_, timer_.seconds()); }
-
- private:
-  VirtualTimeLedger& ledger_;
-  int lane_;
-  ThreadCpuTimer timer_;
 };
 
 }  // namespace smart

@@ -76,10 +76,10 @@ struct RunStats {
   double global_seconds = 0.0;        ///< serialize + exchange + merge + bcast
   double copy_seconds = 0.0;          ///< input copy (copy_input mode / space sharing feed)
 
-  // Load-balance observability for the split policies (RunOptions::
-  // split_policy): max-over-mean worker busy time of the worst reduction
-  // phase seen.  1.0 = perfectly balanced; num_threads = one worker did
-  // all the work.  Mirrored as the sched.worker_skew metrics gauge.
+  // Load balance of the contiguous splits: max-over-mean worker busy time
+  // of the worst reduction phase seen.  1.0 = perfectly balanced;
+  // num_threads = one worker did all the work.  Mirrored as the
+  // sched.worker_skew metrics gauge.
   double worker_skew = 0.0;
 
   // Reproducibility: the effective master seed of the run (CLI --seed /

@@ -7,8 +7,6 @@
 
 namespace smart {
 
-class PhaseTracer;  // common/trace.h
-
 /// The paper's SchedArgs(num_threads, chunk_size, extra_data, num_iters).
 struct SchedArgs {
   SchedArgs(int num_threads_in, std::size_t chunk_size_in,
@@ -22,24 +20,6 @@ struct SchedArgs {
   std::size_t chunk_size;  ///< elements per unit chunk (feature-vector length)
   const void* extra_data;  ///< app-specific seed input (e.g. initial centroids)
   int num_iters;           ///< iterations per run() call (iterative analytics)
-};
-
-/// How the reduction phase splits a block's chunks across pool workers.
-enum class SplitPolicy {
-  /// One contiguous chunk range per worker (the paper's equal division of
-  /// a block into splits).  Affinity-friendly: each worker streams one
-  /// hardware-prefetchable region, and with pin_threads the range stays on
-  /// the worker's core/NUMA node for the whole phase.  The default.
-  kContiguous,
-  /// Workers pull fixed-size chunk batches from a shared counter.  Helps
-  /// when per-chunk cost is skewed (e.g. windows near a shock front).
-  kDynamic,
-  /// Like kDynamic, but the batch size shrinks as the counter drains
-  /// (guided self-scheduling): big cache-friendly batches up front, small
-  /// ones near the end so the ragged tail cannot strand one worker with a
-  /// full grain while the rest idle.  Use when num_units barely exceeds
-  /// the worker count — the case where kDynamic's fixed grain degrades.
-  kGuided,
 };
 
 /// Knobs for the design-variant comparisons in the paper's evaluation.
@@ -74,18 +54,6 @@ struct RunOptions {
   /// the test environment.
   bool pin_threads = false;
 
-  /// Legacy alias for split_policy: when set, overrides split_policy with
-  /// SplitPolicy::kDynamic.  Results are identical under every policy for
-  /// integer-exact apps; floating-point accumulators can differ in the
-  /// last bit across policies because worker→chunk assignment (and hence
-  /// merge grouping) changes.
-  bool dynamic_chunking = false;
-
-  /// Worker→chunk-range split policy for the reduction phase (see
-  /// SplitPolicy).  dynamic_chunking = true still forces kDynamic so
-  /// existing call sites keep their behavior.
-  SplitPolicy split_policy = SplitPolicy::kContiguous;
-
   /// Chunks per batch on the batched reduction path: the scheduler
   /// computes keys for up to this many consecutive full chunks at once
   /// (gen_keys_batch), detects runs of equal keys, and accumulates each
@@ -98,25 +66,8 @@ struct RunOptions {
   /// preserve scalar accumulation order (see DESIGN.md §4.8).
   std::size_t batch_chunks = 64;
 
-  /// Merge worker reduction maps pairwise on the thread pool (a log2(T)
-  /// binomial tree) instead of the serial worker-after-worker fold, and
-  /// clone the combination map into worker maps on the pool as well.  The
-  /// result is identical for the commutative/associative merges the
-  /// runtime already requires (global combination reorders merges too);
-  /// only the wall-clock of the local-combination phase changes.  Tiny
-  /// maps stay on the serial path regardless — pool dispatch would cost
-  /// more than the merge.
-  bool parallel_local_combine = true;
-
   /// Cells in the space-sharing circular buffer (paper Figure 4).
   std::size_t buffer_cells = 4;
-
-  /// Optional per-phase CSV recorder (common/trace.h): when set, the
-  /// scheduler records reduction / local_combine / global_combine / copy
-  /// intervals into it alongside the obs trace spans, so examples and
-  /// benches can dump the PhaseTracer timeline (`--phase-csv`) without
-  /// enabling full tracing.  Not owned; must outlive the scheduler.
-  PhaseTracer* phase_tracer = nullptr;
 };
 
 /// Fault-tolerance knobs for long-lived in-situ runs (Scheduler::

@@ -55,17 +55,14 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/memory_tracker.h"
 #include "common/timing.h"
-#include "common/trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/checkpoint_io.h"
@@ -84,21 +81,6 @@ namespace detail {
 /// Key currently being accumulated; lets position-aware apps (kernel
 /// density estimation) recover the window center inside accumulate().
 inline thread_local int t_current_key = 0;
-
-/// One scheduler phase observed through both sinks at once: an obs trace
-/// span (timeline export) and, when RunOptions::phase_tracer is set, a
-/// PhaseTracer interval (per-phase CSV).  Costs one branch per sink when
-/// neither is active.
-struct SchedPhaseScope {
-  obs::TraceSpan span;
-  std::optional<PhaseTracer::Scope> csv;
-
-  SchedPhaseScope(const char* name, PhaseTracer* tracer,
-                  std::initializer_list<obs::TraceArg> args = {})
-      : span(name, "sched", args) {
-    if (tracer != nullptr) csv.emplace(*tracer, name);
-  }
-};
 }  // namespace detail
 
 template <class In, class Out>
@@ -148,11 +130,6 @@ class Scheduler {
   /// death has been detected — i.e. while every rank participates).
   const std::vector<int>& surviving_ranks() const { return survivors_; }
 
-  /// Installs (or clears, with nullptr) the per-phase CSV recorder; see
-  /// RunOptions::phase_tracer.
-  void set_phase_tracer(PhaseTracer* tracer) { opts_.phase_tracer = tracer; }
-  PhaseTracer* phase_tracer() const { return opts_.phase_tracer; }
-
   const RunOptions& options() const { return opts_; }
 
   const CombinationMap& get_combination_map() const { return combination_map_; }
@@ -177,8 +154,8 @@ class Scheduler {
   /// Copies one time-step's output into a circular-buffer cell; blocks
   /// while all cells are in use (paper Figure 4's producer side).
   void feed(const In* in, std::size_t in_len) {
-    detail::SchedPhaseScope phase("feed_copy", opts_.phase_tracer,
-                                  {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
+    obs::TraceSpan phase("feed_copy", "sched",
+                         {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
     ThreadCpuTimer timer;
     FeedCell cell;
     cell.data.assign(in, in + in_len);
@@ -395,8 +372,8 @@ class Scheduler {
     if (opts_.copy_input) {
       // The Figure 9 comparison variant: materialize a private copy of the
       // simulation output before analyzing it.
-      detail::SchedPhaseScope phase("copy_input", opts_.phase_tracer,
-                                    {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
+      obs::TraceSpan phase("copy_input", "sched",
+                           {{"bytes", static_cast<std::int64_t>(in_len * sizeof(In))}});
       ThreadCpuTimer timer;
       copy.assign(in, in + in_len);
       copy_charge =
@@ -426,15 +403,15 @@ class Scheduler {
     for (int iter = 0; iter < args_.num_iters; ++iter) {
       distribute_combination_map();
       {
-        detail::SchedPhaseScope phase("reduction", opts_.phase_tracer, {{"iter", iter}});
+        obs::TraceSpan phase("reduction", "sched", {{"iter", iter}});
         reduction_phase(data, num_chunks, tail_len, out, out_len, multi_key);
       }
       {
-        detail::SchedPhaseScope phase("local_combine", opts_.phase_tracer, {{"iter", iter}});
+        obs::TraceSpan phase("local_combine", "sched", {{"iter", iter}});
         local_combination();
       }
       if (global_combination_ && comm != nullptr && comm->size() > 1) {
-        detail::SchedPhaseScope phase("global_combine", opts_.phase_tracer, {{"iter", iter}});
+        obs::TraceSpan phase("global_combine", "sched", {{"iter", iter}});
         global_combination(*comm);
       }
       post_combine(combination_map_);
@@ -483,10 +460,10 @@ class Scheduler {
   /// apps (empty map at this point) skip the per-worker pass entirely.
   void distribute_combination_map() {
     if (combination_map_.empty()) return;  // worker maps are already clear
-    // Workers iterate the map concurrently (here and as gen_key's com_map
-    // argument); restore key order now so no worker's begin() has to.
+    // Workers iterate the map concurrently as gen_key's com_map argument;
+    // restore key order now so no worker's begin() has to.
     combination_map_.ensure_sorted();
-    auto clone_into = [&](CombinationMap& rmap) {
+    for (auto& rmap : reduction_maps_) {
       rmap.clear();
       rmap.reserve(combination_map_.size());
       for (const auto& [key, obj] : combination_map_) {
@@ -494,13 +471,6 @@ class Scheduler {
         cloned->set_key(key);
         rmap.emplace(key, std::move(cloned));
       }
-    };
-    if (opts_.parallel_local_combine && reduction_maps_.size() > 1 &&
-        combination_map_.size() >= kParallelCombineMinEntries) {
-      pool_->parallel_region(
-          [&](int w) { clone_into(reduction_maps_[static_cast<std::size_t>(w)]); });
-    } else {
-      for (auto& rmap : reduction_maps_) clone_into(rmap);
     }
   }
 
@@ -522,20 +492,9 @@ class Scheduler {
     const auto workers = static_cast<std::size_t>(args_.num_threads);
     const std::size_t base = num_units / workers;
     const std::size_t extra = num_units % workers;
-    const SplitPolicy policy =
-        opts_.dynamic_chunking ? SplitPolicy::kDynamic : opts_.split_policy;
-    // kDynamic: workers pull batches of this many chunks from a shared
-    // counter (8 batches per worker keeps the tail short without turning
-    // the counter into a hot spot).  With num_units < workers this clamps
-    // to 1 and the tail imbalance shows up in the worker_skew stat;
-    // kGuided shrinks its take as the counter drains instead.
-    const std::size_t grain = std::max<std::size_t>(1, num_units / (workers * 8));
-    std::atomic<std::size_t> next_chunk{0};
 
     std::vector<std::size_t> peak_objs(workers, 0);
     std::vector<std::size_t> emitted(workers, 0);
-    std::vector<std::size_t> chunks_done(workers, 0);
-    std::vector<std::size_t> elems_done(workers, 0);
 
     // Pool workers have no rank attribution of their own; pin their spans
     // to this scheduler's rank so the gather picks them up.
@@ -598,7 +557,6 @@ class Scheduler {
         } else {
           process_key(chunk, gen_key(chunk, data, combination_map_));
         }
-        elems_done[uw] += len;
         if (rmap.size() > peak) peak = rmap.size();
       };
       // Batched path state: one key per chunk of the current batch.
@@ -633,53 +591,25 @@ class Scheduler {
             i += consumed == 0 ? 1 : consumed;
           }
         }
-        elems_done[uw] += batch.elements();
         if (rmap.size() > peak) peak = rmap.size();
       };
-      auto process_range = [&](std::size_t begin, std::size_t end) {
-        std::size_t c = begin;
-        if (batch_cap != 0) {
-          const std::size_t full_end = std::min(end, num_chunks);
-          while (c < full_end) {
-            const std::size_t n = std::min(batch_cap, full_end - c);
-            process_batch(c, n);
-            c += n;
-          }
+      // Contiguous split of chunks for this worker (the paper's equal
+      // division of a block into splits) — affinity-friendly: one
+      // streaming range per worker.
+      const std::size_t begin = uw * base + std::min(uw, extra);
+      const std::size_t end = begin + base + (uw < extra ? 1 : 0);
+      std::size_t c = begin;
+      if (batch_cap != 0) {
+        const std::size_t full_end = std::min(end, num_chunks);
+        while (c < full_end) {
+          const std::size_t n = std::min(batch_cap, full_end - c);
+          process_batch(c, n);
+          c += n;
         }
-        // Per-chunk path: multi-key chunks, batching disabled, and the
-        // ragged tail unit (never part of a ChunkBatch).
-        for (; c < end; ++c) process_chunk(c);
-        chunks_done[uw] += end - begin;
-      };
-      if (policy == SplitPolicy::kDynamic) {
-        for (;;) {
-          const std::size_t begin = next_chunk.fetch_add(grain, std::memory_order_relaxed);
-          if (begin >= num_units) break;
-          process_range(begin, std::min(begin + grain, num_units));
-        }
-      } else if (policy == SplitPolicy::kGuided) {
-        // Guided self-scheduling: each fetch takes half an equal share of
-        // what remains, so early slices are big (cache-friendly, counter
-        // stays cold) and the trailing slices shrink to single chunks —
-        // the ragged tail can no longer strand one worker with a full
-        // grain while the others idle.
-        std::size_t begin = next_chunk.load(std::memory_order_relaxed);
-        while (begin < num_units) {
-          const std::size_t take =
-              std::max<std::size_t>(1, (num_units - begin) / (workers * 2));
-          if (next_chunk.compare_exchange_weak(begin, begin + take,
-                                               std::memory_order_relaxed)) {
-            process_range(begin, begin + take);
-            begin = next_chunk.load(std::memory_order_relaxed);
-          }
-        }
-      } else {
-        // Contiguous split of chunks for this worker (the paper's equal
-        // division of a block into splits) — affinity-friendly: one
-        // streaming range per worker.
-        const std::size_t begin = uw * base + std::min(uw, extra);
-        process_range(begin, begin + base + (uw < extra ? 1 : 0));
       }
+      // Per-chunk path: multi-key chunks, batching disabled, and the
+      // ragged tail unit (never part of a ChunkBatch).
+      for (; c < end; ++c) process_chunk(c);
       peak_objs[uw] = peak;
     });
 
@@ -690,10 +620,9 @@ class Scheduler {
       busy_total += b;
     }
     stats_.reduction_seconds += critical_path;
-    // Load-balance observability for the split policies: max-over-mean
-    // worker busy time (1.0 = balanced, `workers` = one worker did it
-    // all).  This is where a mis-grained dynamic split or a ragged tail
-    // stranding one worker becomes visible.
+    // Load-balance observability: max-over-mean worker busy time (1.0 =
+    // balanced, `workers` = one worker did it all).  This is where skewed
+    // per-chunk cost or a ragged tail stranding one worker becomes visible.
     const double mean_busy = busy_total / static_cast<double>(workers);
     const double skew = mean_busy > 0.0 ? critical_path / mean_busy : 1.0;
     if (skew > stats_.worker_skew) stats_.worker_skew = skew;
@@ -710,72 +639,30 @@ class Scheduler {
     for (std::size_t w = 0; w < workers; ++w) {
       peak_total += peak_objs[w];
       stats_.early_emissions += emitted[w];
-      stats_.chunks_processed += chunks_done[w];
-      stats_.elements_processed += elems_done[w];
     }
+    // The splits tile [0, num_units) exactly once.
+    stats_.chunks_processed += num_units;
+    stats_.elements_processed += num_chunks * args_.chunk_size + tail_len;
     if (peak_total > stats_.peak_reduction_objects) {
       stats_.peak_reduction_objects = peak_total;
     }
     sync_tracked_objects();
   }
 
-  /// Below this many total entries the serial local-combination fold is
-  /// used even when parallel_local_combine is on: dispatching the pool
-  /// costs more than merging a handful of objects.  Also gates the
-  /// parallel clone in distribute_combination_map.
-  static constexpr std::size_t kParallelCombineMinEntries = 64;
-
-  /// Algorithm 1 lines 11-17, local half: worker maps merge into the
-  /// node-local combination map (the seeded entries survive via their
-  /// worker clones, so the pre-phase map is simply replaced).
-  ///
-  /// With parallel_local_combine, the T worker maps merge pairwise on the
-  /// pool as a binomial tree — round d merges map[w+d] into map[w] for
-  /// every w divisible by 2d — so the phase costs log2(T) rounds of
-  /// concurrent merges instead of T-1 serial ones.  Each round's pairs
-  /// touch disjoint maps; merge() must therefore tolerate concurrent calls
-  /// on disjoint objects, which the merge contract (pure function of its
-  /// two operands) already guarantees.  The phase charges the critical
-  /// path (slowest worker per round) to combination_seconds, like the
-  /// reduction phase; the simmpi clock is not advanced, preserving the
-  /// serial path's timing semantics.
+  /// Algorithm 1 lines 11-17, local half: worker maps fold one after
+  /// another into the node-local combination map (the seeded entries
+  /// survive via their worker clones, so the pre-phase map is simply
+  /// replaced).  The fold runs on the rank thread, so the rank's virtual
+  /// clock charges it like any other rank-thread compute.
   void local_combination() {
     ThreadCpuTimer timer;
-    const std::size_t workers = reduction_maps_.size();
-    std::size_t total_entries = 0;
-    for (const auto& m : reduction_maps_) total_entries += m.size();
-
-    if (!opts_.parallel_local_combine || workers <= 1 ||
-        total_entries < kParallelCombineMinEntries) {
-      CombinationMap fresh;
-      for (auto& rmap : reduction_maps_) {
-        merge_map_into(std::move(rmap), fresh, merge_fn());
-        rmap.clear();
-      }
-      combination_map_ = std::move(fresh);
-      stats_.combination_seconds += timer.seconds();
-      return;
+    CombinationMap fresh;
+    for (auto& rmap : reduction_maps_) {
+      merge_map_into(std::move(rmap), fresh, merge_fn());
+      rmap.clear();
     }
-
-    double critical_path = timer.seconds();  // serial prologue
-    const MergeFn merge = merge_fn();
-    for (std::size_t dist = 1; dist < workers; dist *= 2) {
-      const std::vector<double> busy = pool_->parallel_region([&](int w) {
-        const auto uw = static_cast<std::size_t>(w);
-        if (uw % (2 * dist) != 0) return;
-        const std::size_t src = uw + dist;
-        if (src >= workers) return;
-        merge_map_into(std::move(reduction_maps_[src]), reduction_maps_[uw], merge);
-        reduction_maps_[src].clear();
-      });
-      // Rounds are sequential; each costs its slowest merge.
-      double round = 0.0;
-      for (double b : busy) round = std::max(round, b);
-      critical_path += round;
-    }
-    combination_map_ = std::move(reduction_maps_[0]);
-    reduction_maps_[0].clear();
-    stats_.combination_seconds += critical_path;
+    combination_map_ = std::move(fresh);
+    stats_.combination_seconds += timer.seconds();
   }
 
   /// Algorithm 1 lines 11-17, global half: rank maps merge across simmpi

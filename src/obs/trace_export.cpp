@@ -1,6 +1,7 @@
 #include "obs/trace_export.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -61,6 +62,27 @@ void write_event(std::ostream& os, const TraceEvent& e) {
   os << '}';
 }
 
+void write_csv_field(std::ostream& os, std::string_view field) {
+  if (field.find_first_of(",\"\r\n") == std::string_view::npos) {
+    os << field;
+    return;
+  }
+  os << '"';
+  for (const char c : field) {
+    if (c == '"') os << '"';  // RFC 4180: embedded quotes double up
+    os << c;
+  }
+  os << '"';
+}
+
+// Microseconds in, seconds out at ns resolution, so sub-µs spans keep a
+// nonzero duration.
+void write_seconds(std::ostream& os, double us) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9f", us * 1e-6);
+  os << buf;
+}
+
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events,
@@ -106,6 +128,21 @@ bool write_chrome_trace_file(const std::string& path, const std::vector<TraceEve
   if (!os) return false;
   write_chrome_trace(os, events, dropped_events);
   return os.good();
+}
+
+void write_phase_csv(std::ostream& os, const std::vector<TraceEvent>& events) {
+  os << "phase,thread,begin_s,end_s,duration_s\n";
+  for (const TraceEvent& e : events) {
+    if (e.type != TraceEvent::Type::kComplete || e.cat != "sched") continue;
+    write_csv_field(os, e.name);
+    os << ',' << e.tid << ',';
+    write_seconds(os, e.ts_us);
+    os << ',';
+    write_seconds(os, e.ts_us + e.dur_us);
+    os << ',';
+    write_seconds(os, e.dur_us);
+    os << '\n';
+  }
 }
 
 void serialize_events(Writer& w, const std::vector<TraceEvent>& events) {

@@ -1,5 +1,6 @@
-// Chrome trace-event / Perfetto JSON export for obs::TraceEvent streams,
-// plus the byte-level codec the rank-0 gather uses to ship events.
+// Chrome trace-event / Perfetto JSON export for obs::TraceEvent streams, a
+// flat per-phase CSV view of the scheduler spans, and the byte-level codec
+// the rank-0 gather uses to ship events.
 //
 // The timeline maps pid=rank and tid=dense thread id, with "process_name"
 // metadata per rank, so ui.perfetto.dev (or chrome://tracing) renders a
@@ -30,6 +31,14 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events,
 /// write_chrome_trace to a file; returns false if the file cannot be opened.
 bool write_chrome_trace_file(const std::string& path, const std::vector<TraceEvent>& events,
                              std::size_t dropped_events = 0);
+
+/// Writes the scheduler-phase spans of `events` (complete events of category
+/// "sched") as CSV with the header phase,thread,begin_s,end_s,duration_s:
+/// one row per span, in `events` order, with times in seconds since the
+/// collector origin and thread the process-wide dense id.  Phase names are
+/// quoted per RFC 4180 when they contain a comma, quote, CR or LF, so every
+/// row parses back into five fields.
+void write_phase_csv(std::ostream& os, const std::vector<TraceEvent>& events);
 
 /// A Chrome trace-event document read back into TraceEvent form.
 struct ChromeTrace {

@@ -24,6 +24,10 @@ namespace smart::simmpi {
 class ScheduleController;
 
 constexpr int kAnySource = -1;
+/// Matches any *user* tag (>= 0) only.  Negative tags are the runtime's
+/// internal collective traffic, which MPI keeps in a separate context: a
+/// user wildcard receive must not consume the barrier message of a peer
+/// that has already moved on to a collective.
 constexpr int kAnyTag = -0x7fffffff;
 /// Wildcard for Envelope::epoch matching (the default for every receive
 /// that is not an epoch-stamped collective).
@@ -178,7 +182,7 @@ class Mailbox {
 
   static bool selector_matches(int sel_source, int sel_tag, int source, int tag) {
     return (sel_source == kAnySource || sel_source == source) &&
-           (sel_tag == kAnyTag || sel_tag == tag);
+           (sel_tag == kAnyTag ? tag >= 0 : sel_tag == tag);
   }
 
   static bool epoch_matches(std::uint64_t sel_epoch, std::uint64_t epoch) {

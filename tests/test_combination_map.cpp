@@ -1,8 +1,8 @@
 // Tests for the flat CombinationMap class and the v2 interned-type wire
 // codec: std::map-equivalent semantics and iteration order, dense-slot
 // caching, v1 backward compatibility (including checkpoints written with
-// the old encoder), segment-index byte equality, and parallel-vs-serial
-// local combination equivalence.
+// the old encoder), segment-index byte equality, and exact local
+// combination across runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -389,43 +389,18 @@ TEST(SegmentIndex, AbsorbedNewTypeIsInterned) {
   EXPECT_DOUBLE_EQ(static_cast<const GridObj&>(*restored.at(2)).sum, 1.5);
 }
 
-// --- parallel local combination ---------------------------------------------
-
-TEST(ParallelLocalCombine, MatchesSerialResultExactly) {
-  // Integer bucket counts make the comparison exact: the binomial-tree
-  // merge order must produce the identical histogram, bucket for bucket.
-  // 256 buckets comfortably clears the parallel-path entry threshold.
-  std::vector<double> data(20000);
-  std::mt19937 rng(99);
-  std::uniform_real_distribution<double> dist(-5.0, 5.0);
-  for (auto& x : data) x = dist(rng);
-
-  RunOptions serial_opts;
-  serial_opts.parallel_local_combine = false;
-  analytics::Histogram<double> serial(SchedArgs(4, 1), -5.0, 5.0, 256, serial_opts);
-  std::vector<std::size_t> serial_out(256, 0);
-  serial.run(data.data(), data.size(), serial_out.data(), serial_out.size());
-
-  RunOptions parallel_opts;
-  parallel_opts.parallel_local_combine = true;
-  analytics::Histogram<double> parallel(SchedArgs(4, 1), -5.0, 5.0, 256, parallel_opts);
-  std::vector<std::size_t> parallel_out(256, 0);
-  parallel.run(data.data(), data.size(), parallel_out.data(), parallel_out.size());
-
-  EXPECT_EQ(parallel_out, serial_out);
-  EXPECT_EQ(parallel.get_combination_map().size(), serial.get_combination_map().size());
-}
+// --- local combination -----------------------------------------------------
 
 TEST(ParallelLocalCombine, IterativeSeededRunStaysCorrect) {
-  // Seeded iterative context (accumulate_across_runs) with the parallel
-  // clone-distribute: totals must accumulate exactly across runs.
+  // Carried context (accumulate_across_runs) over four workers: every run
+  // folds the worker maps into a fresh node-local map and merges that into
+  // the carried totals, so counts must accumulate exactly across runs.
   std::vector<double> data(8192);
   std::mt19937 rng(5);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   for (auto& x : data) x = dist(rng);
 
   RunOptions opts;
-  opts.parallel_local_combine = true;
   opts.accumulate_across_runs = true;
   analytics::Histogram<double> hist(SchedArgs(4, 1), -1.0, 1.0, 128, opts);
   for (int run = 0; run < 3; ++run) hist.run(data.data(), data.size(), nullptr, 0);

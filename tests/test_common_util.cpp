@@ -1,5 +1,5 @@
-// Unit tests for the remaining common utilities: timing ledger, memory
-// tracker, table reporter, RNG streams.
+// Unit tests for the remaining common utilities: timers, memory tracker,
+// table reporter, RNG streams.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -22,40 +22,9 @@ TEST(Timing, WallTimerAdvances) {
 TEST(Timing, ThreadCpuTimerCountsWork) {
   ThreadCpuTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   EXPECT_GT(t.seconds(), 0.0);
   (void)sink;
-}
-
-TEST(Timing, LedgerMakespanIsMaxLane) {
-  VirtualTimeLedger ledger(3);
-  ledger.charge(0, 1.0);
-  ledger.charge(1, 2.5);
-  ledger.charge(1, 0.5);
-  ledger.charge(2, 0.25);
-  EXPECT_DOUBLE_EQ(ledger.makespan(), 3.0);
-  EXPECT_DOUBLE_EQ(ledger.total_busy(), 4.25);
-  EXPECT_EQ(ledger.lanes(), 3);
-  ledger.reset();
-  EXPECT_DOUBLE_EQ(ledger.makespan(), 0.0);
-}
-
-TEST(Timing, LedgerGrowsLanesOnDemand) {
-  VirtualTimeLedger ledger;
-  ledger.charge(5, 1.5);
-  EXPECT_EQ(ledger.lanes(), 6);
-  EXPECT_DOUBLE_EQ(ledger.lane_busy(5), 1.5);
-}
-
-TEST(Timing, ScopedChargeAccumulates) {
-  VirtualTimeLedger ledger(1);
-  {
-    ScopedCharge charge(ledger, 0);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 500000; ++i) sink += 1.0;
-    (void)sink;
-  }
-  EXPECT_GT(ledger.lane_busy(0), 0.0);
 }
 
 class MemoryTrackerTest : public ::testing::Test {

@@ -53,7 +53,9 @@ TEST_P(DistributedRanks, HistogramGloballyCombinesAcrossRanks) {
     hist.run(data.data() + offset, len, out.data(), out.size());
     // Every rank holds the global result after global combination.
     EXPECT_EQ(out, expected) << "rank " << comm.rank();
-    if (comm.size() > 1) EXPECT_GT(hist.stats().bytes_serialized, 0u);
+    if (comm.size() > 1) {
+      EXPECT_GT(hist.stats().bytes_serialized, 0u);
+    }
   });
 }
 
@@ -323,7 +325,9 @@ TEST_P(DistributedRanks, SinglePassCodecInvariant) {
       EXPECT_LE(s.map_serializes, s.global_combinations);
       EXPECT_LE(s.map_deserializes, s.global_combinations);
       // Interior tree nodes absorb peer entries; leaves only send.
-      if (comm.rank() == 0) EXPECT_GT(s.map_merges, 0u);
+      if (comm.rank() == 0) {
+        EXPECT_GT(s.map_merges, 0u);
+      }
       EXPECT_GT(s.wire_bytes, 0u);
     } else {
       EXPECT_EQ(s.map_serializes, 0u);

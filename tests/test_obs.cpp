@@ -1,6 +1,6 @@
 // Observability subsystem tests: JSON escaping, Chrome-trace export, flow
 // pairing across simmpi ranks, the rank-0 gathers (including a dead rank),
-// metric semantics, and the RunStats dumpers.
+// metric semantics, the RunStats dumpers, and the per-phase CSV export.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -11,10 +11,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analytics/histogram.h"
-#include "common/trace.h"
 #include "core/run_stats.h"
 #include "obs/gather.h"
 #include "obs/json.h"
@@ -377,7 +377,9 @@ TEST(TraceGather, MergedFileContainsEveryRank) {
     obs::TraceCollector::instance().instant("tick", "test", {{"rank", comm.rank()}});
     std::vector<int> missing;
     EXPECT_TRUE(obs::gather_trace_to_rank0(comm, path, 5.0, &missing));
-    if (comm.rank() == 0) EXPECT_TRUE(missing.empty());
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(missing.empty());
+    }
   });
   obs::TraceCollector::instance().set_enabled(false);
 
@@ -537,45 +539,151 @@ TEST(RunStats, JsonAndCsvDumpersAgree) {
   EXPECT_EQ(row.str().back(), '\n');
 }
 
-// --- scheduler phase-tracer wiring -----------------------------------------
+// --- phase CSV export ------------------------------------------------------
 
-TEST(PhaseTracer, SchedulerRecordsPhasesInto) {
-  PhaseTracer tracer;
+/// Minimal RFC 4180 reader: quoted fields may hold commas, doubled quotes
+/// and newlines; every record ends in '\n'.
+std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c == '"' && i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else if (c == '"') {
+        quoted = false;
+      } else {
+        field += c;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',' || c == '\n') {
+      row.push_back(std::move(field));
+      field.clear();
+      if (c == '\n') rows.push_back(std::exchange(row, {}));
+    } else {
+      field += c;
+    }
+  }
+  return rows;
+}
+
+const std::vector<std::string> kPhaseCsvHeader = {"phase", "thread", "begin_s", "end_s",
+                                                  "duration_s"};
+
+TEST(PhaseCsv, SchedulerPhasesBecomeRows) {
+  ObsTestGuard guard;
+  auto& tc = obs::TraceCollector::instance();
+  tc.set_enabled(true);
   analytics::Histogram<double> hist(SchedArgs(2, 1), 0.0, 1.0, 16);
-  hist.set_phase_tracer(&tracer);
   std::vector<double> data(4096);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i) / static_cast<double>(data.size());
   }
   hist.run(data.data(), data.size(), nullptr, 0);
+  // Neither a "sched" instant nor a span of another category is a phase.
+  tc.instant("not_a_span", "sched");
+  tc.complete("other_category", "test", tc.now_us(), 1.0);
+  tc.set_enabled(false);
 
+  std::ostringstream os;
+  obs::write_phase_csv(os, tc.snapshot_events());
+  const auto rows = parse_csv(os.str());
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0], kPhaseCsvHeader);
   std::set<std::string> phases;
-  for (const auto& e : tracer.events()) phases.insert(e.phase);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), 5u) << "row " << i;
+    phases.insert(rows[i][0]);
+    const double begin = std::stod(rows[i][2]);
+    const double end = std::stod(rows[i][3]);
+    EXPECT_LE(begin, end);
+    EXPECT_NEAR(end - begin, std::stod(rows[i][4]), 1e-8);
+  }
   EXPECT_TRUE(phases.count("reduction") > 0) << "phases recorded: " << phases.size();
   EXPECT_TRUE(phases.count("local_combine") > 0);
-
-  std::ostringstream csv;
-  tracer.dump_csv(csv);
-  EXPECT_NE(csv.str().find("phase,thread,begin_s,end_s,duration_s"), std::string::npos);
-  EXPECT_NE(csv.str().find("reduction"), std::string::npos);
+  EXPECT_EQ(phases.count("not_a_span"), 0u);
+  EXPECT_EQ(phases.count("other_category"), 0u);
 }
 
-TEST(PhaseTracer, DenseThreadIdsAreDenseAcrossConcurrentThreads) {
-  PhaseTracer tracer;
-  // Three concurrently-live threads (the latch keeps them alive together, so
-  // std::thread::id cannot be recycled): dense ids must come out {0, 1, 2}.
+TEST(PhaseCsv, ConcurrentThreadsGetDistinctIds) {
+  ObsTestGuard guard;
+  auto& tc = obs::TraceCollector::instance();
+  tc.set_enabled(true);
+  // Three concurrently-live threads (the latch keeps them alive together):
+  // each row must name its own thread.
   std::latch ready(3);
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&tracer, &ready] {
+    threads.emplace_back([&ready] {
       ready.arrive_and_wait();
-      auto s = tracer.scope("work");
+      obs::TraceSpan span("work", "sched");
     });
   }
   for (auto& t : threads) t.join();
-  std::set<std::size_t> ids;
-  for (const auto& e : tracer.events()) ids.insert(e.thread_id);
-  EXPECT_EQ(ids, (std::set<std::size_t>{0, 1, 2}));
+  tc.set_enabled(false);
+
+  std::ostringstream os;
+  obs::write_phase_csv(os, tc.snapshot_events());
+  const auto rows = parse_csv(os.str());
+  ASSERT_EQ(rows.size(), 4u);
+  std::set<std::string> ids;
+  for (std::size_t i = 1; i < rows.size(); ++i) ids.insert(rows[i][1]);
+  EXPECT_EQ(ids.size(), 3u);
+}
+
+TEST(PhaseCsv, DumpsCsv) {
+  // An empty trace still gets the header, so the file always parses.
+  std::ostringstream empty;
+  obs::write_phase_csv(empty, {});
+  EXPECT_EQ(empty.str(), "phase,thread,begin_s,end_s,duration_s\n");
+
+  obs::TraceEvent e;
+  e.name = "alpha";
+  e.cat = "sched";
+  e.ts_us = 0.0;
+  e.dur_us = 1500000.0;
+  std::ostringstream os;
+  obs::write_phase_csv(os, {e});
+  // Times are seconds at ns resolution; end_s is begin_s + duration_s.
+  EXPECT_EQ(os.str(),
+            "phase,thread,begin_s,end_s,duration_s\n"
+            "alpha,0,0.000000000,1.500000000,1.500000000\n");
+}
+
+TEST(PhaseCsv, QuotesSpecialCharacters) {
+  std::vector<obs::TraceEvent> events;
+  for (const char* name : {"plain", "step 3, flush", "say \"go\"", "two\nlines"}) {
+    obs::TraceEvent e;
+    e.name = name;
+    e.cat = "sched";
+    e.ts_us = 500000.0;
+    e.dur_us = 1500000.0;
+    events.push_back(e);
+  }
+  std::ostringstream os;
+  obs::write_phase_csv(os, events);
+  const std::string csv = os.str();
+
+  // Simple names stay bare; the others are quoted with quotes doubled.
+  EXPECT_NE(csv.find("\nplain,0,0.500000000,2.000000000,1.500000000\n"), std::string::npos)
+      << csv;
+  EXPECT_NE(csv.find("\"step 3, flush\","), std::string::npos);
+  EXPECT_NE(csv.find("\"say \"\"go\"\"\","), std::string::npos);
+  EXPECT_NE(csv.find("\"two\nlines\","), std::string::npos);
+
+  // Every row parses back into five fields with the original name.
+  const auto rows = parse_csv(csv);
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows[0], kPhaseCsvHeader);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), 5u) << "row " << i;
+    EXPECT_EQ(rows[i][0], events[i - 1].name);
+  }
 }
 
 }  // namespace

@@ -147,14 +147,20 @@ TEST(Scheduler, ProcessTailOffKeepsSkipAccountingAccurate) {
 }
 
 TEST(Scheduler, TailProcessingWorksUnderDynamicChunking) {
+  // 101 units (100 full chunks + the 3-element tail) over 3 workers: the
+  // tail unit lands at the end of the last worker's contiguous split.
   const auto data = uniform_data(1003, 22);
-  RunOptions opts;
-  opts.dynamic_chunking = true;
-  GridAggregation<double> grid(SchedArgs(3, 10), 10, opts);
-  grid.run(data.data(), data.size(), nullptr, 0);
+  GridAggregation<double> grid(SchedArgs(3, 10), 10);
+  std::vector<double> out(101, -1.0);
+  grid.run(data.data(), data.size(), out.data(), out.size());
   EXPECT_EQ(grid.stats().chunks_processed, 101u);
   EXPECT_EQ(grid.stats().elements_processed, data.size());
   EXPECT_EQ(grid.stats().elements_skipped, 0u);
+  const auto expected = analytics::ref::grid_aggregation(data.data(), data.size(), 10);
+  ASSERT_EQ(expected.size(), out.size());
+  for (std::size_t cell = 0; cell < out.size(); ++cell) {
+    EXPECT_NEAR(out[cell], expected[cell], 1e-12) << "cell " << cell;
+  }
 }
 
 TEST(Scheduler, RecordAppsForceTailOff) {

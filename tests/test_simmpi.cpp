@@ -62,6 +62,24 @@ TEST(Mailbox, WildcardsMatchAnything) {
   EXPECT_EQ(got.tag, 99);
 }
 
+TEST(Mailbox, WildcardTagSkipsCollectiveTraffic) {
+  // A peer already in a barrier posts a negative (internal) tag first; a
+  // user wildcard receive must take the later user message, not the barrier's.
+  Mailbox box;
+  Envelope barrier;
+  barrier.source = 1;
+  barrier.tag = -1001;
+  box.post(std::move(barrier));
+  Envelope user;
+  user.source = 2;
+  user.tag = 0;
+  box.post(std::move(user));
+  EXPECT_EQ(box.receive(kAnySource, kAnyTag).tag, 0);
+  EXPECT_FALSE(box.try_receive(kAnySource, kAnyTag).has_value());
+  EXPECT_FALSE(box.has_match(kAnySource, kAnyTag));
+  EXPECT_EQ(box.receive(kAnySource, -1001).source, 1);
+}
+
 TEST(Mailbox, TryReceiveDoesNotBlock) {
   Mailbox box;
   EXPECT_FALSE(box.try_receive(kAnySource, kAnyTag).has_value());
@@ -234,7 +252,9 @@ TEST_P(CollectiveRanks, ReduceConcatenatesAssociatively) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveRanks, ::testing::Values(1, 2, 3, 4, 5, 8));
 
 TEST(VirtualTime, MessageDeliveryAdvancesReceiverClock) {
-  const NetworkConfig slow{.alpha_seconds = 0.5, .beta_bytes_per_second = 1e9};
+  NetworkConfig slow;
+  slow.alpha_seconds = 0.5;
+  slow.beta_bytes_per_second = 1e9;
   LaunchStats stats = launch(
       2,
       [](Communicator& comm) {

@@ -48,7 +48,7 @@ TEST(ThreadPool, ReportsPerWorkerBusyTime) {
   const auto busy = pool.parallel_region([&](int w) {
     if (w == 0) {
       volatile double sink = 0.0;
-      for (int i = 0; i < 3000000; ++i) sink += 1.0;
+      for (int i = 0; i < 3000000; ++i) sink = sink + 1.0;
       (void)sink;
     }
   });

@@ -267,7 +267,9 @@ TEST(TransportSharedPayload, BcastSharedMovesZeroBytes) {
     comm.barrier();
     // The whole 8-rank tree shares one immutable payload: no copy anywhere
     // (barrier messages are empty, so they cannot disturb the counter).
-    if (comm.rank() == 0) EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
   });
 }
 
@@ -334,7 +336,9 @@ TEST(TransportBufferPool, AcquireReleaseRoundTripHitsPool) {
   Buffer b = BufferPool::acquire(4096);
   EXPECT_TRUE(b.empty());
   EXPECT_GE(b.capacity(), 4096u);
-  if (storage != nullptr) EXPECT_EQ(b.data(), storage);  // same allocation came back
+  if (storage != nullptr) {
+    EXPECT_EQ(b.data(), storage);  // same allocation came back
+  }
   const auto t1 = BufferPool::totals();
   EXPECT_EQ(t1.hits - t0.hits, 1u);
   EXPECT_GE(t1.releases_pooled - t0.releases_pooled, 1u);
@@ -604,7 +608,9 @@ TEST(TransportSharedPayload, AllreduceSharedMovesZeroBytes) {
     ASSERT_EQ(result.size(), kElems);
     EXPECT_DOUBLE_EQ(result[0], 0.0 + 1.0 + 2.0 + 3.0);
     comm.barrier();
-    if (comm.rank() == 0) EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
   });
 }
 
@@ -908,7 +914,9 @@ TEST(TransportArena, CollectiveFanoutZeroCopy) {
     }
 
     comm.barrier();
-    if (rank == 0) EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    if (rank == 0) {
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
   });
 }
 

@@ -1,14 +1,9 @@
 // Tests for the fourth extension wave: the argument parser, MiniSpark's
-// filter/union/count_by_key operators, the ring allreduce, and the phase
-// tracer.
+// filter/union/count_by_key operators, and the ring allreduce.
 #include <gtest/gtest.h>
-
-#include <sstream>
-#include <thread>
 
 #include "common/arg_parser.h"
 #include "common/rng.h"
-#include "common/trace.h"
 #include "minispark/rdd.h"
 #include "simmpi/world.h"
 
@@ -188,54 +183,6 @@ TEST(RingAllreduce, BalancesPerRankTrafficBetterThanTree) {
     return peak;
   };
   EXPECT_LT(max_rank_bytes(true), max_rank_bytes(false));
-}
-
-// --- phase tracer -----------------------------------------------------------------------
-
-TEST(PhaseTracer, RecordsScopedIntervals) {
-  PhaseTracer tracer;
-  {
-    auto s = tracer.scope("reduction");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink += 1.0;
-    (void)sink;
-  }
-  {
-    auto s = tracer.scope("combination");
-  }
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, "reduction");
-  EXPECT_GT(events[0].duration(), 0.0);
-  EXPECT_GE(events[1].begin_seconds, events[0].end_seconds);
-  EXPECT_GT(tracer.total("reduction"), 0.0);
-  EXPECT_DOUBLE_EQ(tracer.total("missing"), 0.0);
-}
-
-TEST(PhaseTracer, AssignsDenseThreadIds) {
-  PhaseTracer tracer;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] { auto s = tracer.scope("work"); });
-  }
-  for (auto& t : threads) t.join();
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 3u);
-  std::set<std::size_t> ids;
-  for (const auto& e : events) ids.insert(e.thread_id);
-  EXPECT_EQ(ids.size(), 3u);
-  EXPECT_EQ(*ids.rbegin(), 2u);
-}
-
-TEST(PhaseTracer, DumpsCsv) {
-  PhaseTracer tracer;
-  tracer.record("alpha", 0.0, 1.5);
-  std::ostringstream os;
-  tracer.dump_csv(os);
-  EXPECT_NE(os.str().find("phase,thread,begin_s,end_s,duration_s"), std::string::npos);
-  EXPECT_NE(os.str().find("alpha,0,0,1.5,1.5"), std::string::npos);
-  tracer.clear();
-  EXPECT_TRUE(tracer.events().empty());
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 // Tests for the single-pass combination wave: Writer buffer-reuse
 // primitives (position/patch/reserve), MapCombiner segment helpers and
-// algorithm consensus, ring allreduce degenerate lengths, CircularBuffer
-// close semantics, and RFC 4180 CSV output from the phase tracer.
+// algorithm consensus, ring allreduce degenerate lengths, and
+// CircularBuffer close semantics.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 
 #include "analytics/red_objs.h"
-#include "common/trace.h"
 #include "core/map_combiner.h"
 #include "core/red_obj.h"
 #include "simmpi/world.h"
@@ -293,24 +291,6 @@ TEST(CircularBuffer, CloseWakesBlockedPusher) {
   std::thread pusher([&] { EXPECT_THROW(buf.push(2), std::runtime_error); });
   buf.close();  // must wake the pusher blocked on not_full_
   pusher.join();
-}
-
-// --- RFC 4180 CSV quoting ----------------------------------------------------
-
-TEST(PhaseTracer, CsvQuotesSpecialCharacters) {
-  PhaseTracer tracer;
-  tracer.record("plain", 0.0, 1.0);
-  tracer.record("step 3, flush", 1.0, 2.0);
-  tracer.record("say \"go\"", 2.0, 3.0);
-  tracer.record("two\nlines", 3.0, 4.0);
-  std::ostringstream os;
-  tracer.dump_csv(os);
-  const std::string csv = os.str();
-
-  EXPECT_NE(csv.find("\nplain,"), std::string::npos);  // simple names stay bare
-  EXPECT_NE(csv.find("\"step 3, flush\","), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"go\"\"\","), std::string::npos);
-  EXPECT_NE(csv.find("\"two\nlines\","), std::string::npos);
 }
 
 }  // namespace
