@@ -21,10 +21,10 @@
 //     workload under the flat, fat-tree, and dragonfly cost models; the
 //     virtual_makespan_s counters record how link contention stretches the
 //     modeled runtime while wall time stays flat.
-//   * 8-rank collective fan-out: per-destination owning payloads
-//     (scatter/alltoall/gather of fresh Buffers) vs one PayloadArena
-//     allocation shipped as slices — the zero-copy acceptance pair,
-//     measured by payload_bytes_copied.
+//   * 8-rank collective fan-out: alltoall and scatter+gather of one
+//     PayloadArena allocation shipped as slices, reporting
+//     payload_bytes_copied per round (0: the zero-copy property itself is
+//     asserted by TransportArena.CollectiveFanoutZeroCopy).
 //   * combine makespans per topology: MapCombiner forced to the tree vs
 //     the CollectivePlanner-driven auto mode, on the fat-tree, dragonfly,
 //     and torus models; the planner must never lose to the forced tree.
@@ -387,39 +387,15 @@ void BM_TopologyMakespanDragonfly(benchmark::State& state) {
 }
 BENCHMARK(BM_TopologyMakespanDragonfly)->Unit(benchmark::kMillisecond);
 
-// --- arena-sliced collective fan-out vs per-destination copies ---------------
+// --- arena-sliced collective fan-out ------------------------------------------
 
 constexpr int kFanoutRanks = 8;
 constexpr std::size_t kFanoutChunk = 32u * 1024;
 constexpr int kFanoutRoundsPerLaunch = 8;
 
-/// Before side: every rank materializes one owning Buffer per destination
-/// and the transport deep-copies each payload into its envelope — n²
-/// allocations and n² copies per alltoall round.
-void BM_CopyingAlltoall8Ranks(benchmark::State& state) {
-  std::uint64_t copied = 0;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = payload_bytes_copied();
-    launch(kFanoutRanks, [](Communicator& comm) {
-      for (int round = 0; round < kFanoutRoundsPerLaunch; ++round) {
-        std::vector<Buffer> sends(static_cast<std::size_t>(comm.size()));
-        for (auto& b : sends) b.assign(kFanoutChunk, std::byte{5});
-        benchmark::DoNotOptimize(comm.alltoall(sends));
-      }
-    });
-    copied += payload_bytes_copied() - before;
-    rounds += kFanoutRoundsPerLaunch;
-  }
-  state.SetItemsProcessed(rounds);
-  state.counters["payload_bytes_copied_per_round"] =
-      benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
-}
-BENCHMARK(BM_CopyingAlltoall8Ranks)->Unit(benchmark::kMillisecond);
-
-/// After side: the same bytes staged once into a PayloadArena and shipped
-/// as offset/length slices — one allocation per rank per round, zero
-/// transport copies.
+/// Every rank stages its n destination payloads once into a PayloadArena
+/// and ships them as offset/length slices — one allocation per rank per
+/// round, zero transport copies.
 void BM_ArenaAlltoall8Ranks(benchmark::State& state) {
   std::uint64_t copied = 0;
   std::int64_t rounds = 0;
@@ -442,32 +418,6 @@ void BM_ArenaAlltoall8Ranks(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
 }
 BENCHMARK(BM_ArenaAlltoall8Ranks)->Unit(benchmark::kMillisecond);
-
-/// Scatter then gather through owning Buffers: the root copies one chunk
-/// per child out, then every child's reply is copied back in.
-void BM_CopyingScatterGather8Ranks(benchmark::State& state) {
-  std::uint64_t copied = 0;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = payload_bytes_copied();
-    launch(kFanoutRanks, [](Communicator& comm) {
-      for (int round = 0; round < kFanoutRoundsPerLaunch; ++round) {
-        std::vector<Buffer> chunks;
-        if (comm.rank() == 0) {
-          chunks.assign(static_cast<std::size_t>(comm.size()), Buffer(kFanoutChunk, std::byte{6}));
-        }
-        const Buffer mine = comm.scatter(chunks, 0);
-        benchmark::DoNotOptimize(comm.gather(mine, 0));
-      }
-    });
-    copied += payload_bytes_copied() - before;
-    rounds += kFanoutRoundsPerLaunch;
-  }
-  state.SetItemsProcessed(rounds);
-  state.counters["payload_bytes_copied_per_round"] =
-      benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
-}
-BENCHMARK(BM_CopyingScatterGather8Ranks)->Unit(benchmark::kMillisecond);
 
 /// The zero-copy round trip: arena slices out, the received view travels
 /// straight back, and the root keeps children's payloads shared.

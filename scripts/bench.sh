@@ -10,8 +10,8 @@
 #   * BM_ReductionMapAccumulate vs BM_LegacyStdMapAccumulate — the flat
 #     CombinationMap against the std::map it replaced;
 #   * BM_CombinationMapInsert vs BM_LegacyStdMapInsert — cold seeding;
-#   * BM_MapCodec — wire-format v2 (interned types) vs legacy v1, with a
-#     wire_bytes counter per size;
+#   * BM_MapCodec — the map wire codec round trip, with a wire_bytes
+#     counter per size;
 #   * BM_LocalCombine — the serial local-combination fold;
 #   * BM_MapSerializeRoundTrip / BM_MapCombineAlgorithms — the codec and
 #     tree/ring crossover benches the combiner defaults come from.
@@ -34,10 +34,9 @@
 #   * BM_TopologyMakespanFlat / FatTree / Dragonfly — the same compute +
 #     allreduce workload priced by each network cost model
 #     (virtual_makespan_s counter; simmpi/network.h);
-#   * BM_CopyingAlltoall8Ranks vs BM_ArenaAlltoall8Ranks and
-#     BM_CopyingScatterGather8Ranks vs BM_ArenaScatterGather8Ranks — per-
-#     destination owning payloads vs PayloadArena slices over one backing
-#     buffer (payload_bytes_copied_per_round counter; 0 on the arena side);
+#   * BM_ArenaAlltoall8Ranks and BM_ArenaScatterGather8Ranks — the
+#     collectives' fan-out of PayloadArena slices over one backing buffer
+#     (payload_bytes_copied_per_round counter; 0);
 #   * BM_CombineMakespan{FatTree,Dragonfly,Torus}{ForcedTree,Planned} — the
 #     MapCombiner pinned to the tree vs CollectivePlanner auto mode on each
 #     topology (virtual_makespan_s counter; the planner must win).

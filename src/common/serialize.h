@@ -331,9 +331,8 @@ inline const SharedBuffer& shared_empty_buffer() {
 /// One pooled allocation per collective round, carved into per-destination
 /// SharedBuffer slices.
 ///
-/// The copying collectives (Communicator::scatter/alltoall) materialize one
-/// owning Buffer per destination — n-1 allocations and n-1 payload copies
-/// per round.  A PayloadArena replaces that with a single staging Buffer
+/// Instead of one owning Buffer per destination (n-1 allocations and n-1
+/// payload copies per round), a PayloadArena is a single staging Buffer
 /// the caller serializes *into*, destination after destination, sealing
 /// each one with end_slice(); finish() freezes the arena into shared
 /// storage and returns offset/length views of it.  Sending the views
@@ -495,6 +494,9 @@ class Reader {
     if (pos_ + n > size_) {
       throw std::out_of_range("smart::Reader: read past end of buffer");
     }
+    // memcpy needs non-null pointers even for 0 bytes, and an empty
+    // vector's data() may be null.
+    if (n == 0) return;
     std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
   }

@@ -14,10 +14,9 @@
 //     a diagnosable error instead of a std::bad_alloc.
 //
 // The snapshot payload is opaque at this layer.  For scheduler checkpoints
-// it is a serialized combination map, whose own wire format is self-
-// describing (core/red_obj.h): maps written before the v2 interned-type
-// codec decode through the same load path, so old checkpoint files stay
-// loadable without a checkpoint version bump.
+// it is a serialized combination map in the v2 map wire format
+// (core/red_obj.h); a snapshot in any other format fails to load with
+// std::runtime_error.
 #pragma once
 
 #include <cstdint>

@@ -17,8 +17,8 @@
 // Cross-staging combination uses Scheduler::snapshot()/absorb(): staging
 // ranks gather to the first staging rank, which merges and broadcasts the
 // global map back to its peers.  Snapshot payloads use the map wire format
-// (v2 interned-type codec; see core/red_obj.h) and absorb() auto-detects
-// the format, so mixed-version payloads decode transparently.
+// (v2 interned-type codec; see core/red_obj.h), the only one absorb()
+// accepts.
 //
 // These helpers suit per-step (non-iterative) analytics — histogram, grid
 // aggregation, mutual information, window apps.  Iterative apps need the

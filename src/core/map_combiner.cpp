@@ -1,6 +1,7 @@
 #include "core/map_combiner.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -11,13 +12,22 @@
 namespace smart {
 
 namespace {
-// Internal tag space, below the communicator's own collectives (-1000..)
-// and the ring allreduce (-8000..).
+// Internal tag space, below the communicator's own collectives
+// (-1000..-6000).
 constexpr int kTreeTag = -9000;
 constexpr int kRingReduceTag = -9200;
 constexpr int kRingGatherTag = -9400;
 constexpr int kDirectTag = -9500;         ///< direct: binomial reduce payloads
 constexpr int kDirectResultTag = -9501;   ///< direct: root's shared fan-out
+// Fault-tolerant rounds burn two tags per recovery round, descending from
+// here, so round r+1 never matches round r's leftovers.  Attempts *within*
+// a round share its tags on purpose: a stale payload from an aborted
+// attempt is byte-identical to its resend — the sender rolled back to its
+// pre-round map first — so consuming it is harmless, and a rank that
+// finished the round early can satisfy a still-retrying peer's receive
+// from the result it already sent.  Per-*attempt* tags would instead
+// require attempt lockstep, which partial failures break.
+constexpr int kFtBaseTag = -9600;
 
 /// Per-decision planner counters (collective.plan.tree|ring|direct): how
 /// often the auto mode resolved to each algorithm, riding the usual
@@ -40,10 +50,24 @@ void count_plan(simmpi::CollectiveAlgo algo) {
       break;
   }
 }
-// Fault-tolerant rounds burn two tags per recovery round, descending from
-// here, so round r+1 never matches round r's leftovers.  Attempts *within*
-// a round share its tags on purpose — see begin_recovery_round().
-constexpr int kFtBaseTag = -9600;
+
+/// Decodes a peer's full-map wire payload under a codec.decode span: a
+/// reduction hop absorbs it into the live map with `*merge`; the arriving
+/// global result (`merge` null) replaces the map outright.
+void decode(Reader r, CombinationMap& map, const MergeFn* merge, MapCombineStats& stats) {
+  ThreadCpuTimer codec;
+  {
+    obs::TraceSpan span("codec.decode", "codec",
+                        {{"bytes", static_cast<std::int64_t>(r.remaining())}});
+    if (merge != nullptr) {
+      stats.map_merges += absorb_serialized_map(r, map, *merge);
+    } else {
+      map = deserialize_map(r);
+    }
+  }
+  stats.codec_seconds += codec.seconds();
+  if (merge == nullptr) ++stats.map_deserializes;
+}
 }  // namespace
 
 void MapCombiner::prepare_wire() {
@@ -54,6 +78,21 @@ void MapCombiner::prepare_wire() {
   }
 }
 
+Buffer MapCombiner::encode(const CombinationMap& map, MapCombineStats& stats) {
+  ThreadCpuTimer codec;
+  prepare_wire();
+  {
+    obs::TraceSpan span("codec.encode", "codec");
+    serialize_map(map, wire_);
+    span.arg("bytes", static_cast<std::int64_t>(wire_.size()));
+  }
+  stats.codec_seconds += codec.seconds();
+  ++stats.map_serializes;
+  stats.bytes_encoded += wire_.size();
+  if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
+  return std::move(wire_);
+}
+
 MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMap& map,
                                        const MergeFn& merge, double peer_timeout_seconds) {
   MapCombineStats stats;
@@ -62,14 +101,16 @@ MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMa
   // Combination-round stamp: the critical-path profiler rolls attributed
   // time up per round, so every combine.* span names the round it served.
   const std::int64_t round = combine_round_++;
+  std::vector<int> ranks(static_cast<std::size_t>(comm.size()));
+  std::iota(ranks.begin(), ranks.end(), 0);
   if (peer_timeout_seconds > 0.0) {
-    // Fault-tolerant round over the full rank set.  Always the tree: the
-    // ring needs every rank alive and the auto decision's first-round
-    // consensus is an unbounded collective — neither survives a dead peer.
+    // Fault-tolerant round over the full rank set.  Always the binomial
+    // reduce + direct fan-out: the ring needs every rank alive and the auto
+    // decision's first-round consensus is an unbounded collective — neither
+    // survives a dead peer.
     obs::TraceSpan span("combine.ft_tree", "sched", {{"round", round}});
-    std::vector<int> all(static_cast<std::size_t>(comm.size()));
-    for (int r = 0; r < comm.size(); ++r) all[static_cast<std::size_t>(r)] = r;
-    ft_tree_allreduce(comm, all, map, merge, peer_timeout_seconds, stats);
+    const int ft_tag = kFtBaseTag - 2 * ft_round_;
+    reduce_and_fan_out(comm, ranks, map, merge, ft_tag, ft_tag - 1, peer_timeout_seconds, stats);
     stats.algorithm = "ft_tree";
   } else {
     switch (plan(comm, map)) {
@@ -80,14 +121,28 @@ MapCombineStats MapCombiner::allreduce(simmpi::Communicator& comm, CombinationMa
         break;
       }
       case simmpi::CollectiveAlgo::kDirect: {
+        // The planner chose this shape because the root's links are cheap
+        // relative to interior tree hops (or the group is small enough
+        // that fan-out beats tree latency).
         obs::TraceSpan span("combine.direct", "sched", {{"round", round}});
-        direct_allreduce(comm, map, merge, stats);
+        reduce_and_fan_out(comm, ranks, map, merge, kDirectTag, kDirectResultTag, 0.0, stats);
         stats.algorithm = "direct";
         break;
       }
       case simmpi::CollectiveAlgo::kTree: {
         obs::TraceSpan span("combine.tree", "sched", {{"round", round}});
-        tree_allreduce(comm, map, merge, stats);
+        reduce_to_first(comm, ranks, map, merge, kTreeTag, 0.0, stats);
+        // Broadcast the globally merged map.  The root's live map *is* the
+        // result — it serializes once for the wire and never deserializes.
+        // The whole binomial tree shares the root's serialized bytes
+        // (bcast_shared), and every non-root deserializes straight out of
+        // them: no per-child copies, no materializing copy at the leaves,
+        // and the storage returns to the BufferPool when the last rank
+        // drops its reference.
+        SharedBuffer global;
+        if (comm.rank() == 0) global = make_shared_buffer(encode(map, stats));
+        comm.bcast_shared(global, 0);
+        if (comm.rank() != 0) decode(Reader(global), map, nullptr, stats);
         stats.algorithm = "tree";
         break;
       }
@@ -112,7 +167,8 @@ MapCombineStats MapCombiner::allreduce_surviving(simmpi::Communicator& comm,
   obs::TraceSpan span("combine.ft_tree", "sched",
                       {{"survivors", static_cast<std::int64_t>(alive.size())},
                        {"round", combine_round_++}});
-  ft_tree_allreduce(comm, alive, map, merge, peer_timeout_seconds, stats);
+  const int ft_tag = kFtBaseTag - 2 * ft_round_;
+  reduce_and_fan_out(comm, alive, map, merge, ft_tag, ft_tag - 1, peer_timeout_seconds, stats);
   stats.algorithm = "ft_tree";
   stats.wire_bytes = comm.bytes_sent() - sent_before;
   agreed_footprint_ = map_footprint_bytes(map);
@@ -120,90 +176,55 @@ MapCombineStats MapCombiner::allreduce_surviving(simmpi::Communicator& comm,
   return stats;
 }
 
-void MapCombiner::ft_tree_allreduce(simmpi::Communicator& comm, const std::vector<int>& ranks,
-                                    CombinationMap& map, const MergeFn& merge,
-                                    double timeout_seconds, MapCombineStats& stats) {
-  // Two tags per recovery round, shared by every attempt of the round
-  // (full-group, retried, and degraded alike).  A stale payload from an
-  // aborted attempt is byte-identical to its resend — the sender rolled
-  // back to its pre-round map first — so consuming it is harmless, and a
-  // rank that finished the round early can satisfy a still-retrying
-  // peer's receive from the result it already sent.  Per-*attempt* tags
-  // would instead require attempt lockstep, which partial failures break.
-  const int payload_tag = kFtBaseTag - 2 * ft_round_;
-  const int result_tag = payload_tag - 1;
-
-  const int m = static_cast<int>(ranks.size());
+void MapCombiner::reduce_to_first(simmpi::Communicator& comm, const std::vector<int>& ranks,
+                                  CombinationMap& map, const MergeFn& merge, int tag,
+                                  double timeout_seconds, MapCombineStats& stats) {
   const auto it = std::find(ranks.begin(), ranks.end(), comm.rank());
   if (it == ranks.end()) {
     throw std::logic_error("MapCombiner: this rank is not in the combination group");
   }
-  const int me = static_cast<int>(it - ranks.begin());
-  const auto peer = [&](int group_rank) { return ranks[static_cast<std::size_t>(group_rank)]; };
-
-  // Binomial reduction to the group's first rank (timed receives).
-  for (int dist = 1; dist < m; dist <<= 1) {
+  const auto m = static_cast<std::size_t>(ranks.size());
+  const auto me = static_cast<std::size_t>(it - ranks.begin());
+  // Binomial reduction over list positions, mirroring Communicator::reduce's
+  // schedule so the merge order (and therefore every floating-point
+  // accumulation) is bit-identical to the Buffer-lambda path this replaces.
+  // The difference: a receiving rank absorbs the child's payload straight
+  // into its live map, and only serializes once — when handing its merged
+  // map up.
+  for (std::size_t dist = 1; dist < m; dist <<= 1) {
     if (me % (2 * dist) == 0) {
       if (me + dist < m) {
-        Buffer child = comm.recv_timeout(peer(me + dist), payload_tag, timeout_seconds);
-        ThreadCpuTimer codec;
-        {
-          obs::TraceSpan cspan("codec.decode", "codec",
-                               {{"bytes", static_cast<std::int64_t>(child.size())}});
-          Reader r(child);
-          stats.map_merges += absorb_serialized_map(r, map, merge);
-        }
-        stats.codec_seconds += codec.seconds();
-        BufferPool::release(std::move(child));
+        const int child = ranks[me + dist];
+        Buffer payload = timeout_seconds > 0.0 ? comm.recv_timeout(child, tag, timeout_seconds)
+                                               : comm.recv(child, tag);
+        decode(Reader(payload), map, &merge, stats);
+        BufferPool::release(std::move(payload));
       }
     } else {
-      ThreadCpuTimer codec;
-      prepare_wire();
-      {
-        obs::TraceSpan cspan("codec.encode", "codec");
-        serialize_map(map, wire_);
-        cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-      }
-      stats.codec_seconds += codec.seconds();
-      ++stats.map_serializes;
-      stats.bytes_encoded += wire_.size();
-      if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-      comm.send(peer(me - dist), payload_tag, std::move(wire_));
+      comm.send(ranks[me - dist], tag, encode(map, stats));
       break;
     }
   }
+}
 
-  // Direct fan-out of the result: the root sends the merged map straight
-  // to every survivor.  Interior bcast forwarding would make one rank's
-  // death strand its whole subtree; direct sends keep every delivery
-  // independent, which matters more than latency here.  Every survivor is
-  // handed the same SharedBuffer — one serialize, zero per-peer copies.
-  if (me == 0) {
-    ThreadCpuTimer codec;
-    prepare_wire();
-    {
-      obs::TraceSpan cspan("codec.encode", "codec");
-      serialize_map(map, wire_);
-      cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_serializes;
-    stats.bytes_encoded += wire_.size();
-    if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-    const SharedBuffer result = make_shared_buffer(std::move(wire_));
-    for (int g = 1; g < m; ++g) comm.send_shared(peer(g), result_tag, result);
+void MapCombiner::reduce_and_fan_out(simmpi::Communicator& comm, const std::vector<int>& ranks,
+                                     CombinationMap& map, const MergeFn& merge, int reduce_tag,
+                                     int result_tag, double timeout_seconds,
+                                     MapCombineStats& stats) {
+  reduce_to_first(comm, ranks, map, merge, reduce_tag, timeout_seconds, stats);
+  // Root fan-out: one serialize, one SharedBuffer handed to every peer — no
+  // interior forwarding, no per-peer copies.  Interior bcast forwarding
+  // would make one rank's death strand its whole subtree; direct sends
+  // keep every delivery independent.
+  if (comm.rank() == ranks.front()) {
+    const SharedBuffer result = make_shared_buffer(encode(map, stats));
+    for (std::size_t g = 1; g < ranks.size(); ++g) comm.send_shared(ranks[g], result_tag, result);
   } else {
     const SharedBuffer global =
-        comm.recv_shared_timeout(peer(0), result_tag, timeout_seconds);
-    ThreadCpuTimer codec;
-    {
-      obs::TraceSpan cspan("codec.decode", "codec",
-                           {{"bytes", static_cast<std::int64_t>(global.size())}});
-      Reader r(global);
-      map = deserialize_map(r);
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_deserializes;
+        timeout_seconds > 0.0
+            ? comm.recv_shared_timeout(ranks.front(), result_tag, timeout_seconds)
+            : comm.recv_shared(ranks.front(), result_tag);
+    decode(Reader(global), map, nullptr, stats);
   }
 }
 
@@ -233,148 +254,6 @@ simmpi::CollectiveAlgo MapCombiner::plan(simmpi::Communicator& comm, const Combi
   const simmpi::CollectivePlan p = simmpi::CollectivePlanner::plan_allreduce(comm, estimate);
   count_plan(p.algo);
   return p.algo;
-}
-
-void MapCombiner::direct_allreduce(simmpi::Communicator& comm, CombinationMap& map,
-                                   const MergeFn& merge, MapCombineStats& stats) {
-  const int n = comm.size();
-  const int rank = comm.rank();
-  // Binomial reduction to rank 0 — the same schedule (and therefore the
-  // same bit-exact merge order) as tree_allreduce, on the direct tags.
-  for (int dist = 1; dist < n; dist <<= 1) {
-    if (rank % (2 * dist) == 0) {
-      if (rank + dist < n) {
-        Buffer child = comm.recv(rank + dist, kDirectTag);
-        ThreadCpuTimer codec;
-        {
-          obs::TraceSpan cspan("codec.decode", "codec",
-                               {{"bytes", static_cast<std::int64_t>(child.size())}});
-          Reader r(child);
-          stats.map_merges += absorb_serialized_map(r, map, merge);
-        }
-        stats.codec_seconds += codec.seconds();
-        BufferPool::release(std::move(child));
-      }
-    } else {
-      ThreadCpuTimer codec;
-      prepare_wire();
-      {
-        obs::TraceSpan cspan("codec.encode", "codec");
-        serialize_map(map, wire_);
-        cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-      }
-      stats.codec_seconds += codec.seconds();
-      ++stats.map_serializes;
-      stats.bytes_encoded += wire_.size();
-      if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-      comm.send(rank - dist, kDirectTag, std::move(wire_));
-      break;
-    }
-  }
-  // Root fan-out: one serialize, one SharedBuffer handed to every peer —
-  // no interior forwarding, no per-peer copies.  The planner chose this
-  // shape because the root's links are cheap relative to interior tree
-  // hops (or the group is small enough that fan-out beats tree latency).
-  if (rank == 0) {
-    ThreadCpuTimer codec;
-    prepare_wire();
-    {
-      obs::TraceSpan cspan("codec.encode", "codec");
-      serialize_map(map, wire_);
-      cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_serializes;
-    stats.bytes_encoded += wire_.size();
-    if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-    const SharedBuffer result = make_shared_buffer(std::move(wire_));
-    for (int peer = 1; peer < n; ++peer) comm.send_shared(peer, kDirectResultTag, result);
-  } else {
-    const SharedBuffer global = comm.recv_shared(0, kDirectResultTag);
-    ThreadCpuTimer codec;
-    {
-      obs::TraceSpan cspan("codec.decode", "codec",
-                           {{"bytes", static_cast<std::int64_t>(global.size())}});
-      Reader r(global);
-      map = deserialize_map(r);
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_deserializes;
-  }
-}
-
-void MapCombiner::tree_allreduce(simmpi::Communicator& comm, CombinationMap& map,
-                                 const MergeFn& merge, MapCombineStats& stats) {
-  const int n = comm.size();
-  const int rank = comm.rank();
-  // Binomial reduction to rank 0, mirroring Communicator::reduce's schedule
-  // so the merge order (and therefore every floating-point accumulation) is
-  // bit-identical to the Buffer-lambda path this replaces.  The difference:
-  // a receiving rank absorbs the child's payload straight into its live
-  // map, and only serializes once — when handing its merged map up.
-  for (int dist = 1; dist < n; dist <<= 1) {
-    if (rank % (2 * dist) == 0) {
-      if (rank + dist < n) {
-        Buffer child = comm.recv(rank + dist, kTreeTag);
-        ThreadCpuTimer codec;
-        {
-          obs::TraceSpan cspan("codec.decode", "codec",
-                               {{"bytes", static_cast<std::int64_t>(child.size())}});
-          Reader r(child);
-          stats.map_merges += absorb_serialized_map(r, map, merge);
-        }
-        stats.codec_seconds += codec.seconds();
-        BufferPool::release(std::move(child));
-      }
-    } else {
-      ThreadCpuTimer codec;
-      prepare_wire();
-      {
-        obs::TraceSpan cspan("codec.encode", "codec");
-        serialize_map(map, wire_);
-        cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-      }
-      stats.codec_seconds += codec.seconds();
-      ++stats.map_serializes;
-      stats.bytes_encoded += wire_.size();
-      if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-      comm.send(rank - dist, kTreeTag, std::move(wire_));
-      break;
-    }
-  }
-  // Broadcast the globally merged map.  The root's live map *is* the
-  // result — it serializes once for the wire and never deserializes.  The
-  // whole binomial tree shares the root's serialized bytes (bcast_shared),
-  // and every non-root deserializes straight out of them: no per-child
-  // copies, no materializing copy at the leaves, and the storage returns
-  // to the BufferPool when the last rank drops its reference.
-  if (rank == 0) {
-    ThreadCpuTimer codec;
-    prepare_wire();
-    {
-      obs::TraceSpan cspan("codec.encode", "codec");
-      serialize_map(map, wire_);
-      cspan.arg("bytes", static_cast<std::int64_t>(wire_.size()));
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_serializes;
-    stats.bytes_encoded += wire_.size();
-    if (wire_.size() > wire_hint_) wire_hint_ = wire_.size();
-    SharedBuffer result = make_shared_buffer(std::move(wire_));
-    comm.bcast_shared(result, 0);
-  } else {
-    SharedBuffer global;
-    comm.bcast_shared(global, 0);
-    ThreadCpuTimer codec;
-    {
-      obs::TraceSpan cspan("codec.decode", "codec",
-                           {{"bytes", static_cast<std::int64_t>(global.size())}});
-      Reader r(global);
-      map = deserialize_map(r);
-    }
-    stats.codec_seconds += codec.seconds();
-    ++stats.map_deserializes;
-  }
 }
 
 void MapCombiner::ring_allreduce(simmpi::Communicator& comm, CombinationMap& map,

@@ -2,7 +2,7 @@
 // simmpi communicator (paper Algorithm 1, lines 11-17).
 //
 // The naive implementation passes a Buffer×Buffer→Buffer lambda to
-// Communicator::allreduce, which pays deserialize_map + merge +
+// Communicator::allreduce_shared, which pays deserialize_map + merge +
 // serialize_map at *every* hop of the binomial reduction tree — O(log n)
 // redundant codec passes per rank per round.  MapCombiner instead keeps the
 // merged state as a live CombinationMap at interior tree nodes and only
@@ -21,12 +21,13 @@
 //     merged segment, then an allgather circulates the finished segments —
 //     forwarding the received bytes verbatim, with no re-encode.  Each rank
 //     ships ~2·S/n·(n-1) bytes regardless of depth (vs the tree's root
-//     shipping S·log n), mirroring allreduce_sum_ring.  Codec work is per
-//     segment, so the full-map codec counters stay at zero; the cost is
-//     visible in codec_seconds / wire_bytes.
-//   * direct: binomial reduce to rank 0, then the root fans the shared
-//     result straight to every peer (one serialize, zero per-peer copies —
-//     the same delivery shape as the fault-tolerant path, minus timeouts).
+//     shipping S·log n).  Codec work is per segment, so the full-map codec
+//     counters stay at zero; the cost is visible in codec_seconds /
+//     wire_bytes.
+//   * direct: the tree's binomial reduce to rank 0, then the root fans the
+//     shared result straight to every peer (one serialize, zero per-peer
+//     copies).  The fault-tolerant round is the same code over a rank list
+//     (all ranks, or the survivors) with every receive timed.
 //   * auto: plan-driven.  Below the measured flat-model crossover
 //     (kDefaultRingCrossoverBytes, from bench/micro_core_ops
 //     BM_MapCombineAlgorithms) the tree always wins — that regime is
@@ -125,18 +126,25 @@ class MapCombiner {
   /// comment).  Collective when the consensus fallback fires; otherwise
   /// message-free.
   simmpi::CollectiveAlgo plan(simmpi::Communicator& comm, const CombinationMap& map);
-  void tree_allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
-                      MapCombineStats& stats);
   void ring_allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
                       MapCombineStats& stats);
-  void direct_allreduce(simmpi::Communicator& comm, CombinationMap& map, const MergeFn& merge,
-                        MapCombineStats& stats);
-  /// Binomial tree + direct root fan-out over `ranks`, every receive
-  /// bounded by `timeout_seconds`.  Tags derive from ft_round_ (advanced
-  /// by begin_recovery_round, shared by all attempts of one round).
-  void ft_tree_allreduce(simmpi::Communicator& comm, const std::vector<int>& ranks,
-                         CombinationMap& map, const MergeFn& merge, double timeout_seconds,
-                         MapCombineStats& stats);
+  /// Binomial reduction of `map` to ranks[0] over the communicator ranks
+  /// listed in `ranks` (this rank among them), on `tag`; every receive is
+  /// bounded by `timeout_seconds` when it is > 0.  The one reduction every
+  /// non-ring algorithm runs, so they all merge in the same order.
+  void reduce_to_first(simmpi::Communicator& comm, const std::vector<int>& ranks,
+                       CombinationMap& map, const MergeFn& merge, int tag,
+                       double timeout_seconds, MapCombineStats& stats);
+  /// reduce_to_first on `reduce_tag`, then ranks[0] sends the merged map
+  /// straight to every other listed rank on `result_tag` — the direct
+  /// algorithm, and (with the recovery round's tags and a timeout) the
+  /// fault-tolerant round.
+  void reduce_and_fan_out(simmpi::Communicator& comm, const std::vector<int>& ranks,
+                          CombinationMap& map, const MergeFn& merge, int reduce_tag,
+                          int result_tag, double timeout_seconds, MapCombineStats& stats);
+  /// Serializes `map` into wire_ under a codec.encode span, updates the
+  /// encode counters, and hands the bytes out for sending.
+  Buffer encode(const CombinationMap& map, MapCombineStats& stats);
 
   /// Readies wire_ for a fresh encode: clears it when its capacity is still
   /// here, re-acquires from the BufferPool (sized by the largest encode seen

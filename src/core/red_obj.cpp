@@ -135,22 +135,17 @@ void write_v2_header(Writer& w, const std::vector<std::string>& type_names) {
   for (const auto& name : type_names) w.write_string(name);
 }
 
-/// Decoded payload header, either format.  For v2 every factory is
-/// resolved here — one registry lock per distinct type; entries then
-/// index into `factories`.  v1 resolves lazily per type-name run.
+/// Decoded payload header.  Every factory is resolved here — one registry
+/// lock per distinct type; entries then index into `factories`.
 struct WireHeader {
-  bool v2 = false;
   std::uint64_t count = 0;
-  std::vector<const RedObjRegistry::Factory*> factories;  // v2 only
+  std::vector<const RedObjRegistry::Factory*> factories;
 };
 
 WireHeader read_map_header(Reader& r) {
   WireHeader h;
-  const auto lead = r.read<std::uint64_t>();
-  if (lead != wire::kMapWireMagicV2) {
-    // v1: the leading u64 is the entry count itself.
-    h.count = lead;
-    return h;
+  if (r.read<std::uint64_t>() != wire::kMapWireMagicV2) {
+    throw std::runtime_error("smart: map payload does not start with the v2 wire magic");
   }
   const auto format = r.read<std::uint8_t>();
   if (format != wire::kMapWireFormatV2) {
@@ -167,7 +162,6 @@ WireHeader read_map_header(Reader& r) {
     h.factories.push_back(&registry.find_factory(r.read_string()));
   }
   h.count = r.read<std::uint64_t>();
-  h.v2 = true;
   return h;
 }
 
@@ -186,16 +180,6 @@ void serialize_map(const CombinationMap& map, Buffer& out) {
   for (const auto& [key, obj] : map) {
     w.write<std::int32_t>(key);
     w.write_varint(table.intern(*obj));
-    obj->serialize(w);
-  }
-}
-
-void serialize_map_v1(const CombinationMap& map, Buffer& out) {
-  Writer w(out);
-  w.write<std::uint64_t>(map.size());
-  for (const auto& [key, obj] : map) {
-    w.write<std::int32_t>(key);
-    w.write_string(obj->type_name());
     obj->serialize(w);
   }
 }
@@ -228,54 +212,18 @@ std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn&
   dst.reserve(dst.size() +
               static_cast<std::size_t>(std::min<std::uint64_t>(h.count, r.remaining() / 5)));
 
-  if (h.v2) {
-    // One scratch decode object per payload type, reused across merged
-    // entries — the merge path allocates nothing after first sight.
-    std::vector<std::unique_ptr<RedObj>> scratch(h.factories.size());
-    for (std::uint64_t i = 0; i < h.count; ++i) {
-      const auto key = r.read<std::int32_t>();
-      const auto idx = r.read_varint();
-      if (idx >= h.factories.size()) {
-        throw std::out_of_range("smart: corrupt map wire type index");
-      }
-      const auto it = dst.find(key);
-      if (it == dst.end() || replace_existing) {
-        std::unique_ptr<RedObj> obj = (*h.factories[idx])();
-        obj->deserialize(r);
-        obj->set_key(key);
-        if (it == dst.end()) {
-          dst.emplace(key, std::move(obj));
-          if (inserted_keys) inserted_keys->push_back(key);
-        } else {
-          it->second = std::move(obj);
-        }
-      } else {
-        auto& s = scratch[idx];
-        if (!s) s = (*h.factories[idx])();
-        s->deserialize(r);
-        s->set_key(key);
-        merge(*s, it->second);
-      }
-    }
-    return h.count;
-  }
-
-  // v1: per-entry type-name strings.  Payloads are overwhelmingly
-  // homogeneous, so caching the last-resolved factory pays the registry
-  // lock once per type *run* instead of once per entry.
-  auto& registry = RedObjRegistry::instance();
-  std::string cached_name;
-  const RedObjRegistry::Factory* cached = nullptr;
+  // One scratch decode object per payload type, reused across merged
+  // entries — the merge path allocates nothing after first sight.
+  std::vector<std::unique_ptr<RedObj>> scratch(h.factories.size());
   for (std::uint64_t i = 0; i < h.count; ++i) {
     const auto key = r.read<std::int32_t>();
-    std::string type = r.read_string();
-    if (cached == nullptr || type != cached_name) {
-      cached = &registry.find_factory(type);
-      cached_name = std::move(type);
+    const auto idx = r.read_varint();
+    if (idx >= h.factories.size()) {
+      throw std::out_of_range("smart: corrupt map wire type index");
     }
     const auto it = dst.find(key);
     if (it == dst.end() || replace_existing) {
-      std::unique_ptr<RedObj> obj = (*cached)();
+      std::unique_ptr<RedObj> obj = (*h.factories[idx])();
       obj->deserialize(r);
       obj->set_key(key);
       if (it == dst.end()) {
@@ -285,7 +233,8 @@ std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn&
         it->second = std::move(obj);
       }
     } else {
-      std::unique_ptr<RedObj> s = (*cached)();
+      auto& s = scratch[idx];
+      if (!s) s = (*h.factories[idx])();
       s->deserialize(r);
       s->set_key(key);
       merge(*s, it->second);

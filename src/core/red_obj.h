@@ -312,7 +312,7 @@ struct RedObjRegistrar {
 //
 // Wire format v2 (the interned-type codec):
 //
-//   u64   magic = kMapWireMagicV2   (never a plausible v1 entry count)
+//   u64   magic = kMapWireMagicV2
 //   u8    format byte = 2
 //   varint ntypes
 //   ntypes × { string type_name }   (distinct types, first-appearance order)
@@ -321,24 +321,16 @@ struct RedObjRegistrar {
 //
 // Each distinct type_name() crosses the wire once per payload instead of
 // once per entry, and decoders resolve each factory once per payload (one
-// registry lock per type, not per entry).  Decode auto-detects the format
-// from the leading u64, so v1 payloads (plain u64 entry count, then
-// {i32 key, string type_name, payload} per entry) — e.g. checkpoints
-// written before the format change — still load.  Encoders always emit v2;
-// serialize_map_v1 keeps the legacy encoder for compat tests and benches.
+// registry lock per type, not per entry).  v2 is the only format: a
+// payload whose leading u64 is not the magic raises std::runtime_error.
 
 namespace wire {
-/// 0xFF sentinel bytes + "SMV2": a v1 payload would need ~10^18 entries
-/// for its leading count to collide with this.
+/// 0xFF sentinel bytes + "SMV2".
 constexpr std::uint64_t kMapWireMagicV2 = 0xFFFF'FFFF'534D'5632ULL;
 constexpr std::uint8_t kMapWireFormatV2 = 2;
 }  // namespace wire
 
 void serialize_map(const CombinationMap& map, Buffer& out);
-/// Legacy v1 encoder (per-entry type names).  Kept for backward-compat
-/// tests (old checkpoints decode through the same auto-detecting readers)
-/// and the codec before/after microbenches.
-void serialize_map_v1(const CombinationMap& map, Buffer& out);
 CombinationMap deserialize_map(Reader& r);
 inline CombinationMap deserialize_map(const Buffer& buf) {
   Reader r(buf);

@@ -16,18 +16,26 @@ namespace smart::simmpi {
 namespace {
 // Internal tag space for collectives; user tags must be >= 0.  Gather and
 // alltoall complete in any-source order, so successive calls separate their
-// rounds with a 64-bit Envelope::epoch stamp matched by the mailbox —
-// otherwise a fast rank's round-k+1 message could be consumed by a slow
-// root still draining round k.  (The epoch used to be folded into the tag
-// modulo 1000, which aliased round k with round k+1000: on the 1001st
-// call a stale wrapped message could be consumed as current.)
+// rounds with an Envelope::epoch stamp matched by the mailbox — otherwise a
+// fast rank's round-k+1 message could be consumed by a slow root still
+// draining round k.  (The epoch used to be folded into the tag modulo
+// 1000, which aliased round k with round k+1000: on the 1001st call a stale
+// wrapped message could be consumed as current.)  The epoch's high bits
+// carry the communicator's context id, so a split's round k never matches
+// the world's (or a sibling split's) round k either.
 constexpr int kBarrierBase = -1000;
 constexpr int kBcastTag = -2000;
 constexpr int kGatherTag = -3000;
 constexpr int kReduceTag = -4000;
 constexpr int kScatterTag = -5000;
 constexpr int kAlltoallTag = -6000;
-constexpr int kSplitTag = -7000;
+
+/// Epoch layout: context id above bit 40, round number below.  2^40 rounds
+/// of one collective on one communicator is beyond any run's reach, and
+/// 2^24 split() calls per World is plenty; the mask only guarantees a
+/// round can never bleed into the context bits.
+constexpr int kContextShift = 40;
+constexpr std::uint64_t kRoundMask = (std::uint64_t{1} << kContextShift) - 1;
 
 std::atomic<std::uint64_t> g_payload_bytes_copied{0};
 
@@ -111,8 +119,12 @@ Communicator::Communicator(World& world, int world_rank)
 }
 
 Communicator::Communicator(World& world, int world_rank, std::vector<int> group,
-                           std::shared_ptr<detail::RankState> state)
-    : world_(world), world_rank_(world_rank), group_(std::move(group)), state_(std::move(state)) {
+                           std::shared_ptr<detail::RankState> state, std::uint64_t context)
+    : world_(world),
+      world_rank_(world_rank),
+      group_(std::move(group)),
+      state_(std::move(state)),
+      context_(context) {
   const auto it = std::find(group_.begin(), group_.end(), world_rank_);
   if (it == group_.end()) {
     throw std::logic_error("simmpi: split communicator does not contain this rank");
@@ -134,6 +146,10 @@ int Communicator::from_world(int world_rank) const {
   const auto it = std::find(group_.begin(), group_.end(), world_rank);
   if (it == group_.end()) return kAnySource;  // message from outside the group
   return static_cast<int>(it - group_.begin());
+}
+
+std::uint64_t Communicator::next_epoch(std::uint64_t& round) const {
+  return (context_ << kContextShift) | (round++ & kRoundMask);
 }
 
 void Communicator::charge_own_cpu() {
@@ -524,51 +540,6 @@ void Communicator::bcast_shared(SharedBuffer& data, int root) {
   }
 }
 
-void Communicator::bcast(Buffer& buf, int root) {
-  // Owning-buffer facade over bcast_shared: the root wraps a copy (its
-  // caller keeps `buf`, while receivers may hold references to the shared
-  // bytes after this call returns), non-roots materialize their own copy.
-  SharedBuffer data;
-  if (rank_ == root && !buf.empty()) data = make_shared_buffer(pooled_copy(buf));
-  bcast_shared(data, root);
-  if (rank_ != root) {
-    buf = data.empty() ? Buffer{} : pooled_copy(data);
-  }
-}
-
-std::vector<Buffer> Communicator::gather(const Buffer& local, int root) {
-  const int n = size();
-  // Every call advances this rank's round counter; all ranks call the
-  // collective the same number of times, so the counters agree without
-  // coordination.  The epoch rides in the Envelope and the root's
-  // any-source receives match only this round's messages.
-  const std::uint64_t epoch = gather_epoch_++;
-  if (rank_ != root) {
-    SharedBuffer data;
-    if (!local.empty()) data = make_shared_buffer(pooled_copy(local));
-    send_envelope(root, kGatherTag, std::move(data), /*shared=*/false, epoch);
-    return {};
-  }
-  std::vector<Buffer> all(static_cast<std::size_t>(n));
-  all[static_cast<std::size_t>(rank_)] = local;
-  // Drain children in completion order instead of fixed rank order: a slow
-  // early rank no longer head-of-line-blocks the fast ones behind it.
-  for (int i = 0; i < n - 1; ++i) {
-    obs::TraceSpan span("recv", "mpi", {{"tag", kGatherTag}});
-    Envelope e = recv_envelope(kAnySource, kGatherTag, epoch);
-    span.arg("vt0_ns", vt_ns(state_->vclock));
-    span.arg("bytes", static_cast<std::int64_t>(e.size()));
-    int src = kAnySource;
-    Buffer got = deliver(std::move(e), &src, nullptr);
-    span.arg("vt1_ns", vt_ns(state_->vclock));
-    if (src == kAnySource || src == root) {
-      throw std::logic_error("simmpi::gather: unexpected message source");
-    }
-    all[static_cast<std::size_t>(src)] = std::move(got);
-  }
-  return all;
-}
-
 SharedBuffer Communicator::scatter_shared(const std::vector<SharedBuffer>& slices, int root) {
   if (rank_ != root) return recv_shared(root, kScatterTag);
   if (slices.size() != static_cast<std::size_t>(size())) {
@@ -593,9 +564,11 @@ std::vector<SharedBuffer> Communicator::alltoall_shared(const std::vector<Shared
     throw std::invalid_argument("simmpi::alltoall_shared: need one slice per rank");
   }
   obs::TraceSpan span("alltoall.arena", "mpi", {{"ranks", n}});
-  // Shares the copying alltoall's epoch counter, so mixed copying/arena
-  // rounds still isolate correctly (see gather's comment on the scheme).
-  const std::uint64_t epoch = alltoall_epoch_++;
+  // Every call advances this rank's round counter; all ranks call the
+  // collective the same number of times, so the counters agree without
+  // coordination.  The epoch rides in the Envelope and the any-source
+  // receives below match only this round's messages on this communicator.
+  const std::uint64_t epoch = next_epoch(alltoall_epoch_);
   std::vector<SharedBuffer> recvs(static_cast<std::size_t>(n));
   recvs[static_cast<std::size_t>(rank_)] = sends[static_cast<std::size_t>(rank_)];
   std::size_t fanned_out = 0;
@@ -615,6 +588,9 @@ std::vector<SharedBuffer> Communicator::alltoall_shared(const std::vector<Shared
     int src = kAnySource;
     SharedBuffer got = deliver_shared(e, &src, nullptr);
     rspan.arg("vt1_ns", vt_ns(state_->vclock));
+    if (src == kAnySource || src == rank_) {
+      throw std::logic_error("simmpi::alltoall_shared: unexpected message source");
+    }
     recvs[static_cast<std::size_t>(src)] = std::move(got);
   }
   return recvs;
@@ -622,8 +598,8 @@ std::vector<SharedBuffer> Communicator::alltoall_shared(const std::vector<Shared
 
 std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int root) {
   const int n = size();
-  // Same per-rank round counter as the copying gather (see there).
-  const std::uint64_t epoch = gather_epoch_++;
+  // Same per-rank round counter scheme as alltoall_shared (see there).
+  const std::uint64_t epoch = next_epoch(gather_epoch_);
   if (rank_ != root) {
     count_arena_bytes(local.size());
     send_envelope(root, kGatherTag, std::move(local), /*shared=*/true, epoch);
@@ -632,6 +608,8 @@ std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int ro
   obs::TraceSpan span("gather.arena", "mpi", {{"ranks", n}});
   std::vector<SharedBuffer> all(static_cast<std::size_t>(n));
   all[static_cast<std::size_t>(rank_)] = std::move(local);
+  // Drain children in completion order instead of fixed rank order: a slow
+  // early rank does not head-of-line-block the fast ones behind it.
   for (int i = 0; i < n - 1; ++i) {
     obs::TraceSpan rspan("recv", "mpi", {{"tag", kGatherTag}});
     Envelope e = recv_envelope(kAnySource, kGatherTag, epoch);
@@ -648,49 +626,6 @@ std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int ro
     all[static_cast<std::size_t>(src)] = std::move(got);
   }
   return all;
-}
-
-Buffer Communicator::scatter(const std::vector<Buffer>& chunks, int root) {
-  if (rank_ == root) {
-    if (chunks.size() != static_cast<std::size_t>(size())) {
-      throw std::invalid_argument("simmpi::scatter: need one chunk per rank");
-    }
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      send(r, kScatterTag, chunks[static_cast<std::size_t>(r)]);
-    }
-    return chunks[static_cast<std::size_t>(root)];
-  }
-  return recv(root, kScatterTag);
-}
-
-std::vector<Buffer> Communicator::alltoall(const std::vector<Buffer>& sends) {
-  const int n = size();
-  if (sends.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("simmpi::alltoall: need one buffer per rank");
-  }
-  // Same per-rank round counter scheme as gather (see there).
-  const std::uint64_t epoch = alltoall_epoch_++;
-  std::vector<Buffer> recvs(static_cast<std::size_t>(n));
-  recvs[static_cast<std::size_t>(rank_)] = sends[static_cast<std::size_t>(rank_)];
-  for (int r = 0; r < n; ++r) {
-    if (r == rank_) continue;
-    const Buffer& out = sends[static_cast<std::size_t>(r)];
-    SharedBuffer data;
-    if (!out.empty()) data = make_shared_buffer(pooled_copy(out));
-    send_envelope(r, kAlltoallTag, std::move(data), /*shared=*/false, epoch);
-  }
-  for (int i = 0; i < n - 1; ++i) {
-    obs::TraceSpan span("recv", "mpi", {{"tag", kAlltoallTag}});
-    Envelope e = recv_envelope(kAnySource, kAlltoallTag, epoch);
-    span.arg("vt0_ns", vt_ns(state_->vclock));
-    span.arg("bytes", static_cast<std::int64_t>(e.size()));
-    int src = kAnySource;
-    Buffer got = deliver(std::move(e), &src, nullptr);
-    span.arg("vt1_ns", vt_ns(state_->vclock));
-    recvs[static_cast<std::size_t>(src)] = std::move(got);
-  }
-  return recvs;
 }
 
 Buffer Communicator::reduce(Buffer local,
@@ -731,15 +666,6 @@ SharedBuffer Communicator::allreduce_shared(
   return data;
 }
 
-Buffer Communicator::allreduce(Buffer local,
-                               const std::function<Buffer(const Buffer&, const Buffer&)>& combine) {
-  // Owning facade: every rank pays for its private copy of the result
-  // (callers that can read in place should use allreduce_shared).
-  SharedBuffer data = allreduce_shared(std::move(local), combine);
-  if (data.empty()) return Buffer{};
-  return pooled_copy(data);
-}
-
 Communicator Communicator::split(int color, int key) {
   // Gather (color, key, world rank) triples to rank 0 of this communicator,
   // broadcast the full table, and carve out the same-color group sorted by
@@ -751,14 +677,17 @@ Communicator Communicator::split(int color, int key) {
     w.write(key);
     w.write(world_rank_);
   }
-  const std::vector<Buffer> table = gather(mine, 0);
-  // Rank 0 packs the table once and fans it out as one shared payload;
-  // every rank (rank 0 included) deserializes straight from the shared
-  // bytes, so the broadcast phase copies nothing.
+  const std::vector<SharedBuffer> table = gather_shared(make_shared_buffer(std::move(mine)), 0);
+  // Rank 0 draws the new communicators' context id, packs it with the table
+  // and fans both out as one shared payload; every rank (rank 0 included)
+  // deserializes straight from the shared bytes, so nothing is copied.
+  // Every group of this split shares the id: their members never message
+  // each other.
   SharedBuffer packed;
   if (rank_ == 0) {
     Buffer packed_bytes;
     Writer w(packed_bytes);
+    w.write(world_.next_context_id());
     w.write<std::uint64_t>(table.size());
     for (const auto& entry : table) {
       Reader r(entry);
@@ -773,9 +702,11 @@ Communicator Communicator::split(int color, int key) {
   struct Entry {
     int color, key, world_rank;
   };
+  std::uint64_t context = 0;
   std::vector<Entry> entries;
   {
     Reader r(packed);
+    context = r.read<std::uint64_t>();
     const auto n = r.read<std::uint64_t>();
     entries.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -797,10 +728,9 @@ Communicator Communicator::split(int color, int key) {
   world_ranks.reserve(group.size());
   for (const auto& e : group) world_ranks.push_back(e.world_rank);
   // A barrier keeps successive collectives on parent and child communicators
-  // from interleaving their internal tags across groups.
+  // from interleaving their fixed-source internal tags across groups.
   barrier();
-  (void)kSplitTag;
-  return Communicator(world_, world_rank_, std::move(world_ranks), state_);
+  return Communicator(world_, world_rank_, std::move(world_ranks), state_, context);
 }
 
 }  // namespace smart::simmpi

@@ -40,7 +40,7 @@ class World;
 
 /// Process-wide count of payload bytes physically copied by the transport
 /// (send-side copy-in for lvalue sends, receive-side materialization of
-/// shared fan-out payloads, bcast()'s root wrap).  Always on — the
+/// shared fan-out payloads into an owning Buffer).  Always on — the
 /// transport benches diff it around a run to prove fan-out sends share
 /// bytes instead of duplicating them.
 std::uint64_t payload_bytes_copied();
@@ -155,32 +155,19 @@ class Communicator {
 
   // --- collectives (must be called by every rank of this communicator, in
   // --- the same order) ------------------------------------------------------
+  // Every payload travels as a SharedBuffer: fan-outs ship views of one
+  // immutable allocation (serialize once, e.g. into a PayloadArena — see
+  // common/serialize.h — and pass its slices), so payload_bytes_copied()
+  // stays flat across a whole round, and results arrive still shared —
+  // receivers deserialize in place.
   void barrier();
-  /// Root's buffer is distributed to everyone; others' buffers are replaced.
-  void bcast(Buffer& buf, int root);
   /// Shared-payload broadcast: the root's SharedBuffer is handed down the
   /// binomial tree with every hop *sharing* the same immutable bytes —
   /// zero payload copies anywhere in the tree.  On return every rank's
   /// `data` references the root's payload (never null).  This is the
   /// fan-out primitive the heavy paths (map combination broadcast,
-  /// checkpoint/result distribution) are built on; bcast() wraps it for
-  /// callers that need an owning Buffer.
+  /// checkpoint/result distribution) are built on.
   void bcast_shared(SharedBuffer& data, int root);
-  /// Rank-ordered buffers at root; empty vector elsewhere.
-  std::vector<Buffer> gather(const Buffer& local, int root);
-  /// Root distributes chunks[r] to each rank r; returns this rank's chunk.
-  Buffer scatter(const std::vector<Buffer>& chunks, int root);
-  /// Every rank sends sends[r] to rank r and receives one buffer from each;
-  /// result is indexed by source rank.
-  std::vector<Buffer> alltoall(const std::vector<Buffer>& sends);
-
-  // --- arena fast path: the zero-copy twins of scatter/alltoall/gather.
-  // --- Serialize every destination into one PayloadArena
-  // --- (common/serialize.h), call finish(), and pass the slices here: the
-  // --- fan-out ships offset/length views of the single arena allocation,
-  // --- so payload_bytes_copied() stays flat across the whole round.  Each
-  // --- is wire-compatible with its copying twin (same tags and epochs) and
-  // --- delivers results still shared — receivers deserialize in place.
   /// Root sends slices[r] to each rank r; returns this rank's slice (root:
   /// slices[root] untouched; non-root: never null).
   SharedBuffer scatter_shared(const std::vector<SharedBuffer>& slices, int root);
@@ -194,28 +181,18 @@ class Communicator {
   /// Binomial-tree reduction with a user combiner; result valid at root only.
   Buffer reduce(Buffer local, int root,
                 const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
-  /// reduce + bcast_shared: the zero-copy core — the reduced payload is
-  /// moved (never copied) into a shared buffer at the root and every rank
-  /// hands the same immutable bytes back (never null; empty input yields
-  /// the canonical empty buffer).  Read it via Reader(result); use the
-  /// owning allreduce() facade only when the caller must mutate the bytes.
+  /// reduce + bcast_shared: the reduced payload is moved (never copied)
+  /// into a shared buffer at the root and every rank hands the same
+  /// immutable bytes back (never null; empty input yields the canonical
+  /// empty buffer).  Read it via Reader(result).
   SharedBuffer allreduce_shared(Buffer local,
                                 const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
-  /// Owning facade over allreduce_shared (pays one materializing copy per
-  /// rank — the shared bytes are referenced tree-wide).
-  Buffer allreduce(Buffer local, const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
 
   /// Element-wise sum allreduce over numeric vectors (the hand-written
   /// baselines' MPI_Allreduce equivalent).  Binomial tree + broadcast:
   /// latency-optimal, ships the full vector log2(n) times per rank.
   template <typename T>
   std::vector<T> allreduce_sum(const std::vector<T>& local);
-
-  /// Bandwidth-optimal ring allreduce (reduce-scatter + allgather): each
-  /// rank ships ~2x the vector once regardless of n — the right choice for
-  /// large payloads (see micro_core_ops for the crossover).
-  template <typename T>
-  std::vector<T> allreduce_sum_ring(const std::vector<T>& local);
 
   /// Scalar max allreduce — the cheap consensus primitive (8-byte
   /// payloads) collective algorithm selection is built on: every rank gets
@@ -264,7 +241,7 @@ class Communicator {
 
  private:
   Communicator(World& world, int world_rank, std::vector<int> group,
-               std::shared_ptr<detail::RankState> state);
+               std::shared_ptr<detail::RankState> state, std::uint64_t context);
 
   int to_world(int rank_in_comm) const;
   int from_world(int world_rank) const;
@@ -293,18 +270,28 @@ class Communicator {
   /// and counts the copy — when the payload is shared (fan-out/duplicate).
   Buffer deliver(Envelope e, int* actual_source, int* actual_tag);
 
+  /// Next Envelope::epoch for an any-source collective: this
+  /// communicator's context id in the high bits, `round` (post-incremented)
+  /// in the low ones.
+  std::uint64_t next_epoch(std::uint64_t& round) const;
+
   World& world_;
   int world_rank_;
   int rank_;                ///< rank within group_ (== world_rank_ for world view)
   std::vector<int> group_;  ///< group rank -> world rank; empty = world view
   std::shared_ptr<detail::RankState> state_;
+  /// MPI-style communication context: 0 for the world, a fresh World-wide
+  /// id per split() call.  It keeps a split's any-source collective from
+  /// consuming a message another communicator's same collective sent this
+  /// rank — both count their rounds from 0.
+  std::uint64_t context_ = 0;
   /// Round counters for the any-source collectives (gather, alltoall):
   /// each call stamps its messages' Envelope::epoch so a fast rank's
   /// next-round message cannot be consumed by a root still draining the
-  /// previous round — the 64-bit field never wraps, unlike the mod-1000
-  /// tag suffix it replaced (which aliased round k with round k+1000).
-  /// Collectives are called in the same order on every rank, so the
-  /// counters stay in lockstep without coordination.
+  /// previous round — unlike the mod-1000 tag suffix this replaced (which
+  /// aliased round k with round k+1000), the round field never wraps in
+  /// practice.  Collectives are called in the same order on every rank,
+  /// so the counters stay in lockstep without coordination.
   std::uint64_t gather_epoch_ = 0;
   std::uint64_t alltoall_epoch_ = 0;
 };
@@ -325,44 +312,6 @@ std::vector<T> Communicator::allreduce_sum(const std::vector<T>& local) {
     return merged;
   });
   return Reader(out).read_vector<T>();
-}
-
-template <typename T>
-std::vector<T> Communicator::allreduce_sum_ring(const std::vector<T>& local) {
-  const int n = size();
-  std::vector<T> acc = local;
-  if (n == 1) return acc;
-  constexpr int kRingTag = -8000;
-
-  // Segment s covers [bounds[s], bounds[s+1]).
-  const std::size_t len = acc.size();
-  auto seg_begin = [&](int s) { return len * static_cast<std::size_t>(s) / static_cast<std::size_t>(n); };
-  const int right = (rank_ + 1) % n;
-  const int left = (rank_ - 1 + n) % n;
-
-  // Reduce-scatter: after n-1 steps, segment (rank+1) mod n is complete here.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = ((rank_ - step) % n + n) % n;
-    const int recv_seg = ((rank_ - step - 1) % n + n) % n;
-    std::vector<T> chunk(acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg)),
-                         acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg + 1)));
-    send_vector(right, kRingTag - step, chunk);
-    const std::vector<T> incoming = recv_vector<T>(left, kRingTag - step);
-    const std::size_t base = seg_begin(recv_seg);
-    for (std::size_t i = 0; i < incoming.size(); ++i) acc[base + i] += incoming[i];
-  }
-  // Allgather: circulate the completed segments.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = ((rank_ + 1 - step) % n + n) % n;
-    const int recv_seg = ((rank_ - step) % n + n) % n;
-    std::vector<T> chunk(acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg)),
-                         acc.begin() + static_cast<std::ptrdiff_t>(seg_begin(send_seg + 1)));
-    send_vector(right, kRingTag - 100 - step, chunk);
-    const std::vector<T> incoming = recv_vector<T>(left, kRingTag - 100 - step);
-    const std::size_t base = seg_begin(recv_seg);
-    for (std::size_t i = 0; i < incoming.size(); ++i) acc[base + i] = incoming[i];
-  }
-  return acc;
 }
 
 }  // namespace smart::simmpi

@@ -1,14 +1,16 @@
 // Tests for the flat CombinationMap class and the v2 interned-type wire
 // codec: std::map-equivalent semantics and iteration order, dense-slot
-// caching, v1 backward compatibility (including checkpoints written with
-// the old encoder), segment-index byte equality, and exact local
-// combination across runs.
+// caching, typed errors for non-v2 payloads and checkpoints, a seeded
+// mutation pass over the decoders, segment-index byte equality, and exact
+// local combination across runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analytics/histogram.h"
@@ -213,20 +215,25 @@ TEST(WireV2, RoundTripNegativeKeysAndHeterogeneousTypes) {
 }
 
 TEST(WireV2, PayloadStartsWithMagicAndIsSmallerThanV1) {
-  // 100 same-typed entries: v1 repeats the 6-byte-plus-length type name
-  // per entry, v2 sends it once plus a 1-byte index per entry.
+  // 100 same-typed entries.  The retired v1 layout (u64 entry count, then
+  // {i32 key, string type_name, payload} per entry) repeated the 6-byte-
+  // plus-length type name per entry; v2 sends it once plus a 1-byte index
+  // per entry.
+  constexpr std::size_t kEntries = 100;
   std::vector<std::pair<int, std::size_t>> entries;
-  for (int k = 0; k < 100; ++k) entries.emplace_back(k, static_cast<std::size_t>(k));
+  for (std::size_t k = 0; k < kEntries; ++k) entries.emplace_back(static_cast<int>(k), k);
   const auto map = bucket_map(entries);
   Buffer v2;
   serialize_map(map, v2);
-  Buffer v1;
-  serialize_map_v1(map, v1);
+  const std::size_t bucket_payload = sizeof(std::uint64_t);
+  const std::size_t v1_size =
+      sizeof(std::uint64_t) + kEntries * (sizeof(std::int32_t) + sizeof(std::uint64_t) +
+                                          std::string("Bucket").size() + bucket_payload);
   Reader r(v2);
   EXPECT_EQ(r.read<std::uint64_t>(), wire::kMapWireMagicV2);
-  EXPECT_LT(v2.size(), v1.size());
+  EXPECT_LT(v2.size(), v1_size);
   // The saving is the per-entry type string minus the varint index.
-  EXPECT_LT(v2.size(), v1.size() - 100 * sizeof(std::uint64_t));
+  EXPECT_LT(v2.size(), v1_size - kEntries * sizeof(std::uint64_t));
 }
 
 TEST(WireV2, TruncatedPayloadThrowsAtEveryCut) {
@@ -281,43 +288,124 @@ TEST(WireV2, UnknownFormatByteThrows) {
   EXPECT_THROW(deserialize_map(buf), std::runtime_error);
 }
 
-// --- v1 backward compatibility ----------------------------------------------
+// --- v2 is the only format --------------------------------------------------
 
-TEST(WireV1Compat, LegacyEncoderDecodesThroughTheSameReaders) {
-  const auto map = bucket_map({{-2, 4}, {0, 1}, {9, 7}});
-  Buffer v1;
-  serialize_map_v1(map, v1);
-  const CombinationMap restored = deserialize_map(v1);
-  ASSERT_EQ(restored.size(), 3u);
-  EXPECT_EQ(count_of(restored, -2), 4u);
-  EXPECT_EQ(count_of(restored, 0), 1u);
-  EXPECT_EQ(count_of(restored, 9), 7u);
-
-  // absorb auto-detects v1 too, merging into live entries.
-  auto dst = bucket_map({{0, 10}});
-  Reader r(v1);
-  EXPECT_EQ(absorb_serialized_map(r, dst, bucket_merge()), 3u);
-  EXPECT_EQ(count_of(dst, 0), 11u);
-  EXPECT_EQ(count_of(dst, 9), 7u);
+/// A payload in the retired v1 layout: a plain u64 entry count where v2
+/// has its magic, then {i32 key, string type_name, payload} per entry.
+Buffer v1_layout_payload() {
+  Buffer buf;
+  Writer w(buf);
+  w.write<std::uint64_t>(1);
+  w.write<std::int32_t>(0);
+  w.write_string("Bucket");
+  w.write<std::uint64_t>(5);
+  return buf;
 }
 
-TEST(WireV1Compat, OldCheckpointFileLoadsIntoScheduler) {
-  // A checkpoint written by the pre-v2 runtime: v1 map bytes inside the
-  // (unchanged) checkpoint container.  load_checkpoint must restore it.
-  const auto map = bucket_map({{0, 5}, {1, 6}, {2, 7}});
-  Buffer v1;
-  serialize_map_v1(map, v1);
-  const std::string path = "test_combination_map_v1.ckpt";
-  write_checkpoint_file(v1, path);
+TEST(WireV2, NonMagicPayloadThrowsRuntimeError) {
+  analytics::register_red_objs();
+  const Buffer payload = v1_layout_payload();
+  EXPECT_THROW(deserialize_map(payload), std::runtime_error);
+  auto dst = bucket_map({{0, 10}});
+  Reader r(payload);
+  EXPECT_THROW(absorb_serialized_map(r, dst, bucket_merge()), std::runtime_error);
+  EXPECT_EQ(count_of(dst, 0), 10u);
+}
 
+TEST(WireV2, NonMagicCheckpointFailsToLoad) {
+  // The checkpoint container is intact; the map snapshot inside it is not
+  // v2, so loading it is a typed error rather than a misread map.
+  const std::string path = "test_combination_map_nonmagic.ckpt";
+  write_checkpoint_file(v1_layout_payload(), path);
   analytics::Histogram<double> hist(SchedArgs(2, 1), 0.0, 1.0, 8);
-  load_checkpoint(hist, path);
-  const CombinationMap& restored = hist.get_combination_map();
-  ASSERT_EQ(restored.size(), 3u);
-  EXPECT_EQ(count_of(restored, 0), 5u);
-  EXPECT_EQ(count_of(restored, 1), 6u);
-  EXPECT_EQ(count_of(restored, 2), 7u);
+  EXPECT_THROW(load_checkpoint(hist, path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// --- codec mutation ---------------------------------------------------------
+
+TEST(WireV2, MutatedPayloadsDecodeOrThrowNeverCrash) {
+  // Seeded mutation pass over a mixed Bucket + ClusterObj payload: byte
+  // flips, truncations and insertions.  Every mutant fed to
+  // deserialize_map and to absorb_serialized_map must decode or throw a
+  // std::exception — never crash, hang or read out of bounds (check.sh
+  // runs this under ASan).
+  analytics::register_red_objs();
+  CombinationMap map;
+  for (int k = -2; k < 6; ++k) {
+    if (k % 2 == 0) {
+      auto bucket = std::make_unique<Bucket>();
+      bucket->count = static_cast<std::size_t>(k + 10);
+      map.emplace(k, std::move(bucket));
+    } else {
+      auto cluster = std::make_unique<ClusterObj>();
+      cluster->centroid = {0.5 * k, 1.0};
+      cluster->sum = {2.0 * k, -1.0};
+      cluster->size = static_cast<std::size_t>(k + 3);
+      map.emplace(k, std::move(cluster));
+    }
+  }
+  Buffer seed;
+  serialize_map(map, seed);
+  // Merges only same-typed pairs: a flipped type index can pair a wire
+  // Bucket with a live ClusterObj, and the app merge is not under test.
+  const MergeFn merge = [](const RedObj& red, std::unique_ptr<RedObj>& com) {
+    if (const auto* b = dynamic_cast<const Bucket*>(&red)) {
+      if (auto* live = dynamic_cast<Bucket*>(com.get())) live->count += b->count;
+    } else if (const auto* c = dynamic_cast<const ClusterObj*>(&red)) {
+      if (auto* live = dynamic_cast<ClusterObj*>(com.get())) live->size += c->size;
+    }
+  };
+
+  std::mt19937_64 rng(20151115);
+  constexpr int kMutants = 3000;
+  int decoded = 0;
+  int threw = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    Buffer mutant = seed;
+    const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    switch (i % 3) {
+      case 0:  // flip 1-4 bytes
+        for (std::size_t f = 0, flips = 1 + pick(4); f < flips; ++f) {
+          mutant[pick(mutant.size())] ^= static_cast<std::byte>(1 + pick(255));
+        }
+        break;
+      case 1:  // truncate
+        mutant.resize(pick(mutant.size()));
+        break;
+      default: {  // insert 1-8 random bytes
+        Buffer extra(1 + pick(8));
+        for (auto& b : extra) b = static_cast<std::byte>(pick(256));
+        mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(pick(mutant.size() + 1)),
+                      extra.begin(), extra.end());
+        break;
+      }
+    }
+    bool ok = true;
+    try {
+      Reader r(mutant);
+      (void)deserialize_map(r);
+    } catch (const std::exception&) {
+      ok = false;
+    }
+    try {
+      CombinationMap live = deserialize_map(seed);
+      Reader r(mutant);
+      (void)absorb_serialized_map(r, live, merge);
+    } catch (const std::exception&) {
+      ok = false;
+    }
+    if (ok) {
+      ++decoded;
+    } else {
+      ++threw;
+    }
+  }
+  EXPECT_EQ(decoded + threw, kMutants);
+  // Both outcomes occur: the pass exercises the decode paths, not just
+  // the header check.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(threw, 0);
 }
 
 // --- segment index ----------------------------------------------------------

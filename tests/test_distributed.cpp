@@ -197,14 +197,16 @@ struct ExposeMerge : App {
 /// The pre-rework global combination, verbatim: a Buffer-level allreduce
 /// whose combiner pays a full deserialize/merge/serialize at every hop.
 Buffer legacy_allreduce(simmpi::Communicator& comm, Buffer local, const MergeFn& merge) {
-  return comm.allreduce(std::move(local), [&](const Buffer& a, const Buffer& b) {
-    CombinationMap ma = deserialize_map(a);
-    CombinationMap mb = deserialize_map(b);
-    merge_map_into(std::move(mb), ma, merge);
-    Buffer merged;
-    serialize_map(ma, merged);
-    return merged;
-  });
+  const SharedBuffer out =
+      comm.allreduce_shared(std::move(local), [&](const Buffer& a, const Buffer& b) {
+        CombinationMap ma = deserialize_map(a);
+        CombinationMap mb = deserialize_map(b);
+        merge_map_into(std::move(mb), ma, merge);
+        Buffer merged;
+        serialize_map(ma, merged);
+        return merged;
+      });
+  return Buffer(out.data(), out.data() + out.size());
 }
 
 std::vector<int> map_keys(const CombinationMap& map) {

@@ -37,26 +37,28 @@ TEST(Topology, RejectsDegenerateSplits) {
 
 TEST(Simmpi, ScatterDeliversPerRankChunks) {
   simmpi::launch(4, [](simmpi::Communicator& comm) {
-    std::vector<Buffer> chunks;
+    std::vector<SharedBuffer> chunks;
     if (comm.rank() == 1) {
       for (int r = 0; r < 4; ++r) {
         Buffer b;
         Writer(b).write(r * 100);
-        chunks.push_back(std::move(b));
+        chunks.push_back(make_shared_buffer(std::move(b)));
       }
     }
-    Buffer mine = comm.scatter(chunks, 1);
+    const SharedBuffer mine = comm.scatter_shared(chunks, 1);
     EXPECT_EQ(Reader(mine).read<int>(), comm.rank() * 100);
   });
 }
 
 TEST(Simmpi, AlltoallExchangesEverything) {
   simmpi::launch(3, [](simmpi::Communicator& comm) {
-    std::vector<Buffer> sends(3);
+    std::vector<SharedBuffer> sends;
     for (int r = 0; r < 3; ++r) {
-      Writer(sends[static_cast<std::size_t>(r)]).write(comm.rank() * 10 + r);
+      Buffer b;
+      Writer(b).write(comm.rank() * 10 + r);
+      sends.push_back(make_shared_buffer(std::move(b)));
     }
-    const auto recvs = comm.alltoall(sends);
+    const auto recvs = comm.alltoall_shared(sends);
     ASSERT_EQ(recvs.size(), 3u);
     for (int src = 0; src < 3; ++src) {
       EXPECT_EQ(Reader(recvs[static_cast<std::size_t>(src)]).read<int>(),

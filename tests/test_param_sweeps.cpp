@@ -165,9 +165,13 @@ TEST(SimmpiStress, ManySmallCollectivesInterleaved) {
       const auto sum = comm.allreduce_sum(v);
       EXPECT_EQ(sum[0], 0 + 1 + 2 + 3 + 4 * round);
       comm.barrier();
-      Buffer b;
-      if (comm.rank() == round % 4) Writer(b).write(round);
-      comm.bcast(b, round % 4);
+      SharedBuffer b;
+      if (comm.rank() == round % 4) {
+        Buffer bytes;
+        Writer(bytes).write(round);
+        b = make_shared_buffer(std::move(bytes));
+      }
+      comm.bcast_shared(b, round % 4);
       EXPECT_EQ(Reader(b).read<int>(), round);
     }
   });

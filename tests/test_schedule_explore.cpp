@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
@@ -91,6 +90,18 @@ std::int64_t stamp(int source, int round) {
   return static_cast<std::int64_t>(source) * 1000003 + round;
 }
 
+/// One alltoall send list: the same stamp(source, round) payload for every
+/// destination, each its own shared buffer.
+std::vector<SharedBuffer> stamped_sends(int nranks, int source, int round) {
+  std::vector<SharedBuffer> sends;
+  for (int r = 0; r < nranks; ++r) {
+    Buffer b;
+    Writer(b).write(stamp(source, round));
+    sends.push_back(make_shared_buffer(std::move(b)));
+  }
+  return sends;
+}
+
 /// The exploration workload: per round one tree allreduce (binomial +
 /// broadcast lanes) and one alltoall (any-source merge lanes), then a
 /// barrier.  Returns rank 0's accumulated allreduce total after asserting
@@ -109,9 +120,8 @@ std::vector<std::int64_t> run_collective_mix(const prop::ExploreCase& c,
           const auto sum = comm.allreduce_sum(rank_payload(c, comm.rank(), round));
           for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += sum[i];
 
-          std::vector<Buffer> sends(static_cast<std::size_t>(comm.size()));
-          for (auto& b : sends) Writer(b).write(stamp(comm.rank(), round));
-          const auto got = comm.alltoall(sends);
+          const auto got =
+              comm.alltoall_shared(stamped_sends(comm.size(), comm.rank(), round));
           for (int r = 0; r < comm.size(); ++r) {
             EXPECT_EQ(Reader(got[static_cast<std::size_t>(r)]).read<std::int64_t>(),
                       stamp(r, round))
@@ -174,21 +184,16 @@ TEST(ScheduleExplore, TreeRingSerialAgreeAcrossExploredSchedules) {
                           .probability = 0.5});
       }
       std::vector<std::vector<std::int64_t>> tree(static_cast<std::size_t>(c.nranks));
-      std::vector<std::vector<std::int64_t>> ring(static_cast<std::size_t>(c.nranks));
       simmpi::launch(
           c.nranks,
           [&](Communicator& comm) {
             const auto mine = rank_payload(c, comm.rank(), 0);
             tree[static_cast<std::size_t>(comm.rank())] = comm.allreduce_sum(mine);
-            ring[static_cast<std::size_t>(comm.rank())] = comm.allreduce_sum_ring(mine);
           },
           prop::net_config_for(c), faults, sched);
       for (int r = 0; r < c.nranks; ++r) {
         EXPECT_EQ(tree[static_cast<std::size_t>(r)], expected)
             << c.describe() << " " << policy << " seed " << s << " rank " << r << " (tree); "
-            << prop::replay_hint(*sched);
-        EXPECT_EQ(ring[static_cast<std::size_t>(r)], expected)
-            << c.describe() << " " << policy << " seed " << s << " rank " << r << " (ring); "
             << prop::replay_hint(*sched);
       }
     }
@@ -197,10 +202,10 @@ TEST(ScheduleExplore, TreeRingSerialAgreeAcrossExploredSchedules) {
 
 // --- arena collectives are schedule-independent -------------------------------------
 
-TEST(ScheduleExplore, ArenaCollectivesMatchCopyingAcrossSchedules) {
-  // The zero-copy fast path must be schedule-independent: under every
-  // explored interleaving, arena-sliced scatter/alltoall deliver the same
-  // bytes as their copying twins running in the same rounds.
+TEST(ScheduleExplore, ArenaCollectivesDeliverStampsAcrossSchedules) {
+  // The zero-copy collectives must be schedule-independent: under every
+  // explored interleaving, arena-sliced scatter/alltoall deliver each
+  // rank exactly its stamped slices.
   const int n = 4;
   const int rounds = 6;
   const int schedules = prop::explore_schedules();
@@ -230,26 +235,20 @@ TEST(ScheduleExplore, ArenaCollectivesMatchCopyingAcrossSchedules) {
                 << "scatter mixup at rank " << rank << " round " << round << "; "
                 << prop::replay_hint(*sched);
 
-            // Alltoall: slices and copying buffers carry identical payloads
-            // and must come back byte-identical on every rank.
-            std::vector<Buffer> sends(static_cast<std::size_t>(n));
+            // Alltoall: one stamped slice per destination, each coming back
+            // to exactly its destination from exactly its source.
             arena.begin();
             for (int r = 0; r < n; ++r) {
-              const std::int64_t v = stamp(rank, round) * 31 + r;
-              Writer(sends[static_cast<std::size_t>(r)]).write(v);
-              Writer(arena.staging()).write(v);
+              Writer(arena.staging()).write(stamp(rank, round) * 31 + r);
               arena.end_slice();
             }
-            const auto legacy = comm.alltoall(sends);
             const auto shared = comm.alltoall_shared(arena.finish());
             for (int r = 0; r < n; ++r) {
               const auto& a = shared[static_cast<std::size_t>(r)];
-              const auto& b = legacy[static_cast<std::size_t>(r)];
-              ASSERT_EQ(a.size(), b.size()) << prop::replay_hint(*sched);
+              ASSERT_EQ(a.size(), sizeof(std::int64_t)) << prop::replay_hint(*sched);
               ASSERT_EQ(Reader(a).read<std::int64_t>(), stamp(r, round) * 31 + rank)
                   << "alltoall mixup at rank " << rank << " round " << round << " from " << r
                   << "; " << prop::replay_hint(*sched);
-              ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0) << prop::replay_hint(*sched);
             }
             comm.barrier();
           }
@@ -440,9 +439,7 @@ TEST(ScheduleExplore, EpochSoakSurvivesTwelveHundredRounds) {
       n,
       [&](Communicator& comm) {
         for (int round = 0; round < rounds; ++round) {
-          std::vector<Buffer> sends(static_cast<std::size_t>(n));
-          for (auto& b : sends) Writer(b).write(stamp(comm.rank(), round));
-          const auto got = comm.alltoall(sends);
+          const auto got = comm.alltoall_shared(stamped_sends(n, comm.rank(), round));
           for (int r = 0; r < n; ++r) {
             ASSERT_EQ(Reader(got[static_cast<std::size_t>(r)]).read<std::int64_t>(),
                       stamp(r, round))

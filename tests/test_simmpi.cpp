@@ -185,11 +185,13 @@ TEST_P(CollectiveRanks, BcastFromEveryRoot) {
   const int n = GetParam();
   for (int root = 0; root < n; ++root) {
     launch(n, [&](Communicator& comm) {
-      Buffer buf;
+      SharedBuffer buf;
       if (comm.rank() == root) {
-        Writer(buf).write_string("payload from " + std::to_string(root));
+        Buffer bytes;
+        Writer(bytes).write_string("payload from " + std::to_string(root));
+        buf = make_shared_buffer(std::move(bytes));
       }
-      comm.bcast(buf, root);
+      comm.bcast_shared(buf, root);
       EXPECT_EQ(Reader(buf).read_string(), "payload from " + std::to_string(root));
     });
   }
@@ -200,7 +202,7 @@ TEST_P(CollectiveRanks, GatherCollectsInRankOrder) {
   launch(n, [&](Communicator& comm) {
     Buffer mine;
     Writer(mine).write(comm.rank() * 10);
-    const auto all = comm.gather(mine, 0);
+    const auto all = comm.gather_shared(make_shared_buffer(std::move(mine)), 0);
     if (comm.rank() == 0) {
       ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
       for (int r = 0; r < n; ++r) {

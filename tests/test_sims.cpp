@@ -78,7 +78,7 @@ TEST(Heat3D, RankCountInvariance) {
     for (int s = 0; s < kSteps; ++s) local.step();
     Buffer mine;
     Writer(mine).write_span(local.output(), local.output_len());
-    const auto all = comm.gather(mine, 0);
+    const auto all = comm.gather_shared(make_shared_buffer(std::move(mine)), 0);
     if (comm.rank() == 0) {
       std::size_t at = 0;
       for (const auto& buf : all) {

@@ -6,7 +6,8 @@
 //   * receive_for's deadline racing a concurrent post never loses or
 //     duplicates a message,
 //   * collectives at non-power-of-two sizes (n = 3, 5, 7), including
-//     back-to-back any-source gathers with a lagging root,
+//     back-to-back any-source gathers with a lagging root, and a split
+//     communicator's collectives never matching the parent's traffic,
 //   * shared fan-out payloads move zero bytes (bcast_shared) while the
 //     duplicate fault shares one payload instead of deep-copying it,
 //   * BufferPool recycling, retention bounds, and counters.
@@ -14,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -38,6 +38,13 @@ Envelope make_envelope(int source, int tag, int value) {
 }
 
 int envelope_value(const Envelope& e) { return Reader(e.bytes()).read<int>(); }
+
+/// One int serialized into its own shared payload.
+SharedBuffer shared_int(int value) {
+  Buffer b;
+  Writer(b).write(value);
+  return make_shared_buffer(std::move(b));
+}
 
 TEST(TransportMailbox, FifoPerSourceTagUnderContention) {
   // kProducers threads hammer one mailbox concurrently; a consumer doing
@@ -168,16 +175,14 @@ TEST(TransportCollectives, OddSizesAgainstSerialReferences) {
     launch(n, [n](Communicator& comm) {
       const int rank = comm.rank();
       // bcast from a non-zero root.
-      Buffer buf;
-      if (rank == n - 1) Writer(buf).write(4242);
-      comm.bcast(buf, n - 1);
+      SharedBuffer buf;
+      if (rank == n - 1) buf = shared_int(4242);
+      comm.bcast_shared(buf, n - 1);
       EXPECT_EQ(Reader(buf).read<int>(), 4242);
 
       // gather to a middle root: contents indexed by true source even
       // though arrivals complete in any order.
-      Buffer mine;
-      Writer(mine).write(rank * 11);
-      const auto all = comm.gather(mine, n / 2);
+      const auto all = comm.gather_shared(shared_int(rank * 11), n / 2);
       if (rank == n / 2) {
         ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
         for (int r = 0; r < n; ++r) {
@@ -188,39 +193,28 @@ TEST(TransportCollectives, OddSizesAgainstSerialReferences) {
       }
 
       // scatter from rank 0.
-      std::vector<Buffer> chunks;
+      std::vector<SharedBuffer> chunks;
       if (rank == 0) {
-        for (int r = 0; r < n; ++r) {
-          Buffer c;
-          Writer(c).write(r + 1000);
-          chunks.push_back(std::move(c));
-        }
+        for (int r = 0; r < n; ++r) chunks.push_back(shared_int(r + 1000));
       }
-      Buffer chunk = comm.scatter(chunks, 0);
+      const SharedBuffer chunk = comm.scatter_shared(chunks, 0);
       EXPECT_EQ(Reader(chunk).read<int>(), rank + 1000);
 
       // alltoall.
-      std::vector<Buffer> sends;
-      for (int r = 0; r < n; ++r) {
-        Buffer s;
-        Writer(s).write(rank * 100 + r);
-        sends.push_back(std::move(s));
-      }
-      const auto got = comm.alltoall(sends);
+      std::vector<SharedBuffer> sends;
+      for (int r = 0; r < n; ++r) sends.push_back(shared_int(rank * 100 + r));
+      const auto got = comm.alltoall_shared(sends);
       ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
       for (int r = 0; r < n; ++r) {
         EXPECT_EQ(Reader(got[static_cast<std::size_t>(r)]).read<int>(), r * 100 + rank);
       }
 
-      // allreduce sum, tree and ring, against the closed form.
+      // allreduce sum against the closed form.
       std::vector<double> v(16);
       std::iota(v.begin(), v.end(), static_cast<double>(rank));
-      const auto tree_sum = comm.allreduce_sum(v);
-      const auto ring_sum = comm.allreduce_sum_ring(v);
+      const auto sum = comm.allreduce_sum(v);
       for (std::size_t i = 0; i < v.size(); ++i) {
-        const double expect = n * static_cast<double>(i) + n * (n - 1) / 2.0;
-        EXPECT_DOUBLE_EQ(tree_sum[i], expect);
-        EXPECT_DOUBLE_EQ(ring_sum[i], expect);
+        EXPECT_DOUBLE_EQ(sum[i], n * static_cast<double>(i) + n * (n - 1) / 2.0);
       }
       EXPECT_EQ(comm.allreduce_max(rank), n - 1);
       comm.barrier();
@@ -238,9 +232,7 @@ TEST(TransportCollectives, BackToBackGathersWithLaggingRoot) {
       if (comm.rank() == 0 && round == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
-      Buffer mine;
-      Writer(mine).write(round * 100 + comm.rank());
-      const auto all = comm.gather(mine, 0);
+      const auto all = comm.gather_shared(shared_int(round * 100 + comm.rank()), 0);
       if (comm.rank() == 0) {
         for (int r = 0; r < comm.size(); ++r) {
           ASSERT_EQ(Reader(all[static_cast<std::size_t>(r)]).read<int>(), round * 100 + r)
@@ -269,27 +261,6 @@ TEST(TransportSharedPayload, BcastSharedMovesZeroBytes) {
     // (barrier messages are empty, so they cannot disturb the counter).
     if (comm.rank() == 0) {
       EXPECT_EQ(payload_bytes_copied() - before, 0u);
-    }
-  });
-}
-
-TEST(TransportSharedPayload, OwnedBcastMaterializesPerRankOnly) {
-  // The owning-buffer bcast facade costs one copy at the root (the caller
-  // keeps its buffer) and one materializing copy per non-root — never a
-  // copy per tree edge.
-  static constexpr std::size_t kPayload = 64u * 1024;
-  static constexpr int kRanks = 8;
-  launch(kRanks, [](Communicator& comm) {
-    comm.barrier();
-    const std::uint64_t before = payload_bytes_copied();
-    Buffer buf;
-    if (comm.rank() == 0) buf.assign(kPayload, std::byte{9});
-    comm.bcast(buf, 0);
-    ASSERT_EQ(buf.size(), kPayload);
-    EXPECT_EQ(buf[1], std::byte{9});
-    comm.barrier();
-    if (comm.rank() == 0) {
-      EXPECT_EQ(payload_bytes_copied() - before, static_cast<std::uint64_t>(kRanks) * kPayload);
     }
   });
 }
@@ -534,9 +505,7 @@ TEST(TransportCollectives, GatherEpochSurvivesThousandsOfRounds) {
       if (comm.rank() == 0 && round == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
-      Buffer mine;
-      Writer(mine).write(round * 10 + comm.rank());
-      const auto all = comm.gather(mine, 0);
+      const auto all = comm.gather_shared(shared_int(round * 10 + comm.rank()), 0);
       if (comm.rank() == 0) {
         for (int r = 0; r < comm.size(); ++r) {
           ASSERT_EQ(Reader(all[static_cast<std::size_t>(r)]).read<int>(), round * 10 + r)
@@ -555,13 +524,9 @@ TEST(TransportCollectives, AlltoallEpochSurvivesThousandsOfRounds) {
       if (comm.rank() == 1 && round == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
-      std::vector<Buffer> sends;
-      for (int r = 0; r < n; ++r) {
-        Buffer s;
-        Writer(s).write(round * 100 + comm.rank() * 10 + r);
-        sends.push_back(std::move(s));
-      }
-      const auto got = comm.alltoall(sends);
+      std::vector<SharedBuffer> sends;
+      for (int r = 0; r < n; ++r) sends.push_back(shared_int(round * 100 + comm.rank() * 10 + r));
+      const auto got = comm.alltoall_shared(sends);
       for (int r = 0; r < n; ++r) {
         ASSERT_EQ(Reader(got[static_cast<std::size_t>(r)]).read<int>(),
                   round * 100 + r * 10 + comm.rank())
@@ -615,8 +580,8 @@ TEST(TransportSharedPayload, AllreduceSharedMovesZeroBytes) {
 }
 
 TEST(TransportSharedPayload, SplitBroadcastsTableShared) {
-  // split's table broadcast is shared: the only copies in the whole
-  // operation are the non-root ranks' 12-byte gather triples.
+  // split gathers its (color, key, rank) triples and broadcasts the table
+  // as shared payloads: the whole operation copies nothing.
   constexpr int kRanks = 6;
   launch(kRanks, [](Communicator& comm) {
     comm.barrier();
@@ -625,7 +590,69 @@ TEST(TransportSharedPayload, SplitBroadcastsTableShared) {
     EXPECT_EQ(sub.size(), kRanks / 2);
     comm.barrier();
     if (comm.rank() == 0) {
-      EXPECT_LE(payload_bytes_copied() - before, static_cast<std::uint64_t>(kRanks - 1) * 12u);
+      EXPECT_EQ(payload_bytes_copied() - before, 0u);
+    }
+  });
+}
+
+// --- split communicators are isolated from their parent --------------------------
+
+TEST(TransportSplit, AlltoallOnSplitIgnoresWorldAlltoall) {
+  // Ranks 0-1 run an alltoall on their split while ranks 2-3 go straight
+  // on to the world alltoall — legal MPI order.  Both collectives count
+  // their rounds from 0, so without a per-communicator context in the
+  // epoch the split's any-source receive on rank 0 or 1 takes a world
+  // message from rank 2 or 3 (a source outside the group).  The sleep lets
+  // the world messages arrive first.
+  launch(4, [](Communicator& comm) {
+    const int rank = comm.rank();
+    Communicator half = comm.split(rank / 2, rank);
+    if (rank < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::vector<SharedBuffer> sends;
+      for (int r = 0; r < half.size(); ++r) sends.push_back(shared_int(1000 + rank * 10 + r));
+      const auto got = half.alltoall_shared(sends);
+      for (int r = 0; r < half.size(); ++r) {
+        EXPECT_EQ(Reader(got[static_cast<std::size_t>(r)]).read<int>(),
+                  1000 + r * 10 + half.rank());
+      }
+    }
+    std::vector<SharedBuffer> sends;
+    for (int r = 0; r < comm.size(); ++r) sends.push_back(shared_int(rank * 10 + r));
+    const auto got = comm.alltoall_shared(sends);
+    for (int r = 0; r < comm.size(); ++r) {
+      EXPECT_EQ(Reader(got[static_cast<std::size_t>(r)]).read<int>(), r * 10 + rank);
+    }
+  });
+}
+
+TEST(TransportSplit, GatherOnSplitIgnoresWorldGather) {
+  // The gather twin of the case above: rank 0 roots gathers on its split
+  // {0, 1} while ranks 2-3 have already sent their world-gather payloads
+  // to it.  split() itself spent the world's gather round 0, so the
+  // split's second round carries the same round number as that world
+  // gather.  The split's receives must wait for rank 1, and the world
+  // gather must still find every payload.
+  launch(4, [](Communicator& comm) {
+    const int rank = comm.rank();
+    Communicator half = comm.split(rank / 2, rank);
+    if (rank < 2) {
+      for (int round = 0; round < 2; ++round) {
+        if (rank == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const auto all = half.gather_shared(shared_int(100 * round + rank), 0);
+        if (rank == 0) {
+          ASSERT_EQ(all.size(), 2u);
+          EXPECT_EQ(Reader(all[0]).read<int>(), 100 * round);
+          EXPECT_EQ(Reader(all[1]).read<int>(), 100 * round + 1);
+        }
+      }
+    }
+    const auto all = comm.gather_shared(shared_int(rank * 7), 0);
+    if (rank == 0) {
+      ASSERT_EQ(all.size(), 4u);
+      for (int r = 0; r < 4; ++r) {
+        EXPECT_EQ(Reader(all[static_cast<std::size_t>(r)]).read<int>(), r * 7);
+      }
     }
   });
 }
@@ -786,78 +813,57 @@ TEST(CollectivePlanner, TopologiesFavorTheRingsNeighborEdges) {
 
 // --- arena fast path ---------------------------------------------------------
 
-TEST(TransportArena, ScatterSharedMatchesCopyingScatter) {
+TEST(TransportArena, ScatterSharedDeliversPerRankSlices) {
   launch(5, [](Communicator& comm) {
     const int n = comm.size();
-    std::vector<Buffer> chunks;
     std::vector<SharedBuffer> slices;
     PayloadArena arena;
     if (comm.rank() == 0) {
       arena.begin();
       for (int r = 0; r < n; ++r) {
-        const int v = r * 7 + 1;
-        Buffer c;
-        Writer(c).write(v);
-        Writer(arena.staging()).write(v);
+        Writer(arena.staging()).write(r * 7 + 1);
         arena.end_slice();
-        chunks.push_back(std::move(c));
       }
       slices = arena.finish();
     }
-    const Buffer legacy = comm.scatter(chunks, 0);
     const SharedBuffer shared = comm.scatter_shared(slices, 0);
     ASSERT_TRUE(shared != nullptr);
-    ASSERT_EQ(shared.size(), legacy.size());
-    EXPECT_EQ(std::memcmp(shared.data(), legacy.data(), legacy.size()), 0);
+    ASSERT_EQ(shared.size(), sizeof(int));
     EXPECT_EQ(Reader(shared).read<int>(), comm.rank() * 7 + 1);
   });
 }
 
-TEST(TransportArena, AlltoallSharedMatchesCopyingAlltoall) {
+TEST(TransportArena, AlltoallSharedExchangesSlicesBySource) {
   launch(4, [](Communicator& comm) {
     const int n = comm.size();
     const int rank = comm.rank();
-    std::vector<Buffer> sends;
     PayloadArena arena;
     arena.begin();
     for (int r = 0; r < n; ++r) {
-      const int v = rank * 100 + r;
-      Buffer s;
-      Writer(s).write(v);
-      Writer(arena.staging()).write(v);
+      Writer(arena.staging()).write(rank * 100 + r);
       arena.end_slice();
-      sends.push_back(std::move(s));
     }
-    const auto legacy = comm.alltoall(sends);
     const auto shared = comm.alltoall_shared(arena.finish());
-    ASSERT_EQ(shared.size(), legacy.size());
+    ASSERT_EQ(shared.size(), static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {
       const auto& s = shared[static_cast<std::size_t>(r)];
-      const auto& l = legacy[static_cast<std::size_t>(r)];
       ASSERT_TRUE(s != nullptr);
-      ASSERT_EQ(s.size(), l.size());
-      EXPECT_EQ(std::memcmp(s.data(), l.data(), l.size()), 0);
+      ASSERT_EQ(s.size(), sizeof(int));
       EXPECT_EQ(Reader(s).read<int>(), r * 100 + rank);
     }
   });
 }
 
-TEST(TransportArena, GatherSharedMatchesCopyingGather) {
+TEST(TransportArena, GatherSharedCollectsInRankOrder) {
   launch(5, [](Communicator& comm) {
     const int n = comm.size();
-    Buffer mine;
-    Writer(mine).write(comm.rank() * 13 + 2);
-    const auto legacy = comm.gather(mine, 1);
-    const auto shared = comm.gather_shared(make_shared_buffer(std::move(mine)), 1);
+    const auto shared = comm.gather_shared(shared_int(comm.rank() * 13 + 2), 1);
     if (comm.rank() == 1) {
       ASSERT_EQ(shared.size(), static_cast<std::size_t>(n));
-      ASSERT_EQ(legacy.size(), static_cast<std::size_t>(n));
       for (int r = 0; r < n; ++r) {
         const auto& s = shared[static_cast<std::size_t>(r)];
-        const auto& l = legacy[static_cast<std::size_t>(r)];
         ASSERT_TRUE(s != nullptr);
-        ASSERT_EQ(s.size(), l.size());
-        EXPECT_EQ(std::memcmp(s.data(), l.data(), l.size()), 0);
+        ASSERT_EQ(s.size(), sizeof(int));
         EXPECT_EQ(Reader(s).read<int>(), r * 13 + 2);
       }
     } else {

@@ -1,11 +1,9 @@
-// Tests for the fourth extension wave: the argument parser, MiniSpark's
-// filter/union/count_by_key operators, and the ring allreduce.
+// Tests for the fourth extension wave: the argument parser and MiniSpark's
+// filter/union/count_by_key operators.
 #include <gtest/gtest.h>
 
 #include "common/arg_parser.h"
-#include "common/rng.h"
 #include "minispark/rdd.h"
-#include "simmpi/world.h"
 
 namespace smart {
 namespace {
@@ -131,58 +129,6 @@ TEST(MiniSparkOps, CountByKey) {
   EXPECT_EQ(counts.at(0), 30u);
   EXPECT_EQ(counts.at(1), 30u);
   EXPECT_EQ(counts.at(2), 30u);
-}
-
-// --- ring allreduce -------------------------------------------------------------------
-
-class RingRanks : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
-
-TEST_P(RingRanks, MatchesTreeAllreduce) {
-  const auto [nranks, len] = GetParam();
-  std::vector<double> expected(len, 0.0);
-  for (int r = 0; r < nranks; ++r) {
-    Rng rng(derive_seed(700, static_cast<std::uint64_t>(r)));
-    for (auto& x : expected) x += rng.gaussian();
-  }
-  simmpi::launch(nranks, [&, len = len](simmpi::Communicator& comm) {
-    Rng rng(derive_seed(700, static_cast<std::uint64_t>(comm.rank())));
-    std::vector<double> local(len);
-    for (auto& x : local) x = rng.gaussian();
-    const auto ring = comm.allreduce_sum_ring(local);
-    const auto tree = comm.allreduce_sum(local);
-    ASSERT_EQ(ring.size(), len);
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_NEAR(ring[i], expected[i], 1e-9) << "ring i=" << i;
-      ASSERT_NEAR(ring[i], tree[i], 1e-9) << "vs tree i=" << i;
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, RingRanks,
-    ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),
-                       // Lengths that do and do not divide by the rank count.
-                       ::testing::Values(std::size_t{1}, std::size_t{7}, std::size_t{256},
-                                         std::size_t{1000})));
-
-TEST(RingAllreduce, BalancesPerRankTrafficBetterThanTree) {
-  // Total bytes are comparable; the ring's advantage is that no rank is a
-  // hot spot (the tree's root ships the full vector to log2(n) children).
-  const std::size_t len = 1 << 15;
-  auto max_rank_bytes = [&](bool ring) {
-    const auto stats = simmpi::launch(8, [&](simmpi::Communicator& comm) {
-      std::vector<double> local(len, 1.0);
-      if (ring) {
-        (void)comm.allreduce_sum_ring(local);
-      } else {
-        (void)comm.allreduce_sum(local);
-      }
-    });
-    std::size_t peak = 0;
-    for (std::size_t b : stats.rank_bytes_sent) peak = std::max(peak, b);
-    return peak;
-  };
-  EXPECT_LT(max_rank_bytes(true), max_rank_bytes(false));
 }
 
 }  // namespace

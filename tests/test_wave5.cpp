@@ -1,6 +1,6 @@
 // Tests for the single-pass combination wave: Writer buffer-reuse
 // primitives (position/patch/reserve), MapCombiner segment helpers and
-// algorithm consensus, ring allreduce degenerate lengths, and
+// algorithm consensus, vector allreduce degenerate lengths, and
 // CircularBuffer close semantics.
 #include <gtest/gtest.h>
 
@@ -241,30 +241,29 @@ TEST(MapCombiner, EmptyMapsCombineToEmpty) {
   });
 }
 
-// --- ring allreduce with degenerate vector lengths --------------------------
+// --- vector allreduce with degenerate lengths -------------------------------
 
-TEST(RingAllreduce, VectorShorterThanRankCount) {
-  // 6 ranks over 2 elements: most segments are empty; the sums must still
-  // be exact on every rank.
+TEST(AllreduceSum, VectorShorterThanRankCount) {
+  // 6 ranks over 2 elements: the sums must still be exact on every rank.
   simmpi::launch(6, [&](simmpi::Communicator& comm) {
     const std::vector<double> local = {1.0, static_cast<double>(comm.rank())};
-    const auto sum = comm.allreduce_sum_ring(local);
+    const auto sum = comm.allreduce_sum(local);
     ASSERT_EQ(sum.size(), 2u);
     EXPECT_DOUBLE_EQ(sum[0], 6.0);
     EXPECT_DOUBLE_EQ(sum[1], 0.0 + 1 + 2 + 3 + 4 + 5);
   });
 }
 
-TEST(RingAllreduce, EmptyVector) {
+TEST(AllreduceSum, EmptyVector) {
   simmpi::launch(4, [&](simmpi::Communicator& comm) {
-    const auto sum = comm.allreduce_sum_ring(std::vector<int>{});
+    const auto sum = comm.allreduce_sum(std::vector<int>{});
     EXPECT_TRUE(sum.empty());
   });
 }
 
-TEST(RingAllreduce, SingleElementManyRanks) {
+TEST(AllreduceSum, SingleElementManyRanks) {
   simmpi::launch(5, [&](simmpi::Communicator& comm) {
-    const auto sum = comm.allreduce_sum_ring(std::vector<long>{1});
+    const auto sum = comm.allreduce_sum(std::vector<long>{1});
     ASSERT_EQ(sum.size(), 1u);
     EXPECT_EQ(sum[0], 5);
   });
