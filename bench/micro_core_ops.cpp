@@ -231,52 +231,6 @@ void BM_SimmpiAllreduceAlgorithms(benchmark::State& state) {
 }
 BENCHMARK(BM_SimmpiAllreduceAlgorithms)->Arg(1 << 10)->Arg(1 << 17);
 
-void BM_MapCombineAlgorithms(benchmark::State& state) {
-  // The MapCombiner crossover measurement: single-pass tree vs
-  // key-partitioned ring over growing map sizes on 4 ranks.  The default
-  // MapCombiner::kDefaultRingCrossoverBytes comes from where the two
-  // virtual-makespan curves cross on the container.
-  register_red_objs();
-  const bool ring = state.range(0) != 0;
-  const int keys = static_cast<int>(state.range(1));
-  const MapCombiner::Algorithm algo =
-      ring ? MapCombiner::Algorithm::kRing : MapCombiner::Algorithm::kTree;
-  const MergeFn merge = [](const RedObj& red, std::unique_ptr<RedObj>& com) {
-    auto& dst = static_cast<ClusterObj&>(*com);
-    const auto& src = static_cast<const ClusterObj&>(red);
-    for (std::size_t i = 0; i < dst.sum.size(); ++i) dst.sum[i] += src.sum[i];
-    dst.size += src.size;
-  };
-  double makespan = 0.0;
-  for (auto _ : state) {
-    const auto stats = simmpi::launch(4, [&](simmpi::Communicator& comm) {
-      CombinationMap map;
-      for (int k = 0; k < keys; ++k) {
-        auto obj = std::make_unique<ClusterObj>();
-        obj->centroid.assign(8, static_cast<double>(k));
-        obj->sum.assign(8, static_cast<double>(comm.rank()));
-        obj->size = 1;
-        obj->set_key(k);
-        map.emplace(k, std::move(obj));
-      }
-      MapCombiner combiner(algo);
-      combiner.allreduce(comm, map, merge);
-      benchmark::DoNotOptimize(map);
-    });
-    makespan += stats.makespan();
-  }
-  state.SetLabel(ring ? "ring" : "tree");
-  state.counters["vmakespan_s"] =
-      benchmark::Counter(makespan / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_MapCombineAlgorithms)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 512})
-    ->Args({1, 512})
-    ->Args({0, 4096})
-    ->Args({1, 4096});
-
 // --- end-to-end analytics per element ---------------------------------------
 
 void BM_HistogramEndToEnd(benchmark::State& state) {

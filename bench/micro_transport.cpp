@@ -25,9 +25,6 @@
 //     PayloadArena allocation shipped as slices, reporting
 //     payload_bytes_copied per round (0: the zero-copy property itself is
 //     asserted by TransportArena.CollectiveFanoutZeroCopy).
-//   * combine makespans per topology: MapCombiner forced to the tree vs
-//     the CollectivePlanner-driven auto mode, on the fat-tree, dragonfly,
-//     and torus models; the planner must never lose to the forced tree.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -38,8 +35,6 @@
 #include <optional>
 #include <thread>
 
-#include "analytics/red_objs.h"
-#include "core/map_combiner.h"
 #include "simmpi/world.h"
 
 namespace {
@@ -448,89 +443,6 @@ void BM_ArenaScatterGather8Ranks(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
 }
 BENCHMARK(BM_ArenaScatterGather8Ranks)->Unit(benchmark::kMillisecond);
-
-// --- combine makespans: forced tree vs the planner per topology --------------
-
-constexpr int kCombineKeys = 4000;  // ~128 KiB footprint, above the auto floor
-
-/// fig07's combination phase under a topology model: per-round compute,
-/// then a MapCombiner allreduce of a kCombineKeys-bucket map.  The forced
-/// tree is the before side; auto (CollectivePlanner pricing tree, ring,
-/// and direct against the model's per-link estimates) is the after side.
-void combine_makespan(benchmark::State& state, const char* model, MapCombiner::Algorithm algo) {
-  NetworkConfig cfg;
-  cfg.model = model;
-  cfg.ranks_per_node = 2;
-  cfg.nodes_per_edge = 2;
-  // Single-node dragonfly groups: consecutive nodes talk over *distinct*
-  // global links, so the ring's neighbor traffic spreads across the
-  // fabric.  (With multi-node groups the two cross-group ring edges share
-  // one global link; the planner prices that serialization and falls back
-  // to the tree — a wash, not a win, so it makes a poor before/after pair.)
-  cfg.nodes_per_group = 1;
-  cfg.torus_x = 2;
-  cfg.torus_y = 2;
-  cfg.torus_z = 1;  // 8 ranks on a 2x2 torus of 2-rank nodes
-  analytics::register_red_objs();
-  const MergeFn merge = [](const RedObj& red, std::unique_ptr<RedObj>& com) {
-    static_cast<analytics::Bucket&>(*com).count +=
-        static_cast<const analytics::Bucket&>(red).count;
-  };
-  double makespan = 0.0;
-  for (auto _ : state) {
-    const LaunchStats stats = launch(
-        kTopoRanks,
-        [algo, &merge](Communicator& comm) {
-          MapCombiner combiner(algo);
-          for (int round = 0; round < kTopoRounds; ++round) {
-            comm.advance(1e-3);  // modeled compute phase
-            CombinationMap map;
-            for (int key = 0; key < kCombineKeys; ++key) {
-              auto obj = std::make_unique<analytics::Bucket>();
-              obj->count = 1;
-              obj->set_key(key);
-              map.emplace(key, std::move(obj));
-            }
-            combiner.allreduce(comm, map, merge);
-            benchmark::DoNotOptimize(map.size());
-          }
-        },
-        cfg);
-    makespan = stats.makespan();
-  }
-  state.SetItemsProcessed(state.iterations() * kTopoRounds);
-  state.counters["virtual_makespan_s"] = benchmark::Counter(makespan);
-}
-
-void BM_CombineMakespanFatTreeForcedTree(benchmark::State& state) {
-  combine_makespan(state, "fattree", MapCombiner::Algorithm::kTree);
-}
-BENCHMARK(BM_CombineMakespanFatTreeForcedTree)->Unit(benchmark::kMillisecond);
-
-void BM_CombineMakespanFatTreePlanned(benchmark::State& state) {
-  combine_makespan(state, "fattree", MapCombiner::Algorithm::kAuto);
-}
-BENCHMARK(BM_CombineMakespanFatTreePlanned)->Unit(benchmark::kMillisecond);
-
-void BM_CombineMakespanDragonflyForcedTree(benchmark::State& state) {
-  combine_makespan(state, "dragonfly", MapCombiner::Algorithm::kTree);
-}
-BENCHMARK(BM_CombineMakespanDragonflyForcedTree)->Unit(benchmark::kMillisecond);
-
-void BM_CombineMakespanDragonflyPlanned(benchmark::State& state) {
-  combine_makespan(state, "dragonfly", MapCombiner::Algorithm::kAuto);
-}
-BENCHMARK(BM_CombineMakespanDragonflyPlanned)->Unit(benchmark::kMillisecond);
-
-void BM_CombineMakespanTorusForcedTree(benchmark::State& state) {
-  combine_makespan(state, "torus", MapCombiner::Algorithm::kTree);
-}
-BENCHMARK(BM_CombineMakespanTorusForcedTree)->Unit(benchmark::kMillisecond);
-
-void BM_CombineMakespanTorusPlanned(benchmark::State& state) {
-  combine_makespan(state, "torus", MapCombiner::Algorithm::kAuto);
-}
-BENCHMARK(BM_CombineMakespanTorusPlanned)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,8 +13,8 @@
 #   * BM_MapCodec — the map wire codec round trip, with a wire_bytes
 #     counter per size;
 #   * BM_LocalCombine — the serial local-combination fold;
-#   * BM_MapSerializeRoundTrip / BM_MapCombineAlgorithms — the codec and
-#     tree/ring crossover benches the combiner defaults come from.
+#   * BM_MapSerializeRoundTrip — the map codec's serialize + deserialize
+#     round trip.
 #
 # The transport suite (bench/micro_transport.cpp) covers the simmpi data
 # plane and its before/after pairs:
@@ -36,10 +36,7 @@
 #     (virtual_makespan_s counter; simmpi/network.h);
 #   * BM_ArenaAlltoall8Ranks and BM_ArenaScatterGather8Ranks — the
 #     collectives' fan-out of PayloadArena slices over one backing buffer
-#     (payload_bytes_copied_per_round counter; 0);
-#   * BM_CombineMakespan{FatTree,Dragonfly,Torus}{ForcedTree,Planned} — the
-#     MapCombiner pinned to the tree vs CollectivePlanner auto mode on each
-#     topology (virtual_makespan_s counter; the planner must win).
+#     (payload_bytes_copied_per_round counter; 0).
 #
 # Numbers are container-relative; compare runs from the same machine only —
 # except the before/after *ratios* within one file, which scripts/check.sh
@@ -51,7 +48,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 out="${1:-$repo/BENCH_core.json}"
 transport_out="$(dirname "$out")/BENCH_transport.json"
 
-filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_MapCombineAlgorithms|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys'
+filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys'
 
 echo "== bench: build (Release) =="
 cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -9,18 +9,13 @@ speedup that is stable across hosts.  A fresh run whose ratio degrades more
 than the slack factor against the committed baseline means the "after"
 side genuinely slowed down relative to its own baseline.
 
-Three pair sets exist: --pairs transport (default; BENCH_transport.json,
-the simmpi data plane), --pairs core (BENCH_core.json: the flat
+Two pair sets exist: --pairs transport (default; BENCH_transport.json,
+the simmpi data plane) and --pairs core (BENCH_core.json: the flat
 CombinationMap vs the std::map it replaced, plus the scalar-vs-batched
-reduction pairs from the columnar kernel work), and --pairs collective
-(also BENCH_transport.json: copying vs arena-sliced fan-out, plus the
-forced-tree vs CollectivePlanner makespan pairs per topology).  A pair may
-name a UserCounter as its third element — the collective pairs all gate on
-counters (payload_bytes_copied_per_round, virtual_makespan_s) because the
-counters are deterministic and host-independent in a way wall time is not.
+reduction pairs from the columnar kernel work).
 
 Usage: bench_gate.py <committed.json> <fresh.json> [slack]
-           [--pairs transport|core|collective]
+           [--pairs transport|core]
            [--critpath <fresh_attr.json>] [--critpath-committed <attr.json>]
 
 Exits nonzero when any pair regresses past the slack (default 1.25: a
@@ -78,31 +73,7 @@ CORE_PAIRS = [
     ("BM_HistogramKeysScalar/65536", "BM_HistogramKeysBatched/65536"),
 ]
 
-def _makespan_pair(topo):
-    """Forced-tree vs planner-driven combine makespan on one topology,
-    gated on the virtual_makespan_s counter (bench/micro_transport.cpp)."""
-    return (
-        f"BM_CombineMakespan{topo}ForcedTree",
-        f"BM_CombineMakespan{topo}Planned",
-        "virtual_makespan_s",
-    )
-
-
-# The collective pairs (bench/micro_transport.cpp): MapCombiner forced to
-# the tree vs CollectivePlanner auto mode.  Every pair gates on a counter,
-# not wall time: the multi-rank launches are thread-scheduler-bound, so
-# their wall-time ratio spread on a shared container swamps any reasonable
-# slack, while the modeled virtual_makespan_s is exact — the planner must
-# keep beating the forced tree on modeled cluster time.  (The collectives'
-# zero-copy fan-out is asserted exactly by scripts/check.sh's
-# CollectiveFanoutZeroCopy step, not by a ratio here.)
-COLLECTIVE_PAIRS = [
-    _makespan_pair("FatTree"),
-    _makespan_pair("Dragonfly"),
-    _makespan_pair("Torus"),
-]
-
-PAIR_SETS = {"transport": TRANSPORT_PAIRS, "core": CORE_PAIRS, "collective": COLLECTIVE_PAIRS}
+PAIR_SETS = {"transport": TRANSPORT_PAIRS, "core": CORE_PAIRS}
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -119,14 +90,12 @@ def load_runs(path):
     return runs
 
 
-def metric_value(runs, name, metric):
-    """real_time in ns, or the named UserCounter; None when absent."""
+def real_time_ns(runs, name):
+    """real_time in ns; None when absent."""
     b = runs.get(name)
     if b is None:
         return None
-    if metric is None:
-        return b["real_time"] * _UNIT_NS[b.get("time_unit", "ns")]
-    return b.get(metric)
+    return b["real_time"] * _UNIT_NS[b.get("time_unit", "ns")]
 
 
 def report_critpath(fresh_path, committed_path):
@@ -201,11 +170,9 @@ def main(argv):
 
     failures = []
     checked = 0
-    for pair in PAIR_SETS[pair_set]:
-        legacy, current = pair[0], pair[1]
-        metric = pair[2] if len(pair) > 2 else None
+    for legacy, current in PAIR_SETS[pair_set]:
         values = {
-            (name, which): metric_value(runs, name, metric)
+            (name, which): real_time_ns(runs, name)
             for name in (legacy, current)
             for which, runs in (("committed", committed), ("fresh", fresh))
         }

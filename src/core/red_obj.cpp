@@ -1,6 +1,7 @@
 #include "core/red_obj.h"
 
 #include <stdexcept>
+#include <typeinfo>
 
 namespace smart {
 
@@ -204,8 +205,7 @@ void merge_map_into(CombinationMap&& src, CombinationMap& dst, const MergeFn& me
   src.clear();
 }
 
-std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn& merge,
-                                  bool replace_existing, std::vector<int>* inserted_keys) {
+std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn& merge) {
   const WireHeader h = read_map_header(r);
   // Reserve guard: trust the count only as far as the remaining bytes
   // could plausibly back it (>= 5 bytes/entry: key + type index).
@@ -222,16 +222,11 @@ std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn&
       throw std::out_of_range("smart: corrupt map wire type index");
     }
     const auto it = dst.find(key);
-    if (it == dst.end() || replace_existing) {
+    if (it == dst.end()) {
       std::unique_ptr<RedObj> obj = (*h.factories[idx])();
       obj->deserialize(r);
       obj->set_key(key);
-      if (it == dst.end()) {
-        dst.emplace(key, std::move(obj));
-        if (inserted_keys) inserted_keys->push_back(key);
-      } else {
-        it->second = std::move(obj);
-      }
+      dst.emplace(key, std::move(obj));
     } else {
       auto& s = scratch[idx];
       if (!s) s = (*h.factories[idx])();
@@ -241,100 +236,6 @@ std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn&
     }
   }
   return h.count;
-}
-
-int map_segment_of(int key, int nsegments) {
-  const int m = key % nsegments;
-  return m < 0 ? m + nsegments : m;
-}
-
-std::size_t serialize_map_segment(const CombinationMap& map, int segment, int nsegments,
-                                  Buffer& out) {
-  map.ensure_sorted();
-  // Full-map type table (not segment-local) so every segment payload of
-  // one round shares a table layout — and so MapSegmentIndex, which also
-  // interns the whole map, emits byte-identical segments.
-  TypeTable table;
-  for (const auto& [key, obj] : map) {
-    (void)key;
-    table.intern(*obj);
-  }
-  Writer w(out);
-  write_v2_header(w, table.names);
-  const std::size_t count_pos = w.position();
-  w.write<std::uint64_t>(0);  // patched below
-  std::uint64_t count = 0;
-  for (const auto& [key, obj] : map) {
-    if (map_segment_of(key, nsegments) != segment) continue;
-    w.write<std::int32_t>(key);
-    w.write_varint(table.intern(*obj));
-    obj->serialize(w);
-    ++count;
-  }
-  w.patch(count_pos, count);
-  return count;
-}
-
-// --- MapSegmentIndex ------------------------------------------------------
-
-std::uint32_t MapSegmentIndex::intern_type(const RedObj& obj) {
-  const std::type_info& ti = typeid(obj);
-  for (std::size_t i = 0; i < type_infos_.size(); ++i) {
-    if (*type_infos_[i] == ti) return static_cast<std::uint32_t>(i);
-  }
-  type_infos_.push_back(&ti);
-  type_names_.push_back(obj.type_name());
-  return static_cast<std::uint32_t>(type_infos_.size() - 1);
-}
-
-void MapSegmentIndex::build(const CombinationMap& map, int nsegments) {
-  nsegments_ = nsegments;
-  seg_keys_.assign(static_cast<std::size_t>(nsegments), {});
-  type_infos_.clear();
-  type_names_.clear();
-  // One key-ordered pass; each per-segment list inherits ascending order.
-  for (const auto& [key, obj] : map) {
-    seg_keys_[static_cast<std::size_t>(map_segment_of(key, nsegments))].push_back(key);
-    intern_type(*obj);
-  }
-}
-
-std::size_t MapSegmentIndex::serialize_segment(const CombinationMap& map, int segment,
-                                               Buffer& out) const {
-  const auto& keys = seg_keys_[static_cast<std::size_t>(segment)];
-  Writer w(out);
-  write_v2_header(w, type_names_);
-  w.write<std::uint64_t>(keys.size());
-  for (const int key : keys) {
-    const auto it = map.find(key);
-    const RedObj& obj = *it->second;
-    const std::type_info& ti = typeid(obj);
-    std::uint32_t idx = 0;
-    while (*type_infos_[idx] != ti) ++idx;  // interned at build/absorb time
-    w.write<std::int32_t>(key);
-    w.write_varint(idx);
-    obj.serialize(w);
-  }
-  return keys.size();
-}
-
-std::size_t MapSegmentIndex::absorb_segment(Reader& r, CombinationMap& dst, const MergeFn& merge,
-                                            int segment, bool replace_existing) {
-  std::vector<int> inserted;
-  const std::size_t n = absorb_serialized_map(r, dst, merge, replace_existing, &inserted);
-  auto& keys = seg_keys_[static_cast<std::size_t>(segment)];
-  if (!inserted.empty()) {
-    // Wire order is ascending key order, so one inplace_merge restores
-    // the segment list's sorted invariant.
-    const auto mid = keys.insert(keys.end(), inserted.begin(), inserted.end());
-    std::inplace_merge(keys.begin(), keys.begin() + (mid - keys.begin()), keys.end());
-    for (const int key : inserted) intern_type(*dst.at(key));
-  }
-  if (replace_existing) {
-    // Replacement can swap an entry's dynamic type without inserting.
-    for (const int key : keys) intern_type(*dst.at(key));
-  }
-  return n;
 }
 
 std::size_t map_footprint_bytes(const CombinationMap& map) {

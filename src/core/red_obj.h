@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -72,10 +71,10 @@ class RedObj {
 ///     capacity), so the accumulate hot path is one hash, ~1 probe, and a
 ///     contiguous read — no tree walk;
 ///   * iteration is *key-ordered*, preserving std::map semantics for
-///     serialization, ring key segments, output conversion and every app
-///     that walks get_combination_map().  Order is restored lazily: inserts
-///     append (ascending appends — the common seeding and decode pattern —
-///     keep the map sorted for free) and begin() sorts only when a
+///     serialization, output conversion and every app that walks
+///     get_combination_map().  Order is restored lazily: inserts append
+///     (ascending appends — the common seeding and decode pattern — keep
+///     the map sorted for free) and begin() sorts only when a
 ///     preceding out-of-order insert or erase disturbed the order;
 ///   * objects stay heap-allocated unique_ptrs, so a RedObj* remains stable
 ///     for the object's lifetime.  The *slot* (the unique_ptr itself) lives
@@ -316,7 +315,7 @@ struct RedObjRegistrar {
 //   u8    format byte = 2
 //   varint ntypes
 //   ntypes × { string type_name }   (distinct types, first-appearance order)
-//   u64   entry count               (fixed width: segment writers patch it)
+//   u64   entry count
 //   count × { i32 key, varint type index, object payload }
 //
 // Each distinct type_name() crosses the wire once per payload instead of
@@ -344,72 +343,18 @@ void merge_map_into(CombinationMap&& src, CombinationMap& dst, const MergeFn& me
 
 /// Single-pass absorb: streams serialized map entries from `r` straight
 /// into `dst` without materializing an intermediate CombinationMap —
-/// existing keys are merged (or replaced when `replace_existing`), new keys
-/// are inserted.  This is the deserialize-once half of global combination:
-/// a rank folds a peer's wire payload into its *live* map instead of
-/// paying deserialize_map + merge + serialize_map per reduction-tree hop.
-/// The merge path decodes into one scratch object per payload type and
-/// reuses it across entries.  When `inserted_keys` is non-null the keys
-/// newly inserted into `dst` are appended to it, in wire (= key) order —
-/// MapSegmentIndex uses this to keep its per-segment key lists current.
-/// Returns the number of entries absorbed.
-std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn& merge,
-                                  bool replace_existing = false,
-                                  std::vector<int>* inserted_keys = nullptr);
+/// existing keys are merged, new keys are inserted.  This is the
+/// deserialize-once half of global combination: a rank folds a peer's wire
+/// payload into its *live* map instead of paying deserialize_map + merge +
+/// serialize_map per reduction-tree hop.  The merge path decodes into one
+/// scratch object per payload type and reuses it across entries.  Returns
+/// the number of entries absorbed.
+std::size_t absorb_serialized_map(Reader& r, CombinationMap& dst, const MergeFn& merge);
 inline std::size_t absorb_serialized_map(const Buffer& buf, CombinationMap& dst,
-                                         const MergeFn& merge, bool replace_existing = false) {
+                                         const MergeFn& merge) {
   Reader r(buf);
-  return absorb_serialized_map(r, dst, merge, replace_existing);
+  return absorb_serialized_map(r, dst, merge);
 }
-
-/// Key-space partition used by the ring map-combination: segment of `key`
-/// among `nsegments` (floor modulo, so negative keys partition too).
-int map_segment_of(int key, int nsegments);
-
-/// Serializes only the entries of `map` whose map_segment_of(key) equals
-/// `segment`, in key order, using the same wire format as serialize_map
-/// (appends to `out`; the entry count is patched in after the scan).
-/// Returns the number of entries written.
-///
-/// This standalone form walks the whole map per call; a ring round that
-/// serializes every segment should use MapSegmentIndex, which walks the
-/// map once and then serves each segment in O(segment size).  The two
-/// produce byte-identical payloads.
-std::size_t serialize_map_segment(const CombinationMap& map, int segment, int nsegments,
-                                  Buffer& out);
-
-/// Segment-ordered access for the ring combination: one O(keys) pass over
-/// the map buckets every key into its segment's (key-ordered) list and
-/// interns the map's type table, after which serialize_segment() emits any
-/// segment in O(segment size) — the ring's n-1 encode steps cost O(keys)
-/// total instead of O(keys × segments).  absorb_segment() keeps the index
-/// current as peer payloads insert new keys mid-round.
-class MapSegmentIndex {
- public:
-  /// Rebuilds the index over `map` split into `nsegments` key segments.
-  void build(const CombinationMap& map, int nsegments);
-
-  /// serialize_map_segment equivalent (byte-identical output), but walks
-  /// only the segment's own keys.  `map` must be the map build() saw,
-  /// modified since only through absorb_segment().
-  std::size_t serialize_segment(const CombinationMap& map, int segment, Buffer& out) const;
-
-  /// Absorbs a wire payload whose entries all belong to `segment`
-  /// (a ring reduce-scatter hop), recording newly inserted keys and any
-  /// previously unseen types so later serialize_segment() calls see them.
-  std::size_t absorb_segment(Reader& r, CombinationMap& dst, const MergeFn& merge, int segment,
-                             bool replace_existing = false);
-
-  int nsegments() const { return nsegments_; }
-
- private:
-  std::uint32_t intern_type(const RedObj& obj);
-
-  int nsegments_ = 0;
-  std::vector<std::vector<int>> seg_keys_;  ///< per-segment keys, ascending
-  std::vector<const std::type_info*> type_infos_;
-  std::vector<std::string> type_names_;
-};
 
 /// Total approximate footprint of a map's objects.
 std::size_t map_footprint_bytes(const CombinationMap& map);

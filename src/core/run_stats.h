@@ -56,9 +56,7 @@ struct RunStats {
   // Codec accounting for the single-pass global combination: a rank must
   // pay at most one full-map serialize and one full-map deserialize per
   // round; everything else streams into the live map (map_merges counts
-  // the peer entries absorbed).  The ring algorithm codecs per key segment
-  // and therefore performs *zero* full-map passes — its codec cost shows
-  // up in codec_seconds and wire_bytes instead.
+  // the peer entries absorbed).
   std::size_t map_serializes = 0;    ///< full-map serialize_map passes
   std::size_t map_deserializes = 0;  ///< full-map deserialize_map passes
   std::size_t map_merges = 0;        ///< peer entries merged into the live map

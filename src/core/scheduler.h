@@ -22,10 +22,8 @@
 //      at most once per round — interior reduction-tree nodes absorb peer
 //      payloads straight into their live map (absorb_serialized_map)
 //      instead of paying a deserialize+merge+serialize round-trip per hop.
-//      Large maps automatically switch to a key-partitioned ring
-//      (reduce-scatter + allgather over key segments, crossover measured
-//      in bench/micro_core_ops); every rank ends the round holding the
-//      identical global map, so iterative apps see global state.
+//      Every rank ends the round holding the identical global map, so
+//      iterative apps see global state.
 //      RunStats::{map_serializes, map_deserializes, map_merges,
 //      codec_seconds, wire_bytes} expose the single-pass invariant;
 //      post_combine then updates objects (e.g. centroid = sum/size);
@@ -110,13 +108,6 @@ class Scheduler {
   /// (window-based preprocessing, MapReduce pipelines — paper Section 3.1).
   void set_global_combination(bool flag) { global_combination_ = flag; }
   bool global_combination() const { return global_combination_; }
-
-  /// Picks the cross-rank combination algorithm (tree, ring, or size-based
-  /// auto selection — the default).  See core/map_combiner.h.
-  void set_combination_algorithm(MapCombiner::Algorithm algorithm) {
-    map_combiner_.set_algorithm(algorithm);
-  }
-  MapCombiner::Algorithm combination_algorithm() const { return map_combiner_.algorithm(); }
 
   /// Arms fault tolerance (see RecoveryPolicy in core/sched_args.h): timed
   /// combination receives with retry + backoff, degradation to the
@@ -666,10 +657,9 @@ class Scheduler {
   }
 
   /// Algorithm 1 lines 11-17, global half: rank maps merge across simmpi
-  /// via MapCombiner (single-pass tree or key-partitioned ring; see
-  /// core/map_combiner.h) and the global map replaces every rank's local
-  /// map, so the next iteration and get_combination_map see the global
-  /// result.
+  /// via MapCombiner's single-pass binomial tree (see core/map_combiner.h)
+  /// and the global map replaces every rank's local map, so the next
+  /// iteration and get_combination_map see the global result.
   ///
   /// Under a fault-tolerant RecoveryPolicy the round is wrapped in a
   /// recovery loop: on simmpi::PeerUnreachable the map rolls back to its

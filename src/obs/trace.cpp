@@ -90,7 +90,16 @@ struct EnvInit {
       set_metrics_enabled(true);
       armed = true;
     }
-    if (armed) std::atexit(dump_at_exit);
+    if (!armed) return;
+    // Build every static dump_at_exit reads before registering it: a
+    // function-local static first built later is destroyed before the
+    // handler runs.
+    trace_env_path();
+    critpath_env_path();
+    metrics_env_path();
+    TraceCollector::instance();
+    MetricsRegistry::global();
+    std::atexit(dump_at_exit);
   }
 } g_env_init;
 

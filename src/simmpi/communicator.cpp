@@ -477,8 +477,6 @@ SharedBuffer Communicator::recv_shared_timeout(int source, int tag, double timeo
 
 bool Communicator::peer_alive(int rank) const { return !world_.rank_dead(to_world(rank)); }
 
-const NetworkModel& Communicator::network_model() const { return world_.network(); }
-
 std::vector<int> Communicator::alive_ranks() const {
   std::vector<int> out;
   const int n = size();

@@ -21,7 +21,6 @@
 // clock (they are views over the same thread).
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -70,11 +69,6 @@ class Communicator {
   int size() const;
   /// This rank's id in the world (stable across splits).
   int world_rank() const { return world_rank_; }
-  /// World rank of communicator rank `rank_in_comm` — the mapping
-  /// CollectivePlanner needs to price this group's edges on the topology
-  /// (a split's group ranks are dense 0..n-1 but its members can sit
-  /// anywhere in the world).
-  int peer_world_rank(int rank_in_comm) const { return to_world(rank_in_comm); }
 
   // --- point to point (peer ids are ranks *within this communicator*) -----
   /// Ships a copy of `payload` (the copy is made once, into a pooled
@@ -194,35 +188,10 @@ class Communicator {
   template <typename T>
   std::vector<T> allreduce_sum(const std::vector<T>& local);
 
-  /// Scalar max allreduce — the cheap consensus primitive (8-byte
-  /// payloads) collective algorithm selection is built on: every rank gets
-  /// max over ranks of `local`, so size-dependent decisions (e.g. tree vs
-  /// ring map combination) come out identical everywhere.
-  template <typename T>
-    requires std::is_trivially_copyable_v<T> && std::totally_ordered<T>
-  T allreduce_max(T local) {
-    Buffer mine;
-    Writer(mine).write(local);
-    const SharedBuffer out = allreduce_shared(std::move(mine), [](const Buffer& a, const Buffer& b) {
-      const T va = Reader(a).read<T>();
-      const T vb = Reader(b).read<T>();
-      Buffer merged;
-      Writer(merged).write(va < vb ? vb : va);
-      return merged;
-    });
-    return Reader(out).read<T>();
-  }
-
   /// MPI_Comm_split: collective over this communicator.  Ranks with the
   /// same color land in one sub-communicator, ordered by (key, rank).
   /// The returned communicator shares this rank's virtual clock.
   Communicator split(int color, int key);
-
-  /// The world's interconnect cost model — what CollectivePlanner
-  /// (simmpi/collective.h) consults to pick a collective algorithm from
-  /// modeled per-link costs.  Read-only: planning must never disturb the
-  /// model's contention state.
-  const NetworkModel& network_model() const;
 
   // --- virtual time --------------------------------------------------------
   /// Adds externally measured compute time (e.g. a parallel region's

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "common/env.h"
 
@@ -25,54 +26,36 @@ class FlatModel final : public NetworkModel {
     return depart_vtime + cfg_.alpha_seconds +
            static_cast<double>(bytes) / cfg_.beta_bytes_per_second;
   }
-
-  double estimate_seconds(int /*src*/, int /*dst*/, std::size_t bytes) const override {
-    return cfg_.alpha_seconds + static_cast<double>(bytes) / cfg_.beta_bytes_per_second;
-  }
 };
 
 /// Shared machinery for the topology models: a table of per-link "next
 /// free" virtual times.  A transfer over a link begins at
 /// max(arrival-so-far, link free time) and occupies the link for
 /// bytes/bandwidth — overlapping messages on a shared link queue behind
-/// each other in virtual time (store-and-forward per hop).
+/// each other in virtual time (store-and-forward per hop).  Each model
+/// only describes its route (append_path); arrival_vtime is the one walk
+/// over it.
 class ContentionModel : public NetworkModel {
  public:
   using NetworkModel::NetworkModel;
 
-  /// Both estimates derive from append_path, so a model's planning costs
-  /// can never drift from the links its arrival_vtime actually charges.
-  double estimate_seconds(int src, int dst, std::size_t bytes) const final {
-    std::vector<PathLink> links;
-    const double fixed = append_path(src, dst, links);
-    return fixed + path_bytes_seconds(links, bytes);
-  }
-
-  /// Replays the round's edges over *scratch* link state: edges that share
-  /// a physical link queue behind each other exactly as arrival_vtime
-  /// would make them, while disjoint edges overlap freely.  Live occupancy
-  /// is never read, so the result is a pure function of (edges, bytes).
-  double estimate_round_seconds(const std::vector<std::pair<int, int>>& edges,
-                                std::size_t bytes_per_edge) const final {
-    std::unordered_map<std::uint64_t, double> busy;
-    std::vector<PathLink> links;
-    double makespan = 0.0;
-    for (const auto& [src, dst] : edges) {
-      links.clear();
-      const double fixed = append_path(src, dst, links);
-      double t = 0.0;
-      if (links.empty()) {
-        t = static_cast<double>(bytes_per_edge) / cfg_.beta_bytes_per_second;
-      } else {
-        for (const PathLink& l : links) {
-          double& next_free = busy[l.id];
-          t = std::max(t, next_free) + static_cast<double>(bytes_per_edge) / l.bandwidth;
-          next_free = t;
-        }
-      }
-      makespan = std::max(makespan, t + fixed);
+  double arrival_vtime(int src, int dst, std::size_t bytes, double depart_vtime) final {
+    const int src_node = node_of(src);
+    const int dst_node = node_of(dst);
+    if (src_node == dst_node) {
+      // Same node: memory-speed exchange, modeled as an uncontended flat hop.
+      return depart_vtime + cfg_.alpha_seconds +
+             static_cast<double>(bytes) / cfg_.beta_bytes_per_second;
     }
-    return makespan;
+    std::lock_guard<std::mutex> lock(mu_);
+    path_.clear();  // keeps its capacity: no allocation per message
+    append_path(src_node, dst_node, path_);
+    double t = depart_vtime;
+    for (const PathLink& l : path_) t = traverse_locked(l.id, l.bandwidth, t, bytes);
+    // Every link on the path is one switch hop (NIC injection and ejection
+    // included).
+    const int hops = static_cast<int>(path_.size());
+    return t + cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
   }
 
  protected:
@@ -82,19 +65,9 @@ class ContentionModel : public NetworkModel {
     double bandwidth;
   };
 
-  /// Appends the ordered links a src→dst payload crosses and returns the
-  /// fixed latency term (alpha + hops · hop_latency).  An intra-node
-  /// transfer appends nothing; its memory-speed byte cost is bytes/beta on
-  /// top of the fixed term.
-  virtual double append_path(int src, int dst, std::vector<PathLink>& out) const = 0;
-
-  double path_bytes_seconds(const std::vector<PathLink>& links, std::size_t bytes) const {
-    const double b = static_cast<double>(bytes);
-    if (links.empty()) return b / cfg_.beta_bytes_per_second;
-    double t = 0.0;
-    for (const PathLink& l : links) t += b / l.bandwidth;  // store-and-forward
-    return t;
-  }
+  /// Appends, in order, the links a payload from `src_node` to a different
+  /// `dst_node` crosses.
+  virtual void append_path(int src_node, int dst_node, std::vector<PathLink>& out) const = 0;
 
   /// Link id namespaces (kind in the top bits, entity index below).
   enum class LinkKind : std::uint64_t {
@@ -110,6 +83,9 @@ class ContentionModel : public NetworkModel {
     return (static_cast<std::uint64_t>(kind) << 56) | index;
   }
 
+ private:
+  int node_of(int rank) const { return rank / std::max(1, cfg_.ranks_per_node); }
+
   /// Occupies `link` for bytes/bandwidth starting no earlier than `t`;
   /// returns when the transfer clears the link.  Caller holds mu_.
   double traverse_locked(std::uint64_t link, double bandwidth, double t, std::size_t bytes) {
@@ -120,10 +96,9 @@ class ContentionModel : public NetworkModel {
     return done;
   }
 
-  int node_of(int rank) const { return rank / std::max(1, cfg_.ranks_per_node); }
-
   std::mutex mu_;
-  std::unordered_map<std::uint64_t, double> link_next_free_;
+  std::unordered_map<std::uint64_t, double> link_next_free_;  ///< guarded by mu_
+  std::vector<PathLink> path_;                                ///< guarded by mu_
 };
 
 /// Fat tree: ranks on nodes, nodes under edge switches (pods), pods under
@@ -136,54 +111,19 @@ class FatTreeModel final : public ContentionModel {
   using ContentionModel::ContentionModel;
   const char* name() const override { return "fattree"; }
 
-  double arrival_vtime(int src, int dst, std::size_t bytes, double depart_vtime) override {
-    const int src_node = node_of(src);
-    const int dst_node = node_of(dst);
-    if (src_node == dst_node) {
-      // Same node: memory-speed exchange, modeled as an uncontended flat hop.
-      return depart_vtime + cfg_.alpha_seconds +
-             static_cast<double>(bytes) / cfg_.beta_bytes_per_second;
-    }
+ protected:
+  void append_path(int src_node, int dst_node, std::vector<PathLink>& out) const override {
     const int npe = std::max(1, cfg_.nodes_per_edge);
     const int src_pod = src_node / npe;
     const int dst_pod = dst_node / npe;
     const double beta = cfg_.beta_bytes_per_second;
     const double up_bw = beta * cfg_.uplink_bandwidth_factor;
-    std::lock_guard<std::mutex> lock(mu_);
-    double t = traverse_locked(link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)),
-                               beta, depart_vtime, bytes);
-    int hops = 2;  // NIC -> edge, edge -> NIC
-    if (src_pod != dst_pod) {
-      t = traverse_locked(link_id(LinkKind::kEdgeUp, static_cast<std::uint64_t>(src_pod)), up_bw,
-                          t, bytes);
-      t = traverse_locked(link_id(LinkKind::kEdgeDown, static_cast<std::uint64_t>(dst_pod)),
-                          up_bw, t, bytes);
-      hops += 2;  // edge -> core, core -> edge
-    }
-    t = traverse_locked(link_id(LinkKind::kNodeDown, static_cast<std::uint64_t>(dst_node)), beta,
-                        t, bytes);
-    return t + cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
-  }
-
- protected:
-  double append_path(int src, int dst, std::vector<PathLink>& out) const override {
-    const int src_node = node_of(src);
-    const int dst_node = node_of(dst);
-    if (src_node == dst_node) return cfg_.alpha_seconds;
-    const int npe = std::max(1, cfg_.nodes_per_edge);
-    const double beta = cfg_.beta_bytes_per_second;
-    const double up_bw = beta * cfg_.uplink_bandwidth_factor;
     out.push_back({link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)), beta});
-    int hops = 2;
-    if (src_node / npe != dst_node / npe) {
-      out.push_back(
-          {link_id(LinkKind::kEdgeUp, static_cast<std::uint64_t>(src_node / npe)), up_bw});
-      out.push_back(
-          {link_id(LinkKind::kEdgeDown, static_cast<std::uint64_t>(dst_node / npe)), up_bw});
-      hops += 2;
+    if (src_pod != dst_pod) {
+      out.push_back({link_id(LinkKind::kEdgeUp, static_cast<std::uint64_t>(src_pod)), up_bw});
+      out.push_back({link_id(LinkKind::kEdgeDown, static_cast<std::uint64_t>(dst_pod)), up_bw});
     }
     out.push_back({link_id(LinkKind::kNodeDown, static_cast<std::uint64_t>(dst_node)), beta});
-    return cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
   }
 };
 
@@ -194,55 +134,22 @@ class DragonflyModel final : public ContentionModel {
   using ContentionModel::ContentionModel;
   const char* name() const override { return "dragonfly"; }
 
-  double arrival_vtime(int src, int dst, std::size_t bytes, double depart_vtime) override {
-    const int src_node = node_of(src);
-    const int dst_node = node_of(dst);
-    if (src_node == dst_node) {
-      return depart_vtime + cfg_.alpha_seconds +
-             static_cast<double>(bytes) / cfg_.beta_bytes_per_second;
-    }
-    const int npg = std::max(1, cfg_.nodes_per_group);
-    const int src_group = src_node / npg;
-    const int dst_group = dst_node / npg;
-    const double beta = cfg_.beta_bytes_per_second;
-    std::lock_guard<std::mutex> lock(mu_);
-    double t = traverse_locked(link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)),
-                               beta, depart_vtime, bytes);
-    int hops = 2;
-    if (src_group != dst_group) {
-      // One global link per unordered group pair: all traffic between the
-      // two groups shares it, whichever direction it flows.
-      const std::uint64_t lo = static_cast<std::uint64_t>(std::min(src_group, dst_group));
-      const std::uint64_t hi = static_cast<std::uint64_t>(std::max(src_group, dst_group));
-      t = traverse_locked(link_id(LinkKind::kGlobal, (lo << 24) | hi),
-                          beta * cfg_.global_bandwidth_factor, t, bytes);
-      hops += 1;
-    }
-    t = traverse_locked(link_id(LinkKind::kNodeDown, static_cast<std::uint64_t>(dst_node)), beta,
-                        t, bytes);
-    return t + cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
-  }
-
  protected:
-  double append_path(int src, int dst, std::vector<PathLink>& out) const override {
-    const int src_node = node_of(src);
-    const int dst_node = node_of(dst);
-    if (src_node == dst_node) return cfg_.alpha_seconds;
+  void append_path(int src_node, int dst_node, std::vector<PathLink>& out) const override {
     const int npg = std::max(1, cfg_.nodes_per_group);
     const int src_group = src_node / npg;
     const int dst_group = dst_node / npg;
     const double beta = cfg_.beta_bytes_per_second;
     out.push_back({link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)), beta});
-    int hops = 2;
     if (src_group != dst_group) {
+      // One global link per unordered group pair: all traffic between the
+      // two groups shares it, whichever direction it flows.
       const std::uint64_t lo = static_cast<std::uint64_t>(std::min(src_group, dst_group));
       const std::uint64_t hi = static_cast<std::uint64_t>(std::max(src_group, dst_group));
       out.push_back(
           {link_id(LinkKind::kGlobal, (lo << 24) | hi), beta * cfg_.global_bandwidth_factor});
-      hops += 1;
     }
     out.push_back({link_id(LinkKind::kNodeDown, static_cast<std::uint64_t>(dst_node)), beta});
-    return cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
   }
 };
 
@@ -257,45 +164,8 @@ class TorusModel final : public ContentionModel {
   using ContentionModel::ContentionModel;
   const char* name() const override { return "torus"; }
 
-  double arrival_vtime(int src, int dst, std::size_t bytes, double depart_vtime) override {
-    const int src_node = node_of(src);
-    const int dst_node = node_of(dst);
-    const double beta = cfg_.beta_bytes_per_second;
-    if (src_node == dst_node) {
-      return depart_vtime + cfg_.alpha_seconds + static_cast<double>(bytes) / beta;
-    }
-    int cur[3];
-    int dst_c[3];
-    coords(src_node, cur);
-    coords(dst_node, dst_c);
-    const int extent[3] = {dim(0), dim(1), dim(2)};
-    std::lock_guard<std::mutex> lock(mu_);
-    double t = traverse_locked(link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)),
-                               beta, depart_vtime, bytes);
-    int hops = 2;  // NIC injection + ejection
-    for (int d = 0; d < 3; ++d) {
-      while (cur[d] != dst_c[d]) {
-        const int step = step_dir(cur[d], dst_c[d], extent[d]);
-        const int node = node_at(cur);
-        // dir encodes (dimension, sign): 2d for +, 2d+1 for -.
-        const std::uint64_t dir = static_cast<std::uint64_t>(2 * d + (step > 0 ? 0 : 1));
-        t = traverse_locked(
-            link_id(LinkKind::kTorus, (static_cast<std::uint64_t>(node) << 3) | dir), beta, t,
-            bytes);
-        cur[d] = wrap(cur[d] + step, extent[d]);
-        ++hops;
-      }
-    }
-    t = traverse_locked(link_id(LinkKind::kNodeDown, static_cast<std::uint64_t>(dst_node)), beta,
-                        t, bytes);
-    return t + cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
-  }
-
  protected:
-  double append_path(int src, int dst, std::vector<PathLink>& out) const override {
-    const int src_node = node_of(src);
-    const int dst_node = node_of(dst);
-    if (src_node == dst_node) return cfg_.alpha_seconds;
+  void append_path(int src_node, int dst_node, std::vector<PathLink>& out) const override {
     const double beta = cfg_.beta_bytes_per_second;
     int cur[3];
     int dst_c[3];
@@ -303,20 +173,18 @@ class TorusModel final : public ContentionModel {
     coords(dst_node, dst_c);
     const int extent[3] = {dim(0), dim(1), dim(2)};
     out.push_back({link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)), beta});
-    int hops = 2;
     for (int d = 0; d < 3; ++d) {
       while (cur[d] != dst_c[d]) {
         const int step = step_dir(cur[d], dst_c[d], extent[d]);
         const int node = node_at(cur);
+        // dir encodes (dimension, sign): 2d for +, 2d+1 for -.
         const std::uint64_t dir = static_cast<std::uint64_t>(2 * d + (step > 0 ? 0 : 1));
         out.push_back(
             {link_id(LinkKind::kTorus, (static_cast<std::uint64_t>(node) << 3) | dir), beta});
         cur[d] = wrap(cur[d] + step, extent[d]);
-        ++hops;
       }
     }
     out.push_back({link_id(LinkKind::kNodeDown, static_cast<std::uint64_t>(dst_node)), beta});
-    return cfg_.alpha_seconds + hops * cfg_.hop_latency_seconds;
   }
 
  private:
@@ -341,25 +209,9 @@ class TorusModel final : public ContentionModel {
     const int fwd = wrap(to - from, extent);
     return fwd <= extent - fwd ? +1 : -1;
   }
-
-  static int ring_distance(int a, int b, int extent) {
-    const int fwd = wrap(b - a, extent);
-    return std::min(fwd, extent - fwd);
-  }
 };
 
 }  // namespace
-
-double NetworkModel::estimate_round_seconds(const std::vector<std::pair<int, int>>& edges,
-                                            std::size_t bytes_per_edge) const {
-  // Edge-disjoint links (the flat model's truth): the round finishes with
-  // its slowest member.  Topology models override with a scratch replay.
-  double worst = 0.0;
-  for (const auto& [src, dst] : edges) {
-    worst = std::max(worst, estimate_seconds(src, dst, bytes_per_edge));
-  }
-  return worst;
-}
 
 NetworkConfig NetworkConfig::from_env() {
   NetworkConfig cfg;

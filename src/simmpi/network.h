@@ -48,7 +48,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace smart::simmpi {
 
@@ -124,27 +123,6 @@ class NetworkModel {
   /// Virtual arrival time of `bytes` sent from world rank `src` to world
   /// rank `dst`, departing at the sender's virtual time `depart_vtime`.
   virtual double arrival_vtime(int src, int dst, std::size_t bytes, double depart_vtime) = 0;
-
-  /// Contention-free transfer-time *estimate* for `bytes` from `src` to
-  /// `dst` — the same per-link latency/bandwidth sums arrival_vtime charges,
-  /// but without touching (or observing) shared link-occupancy state.  This
-  /// is the planning primitive: every rank evaluating the same (src, dst,
-  /// bytes) gets the same answer regardless of in-flight traffic, which is
-  /// what lets CollectivePlanner pick an algorithm deterministically across
-  /// ranks without a consensus round.
-  virtual double estimate_seconds(int src, int dst, std::size_t bytes) const = 0;
-
-  /// Makespan estimate for one collective *round*: every (src, dst) edge
-  /// fires concurrently from an idle network, each shipping
-  /// `bytes_per_edge`.  The base implementation assumes edge-disjoint
-  /// links — the flat model's truth — and returns the worst single edge.
-  /// Topology models override it to replay the edges over scratch link
-  /// state, so edges sharing a physical link (two ring neighbors crossing
-  /// the same tapered group link, say) serialize in the estimate exactly
-  /// as they would in arrival_vtime.  Deterministic for a fixed edge
-  /// order; like estimate_seconds it never observes live occupancy.
-  virtual double estimate_round_seconds(const std::vector<std::pair<int, int>>& edges,
-                                        std::size_t bytes_per_edge) const;
 
  protected:
   NetworkConfig cfg_;

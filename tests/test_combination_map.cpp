@@ -1,8 +1,8 @@
 // Tests for the flat CombinationMap class and the v2 interned-type wire
 // codec: std::map-equivalent semantics and iteration order, dense-slot
 // caching, typed errors for non-v2 payloads and checkpoints, a seeded
-// mutation pass over the decoders, segment-index byte equality, and exact
-// local combination across runs.
+// mutation pass over the decoders, and exact local combination across
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -406,75 +406,6 @@ TEST(WireV2, MutatedPayloadsDecodeOrThrowNeverCrash) {
   // the header check.
   EXPECT_GT(decoded, 0);
   EXPECT_GT(threw, 0);
-}
-
-// --- segment index ----------------------------------------------------------
-
-TEST(SegmentIndex, ByteIdenticalToStandaloneSegmentSerializer) {
-  const auto map = bucket_map({{-5, 1}, {-2, 2}, {0, 3}, {3, 4}, {4, 5}, {11, 6}});
-  const int nseg = 4;
-  MapSegmentIndex index;
-  index.build(map, nseg);
-  for (int s = 0; s < nseg; ++s) {
-    Buffer standalone;
-    const std::size_t n_standalone = serialize_map_segment(map, s, nseg, standalone);
-    Buffer indexed;
-    const std::size_t n_indexed = index.serialize_segment(map, s, indexed);
-    EXPECT_EQ(n_indexed, n_standalone) << "segment " << s;
-    EXPECT_EQ(indexed, standalone) << "segment " << s;
-  }
-}
-
-TEST(SegmentIndex, AbsorbExtendsIndexWithNewKeys) {
-  auto map = bucket_map({{0, 1}, {4, 2}});
-  const int nseg = 2;
-  MapSegmentIndex index;
-  index.build(map, nseg);
-
-  // A peer's segment-0 payload carrying one existing and two new keys.
-  const auto peer = bucket_map({{-2, 10}, {4, 20}, {6, 30}});
-  Buffer wire;
-  serialize_map_segment(peer, /*segment=*/0, nseg, wire);
-  Reader r(wire);
-  EXPECT_EQ(index.absorb_segment(r, map, bucket_merge(), /*segment=*/0), 3u);
-  EXPECT_EQ(count_of(map, -2), 10u);
-  EXPECT_EQ(count_of(map, 4), 22u);
-  EXPECT_EQ(count_of(map, 6), 30u);
-
-  // Post-absorb, the indexed segment serializer sees the inserted keys
-  // and still matches the standalone walk byte for byte.
-  Buffer standalone;
-  serialize_map_segment(map, 0, nseg, standalone);
-  Buffer indexed;
-  index.serialize_segment(map, 0, indexed);
-  EXPECT_EQ(indexed, standalone);
-}
-
-TEST(SegmentIndex, AbsorbedNewTypeIsInterned) {
-  auto map = bucket_map({{0, 1}});
-  const int nseg = 1;
-  MapSegmentIndex index;
-  index.build(map, nseg);
-
-  // Peer payload introduces a type the local map had never held.
-  analytics::register_red_objs();
-  CombinationMap peer;
-  auto grid = std::make_unique<GridObj>();
-  grid->sum = 1.5;
-  grid->count = 1;
-  peer.emplace(2, std::move(grid));
-  Buffer wire;
-  serialize_map(peer, wire);
-  Reader r(wire);
-  index.absorb_segment(r, map, bucket_merge(), /*segment=*/0);
-
-  // Serializing the segment must intern GridObj instead of crashing or
-  // emitting a dangling index; the payload round-trips.
-  Buffer out;
-  index.serialize_segment(map, 0, out);
-  const CombinationMap restored = deserialize_map(out);
-  ASSERT_EQ(restored.size(), 2u);
-  EXPECT_DOUBLE_EQ(static_cast<const GridObj&>(*restored.at(2)).sum, 1.5);
 }
 
 // --- local combination -----------------------------------------------------

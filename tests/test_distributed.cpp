@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedRanks, ::testing::Values(1, 2, 3
 // serialize at every tree hop) with MapCombiner.  These tests pin down the
 // two promises: (1) the codec invariant — at most one full-map serialize
 // and one full-map deserialize per rank per combination round; (2) results
-// identical to the legacy path, bit-exact for the default tree algorithm.
+// identical to the legacy path, bit-exact.
 
 /// Exposes the protected merge() so tests can drive combination algorithms
 /// directly over an app's reduction objects.
@@ -209,22 +209,14 @@ Buffer legacy_allreduce(simmpi::Communicator& comm, Buffer local, const MergeFn&
   return Buffer(out.data(), out.data() + out.size());
 }
 
-std::vector<int> map_keys(const CombinationMap& map) {
-  std::vector<int> keys;
-  for (const auto& [key, obj] : map) keys.push_back(key);
-  return keys;
-}
-
 /// Runs `app` on this rank's partition with global combination off, then
-/// combines the per-rank snapshots three ways — legacy Buffer-lambda, new
-/// tree, new ring — and cross-checks.  The tree must be bit-exact against
-/// legacy (same binomial schedule, same merge order); the ring merges in a
-/// different deterministic order, so it is byte-compared only when the
-/// app's merge is exact (integer accumulators), and key-compared otherwise.
+/// combines the per-rank snapshots two ways — legacy Buffer-lambda and
+/// MapCombiner's tree — and cross-checks.  The tree must be bit-exact
+/// against legacy (same binomial schedule, same merge order).
 template <class App>
 void check_combination_equivalence(simmpi::Communicator& comm, ExposeMerge<App>& app,
                                    const std::vector<double>& data, std::size_t align,
-                                   bool multi_key, bool exact_merge) {
+                                   bool multi_key) {
   app.set_global_combination(false);
   const auto [offset, len] = partition(data.size(), comm.size(), comm.rank(), align);
   if (multi_key) {
@@ -238,38 +230,20 @@ void check_combination_equivalence(simmpi::Communicator& comm, ExposeMerge<App>&
   const Buffer legacy = legacy_allreduce(comm, Buffer(local), merge);
 
   CombinationMap tree_map = deserialize_map(local);
-  MapCombiner tree(MapCombiner::Algorithm::kTree);
+  MapCombiner tree;
   const MapCombineStats ts = tree.allreduce(comm, tree_map, merge);
   Buffer tree_bytes;
   serialize_map(tree_map, tree_bytes);
   EXPECT_EQ(tree_bytes, legacy) << "tree result differs from legacy on rank " << comm.rank();
   EXPECT_LE(ts.map_serializes, 1u);
   EXPECT_LE(ts.map_deserializes, 1u);
-  EXPECT_FALSE(ts.used_ring);
-
-  CombinationMap ring_map = deserialize_map(local);
-  MapCombiner ring(MapCombiner::Algorithm::kRing);
-  const MapCombineStats rs = ring.allreduce(comm, ring_map, merge);
-  EXPECT_EQ(map_keys(ring_map), map_keys(deserialize_map(legacy)))
-      << "ring key set differs on rank " << comm.rank();
-  if (exact_merge) {
-    Buffer ring_bytes;
-    serialize_map(ring_map, ring_bytes);
-    EXPECT_EQ(ring_bytes, legacy) << "ring result differs from legacy on rank " << comm.rank();
-  }
-  if (comm.size() > 1) {
-    EXPECT_EQ(rs.used_ring, comm.size() > 1);
-    // The ring never codecs the whole map in one pass.
-    EXPECT_EQ(rs.map_serializes, 0u);
-    EXPECT_EQ(rs.map_deserializes, 0u);
-  }
 }
 
 TEST_P(DistributedRanks, CombinationEquivalenceHistogram) {
   const auto data = uniform_data(5000, 71);
   simmpi::launch(GetParam(), [&](simmpi::Communicator& comm) {
     ExposeMerge<Histogram<double>> app(SchedArgs(2, 1), 0.0, 100.0, 24);
-    check_combination_equivalence(comm, app, data, 1, /*multi_key=*/false, /*exact=*/true);
+    check_combination_equivalence(comm, app, data, 1, /*multi_key=*/false);
   });
 }
 
@@ -281,7 +255,7 @@ TEST_P(DistributedRanks, CombinationEquivalenceKMeans) {
   simmpi::launch(GetParam(), [&](simmpi::Communicator& comm) {
     KMeansInit seed{init.data(), k, dims};
     ExposeMerge<KMeans<double>> app(SchedArgs(2, dims, &seed), k, dims);
-    check_combination_equivalence(comm, app, data, dims, /*multi_key=*/false, /*exact=*/false);
+    check_combination_equivalence(comm, app, data, dims, /*multi_key=*/false);
   });
 }
 
@@ -290,7 +264,7 @@ TEST_P(DistributedRanks, CombinationEquivalenceLogisticRegression) {
   const auto data = uniform_data(1200 * (dim + 1), 73);
   simmpi::launch(GetParam(), [&](simmpi::Communicator& comm) {
     ExposeMerge<LogisticRegression<double>> app(SchedArgs(2, dim + 1), dim, 0.3);
-    check_combination_equivalence(comm, app, data, dim + 1, /*multi_key=*/false, /*exact=*/false);
+    check_combination_equivalence(comm, app, data, dim + 1, /*multi_key=*/false);
   });
 }
 
@@ -298,7 +272,7 @@ TEST_P(DistributedRanks, CombinationEquivalenceMutualInformation) {
   const auto data = uniform_data(4000, 74);
   simmpi::launch(GetParam(), [&](simmpi::Communicator& comm) {
     ExposeMerge<MutualInformation<double>> app(SchedArgs(2, 2), 0.0, 100.0, 12, 12);
-    check_combination_equivalence(comm, app, data, 2, /*multi_key=*/false, /*exact=*/true);
+    check_combination_equivalence(comm, app, data, 2, /*multi_key=*/false);
   });
 }
 
@@ -309,7 +283,7 @@ TEST_P(DistributedRanks, CombinationEquivalenceMovingAverage) {
     RunOptions opts;
     opts.enable_trigger = false;
     ExposeMerge<MovingAverage<double>> app(SchedArgs(2, 1), 5, opts);
-    check_combination_equivalence(comm, app, data, 1, /*multi_key=*/true, /*exact=*/false);
+    check_combination_equivalence(comm, app, data, 1, /*multi_key=*/true);
   });
 }
 
@@ -357,42 +331,6 @@ TEST_P(DistributedRanks, SinglePassCodecInvariantIterative) {
       EXPECT_LE(s.map_serializes, s.global_combinations);
       EXPECT_LE(s.map_deserializes, s.global_combinations);
     }
-  });
-}
-
-TEST_P(DistributedRanks, RingForcedKMeansMatchesReference) {
-  const int nranks = GetParam();
-  const std::size_t dims = 4, k = 8, n = 3000;
-  const int iters = 10;
-  const auto data = uniform_data(n * dims, 62);
-  std::vector<double> init(k * dims);
-  for (std::size_t i = 0; i < init.size(); ++i) init[i] = static_cast<double>((i * 37) % 100);
-  const auto expected = ref::kmeans(data.data(), n, dims, k, iters, init);
-
-  simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
-    const auto [offset, len] = partition(data.size(), comm.size(), comm.rank(), dims);
-    KMeansInit seed{init.data(), k, dims};
-    KMeans<double> km(SchedArgs(2, dims, &seed, iters), k, dims);
-    km.set_combination_algorithm(MapCombiner::Algorithm::kRing);
-    km.run(data.data() + offset, len, nullptr, 0);
-    const auto got = km.centroids();
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_NEAR(got[i], expected[i], 1e-8) << "rank " << comm.rank() << " i=" << i;
-    }
-  });
-}
-
-TEST_P(DistributedRanks, RingForcedHistogramExact) {
-  const int nranks = GetParam();
-  const auto data = uniform_data(9000, 78);
-  const auto expected = ref::histogram(data.data(), data.size(), 0.0, 100.0, 32);
-  simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
-    const auto [offset, len] = partition(data.size(), comm.size(), comm.rank(), 1);
-    Histogram<double> hist(SchedArgs(2, 1), 0.0, 100.0, 32);
-    hist.set_combination_algorithm(MapCombiner::Algorithm::kRing);
-    std::vector<std::size_t> out(32, 0);
-    hist.run(data.data() + offset, len, out.data(), out.size());
-    EXPECT_EQ(out, expected) << "rank " << comm.rank();
   });
 }
 

@@ -1,9 +1,14 @@
 // Observability subsystem tests: JSON escaping, Chrome-trace export, flow
 // pairing across simmpi ranks, the rank-0 gathers (including a dead rank),
-// metric semantics, the RunStats dumpers, and the per-phase CSV export.
+// metric semantics, the RunStats dumpers, the per-phase CSV export, and the
+// SMART_TRACE / SMART_CRITPATH / SMART_METRICS at-exit dumps.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <latch>
 #include <optional>
@@ -684,6 +689,56 @@ TEST(PhaseCsv, QuotesSpecialCharacters) {
     ASSERT_EQ(rows[i].size(), 5u) << "row " << i;
     EXPECT_EQ(rows[i][0], events[i - 1].name);
   }
+}
+
+// --- zero-code-change env hooks -------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+TEST(EnvHooks, ArmedHooksWriteCompleteFilesAtExit) {
+  // The hooks read SMART_TRACE / SMART_CRITPATH / SMART_METRICS during
+  // static initialization, so the run happens in a child: a "threadsafe"
+  // death test re-executes this binary, and the child inherits the
+  // environment set here.  It leaves through exit(0), which runs the
+  // at-exit dump.
+  const std::string base = "/tmp/smart_test_env_hooks_" + std::to_string(::getpid());
+  const std::string trace_path = base + "_trace.json";
+  const std::string critpath_path = base + "_critpath.txt";
+  const std::string metrics_path = base + "_metrics.json";
+  ::setenv("SMART_TRACE", trace_path.c_str(), 1);
+  ::setenv("SMART_CRITPATH", critpath_path.c_str(), 1);
+  ::setenv("SMART_METRICS", metrics_path.c_str(), 1);
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        simmpi::launch(2, [](simmpi::Communicator& comm) {
+          std::vector<double> data(4096, 0.25 * comm.rank());
+          analytics::Histogram<double> hist(SchedArgs(2, 1), 0.0, 1.0, 16);
+          hist.run(data.data(), data.size(), nullptr, 0);
+        });
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = style;
+  ::unsetenv("SMART_TRACE");
+  ::unsetenv("SMART_CRITPATH");
+  ::unsetenv("SMART_METRICS");
+
+  const std::string metrics = slurp(metrics_path);
+  EXPECT_TRUE(MiniJson(metrics).valid()) << metrics;
+  EXPECT_NE(metrics.find("\"smart.runs\""), std::string::npos) << metrics;
+  obs::ChromeTrace trace;
+  std::string error;
+  EXPECT_TRUE(obs::read_chrome_trace_file(trace_path, trace, &error)) << error;
+  EXPECT_FALSE(trace.events.empty());
+  EXPECT_NE(slurp(critpath_path).find("critical-path report"), std::string::npos);
+  for (const auto& path : {trace_path, critpath_path, metrics_path}) std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // replay policies over a ScheduleController) and asserts the invariants the
 // transport and runtime promise regardless of delivery interleaving:
 //
-//   * results are schedule-independent (tree == ring == serial combination),
+//   * results are schedule-independent (tree == fault-tolerant == serial
+//     combination),
 //   * recovery under injected faults equals the fault-free result,
 //   * obs flow events pair exactly (every send's flow has one receive),
 //   * per-lane virtual arrival time never regresses,
@@ -31,7 +32,6 @@
 #include "analytics/reference.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "core/map_combiner.h"
 #include "core/scheduler.h"
 #include "obs/trace.h"
 #include "simmpi/fault.h"
@@ -60,8 +60,8 @@ std::vector<double> uniform_data(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Integer payloads so cross-algorithm comparisons are exact (double
-/// summation order differs between tree and ring by design).
+/// Integer payloads so comparisons against the serial sum are exact (a
+/// double sum's rounding depends on its order).
 std::vector<std::int64_t> rank_payload(const prop::ExploreCase& c, int rank, int round) {
   Rng rng(derive_seed(c.data_seed, static_cast<std::uint64_t>(rank) * 1000 +
                                        static_cast<std::uint64_t>(round)));
@@ -266,20 +266,26 @@ TEST(ScheduleExplore, HistogramCombinationMatchesReferenceAcrossSchedules) {
       analytics::ref::histogram(data.data(), slab * static_cast<std::size_t>(n), 0.0, 100.0, 32);
   const int schedules = std::min(prop::explore_schedules(), 4);
   for (int s = 0; s < schedules; ++s) {
-    for (const auto algo : {MapCombiner::Algorithm::kTree, MapCombiner::Algorithm::kRing}) {
+    // Tree, then the fault-tolerant round (timed reduce + root fan-out)
+    // with no faults injected, so explored schedules cover both shapes.
+    for (const bool fault_tolerant : {false, true}) {
       auto sched = prop::make_explorer("random", 40 + static_cast<std::uint64_t>(s));
       simmpi::launch(
           n,
           [&](Communicator& comm) {
             Histogram<double> hist(SchedArgs(2, 1), 0.0, 100.0, 32);
-            hist.set_combination_algorithm(algo);
+            if (fault_tolerant) {
+              RecoveryPolicy policy;
+              policy.peer_timeout_seconds = 10.0;
+              hist.set_recovery_policy(policy);
+            }
             std::vector<std::size_t> out(32, 0);
             hist.run(data.data() + static_cast<std::size_t>(comm.rank()) * slab, slab, out.data(),
                      out.size());
             EXPECT_EQ(out, expected)
                 << "rank " << comm.rank() << " seed " << s
-                << (algo == MapCombiner::Algorithm::kTree ? " tree; " : " ring; ")
-                << prop::replay_hint(*sched);
+                << (fault_tolerant ? " fault-tolerant; " : " tree; ") << prop::replay_hint(*sched);
+            EXPECT_EQ(hist.stats().combine_retries, 0u) << "rank " << comm.rank();
           },
           nullptr, nullptr, sched);
     }

@@ -1,6 +1,6 @@
 // Tests for the single-pass combination wave: Writer buffer-reuse
-// primitives (position/patch/reserve), MapCombiner segment helpers and
-// algorithm consensus, vector allreduce degenerate lengths, and
+// primitives (position/patch/reserve), map absorb, MapCombiner's tree and
+// fault-tolerant rounds, vector allreduce degenerate lengths, and
 // CircularBuffer close semantics.
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ TEST(Writer, ReserveKeepsContents) {
   EXPECT_EQ(r.read<std::uint32_t>(), 6u);
 }
 
-// --- map segment helpers and absorb ----------------------------------------
+// --- map absorb ------------------------------------------------------------
 
 CombinationMap bucket_map(const std::vector<std::pair<int, std::size_t>>& entries) {
   analytics::register_red_objs();
@@ -89,30 +89,7 @@ std::size_t count_of(const CombinationMap& map, int key) {
   return static_cast<const analytics::Bucket&>(*map.at(key)).count;
 }
 
-TEST(MapSegments, FloorModuloCoversNegativeKeys) {
-  EXPECT_EQ(map_segment_of(0, 4), 0);
-  EXPECT_EQ(map_segment_of(5, 4), 1);
-  EXPECT_EQ(map_segment_of(-1, 4), 3);
-  EXPECT_EQ(map_segment_of(-4, 4), 0);
-}
-
-TEST(MapSegments, SegmentsPartitionTheMap) {
-  const auto map = bucket_map({{-2, 1}, {0, 2}, {1, 3}, {5, 4}, {9, 5}});
-  const int nseg = 3;
-  std::size_t restored_entries = 0;
-  CombinationMap restored;
-  for (int s = 0; s < nseg; ++s) {
-    Buffer seg;
-    serialize_map_segment(map, s, nseg, seg);
-    Reader r(seg);
-    restored_entries += absorb_serialized_map(r, restored, bucket_merge());
-  }
-  EXPECT_EQ(restored_entries, map.size());  // every entry lands in exactly one segment
-  ASSERT_EQ(restored.size(), map.size());
-  for (const auto& [key, obj] : map) EXPECT_EQ(count_of(restored, key), count_of(map, key));
-}
-
-TEST(AbsorbSerializedMap, MergesExistingAndReplacesWhenAsked) {
+TEST(AbsorbSerializedMap, MergesExistingAndInsertsNew) {
   const auto src = bucket_map({{1, 10}, {2, 20}});
   Buffer wire;
   serialize_map(src, wire);
@@ -124,119 +101,68 @@ TEST(AbsorbSerializedMap, MergesExistingAndReplacesWhenAsked) {
   EXPECT_EQ(count_of(merged, 1), 11u);
   EXPECT_EQ(count_of(merged, 2), 20u);
   EXPECT_EQ(count_of(merged, 3), 3u);
-
-  auto replaced = bucket_map({{1, 1}, {3, 3}});
-  Reader r2(wire);
-  absorb_serialized_map(r2, replaced, bucket_merge(), /*replace_existing=*/true);
-  EXPECT_EQ(count_of(replaced, 1), 10u);  // overwritten, not summed
-  EXPECT_EQ(count_of(replaced, 3), 3u);
 }
 
 // --- MapCombiner ------------------------------------------------------------
 
-TEST(MapCombiner, AutoConsensusSurvivesUnevenLocalMaps) {
-  // Rank footprints straddle the crossover: without the scalar consensus,
-  // ranks would pick different algorithms and deadlock or corrupt state.
-  const int nranks = 4;
-  simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
-    std::vector<std::pair<int, std::size_t>> entries;
-    // Rank r contributes keys 0..(50*(r+1))-1 — very different map sizes.
-    for (int key = 0; key < 50 * (comm.rank() + 1); ++key) {
-      entries.emplace_back(key, static_cast<std::size_t>(comm.rank() + 1));
-    }
-    auto map = bucket_map(entries);
-    MapCombiner combiner(MapCombiner::Algorithm::kAuto, /*ring_crossover_bytes=*/1);
-    combiner.allreduce(comm, map, bucket_merge());
+MergeFn cluster_merge() {
+  return [](const RedObj& red, std::unique_ptr<RedObj>& com) {
+    auto& dst = static_cast<analytics::ClusterObj&>(*com);
+    const auto& src = static_cast<const analytics::ClusterObj&>(red);
+    dst.sum[0] += src.sum[0];
+    dst.size += src.size;
+  };
+}
 
-    // Every rank ends with the identical global map.
-    ASSERT_EQ(map.size(), 200u);
-    for (int key = 0; key < 200; ++key) {
-      std::size_t expected = 0;
-      for (int r = 0; r < nranks; ++r) {
-        if (key < 50 * (r + 1)) expected += static_cast<std::size_t>(r + 1);
+TEST(MapCombiner, FaultTolerantRoundMatchesTreeResult) {
+  // The fault-tolerant round (timed binomial reduce to rank 0, then the
+  // root's shared result sent to every peer) runs the tree's reduction, so
+  // its global map must equal a tree round's byte for byte — including
+  // double sums whose rounding depends on the merge order.
+  simmpi::launch(5, [&](simmpi::Communicator& comm) {
+    const auto local_map = [&] {
+      analytics::register_red_objs();
+      CombinationMap map;
+      for (int key = 0; key < 3; ++key) {
+        auto obj = std::make_unique<analytics::ClusterObj>();
+        obj->sum = {(comm.rank() % 2 == 0 ? 1e16 : -1e16) + 0.3 * (comm.rank() + key)};
+        obj->size = 1;
+        obj->set_key(key);
+        map.emplace(key, std::move(obj));
       }
-      ASSERT_EQ(count_of(map, key), expected) << "rank " << comm.rank() << " key " << key;
-    }
-  });
-}
+      return map;
+    };
+    CombinationMap tree_map = local_map();
+    MapCombiner tree;
+    EXPECT_STREQ(tree.allreduce(comm, tree_map, cluster_merge()).algorithm, "tree");
 
-TEST(MapCombiner, TwoRankAutoStaysOnTree) {
-  simmpi::launch(2, [&](simmpi::Communicator& comm) {
-    auto map = bucket_map({{comm.rank(), 1}});
-    MapCombiner combiner(MapCombiner::Algorithm::kAuto, /*ring_crossover_bytes=*/1);
-    const auto stats = combiner.allreduce(comm, map, bucket_merge());
-    EXPECT_FALSE(stats.used_ring);  // a 2-rank "ring" is just a worse tree
-    EXPECT_EQ(map.size(), 2u);
-  });
-}
+    CombinationMap ft_map = local_map();
+    MapCombiner ft;
+    ft.begin_recovery_round();
+    const auto stats = ft.allreduce(comm, ft_map, cluster_merge(), /*peer_timeout_seconds=*/10.0);
+    EXPECT_STREQ(stats.algorithm, "ft_tree");
 
-TEST(MapCombiner, RingHandlesFewerKeysThanRanks) {
-  // 5 ranks, 2 distinct keys: most ring segments are empty every step.
-  simmpi::launch(5, [&](simmpi::Communicator& comm) {
-    auto map = bucket_map({{0, 1}, {1, static_cast<std::size_t>(comm.rank())}});
-    MapCombiner combiner(MapCombiner::Algorithm::kRing);
-    combiner.allreduce(comm, map, bucket_merge());
-    ASSERT_EQ(map.size(), 2u);
-    EXPECT_EQ(count_of(map, 0), 5u);
-    EXPECT_EQ(count_of(map, 1), 0u + 1 + 2 + 3 + 4);
+    Buffer tree_bytes;
+    Buffer ft_bytes;
+    serialize_map(tree_map, tree_bytes);
+    serialize_map(ft_map, ft_bytes);
+    EXPECT_EQ(ft_bytes, tree_bytes) << "rank " << comm.rank();
+    ASSERT_EQ(ft_map.size(), 3u);
+    EXPECT_EQ(static_cast<const analytics::ClusterObj&>(*ft_map.at(0)).size, 5u);
   });
-}
-
-TEST(MapCombiner, DirectMatchesTreeResult) {
-  // Forced direct: binomial reduce to rank 0, then a shared-result
-  // fan-out.  The merge schedule is bit-identical to the tree's, so the
-  // global map must match what the other algorithms produce.
-  simmpi::launch(5, [&](simmpi::Communicator& comm) {
-    auto map = bucket_map({{comm.rank(), 1}, {99, 2}});
-    MapCombiner combiner(MapCombiner::Algorithm::kDirect);
-    const auto stats = combiner.allreduce(comm, map, bucket_merge());
-    EXPECT_STREQ(stats.algorithm, "direct");
-    EXPECT_FALSE(stats.used_ring);
-    ASSERT_EQ(map.size(), 6u);
-    for (int r = 0; r < 5; ++r) EXPECT_EQ(count_of(map, r), 1u);
-    EXPECT_EQ(count_of(map, 99), 10u);
-  });
-}
-
-TEST(MapCombiner, AutoPlansRingOnTorusForLargeMaps) {
-  // Above the codec crossover floor, auto defers to CollectivePlanner.
-  // On a 1D torus every ring edge is a one-hop neighbor link shipping
-  // bytes/n, while tree strides pay multi-hop paths at the full payload —
-  // the planner must pick the ring, and every rank must agree on it.
-  simmpi::NetworkConfig cfg;
-  cfg.model = "torus";
-  cfg.ranks_per_node = 1;
-  cfg.torus_x = 4;
-  cfg.torus_y = 1;
-  cfg.torus_z = 1;
-  const int nranks = 4;
-  simmpi::launch(
-      nranks,
-      [&](simmpi::Communicator& comm) {
-        std::vector<std::pair<int, std::size_t>> entries;
-        for (int key = 0; key < 8000; ++key) {
-          entries.emplace_back(key, static_cast<std::size_t>(comm.rank() + 1));
-        }
-        auto map = bucket_map(entries);
-        MapCombiner combiner(MapCombiner::Algorithm::kAuto);
-        const auto stats = combiner.allreduce(comm, map, bucket_merge());
-        EXPECT_STREQ(stats.algorithm, "ring");
-        EXPECT_TRUE(stats.used_ring);
-        ASSERT_EQ(map.size(), 8000u);
-        ASSERT_EQ(count_of(map, 0), 1u + 2 + 3 + 4);
-      },
-      cfg);
 }
 
 TEST(MapCombiner, EmptyMapsCombineToEmpty) {
   simmpi::launch(3, [&](simmpi::Communicator& comm) {
     CombinationMap map;
-    MapCombiner combiner(MapCombiner::Algorithm::kRing);
-    combiner.allreduce(comm, map, bucket_merge());
+    MapCombiner tree;
+    EXPECT_STREQ(tree.allreduce(comm, map, bucket_merge()).algorithm, "tree");
     EXPECT_TRUE(map.empty());
     CombinationMap map2;
-    MapCombiner tree(MapCombiner::Algorithm::kTree);
-    tree.allreduce(comm, map2, bucket_merge());
+    MapCombiner ft;
+    ft.begin_recovery_round();
+    const auto stats = ft.allreduce(comm, map2, bucket_merge(), /*peer_timeout_seconds=*/10.0);
+    EXPECT_STREQ(stats.algorithm, "ft_tree");
     EXPECT_TRUE(map2.empty());
   });
 }
