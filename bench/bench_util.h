@@ -11,6 +11,7 @@
 // alongside wall time.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -55,6 +56,31 @@ inline void print_run_stats(const std::string& tag, const RunStats& stats) {
   std::cout << "RUNSTATS " << tag << " ";
   stats.dump_json(std::cout);
   std::cout << "\n";
+}
+
+/// Summary of one experiment leg run several times.
+struct Repeated {
+  double min = 0.0;     ///< the stable estimator the tables compare
+  double median = 0.0;
+  double spread = 0.0;  ///< (max - min) / median
+};
+
+/// Runs `leg` (returning one measurement, e.g. a virtual makespan) `reps`
+/// times.  Virtual makespans are a max over per-rank CPU clocks, which
+/// amplifies scheduler noise when many ranks share few physical cores, so
+/// a single run is not a measurement: tables compare the minimum and print
+/// the median and spread beside it.
+template <typename Fn>
+Repeated repeat(const Fn& leg, int reps = 3) {
+  std::vector<double> runs;
+  for (int r = 0; r < std::max(reps, 1); ++r) runs.push_back(leg());
+  std::sort(runs.begin(), runs.end());
+  const std::size_t n = runs.size();
+  Repeated out;
+  out.min = runs.front();
+  out.median = n % 2 == 1 ? runs[n / 2] : 0.5 * (runs[n / 2 - 1] + runs[n / 2]);
+  out.spread = out.median > 0.0 ? (runs.back() - runs.front()) / out.median : 0.0;
+  return out;
 }
 
 /// Resets the process-wide memory tracker between experiment legs.

@@ -25,19 +25,9 @@ constexpr std::size_t kLogRegDim = 15;
 constexpr int kThreadsPerRank = 2;
 
 struct Pair {
-  double smart_makespan = 0.0;
-  double lowlevel_makespan = 0.0;
+  bench::Repeated smart;
+  bench::Repeated lowlevel;
 };
-
-/// Virtual makespans are a max over per-rank CPU clocks, which amplifies
-/// scheduler noise when many ranks share few physical cores; the minimum
-/// of a few repetitions is the stable estimator.
-template <typename Fn>
-double best_of(const Fn& fn, int reps = 3) {
-  double best = fn();
-  for (int r = 1; r < reps; ++r) best = std::min(best, fn());
-  return best;
-}
 
 Pair bench_kmeans(const std::vector<double>& data, int nranks) {
   std::vector<double> init(kK * kDims);
@@ -50,7 +40,7 @@ Pair bench_kmeans(const std::vector<double>& data, int nranks) {
                                                per * kDims};
   };
   Pair out;
-  out.smart_makespan = best_of([&] {
+  out.smart = bench::repeat([&] {
     return simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
       const auto [offset, len] = part(comm.rank());
       KMeansInit seed{init.data(), kK, kDims};
@@ -58,7 +48,7 @@ Pair bench_kmeans(const std::vector<double>& data, int nranks) {
       km.run(data.data() + offset, len, nullptr, 0);
     }).makespan();
   });
-  out.lowlevel_makespan = best_of([&] {
+  out.lowlevel = bench::repeat([&] {
     return simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
       const auto [offset, len] = part(comm.rank());
       ThreadPool pool(kThreadsPerRank);
@@ -78,7 +68,7 @@ Pair bench_logreg(const std::vector<double>& data, int nranks) {
                                                per * stride};
   };
   Pair out;
-  out.smart_makespan = best_of([&] {
+  out.smart = bench::repeat([&] {
     return simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
       const auto [offset, len] = part(comm.rank());
       LogisticRegression<double> reg(SchedArgs(kThreadsPerRank, stride, nullptr, kIters),
@@ -86,7 +76,7 @@ Pair bench_logreg(const std::vector<double>& data, int nranks) {
       reg.run(data.data() + offset, len, nullptr, 0);
     }).makespan();
   });
-  out.lowlevel_makespan = best_of([&] {
+  out.lowlevel = bench::repeat([&] {
     return simmpi::launch(nranks, [&](simmpi::Communicator& comm) {
       const auto [offset, len] = part(comm.rank());
       ThreadPool pool(kThreadsPerRank);
@@ -109,26 +99,23 @@ int main() {
   smart::Rng rng(32);
   const auto data = rng.gaussian_vector(n_doubles);
 
-  smart::Table table({"app", "ranks", "smart_makespan_s", "lowlevel_makespan_s",
+  // Each leg runs 3 times; the overhead compares the minima.
+  smart::Table table({"app", "ranks", "smart_min_s", "smart_median_s", "smart_spread",
+                      "lowlevel_min_s", "lowlevel_median_s", "lowlevel_spread",
                       "smart_overhead_pct"});
-  for (const int nranks : {2, 4, 8, 16}) {
-    const Pair km = bench_kmeans(data, nranks);
+  auto add_row = [&](const char* app, int nranks, const Pair& pair) {
     table.begin_row();
-    table.add("kmeans");
+    table.add(app);
     table.add(nranks);
-    table.add(km.smart_makespan, 4);
-    table.add(km.lowlevel_makespan, 4);
-    table.add(100.0 * (km.smart_makespan / km.lowlevel_makespan - 1.0), 1);
-  }
-  for (const int nranks : {2, 4, 8, 16}) {
-    const Pair lr = bench_logreg(data, nranks);
-    table.begin_row();
-    table.add("logreg");
-    table.add(nranks);
-    table.add(lr.smart_makespan, 4);
-    table.add(lr.lowlevel_makespan, 4);
-    table.add(100.0 * (lr.smart_makespan / lr.lowlevel_makespan - 1.0), 1);
-  }
+    for (const auto* leg : {&pair.smart, &pair.lowlevel}) {
+      table.add(leg->min, 4);
+      table.add(leg->median, 4);
+      table.add(leg->spread, 3);
+    }
+    table.add(100.0 * (pair.smart.min / pair.lowlevel.min - 1.0), 1);
+  };
+  for (const int nranks : {2, 4, 8, 16}) add_row("kmeans", nranks, bench_kmeans(data, nranks));
+  for (const int nranks : {2, 4, 8, 16}) add_row("logreg", nranks, bench_logreg(data, nranks));
   smart::bench::finish(table, "fig06", "Smart vs low-level implementations");
   std::cout << "Expectation (paper shape): smart_overhead_pct small (paper: <= ~9% for\n"
                "k-means, unnoticeable for logistic regression), not growing out of control\n"

@@ -231,18 +231,28 @@ fi
 
 echo "== tier-1: kernel vectorization probe =="
 # The batched kernels only pay off if the compiler actually vectorizes
-# them.  Compile the probe TU with vectorizer diagnostics on and assert at
-# least one "loop vectorized" report — a libm call, loop-carried dependence,
-# or aliasing hazard reintroduced into batch_kernels.h fails here instead of
-# surfacing weeks later as a bench diff.
+# them.  Compile the probe TU with vectorizer diagnostics on and assert a
+# "loop vectorized" report on every loop batch_kernels.h marks with
+# `// vec-probe: must vectorize` (the bucketing loops and both dim loops of
+# the generic nearest-centroid kernel) — a libm call, an early exit,
+# loop-carried dependence, or aliasing hazard reintroduced into one of them
+# fails here instead of surfacing weeks later as a bench diff.
 vec_log="$repo/build/check_vec_probe.log"
+kernels_h="$repo/src/analytics/batch_kernels.h"
 g++ -O3 -std=c++20 -I"$repo/src" -fopt-info-vec-optimized \
   -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe.o" \
   2> "$vec_log"
-grep -q "vectorized" "$vec_log" \
-  || { echo "batched histogram kernel no longer vectorizes:" >&2; \
-       cat "$vec_log" >&2; exit 1; }
-echo "   vec probe ok: $(grep -c 'vectorized' "$vec_log") vectorized loop report(s)"
+# Marked lines are code lines ending in the marker, not comments naming it.
+probe_lines=$(grep -nE '^[[:space:]]*[^/[:space:]].*// vec-probe: must vectorize' "$kernels_h" \
+  | cut -d: -f1 || true)
+[[ -n "$probe_lines" ]] \
+  || { echo "no vec-probe markers in $kernels_h" >&2; exit 1; }
+for line in $probe_lines; do
+  grep -q "batch_kernels\.h:$line:[0-9]*: optimized: loop vectorized" "$vec_log" \
+    || { echo "batch_kernels.h:$line: marked loop no longer vectorizes:" >&2; \
+         sed -n "${line}p" "$kernels_h" >&2; cat "$vec_log" >&2; exit 1; }
+done
+echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized"
 
 echo "== native: build + test with SMART_NATIVE=ON =="
 # One pass of the batched-kernel exactness properties and a bench smoke with

@@ -6,16 +6,31 @@
 //     batched and scalar paths literally cannot diverge, which is what the
 //     bit-for-bit exactness property tests pin down; and
 //   * a standalone TU (scripts/vec_probe.cpp) can compile just these loops
-//     with -fopt-info-vec and assert that the compiler actually vectorizes
-//     them (check.sh's SMART_NATIVE pass).
+//     with -fopt-info-vec, and check.sh can assert that the compiler
+//     vectorizes every loop marked `// vec-probe: must vectorize`.
 //
 // Exactness contract: every kernel preserves the scalar accumulation order.
 // SIMD lanes come only from *independent* streams — per-element bucket
-// keys, per-dimension k-means sums, per-centroid distance accumulators —
-// never from reassociating one floating-point reduction chain.  That rules
-// out horizontal-sum tricks on `sum += x[i]`, and it is why the summary
+// keys, per-dimension k-means sums, other points' distance chains — never
+// from reassociating one floating-point reduction chain.  That rules out
+// horizontal-sum tricks on `sum += x[i]`, and it is why the summary
 // moments keep a scalar dependency chain while min/max and the squared
 // terms still vectorize.
+//
+// Nearest-centroid assignment has two shapes.  The fixed widths d in
+// {2, 3, 4, 8} unroll the dim loop, exit a centroid as soon as its
+// distance prefix can no longer win (monotone early exit) and seed each
+// 4-point block with the previous block's winner; at d = 4, k = 8 the
+// exits are worth 15-25% of BM_BatchedAccumulate/kmeans.  Every other
+// width takes a branch-free blocked kernel with neither: a per-dim exit
+// test is control flow in the dim loop, which stops GCC vectorizing it,
+// and at d = 64 (Fig 5, Fig 6, perfbench kmeans_d64) that loop left
+// Smart's k-means step 1.8x as long as the hand-written one.  Routing
+// d = 64 through the fixed widths' exit-and-seed blocked scan lost too
+// (+27-46% Fig 6 overhead, against -17..+17% for the plain loop with its
+// exit deleted); the branch-free blocked kernel brings kmeans_d64's
+// lowlevel_ratio to 0.81-0.90.  (GCC 12, baseline x86-64, shared 4-CPU
+// Xeon; DESIGN.md §4.8.)
 #pragma once
 
 #include <cmath>
@@ -40,12 +55,12 @@ inline void histogram_keys(const In* x, std::size_t n, std::size_t stride, doubl
                            double width, int num_buckets, int* keys) {
   const double hi = static_cast<double>(num_buckets);
   if (stride == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {  // vec-probe: must vectorize
       const double q = (static_cast<double>(x[i]) - min) / width;
       keys[i] = q >= hi ? num_buckets - 1 : (q > 0.0 ? static_cast<int>(q) : 0);
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {  // vec-probe: must vectorize
       const double q = (static_cast<double>(x[i * stride]) - min) / width;
       keys[i] = q >= hi ? num_buckets - 1 : (q > 0.0 ? static_cast<int>(q) : 0);
     }
@@ -168,11 +183,87 @@ inline void nearest_centroids_fixed(const T* pts, std::size_t n, const double* c
   }
 }
 
+/// Generic-width assignment, blocked 4 points at a time like
+/// nearest_centroids_fixed but with no early exit and no seeding: every
+/// centroid row is scanned to the end for every point.  The four distance
+/// chains are independent, so they interleave in the add pipeline, and at
+/// -O3 the compiler vectorizes the dim loop: the subtractions and squares
+/// go two doubles to a vector, and each chain's adds stay in scalar dim
+/// order.  The argmin is a branch-free select: strict <, scanned in index
+/// order, so the lowest index wins ties exactly as in the reference scan.
+///
+/// Leftover points (n % 4, and the n = 1 calls from KMeans::gen_key) take
+/// the same loop for one point, which sums each distance in the same order
+/// — batched and scalar keys are bit-identical.  No exit test goes in
+/// either dim loop (see the file comment): check.sh fails the build if one
+/// stops vectorizing.
+template <class T>
+inline void nearest_centroids_blocked(const T* pts, std::size_t n, std::size_t dims,
+                                      const double* centroids, std::size_t k, int* keys) {
+  constexpr double kFar = std::numeric_limits<double>::max();
+  std::size_t p = 0;
+  for (; p + 4 <= n; p += 4) {
+    const T* p0 = pts + p * dims;
+    const T* p1 = p0 + dims;
+    const T* p2 = p1 + dims;
+    const T* p3 = p2 + dims;
+    double best0 = kFar, best1 = kFar, best2 = kFar, best3 = kFar;
+    int key0 = 0, key1 = 0, key2 = 0, key3 = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* centroid = centroids + c * dims;
+      double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+      for (std::size_t d = 0; d < dims; ++d) {  // vec-probe: must vectorize
+        const double ce = centroid[d];
+        const double e0 = static_cast<double>(p0[d]) - ce;
+        const double e1 = static_cast<double>(p1[d]) - ce;
+        const double e2 = static_cast<double>(p2[d]) - ce;
+        const double e3 = static_cast<double>(p3[d]) - ce;
+        d0 += e0 * e0;
+        d1 += e1 * e1;
+        d2 += e2 * e2;
+        d3 += e3 * e3;
+      }
+      const int key = static_cast<int>(c);
+      const bool win0 = d0 < best0, win1 = d1 < best1, win2 = d2 < best2, win3 = d3 < best3;
+      key0 = win0 ? key : key0;
+      key1 = win1 ? key : key1;
+      key2 = win2 ? key : key2;
+      key3 = win3 ? key : key3;
+      best0 = win0 ? d0 : best0;
+      best1 = win1 ? d1 : best1;
+      best2 = win2 ? d2 : best2;
+      best3 = win3 ? d3 : best3;
+    }
+    keys[p + 0] = key0;
+    keys[p + 1] = key1;
+    keys[p + 2] = key2;
+    keys[p + 3] = key3;
+  }
+  for (; p < n; ++p) {
+    const T* p0 = pts + p * dims;
+    double best0 = kFar;
+    int key0 = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* centroid = centroids + c * dims;
+      double d0 = 0.0;
+      for (std::size_t d = 0; d < dims; ++d) {  // vec-probe: must vectorize
+        const double e0 = static_cast<double>(p0[d]) - centroid[d];
+        d0 += e0 * e0;
+      }
+      const bool win0 = d0 < best0;
+      key0 = win0 ? static_cast<int>(c) : key0;
+      best0 = win0 ? d0 : best0;
+    }
+    keys[p] = key0;
+  }
+}
+
 }  // namespace detail
 
 /// Nearest-centroid assignment for n dims-length points (row-major).
 /// Common feature widths dispatch to a fixed-dims specialization whose
-/// distance loop fully unrolls; anything else takes the generic loop.
+/// distance loop fully unrolls; anything else takes the blocked generic
+/// kernel.
 template <class T>
 inline void nearest_centroids(const T* pts, std::size_t n, std::size_t dims,
                               const double* centroids, std::size_t k, int* keys) {
@@ -181,26 +272,7 @@ inline void nearest_centroids(const T* pts, std::size_t n, std::size_t dims,
     case 3: detail::nearest_centroids_fixed<T, 3>(pts, n, centroids, k, keys); return;
     case 4: detail::nearest_centroids_fixed<T, 4>(pts, n, centroids, k, keys); return;
     case 8: detail::nearest_centroids_fixed<T, 8>(pts, n, centroids, k, keys); return;
-    default: break;
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    const T* pt = pts + p * dims;
-    int best_key = 0;
-    double best = std::numeric_limits<double>::max();
-    for (std::size_t c = 0; c < k; ++c) {
-      const double* centroid = centroids + c * dims;
-      double dist = 0.0;
-      for (std::size_t d = 0; d < dims; ++d) {
-        const double diff = static_cast<double>(pt[d]) - centroid[d];
-        dist += diff * diff;
-        if (dist >= best) break;  // monotone early exit, argmin unchanged
-      }
-      if (dist < best) {
-        best = dist;
-        best_key = static_cast<int>(c);
-      }
-    }
-    keys[p] = best_key;
+    default: detail::nearest_centroids_blocked(pts, n, dims, centroids, k, keys); return;
   }
 }
 

@@ -135,9 +135,9 @@ class BufferPool {
       return out;
     }
     auto& lists = free_lists();
-    const std::size_t cls = class_of(min_capacity < kMinPooledCapacity
-                                         ? kMinPooledCapacity
-                                         : round_up_pow2(min_capacity));
+    const std::size_t class_capacity =
+        min_capacity < kMinPooledCapacity ? kMinPooledCapacity : round_up_pow2(min_capacity);
+    const std::size_t cls = class_of(class_capacity);
     lists.last_use[cls] = ++lists.tick;
     if (!lists.per_class[cls].empty()) {
       Buffer out = std::move(lists.per_class[cls].back());
@@ -157,9 +157,11 @@ class BufferPool {
       counters().resizes.fetch_add(1, std::memory_order_relaxed);
     }
     Buffer out;
-    // Round tiny requests up to the poolable minimum so the allocation can
-    // be retained when it comes back through release().
-    out.reserve(min_capacity < kMinPooledCapacity ? kMinPooledCapacity : min_capacity);
+    // Reserve the whole class capacity, not just the request: release()
+    // files a buffer by floor-log2 of its capacity, so an exact reserve of
+    // a non-power-of-two size would land one class below the one this
+    // acquire looks in, and the same request would never hit.
+    out.reserve(class_capacity);
     return out;
   }
 

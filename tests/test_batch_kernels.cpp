@@ -113,51 +113,76 @@ int ref_nearest(const double* pt, std::size_t dims, const double* centroids, std
   return best_key;
 }
 
-TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
-  Rng rng(903);
-  for (const std::size_t dims : {2u, 3u, 4u, 8u, 5u}) {  // 5 exercises the generic path
+// The batched keys must equal both the per-point keys (n = 1, the
+// KMeans::gen_key call) and the reference scan over the same points
+// widened to double.
+template <class T>
+void expect_keys_match_reference(const std::vector<T>& pts, std::size_t dims,
+                                 const std::vector<double>& centroids, std::size_t k) {
+  const std::size_t n = pts.size() / dims;
+  std::vector<int> keys(n);
+  kernels::nearest_centroids(pts.data(), n, dims, centroids.data(), k, keys.data());
+  std::vector<double> pt(dims);
+  for (std::size_t p = 0; p < n; ++p) {
+    int single = -1;
+    kernels::nearest_centroids(pts.data() + p * dims, 1, dims, centroids.data(), k, &single);
+    for (std::size_t d = 0; d < dims; ++d) pt[d] = static_cast<double>(pts[p * dims + d]);
+    const int want = ref_nearest(pt.data(), dims, centroids.data(), k);
+    ASSERT_EQ(keys[p], want) << "dims=" << dims << " k=" << k << " n=" << n << " p=" << p;
+    ASSERT_EQ(single, want) << "dims=" << dims << " k=" << k << " n=" << n << " p=" << p;
+  }
+}
+
+template <class T>
+void check_random_points(Rng& rng) {
+  // 2/3/4/8 take the fixed-dims kernels; 1 (heat3d_kmeans), 5, 64 (fig05,
+  // fig06, perfbench kmeans_d64) and 65 take the generic blocked kernel.
+  for (const std::size_t dims : {2u, 3u, 4u, 8u, 1u, 5u, 64u, 65u}) {
     for (const std::size_t k : {1u, 2u, 7u}) {
-      const std::size_t n = 403;  // not a multiple of 4: blocked body + tail
-      std::vector<double> pts(n * dims), centroids(k * dims);
-      for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
-      for (auto& v : pts) v = rng.uniform(-5.0, 5.0);
-      std::vector<int> keys(n);
-      kernels::nearest_centroids(pts.data(), n, dims, centroids.data(), k, keys.data());
-      for (std::size_t p = 0; p < n; ++p) {
-        ASSERT_EQ(keys[p], ref_nearest(pts.data() + p * dims, dims, centroids.data(), k))
-            << "dims=" << dims << " k=" << k << " p=" << p;
+      for (const std::size_t n : {401u, 402u, 403u}) {  // n % 4 = 1, 2, 3: blocks + tail
+        std::vector<double> centroids(k * dims);
+        std::vector<T> pts(n * dims);
+        for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
+        for (auto& v : pts) v = static_cast<T>(rng.uniform(-5.0, 5.0));
+        expect_keys_match_reference(pts, dims, centroids, k);
       }
     }
   }
 }
 
-TEST(NearestCentroids, TiesBreakToLowestIndexDespiteHintSeeding) {
-  // Duplicate centroids (every point ties across indices 0/2) and points
-  // exactly midway between two distinct centroids: the run-aware hint can
-  // seed the scan at any index, so only the full lowest-index tie rule
-  // keeps the result equal to the reference scan.
-  const std::size_t dims = 4;
-  const std::vector<double> centroids = {
-      0.0, 0.0, 0.0, 0.0,  // c0
-      2.0, 0.0, 0.0, 0.0,  // c1
-      0.0, 0.0, 0.0, 0.0,  // c2 == c0
-  };
+TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
+  Rng rng(903);
+  check_random_points<double>(rng);
+  check_random_points<float>(rng);
+}
+
+// Duplicate centroids (every point ties across indices 0/2) and points
+// exactly midway between two distinct centroids, padded with zeros to
+// `dims`: the run-aware hint of the fixed-dims kernels can seed the scan at
+// any index, and the generic kernel's select must keep the first of equal
+// distances, so only the full lowest-index tie rule keeps the result equal
+// to the reference scan.
+template <class T>
+void check_ties(std::size_t dims, std::size_t n) {
+  std::vector<double> centroids(3 * dims, 0.0);  // c0 = 0, c1 = 2 e0, c2 = c0
+  centroids[1 * dims] = 2.0;
   const std::size_t k = 3;
-  std::vector<double> pts;
-  for (int i = 0; i < 29; ++i) {
-    if (i % 3 == 0) {
-      pts.insert(pts.end(), {1.0, 0.0, 0.0, 0.0});  // midway c0/c1 -> key 0
-    } else if (i % 3 == 1) {
-      pts.insert(pts.end(), {2.1, 0.0, 0.0, 0.0});  // nearest c1 -> key 1
-    } else {
-      pts.insert(pts.end(), {-0.5, 0.0, 0.0, 0.0});  // ties c0/c2 -> key 0
-    }
+  std::vector<T> pts(n * dims, T{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lead = i % 3 == 0 ? 1.0    // midway c0/c1 -> key 0
+                        : i % 3 == 1 ? 2.1  // nearest c1 -> key 1
+                                     : -0.5;  // ties c0/c2 -> key 0
+    pts[i * dims] = static_cast<T>(lead);
   }
-  const std::size_t n = pts.size() / dims;
-  std::vector<int> keys(n);
-  kernels::nearest_centroids(pts.data(), n, dims, centroids.data(), k, keys.data());
-  for (std::size_t p = 0; p < n; ++p) {
-    ASSERT_EQ(keys[p], ref_nearest(pts.data() + p * dims, dims, centroids.data(), k)) << p;
+  expect_keys_match_reference(pts, dims, centroids, k);
+}
+
+TEST(NearestCentroids, TiesBreakToLowestIndexDespiteHintSeeding) {
+  for (const std::size_t dims : {4u, 1u, 5u, 64u, 65u}) {
+    for (const std::size_t n : {29u, 30u, 31u}) {
+      check_ties<double>(dims, n);
+      check_ties<float>(dims, n);
+    }
   }
 }
 

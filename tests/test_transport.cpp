@@ -327,6 +327,26 @@ TEST(TransportBufferPool, PooledBufferAlwaysCoversRequest) {
   BufferPool::drain_thread_cache();
 }
 
+TEST(TransportBufferPool, SteadyNonPowerOfTwoLoopHitsAfterFirstAcquire) {
+  // Message sizes are rarely powers of two.  A steady loop at one such
+  // size must recycle its buffer: only the first acquire may miss.
+  for (const std::size_t size : {std::size_t{300}, std::size_t{8472}}) {
+    BufferPool::drain_thread_cache();
+    const auto t0 = BufferPool::totals();
+    constexpr int kRounds = 100;
+    for (int i = 0; i < kRounds; ++i) {
+      Buffer b = BufferPool::acquire(size);
+      ASSERT_GE(b.capacity(), size);
+      b.resize(size);
+      BufferPool::release(std::move(b));
+    }
+    const auto t1 = BufferPool::totals();
+    EXPECT_EQ(t1.misses - t0.misses, 1u) << "size=" << size;
+    EXPECT_EQ(t1.hits - t0.hits, static_cast<std::uint64_t>(kRounds - 1)) << "size=" << size;
+  }
+  BufferPool::drain_thread_cache();
+}
+
 TEST(TransportBufferPool, RetentionIsBounded) {
   BufferPool::drain_thread_cache();
   for (std::size_t i = 0; i < BufferPool::kMaxPerClass + 5; ++i) {
