@@ -9,10 +9,12 @@
 # The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
-# The TSan half rebuilds test_threading and test_space_sharing in a separate
-# build tree (build-tsan/) with -DSMART_SANITIZE=thread and runs them; the
-# runtime is thread-heavy (thread pool, circular buffer, simmpi mailboxes),
-# so data races are the bug class worth a dedicated pass.
+# The TSan half rebuilds seven test binaries in a separate build tree
+# (build-tsan/) with -DSMART_SANITIZE=thread and runs them: test_threading,
+# test_space_sharing, test_obs, test_combination_map, test_transport,
+# test_batch_kernels and test_critpath.  The runtime is thread-heavy (thread
+# pool, circular buffer, simmpi mailboxes), so data races are the bug class
+# worth a dedicated pass.
 #
 # The ASan half rebuilds every test in build-asan/ with
 # -DSMART_SANITIZE=address, which arms ASan and UBSan together (any UBSan
@@ -270,12 +272,12 @@ cmake --build "$repo/build-native" -j "$jobs" \
 echo "   native pass ok"
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== tsan: build test_threading + test_space_sharing + test_obs + test_combination_map + test_transport + test_batch_kernels =="
+  echo "== tsan: build test_threading + test_space_sharing + test_obs + test_combination_map + test_transport + test_batch_kernels + test_critpath =="
   cmake -B "$repo/build-tsan" -S "$repo" -DSMART_SANITIZE=thread \
     -DSMART_BUILD_BENCHES=OFF -DSMART_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-tsan" -j "$jobs" \
     --target test_threading test_space_sharing test_obs test_combination_map \
-             test_transport test_batch_kernels
+             test_transport test_batch_kernels test_critpath
 
   echo "== tsan: run =="
   TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_threading"
@@ -284,6 +286,7 @@ if [[ "$run_tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_combination_map"
   TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_transport"
   TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_batch_kernels"
+  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_critpath"
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -34,15 +34,26 @@ class MovingMedian : public Scheduler<In, double> {
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {
-    if (!red_obj) {
-      auto obj = std::make_unique<WinMedianObj>();
-      obj->window = clipped_window_size(static_cast<std::size_t>(this->current_key()),
-                                        this->total_len(), window_);
-      obj->elems.reserve(obj->window);
-      red_obj = std::move(obj);
-    }
+    if (!red_obj) red_obj = new_window();
     static_cast<WinMedianObj&>(*red_obj).elems.push_back(
         static_cast<double>(data[chunk.start]));
+  }
+
+  /// Appends a whole run of consecutive elements in one insert.  With
+  /// stop_after_trigger the run stops where the window fills, since
+  /// trigger() fires at elems.size() == window.
+  std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
+                               std::unique_ptr<RedObj>& red_obj,
+                               bool stop_after_trigger) override {
+    if (!red_obj) red_obj = new_window();
+    auto& med = static_cast<WinMedianObj&>(*red_obj);
+    std::size_t n = batch.count;
+    if (stop_after_trigger && med.window > med.elems.size()) {
+      n = std::min(n, med.window - med.elems.size());
+    }
+    const In* first = data + batch.start;  // chunk_size 1: chunk i is element start + i
+    med.elems.insert(med.elems.end(), first, first + n);
+    return n;
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {
@@ -56,6 +67,16 @@ class MovingMedian : public Scheduler<In, double> {
   }
 
  private:
+  /// A fresh object for the window centered at the current key, clipped
+  /// at the partition boundary.
+  std::unique_ptr<RedObj> new_window() const {
+    auto obj = std::make_unique<WinMedianObj>();
+    obj->window = clipped_window_size(static_cast<std::size_t>(this->current_key()),
+                                      this->total_len(), window_);
+    obj->elems.reserve(obj->window);
+    return obj;
+  }
+
   std::size_t window_;
 };
 

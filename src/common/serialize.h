@@ -426,20 +426,6 @@ class Writer {
     out_.insert(out_.end(), p, p + n);
   }
 
-  /// Current end-of-buffer offset; pass to patch() to overwrite a
-  /// placeholder written earlier (e.g. a count known only after a scan).
-  std::size_t position() const { return out_.size(); }
-
-  /// Overwrites bytes previously written at `pos` (no growth).
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  void patch(std::size_t pos, const T& value) {
-    if (pos + sizeof(T) > out_.size()) {
-      throw std::out_of_range("smart::Writer: patch past end of buffer");
-    }
-    std::memcpy(out_.data() + pos, &value, sizeof(T));
-  }
-
   /// Grows the wrapped buffer's capacity ahead of a burst of writes.
   void reserve(std::size_t additional) { out_.reserve(out_.size() + additional); }
 

@@ -170,20 +170,6 @@ class CombinationMap {
   bool contains(int key) const { return lookup(key) != npos; }
   std::size_t count(int key) const { return contains(key) ? 1 : 0; }
 
-  /// Software-prefetches the head of `key`'s probe sequence.  The
-  /// multi-key reduction path issues one of these for every key a chunk
-  /// generates before accumulating the first, so the bucket cache lines
-  /// stream in while earlier keys are still being processed.  Purely a
-  /// hint: no bucket is read, nothing is inserted.
-  void prefetch(int key) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (buckets_.empty()) return;
-    __builtin_prefetch(&buckets_[bucket_of(key, buckets_.size() - 1)]);
-#else
-    (void)key;
-#endif
-  }
-
   std::unique_ptr<RedObj>& at(int key) {
     const std::size_t i = lookup(key);
     if (i == npos) throw_missing(key);

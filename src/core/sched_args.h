@@ -54,16 +54,19 @@ struct RunOptions {
   /// the test environment.
   bool pin_threads = false;
 
-  /// Chunks per batch on the batched reduction path: the scheduler
-  /// computes keys for up to this many consecutive full chunks at once
-  /// (gen_keys_batch), detects runs of equal keys, and accumulates each
-  /// run through one accumulate_batch call — hoisting the map lookup and
-  /// the virtual dispatch out of the per-chunk loop and letting the
-  /// numeric apps' kernels vectorize.  0 or 1 disables batching (the
-  /// legacy chunk-at-a-time path); the multi-key (run2) path always stays
-  /// chunk-at-a-time.  Results are bit-identical either way: default
-  /// batch implementations replay the scalar path, and the app kernels
-  /// preserve scalar accumulation order (see DESIGN.md §4.8).
+  /// Chunks per batch on the batched reduction path, for run() and run2()
+  /// alike: the scheduler keys up to this many consecutive full chunks at
+  /// once and accumulates each run of consecutive chunks that share a key
+  /// through one accumulate_batch call — hoisting the map lookup and the
+  /// virtual dispatch out of the per-chunk loop and letting the numeric
+  /// apps' kernels vectorize.  run() finds runs of equal keys in one
+  /// gen_keys_batch call; run2() counting-sorts the batch's (key, chunk)
+  /// pairs by key, so a window object is looked up once per batch rather
+  /// than once per element.  0 or 1 disables batching (the chunk-at-a-time
+  /// path).  Results are bit-identical either way: every object receives
+  /// its chunks in the same order, default batch implementations replay
+  /// the scalar path, and the app kernels preserve scalar accumulation
+  /// order (see DESIGN.md §4.8).
   std::size_t batch_chunks = 64;
 
   /// Cells in the space-sharing circular buffer (paper Figure 4).

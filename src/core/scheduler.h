@@ -54,8 +54,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -247,15 +249,15 @@ class Scheduler {
 
   // --- batch-granular API (the batched reduction path; DESIGN.md §4.8) ----
   // The scheduler walks full chunks in batches of RunOptions::batch_chunks:
-  // keys for the whole batch first (gen_keys_batch), then one
-  // accumulate_batch call per *run* of consecutive equal keys, with the map
-  // lookup hoisted out of the loop.  The defaults below replay the
-  // per-chunk virtuals, so every app is batch-correct by construction;
-  // the numeric apps override them with vectorizable kernels
-  // (analytics/batch_kernels.h).  Overrides must preserve the scalar
-  // path's accumulation order bit-for-bit — lane-parallelism may come from
-  // independent dimensions/centroids/keys, never from reassociating a
-  // floating-point reduction chain.
+  // keys for the whole batch first (gen_keys_batch for run(), gen_keys per
+  // chunk for run2()), then one accumulate_batch call per *run* of
+  // consecutive chunks that share a key, with the map lookup hoisted out of
+  // the loop.  The defaults below replay the per-chunk virtuals, so every
+  // app is batch-correct by construction; the numeric apps override them
+  // with vectorizable kernels (analytics/batch_kernels.h).  Overrides must
+  // preserve the scalar path's accumulation order bit-for-bit —
+  // lane-parallelism may come from independent dimensions/centroids/keys,
+  // never from reassociating a floating-point reduction chain.
 
   /// Writes one key per chunk of `batch` into keys[0..batch.count).
   virtual void gen_keys_batch(const ChunkBatch& batch, const In* data, int* keys,
@@ -266,7 +268,8 @@ class Scheduler {
   }
 
   /// Accumulates a run of `batch.count` consecutive chunks that all map to
-  /// one key into `red_obj`; returns the number of chunks consumed (>= 1).
+  /// one key into `red_obj`; returns the number of chunks consumed, from 1
+  /// to batch.count (any other value raises std::logic_error).
   /// When `stop_after_trigger` is set, implementations whose reduction
   /// object can trigger() must stop right after the chunk that makes
   /// trigger() true and return the count consumed so far — the runtime
@@ -468,17 +471,28 @@ class Scheduler {
   /// Walks num_chunks full chunks plus, when tail_len > 0, one short final
   /// chunk of tail_len elements at offset num_chunks * chunk_size.
   ///
-  /// Single-key runs take the *batched* path when RunOptions::batch_chunks
-  /// > 1: keys for up to batch_chunks consecutive full chunks are computed
-  /// at once (gen_keys_batch over a columnar ChunkBatch view), runs of
-  /// consecutive equal keys are detected (consecutive chunks usually share
-  /// a key — the cached-slot trick extended to whole runs), and each run
-  /// costs one map lookup plus one accumulate_batch call instead of a
-  /// lookup and two virtual dispatches per chunk.  The ragged tail and the
-  /// multi-key (run2) path stay chunk-at-a-time; multi-key chunks prefetch
-  /// their whole key set's map probe heads before accumulating.
+  /// Full chunks take the *batched* path when RunOptions::batch_chunks > 1,
+  /// up to batch_chunks consecutive chunks at a time, and every run of
+  /// chunks that share a key costs one map lookup plus one accumulate_batch
+  /// call instead of a lookup and two virtual dispatches per chunk:
+  ///   * single-key (run): one gen_keys_batch call keys the whole batch over
+  ///     a columnar ChunkBatch view, and runs of consecutive equal keys are
+  ///     detected (consecutive chunks usually share a key — the cached-slot
+  ///     trick extended to whole runs);
+  ///   * multi-key (run2): gen_keys runs once per chunk, the batch's
+  ///     (key, chunk) pairs are counting-sorted by key, and each key's
+  ///     chunk list splits into runs of consecutive chunks, so a window
+  ///     object is found once per batch instead of once per element.  Each
+  ///     object still receives its chunks in ascending position order,
+  ///     which keeps outputs, emissions and floating-point bits identical
+  ///     to the per-chunk walk.  A batch whose key range exceeds
+  ///     kDenseKeySpan times its pair count (sparse keys) walks its chunks
+  ///     one at a time instead, which bounds the count array.
+  /// The ragged tail unit and runs with batching disabled stay
+  /// chunk-at-a-time.
   void reduction_phase(const In* data, std::size_t num_chunks, std::size_t tail_len, Out* out,
                        std::size_t out_len, bool multi_key) {
+    constexpr std::int64_t kDenseKeySpan = 4;
     const std::size_t num_units = num_chunks + (tail_len > 0 ? 1 : 0);
     const auto workers = static_cast<std::size_t>(args_.num_threads);
     const std::size_t base = num_units / workers;
@@ -540,46 +554,112 @@ class Scheduler {
         if (multi_key) {
           keys.clear();
           gen_keys(chunk, data, keys, combination_map_);
-          // A window chunk touches W map entries; issuing the probe-head
-          // prefetches for the whole key set up front overlaps the index
-          // walk's cache misses instead of paying them one by one.
-          for (const int key : keys) rmap.prefetch(key);
           for (const int key : keys) process_key(chunk, key);
         } else {
           process_key(chunk, gen_key(chunk, data, combination_map_));
         }
         if (rmap.size() > peak) peak = rmap.size();
       };
-      // Batched path state: one key per chunk of the current batch.
-      const std::size_t batch_cap =
-          (!multi_key && opts_.batch_chunks > 1) ? opts_.batch_chunks : 0;
-      std::vector<int> batch_keys(batch_cap);
+      // Accumulates `len` consecutive chunks of `batch`, starting at chunk
+      // `first`, into `key`'s object: one lookup plus one accumulate_batch
+      // call, repeated only when the object triggers mid-run.  A triggered
+      // run resumes on the next pass: locate() re-inserts the key and
+      // accumulation restarts on a fresh object, exactly like the per-chunk
+      // path.
+      auto accumulate_run = [&](const ChunkBatch& batch, std::size_t first, std::size_t len,
+                                int key) {
+        for (std::size_t i = first, left = len; left > 0;) {
+          detail::t_current_key = key;
+          auto& slot = locate(key);
+          if (slot) slot->set_key(key);
+          const std::size_t consumed =
+              accumulate_batch(batch.sub(i, left), data, slot, opts_.enable_trigger);
+          if (!slot) {
+            throw std::logic_error("Scheduler: accumulate_batch left a null reduction object");
+          }
+          // 0 would skip a chunk unaccumulated; more than the run would
+          // skip chunks of the next run.
+          if (consumed == 0 || consumed > left) {
+            throw std::logic_error("Scheduler: accumulate_batch returned " +
+                                   std::to_string(consumed) + " for a run of " +
+                                   std::to_string(left) + " chunks");
+          }
+          slot->set_key(key);
+          if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
+          i += consumed;
+          left -= consumed;
+        }
+      };
+      // Batched path state.  Single-key: one key per chunk of the batch.
+      // Multi-key: the batch's keys chunk by chunk (chunk i's keys are
+      // pair_keys[pair_begin[i] .. pair_begin[i + 1])), then the counting
+      // sort's per-key end offsets and the key-major chunk list.
+      const std::size_t batch_cap = opts_.batch_chunks > 1 ? opts_.batch_chunks : 0;
+      std::vector<int> batch_keys(multi_key ? 0 : batch_cap);
+      std::vector<int> pair_keys;
+      std::vector<std::size_t> pair_begin;
+      std::vector<std::size_t> key_end;
+      std::vector<std::size_t> key_chunks;
       auto process_batch = [&](std::size_t first_chunk, std::size_t n) {
         const ChunkBatch batch{first_chunk * args_.chunk_size, args_.chunk_size, n};
         gen_keys_batch(batch, data, batch_keys.data(), combination_map_);
-        std::size_t i = 0;
-        while (i < n) {
-          // Key-run detection: one lookup + one accumulate_batch per run
-          // of consecutive equal keys.
-          const int key = batch_keys[i];
+        for (std::size_t i = 0; i < n;) {
           std::size_t run_end = i + 1;
-          while (run_end < n && batch_keys[run_end] == key) ++run_end;
-          while (i < run_end) {
-            detail::t_current_key = key;
-            auto& slot = locate(key);
-            if (slot) slot->set_key(key);
-            const std::size_t consumed =
-                accumulate_batch(batch.sub(i, run_end - i), data, slot, opts_.enable_trigger);
-            if (!slot) {
-              throw std::logic_error(
-                  "Scheduler: accumulate_batch left a null reduction object");
+          while (run_end < n && batch_keys[run_end] == batch_keys[i]) ++run_end;
+          accumulate_run(batch, i, run_end - i, batch_keys[i]);
+          i = run_end;
+        }
+        if (rmap.size() > peak) peak = rmap.size();
+      };
+      auto process_multi_key_batch = [&](std::size_t first_chunk, std::size_t n) {
+        const ChunkBatch batch{first_chunk * args_.chunk_size, args_.chunk_size, n};
+        pair_keys.clear();
+        pair_begin.assign(1, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          keys.clear();
+          gen_keys(batch.chunk(i), data, keys, combination_map_);
+          pair_keys.insert(pair_keys.end(), keys.begin(), keys.end());
+          pair_begin.push_back(pair_keys.size());
+        }
+        const std::size_t pairs = pair_keys.size();
+        if (pairs == 0) return;
+        const auto [lo_it, hi_it] = std::minmax_element(pair_keys.begin(), pair_keys.end());
+        const std::int64_t lo = *lo_it;
+        const std::int64_t span = std::int64_t{*hi_it} - lo + 1;
+        if (span > kDenseKeySpan * static_cast<std::int64_t>(pairs)) {
+          // Sparse keys: the per-chunk walk, over the keys already made.
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t p = pair_begin[i]; p < pair_begin[i + 1]; ++p) {
+              process_key(batch.chunk(i), pair_keys[p]);
             }
-            slot->set_key(key);
-            if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
-            // A triggered run resumes here: the next locate() re-inserts
-            // the key and accumulation restarts on a fresh object, exactly
-            // like the per-chunk path.
-            i += consumed == 0 ? 1 : consumed;
+            if (rmap.size() > peak) peak = rmap.size();
+          }
+          return;
+        }
+        // Counting sort of the pairs by key.  Chunks are scattered in
+        // ascending order, so each key's chunk list stays ascending.
+        const auto slots = static_cast<std::size_t>(span);
+        key_end.assign(slots + 1, 0);
+        for (const int key : pair_keys) ++key_end[static_cast<std::size_t>(key - lo) + 1];
+        for (std::size_t k = 1; k <= slots; ++k) key_end[k] += key_end[k - 1];
+        key_chunks.resize(pairs);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t p = pair_begin[i]; p < pair_begin[i + 1]; ++p) {
+            key_chunks[key_end[static_cast<std::size_t>(pair_keys[p] - lo)]++] = i;
+          }
+        }
+        // key_end[k] now ends key k's chunk list, which starts where key
+        // k - 1's ended.
+        std::size_t s = 0;
+        for (std::size_t k = 0; k < slots; ++k) {
+          const int key = static_cast<int>(lo + static_cast<std::int64_t>(k));
+          while (s < key_end[k]) {
+            std::size_t run_end = s + 1;
+            while (run_end < key_end[k] && key_chunks[run_end] == key_chunks[run_end - 1] + 1) {
+              ++run_end;
+            }
+            accumulate_run(batch, key_chunks[s], run_end - s, key);
+            s = run_end;
           }
         }
         if (rmap.size() > peak) peak = rmap.size();
@@ -594,12 +674,16 @@ class Scheduler {
         const std::size_t full_end = std::min(end, num_chunks);
         while (c < full_end) {
           const std::size_t n = std::min(batch_cap, full_end - c);
-          process_batch(c, n);
+          if (multi_key) {
+            process_multi_key_batch(c, n);
+          } else {
+            process_batch(c, n);
+          }
           c += n;
         }
       }
-      // Per-chunk path: multi-key chunks, batching disabled, and the
-      // ragged tail unit (never part of a ChunkBatch).
+      // Per-chunk path: batching disabled, and the ragged tail unit (never
+      // part of a ChunkBatch).
       for (; c < end; ++c) process_chunk(c);
       peak_objs[uw] = peak;
     });

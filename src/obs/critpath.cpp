@@ -306,6 +306,22 @@ CritPathResult extract_critical_path(const std::vector<TraceEvent>& events,
             c.delay_us = static_cast<double>(*delay) * kNsToUs;
             c.vt_pre = c.vt_post - c.delay_us;
             info.ckpts.push_back(c);
+            // A send-side delay fires inside its send span, so wall order
+            // files it after the send's checkpoint, yet it charges the clock
+            // before departure (dep_vt includes it).  File it just before
+            // the send: a walk that jumps to the send over the message's
+            // flow edge then carves it out as fault delay instead of billing
+            // it as compute, and a walk down this rank meets the departure
+            // stamp before the delay that produced it.
+            const auto lane = send_spans.find({e.rank, e.tid});
+            if (lane != send_spans.end() && !lane->second.empty()) {
+              SpanRef& send = lane->second.back();
+              if (send.ckpt + 2 == info.ckpts.size() && e.ts_us >= send.b &&
+                  e.ts_us <= send.e + kEpsUs) {
+                std::swap(info.ckpts[send.ckpt], info.ckpts[send.ckpt + 1]);
+                ++send.ckpt;
+              }
+            }
           }
         }
         continue;
@@ -508,7 +524,8 @@ CritPathResult extract_critical_path(const std::vector<TraceEvent>& events,
         sink.push(cur_rank, -1, lo, cur_vt, CritCategory::kFaultDelay,
                   phase_of(*info, c.wall_us, c.wall_us), round_of(*info, c.wall_us, c.wall_us));
         cur_vt = lo;
-        upper_wall = c.wall_us;
+        // A send-side delay sits below its send, whose span began earlier.
+        upper_wall = std::min(upper_wall, c.wall_us);
         --idx;
         break;
       }

@@ -10,9 +10,11 @@
 //
 // Also covered: the kernel-level identities the batched apps rely on
 // (truncation == floor after clamping, hinted == unhinted argmin with the
-// lowest-index tie rule) and trigger-driven mid-batch erase through the
-// default accumulate_batch.  Registered under the `schedule` ctest label and
-// run under TSan by scripts/check.sh.
+// lowest-index tie rule), trigger-driven mid-batch erase through the
+// default accumulate_batch, run2's key-major batches against the per-chunk
+// walk, and the consumed-count check on accumulate_batch overrides.
+// Registered under the `schedule` ctest label and run under TSan by
+// scripts/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,14 +22,22 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analytics/batch_kernels.h"
 #include "analytics/block_aggregation.h"
 #include "analytics/grid_aggregation.h"
 #include "analytics/histogram.h"
+#include "analytics/kde.h"
 #include "analytics/kmeans.h"
+#include "analytics/knn_smoother.h"
+#include "analytics/moving_average.h"
+#include "analytics/moving_average_2d.h"
+#include "analytics/moving_median.h"
 #include "analytics/red_objs.h"
+#include "analytics/savitzky_golay.h"
 #include "analytics/summary_stats.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
@@ -454,6 +464,384 @@ TEST(TriggerMidBatch, BatchedEmissionsMatchScalarBitForBit) {
   sched.run(data.data(), data.size(), nullptr, 0);
   EXPECT_EQ(sched.stats().early_emissions, 0u);
   EXPECT_EQ(sched.get_combination_map().size(), segments);
+}
+
+// --- run2: key-major batches == the per-chunk walk ---------------------------
+
+// run2 batches key-major: every (key, chunk) pair of a batch is sorted by
+// key and each key's consecutive chunks go through one accumulate_batch
+// call.  Each object still receives its chunks in ascending position
+// order, so outputs and early emissions must equal the per-chunk walk
+// (batch_chunks 0) exactly, at every thread count and with the trigger on
+// or off.
+
+constexpr std::size_t kWindow = 25;
+
+// Input lengths: one element, one short of a window, a round size, and a
+// multiple of the batch plus a ragged remainder.
+const std::size_t kRun2Sizes[] = {1, kWindow - 1, 1000, 64 * 20 + 13};
+
+struct Run2Result {
+  std::vector<double> out;
+  std::size_t early_emissions = 0;
+};
+
+// `make(args, opts)` builds the app under test.
+template <class Make>
+Run2Result run2_once(const Make& make, const std::vector<double>& data, std::size_t out_len,
+                     int threads, bool trigger, std::size_t batch_chunks) {
+  RunOptions opts = with_batch(batch_chunks);
+  opts.enable_trigger = trigger;
+  auto app = make(SchedArgs(threads, 1), opts);
+  Run2Result r{std::vector<double>(out_len, -1.0), 0};
+  app->run2(data.data(), data.size(), r.out.data(), r.out.size());
+  r.early_emissions = app->stats().early_emissions;
+  return r;
+}
+
+template <class Make>
+void expect_run2_batched_matches_per_chunk(const char* name, const Make& make,
+                                           const std::vector<double>& data,
+                                           std::size_t out_len) {
+  for (const int threads : {1, 2, 3}) {
+    for (const bool trigger : {true, false}) {
+      const Run2Result per_chunk = run2_once(make, data, out_len, threads, trigger, 0);
+      const Run2Result batched = run2_once(make, data, out_len, threads, trigger, 64);
+      EXPECT_EQ(batched.out, per_chunk.out)
+          << name << " n=" << data.size() << " threads=" << threads << " trigger=" << trigger;
+      EXPECT_EQ(batched.early_emissions, per_chunk.early_emissions)
+          << name << " n=" << data.size() << " threads=" << threads << " trigger=" << trigger;
+    }
+  }
+}
+
+std::vector<double> gaussian_data(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> data(n);
+  for (auto& x : data) x = rng.gaussian(0.0, 1.0);
+  return data;
+}
+
+TEST(Run2Batched, MovingAverageMatchesPerChunkWalk) {
+  for (const std::size_t n : kRun2Sizes) {
+    expect_run2_batched_matches_per_chunk(
+        "MovingAverage",
+        [](const SchedArgs& a, RunOptions o) {
+          return std::make_unique<MovingAverage<double>>(a, kWindow, o);
+        },
+        gaussian_data(n, 920), n);
+  }
+}
+
+TEST(Run2Batched, MovingMedianMatchesPerChunkWalk) {
+  for (const std::size_t n : kRun2Sizes) {
+    expect_run2_batched_matches_per_chunk(
+        "MovingMedian",
+        [](const SchedArgs& a, RunOptions o) {
+          return std::make_unique<MovingMedian<double>>(a, kWindow, o);
+        },
+        gaussian_data(n, 921), n);
+  }
+}
+
+TEST(Run2Batched, KernelDensityMatchesPerChunkWalk) {
+  for (const std::size_t n : kRun2Sizes) {
+    expect_run2_batched_matches_per_chunk(
+        "KernelDensity",
+        [](const SchedArgs& a, RunOptions o) {
+          return std::make_unique<KernelDensity<double>>(a, kWindow, 0.5, o);
+        },
+        gaussian_data(n, 922), n);
+  }
+}
+
+TEST(Run2Batched, SavitzkyGolayMatchesPerChunkWalk) {
+  for (const std::size_t n : kRun2Sizes) {
+    expect_run2_batched_matches_per_chunk(
+        "SavitzkyGolay",
+        [](const SchedArgs& a, RunOptions o) {
+          return std::make_unique<SavitzkyGolay<double>>(a, static_cast<int>(kWindow), 3, o);
+        },
+        gaussian_data(n, 923), n);
+  }
+}
+
+TEST(Run2Batched, KnnSmootherMatchesPerChunkWalk) {
+  for (const std::size_t n : kRun2Sizes) {
+    expect_run2_batched_matches_per_chunk(
+        "KnnSmoother",
+        [](const SchedArgs& a, RunOptions o) {
+          return std::make_unique<KnnSmoother<double>>(a, kWindow, 5, o);
+        },
+        gaussian_data(n, 924), n);
+  }
+}
+
+TEST(Run2Batched, MovingAverage2DMatchesPerChunkWalk) {
+  // Planes of 1, W - 1, 1000 and 64 * 3 + 13 elements for a 5 x 5 window.
+  const std::size_t window = 5;
+  const std::pair<std::size_t, std::size_t> shapes[] = {{1, 1}, {4, 1}, {40, 25}, {41, 5}};
+  for (const auto& [nx, ny] : shapes) {
+    expect_run2_batched_matches_per_chunk(
+        "MovingAverage2D",
+        [nx = nx, ny = ny, window](const SchedArgs& a, RunOptions o) {
+          return std::make_unique<MovingAverage2D<double>>(a, nx, ny, window, o);
+        },
+        gaussian_data(nx * ny, 925), nx * ny);
+  }
+}
+
+// On a window run the key-major walk hands each key exactly its window, so
+// the stop at the window size never cuts a run short there; this pins the
+// override's stop_after_trigger contract directly.
+class ExposedMovingMedian : public MovingMedian<double> {
+ public:
+  using MovingMedian<double>::MovingMedian;
+  using MovingMedian<double>::accumulate_batch;
+};
+
+TEST(Run2Batched, MovingMedianBatchStopsWhereTheWindowFills) {
+  ExposedMovingMedian med(SchedArgs(1, 1), kWindow);
+  const auto data = gaussian_data(64, 930);
+  for (const bool stop : {true, false}) {
+    auto obj = std::make_unique<WinMedianObj>();
+    obj->window = kWindow;
+    obj->elems.assign(10, -1.0);
+    std::unique_ptr<RedObj> red = std::move(obj);
+    const std::size_t consumed =
+        med.accumulate_batch(ChunkBatch{5, 1, 40}, data.data(), red, stop);
+    const auto& elems = static_cast<const WinMedianObj&>(*red).elems;
+    EXPECT_EQ(consumed, stop ? kWindow - 10 : 40u);
+    ASSERT_EQ(elems.size(), 10 + consumed);
+    EXPECT_EQ(elems[10], data[5]);
+    EXPECT_EQ(elems.back(), data[5 + consumed - 1]);
+    EXPECT_EQ(red->trigger(), stop);
+  }
+}
+
+// A windowed sum over caller-chosen keys: each key's object triggers at
+// `window` elements.  Keys may repeat within a chunk and may be negative
+// (those reach no output slot and survive in the map).
+template <class KeysFn>
+class KeyedWindowSum : public Scheduler<double, double> {
+ public:
+  KeyedWindowSum(const SchedArgs& args, RunOptions opts, std::size_t window, KeysFn keys_fn)
+      : Scheduler<double, double>(args, opts), window_(window), keys_fn_(keys_fn) {
+    register_red_objs();
+  }
+
+  std::atomic<std::size_t> batch_calls{0};  ///< accumulate_batch calls, all workers
+
+ protected:
+  void gen_keys(const Chunk& chunk, const double*, std::vector<int>& keys,
+                const CombinationMap&) const override {
+    keys_fn_(chunk.start, keys);
+  }
+  void accumulate(const Chunk& chunk, const double* data,
+                  std::unique_ptr<RedObj>& obj) override {
+    if (!obj) {
+      auto win = std::make_unique<WinObj>();
+      win->window = window_;
+      obj = std::move(win);
+    }
+    auto& win = static_cast<WinObj&>(*obj);
+    win.sum += data[chunk.start];
+    win.count += 1;
+  }
+  std::size_t accumulate_batch(const ChunkBatch& batch, const double* data,
+                               std::unique_ptr<RedObj>& obj, bool stop_after_trigger) override {
+    batch_calls.fetch_add(1, std::memory_order_relaxed);
+    return Scheduler<double, double>::accumulate_batch(batch, data, obj, stop_after_trigger);
+  }
+  void merge(const RedObj& src, std::unique_ptr<RedObj>& dst) override {
+    auto& d = static_cast<WinObj&>(*dst);
+    const auto& s = static_cast<const WinObj&>(src);
+    d.sum += s.sum;
+    d.count += s.count;
+  }
+  // Two workers can both fill a window of a key whose elements straddle
+  // their split, and both emit it into one slot at once; the atomic store
+  // keeps that well-defined.  The apps below keep the final value
+  // deterministic: a key either fills its window in one worker only, or
+  // its total is not a multiple of its window, so the merged leftover's
+  // conversion after local combination writes last.
+  void convert(const RedObj& obj, double* out) const override {
+    std::atomic_ref<double>(*out).store(static_cast<const WinObj&>(obj).sum,
+                                        std::memory_order_relaxed);
+  }
+
+ private:
+  std::size_t window_;
+  KeysFn keys_fn_;
+};
+
+struct KeyedRun {
+  std::vector<double> out;
+  std::size_t early_emissions = 0;
+  std::vector<std::pair<int, double>> survivors;  ///< (key, sum), key order
+  std::size_t batch_calls = 0;
+};
+
+template <class KeysFn>
+KeyedRun run_keyed(KeysFn keys_fn, std::size_t window, const std::vector<double>& data,
+                   std::size_t out_len, int threads, bool trigger, std::size_t batch_chunks) {
+  RunOptions opts = with_batch(batch_chunks);
+  opts.enable_trigger = trigger;
+  KeyedWindowSum<KeysFn> app(SchedArgs(threads, 1), opts, window, keys_fn);
+  KeyedRun r;
+  r.out.assign(out_len, -1.0);
+  app.run2(data.data(), data.size(), r.out.data(), r.out.size());
+  r.early_emissions = app.stats().early_emissions;
+  for (const auto& [key, obj] : app.get_combination_map()) {
+    r.survivors.emplace_back(key, static_cast<const WinObj&>(*obj).sum);
+  }
+  r.batch_calls = app.batch_calls.load();
+  return r;
+}
+
+template <class KeysFn>
+void expect_keyed_batched_matches_per_chunk(const char* name, KeysFn keys_fn, std::size_t window,
+                                            std::size_t out_len_per_element) {
+  for (const std::size_t n : kRun2Sizes) {
+    const auto data = gaussian_data(n, 926);
+    const std::size_t out_len = n * out_len_per_element + 8;
+    for (const int threads : {1, 2, 3}) {
+      for (const bool trigger : {true, false}) {
+        const auto per_chunk = run_keyed(keys_fn, window, data, out_len, threads, trigger, 0);
+        const auto batched = run_keyed(keys_fn, window, data, out_len, threads, trigger, 64);
+        EXPECT_EQ(batched.out, per_chunk.out)
+            << name << " n=" << n << " threads=" << threads << " trigger=" << trigger;
+        EXPECT_EQ(batched.early_emissions, per_chunk.early_emissions)
+            << name << " n=" << n << " threads=" << threads << " trigger=" << trigger;
+        EXPECT_EQ(batched.survivors, per_chunk.survivors)
+            << name << " n=" << n << " threads=" << threads << " trigger=" << trigger;
+      }
+    }
+  }
+}
+
+TEST(Run2Batched, SparseNegativeKeysFallBackToPerChunkWalk) {
+  // Each group of 3 elements feeds one negative and one positive key, 100
+  // apart: a 64-chunk batch spans about 4,400 keys for 128 pairs, so every
+  // batch takes the per-chunk walk and never calls accumulate_batch.
+  auto keys_fn = [](std::size_t pos, std::vector<int>& keys) {
+    const int group = static_cast<int>(pos / 3);
+    keys.push_back(-1 - 100 * group);
+    keys.push_back(7 + 100 * group);
+  };
+  expect_keyed_batched_matches_per_chunk("sparse", keys_fn, 3, 34);
+  const auto data = gaussian_data(1000, 927);
+  const auto r = run_keyed(keys_fn, 3, data, 34 * data.size() + 8, 1, true, 64);
+  EXPECT_EQ(r.batch_calls, 0u);
+  EXPECT_GT(r.early_emissions, 0u);
+  EXPECT_LT(r.survivors.front().first, 0);  // negative keys were accumulated
+}
+
+TEST(Run2Batched, KeyEmittedTwicePerChunkAccumulatesTwiceInOrder) {
+  // Element p feeds key p / 4 twice and key p / 4 + 1 once, so each key
+  // takes 12 elements.  Window 5 fills twice per key, and mid-run: the
+  // key-major walk must stop, emit and resume exactly where the per-chunk
+  // walk does.
+  auto keys_fn = [](std::size_t pos, std::vector<int>& keys) {
+    const int group = static_cast<int>(pos / 4);
+    keys.push_back(group);
+    keys.push_back(group + 1);
+    keys.push_back(group);
+  };
+  expect_keyed_batched_matches_per_chunk("duplicate", keys_fn, 5, 1);
+  const auto data = gaussian_data(1000, 928);
+  const auto r = run_keyed(keys_fn, 5, data, data.size() + 8, 1, true, 64);
+  EXPECT_GT(r.batch_calls, 0u);
+  EXPECT_GT(r.early_emissions, 0u);
+}
+
+// The deterministic guard for the key-major batch: on a W = 25 window app
+// every window key needs at least one accumulate_batch call, and a window
+// straddling a batch boundary needs two.  With 64-chunk batches that is at
+// most 24 extra calls per boundary, so n (1 + 24/64) + 25 calls bound a
+// single-thread run2 from above.  The per-chunk walk makes none.
+TEST(Run2Batched, OneAccumulateBatchPerWindowRun) {
+  auto window_keys = [](std::size_t total) {
+    return [total](std::size_t pos, std::vector<int>& keys) {
+      window_center_keys(pos, total, kWindow, keys);
+    };
+  };
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{64 * 20 + 13}}) {
+    const auto data = gaussian_data(n, 929);
+    for (const bool trigger : {true, false}) {
+      const auto r = run_keyed(window_keys(n), kWindow, data, n, 1, trigger, 64);
+      EXPECT_GE(r.batch_calls, n) << "n=" << n << " trigger=" << trigger;
+      EXPECT_LE(r.batch_calls, n + n * 24 / 64 + 25) << "n=" << n << " trigger=" << trigger;
+      EXPECT_EQ(run_keyed(window_keys(n), kWindow, data, n, 1, trigger, 0).batch_calls, 0u);
+    }
+  }
+}
+
+// --- accumulate_batch must report what it consumed ---------------------------
+
+// Accumulates every chunk it is handed but reports `reported(count)` —
+// a miscounting override.  A report of 0 used to skip a chunk
+// unaccumulated and a report past the run skipped the next run's chunks;
+// both now raise std::logic_error naming the count.
+class MiscountingSum : public Scheduler<double, double> {
+ public:
+  explicit MiscountingSum(std::size_t (*reported)(std::size_t))
+      : Scheduler<double, double>(SchedArgs(1, 1), with_batch(64)), reported_(reported) {}
+
+ protected:
+  int gen_key(const Chunk&, const double*, const CombinationMap&) const override { return 0; }
+  void gen_keys(const Chunk&, const double*, std::vector<int>& keys,
+                const CombinationMap&) const override {
+    keys.push_back(0);
+  }
+  void accumulate(const Chunk& chunk, const double* data, std::unique_ptr<RedObj>& obj) override {
+    if (!obj) obj = std::make_unique<WinObj>();
+    static_cast<WinObj&>(*obj).sum += data[chunk.start];
+  }
+  std::size_t accumulate_batch(const ChunkBatch& batch, const double* data,
+                               std::unique_ptr<RedObj>& obj, bool) override {
+    for (std::size_t i = 0; i < batch.count; ++i) accumulate(batch.chunk(i), data, obj);
+    return reported_(batch.count);
+  }
+  void merge(const RedObj&, std::unique_ptr<RedObj>&) override {}
+
+ private:
+  std::size_t (*reported_)(std::size_t);
+};
+
+// Runs run() and run2() over 200 elements (a first batch of 64 chunks,
+// all keyed 0) and returns each call's logic_error message, or "" if none.
+std::vector<std::string> miscount_errors(std::size_t (*reported)(std::size_t)) {
+  const std::vector<double> data(200, 1.0);
+  std::vector<std::string> errors;
+  for (const bool multi_key : {false, true}) {
+    MiscountingSum app(reported);
+    std::string what;
+    try {
+      if (multi_key) {
+        app.run2(data.data(), data.size(), nullptr, 0);
+      } else {
+        app.run(data.data(), data.size(), nullptr, 0);
+      }
+    } catch (const std::logic_error& e) {
+      what = e.what();
+    }
+    errors.push_back(what);
+  }
+  return errors;
+}
+
+TEST(BadAccumulateBatch, ZeroConsumedThrowsNamingTheCount) {
+  for (const auto& what : miscount_errors([](std::size_t) -> std::size_t { return 0; })) {
+    EXPECT_NE(what.find("returned 0 for a run of 64 chunks"), std::string::npos) << what;
+  }
+}
+
+TEST(BadAccumulateBatch, ConsumedPastTheRunThrowsNamingTheCount) {
+  for (const auto& what :
+       miscount_errors([](std::size_t count) -> std::size_t { return count + 1; })) {
+    EXPECT_NE(what.find("returned 65 for a run of 64 chunks"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -108,15 +108,21 @@ TEST(CritPath, FourRankRunMatchesLaunchMakespanWithinOnePercent) {
 
 TEST(CritPath, DelayFaultMovesRankToTopOfBottleneckReport) {
   TraceGuard guard;
-  // Every send from rank 2 is delayed 30ms virtual — far beyond the run's
-  // natural compute time, so rank 2 must dominate the critical path.
+  // Rank 2's first two sends are delayed far beyond the run's natural
+  // compute time, so rank 2 must dominate the critical path.  The delay is
+  // sized from an undelayed run of the same job: at least 30 ms virtual,
+  // and ten times that run's makespan on builds slow enough (sanitizers)
+  // for compute to rival 30 ms.
+  simmpi::LaunchStats stats;
+  traced_run(4, nullptr, stats);
+  obs::TraceCollector::instance().clear();
+  const double delay_s = std::max(0.03, 10.0 * stats.makespan());
   auto faults = std::make_shared<simmpi::FaultInjector>();
   faults->add_rule({.op = simmpi::FaultOp::kSend,
                     .rank = 2,
                     .action = simmpi::FaultAction::kDelay,
-                    .delay_seconds = 0.03,
+                    .delay_seconds = delay_s,
                     .max_fires = 2});
-  simmpi::LaunchStats stats;
   const auto path = traced_run(4, faults, stats);
 
   const double expected_us = stats.makespan() * 1e6;
@@ -128,11 +134,11 @@ TEST(CritPath, DelayFaultMovesRankToTopOfBottleneckReport) {
   EXPECT_EQ(report.by_rank.front().rank, 2) << "delayed rank should lead the report";
   const double fault_us =
       report.by_category[static_cast<std::size_t>(obs::CritCategory::kFaultDelay)];
-  EXPECT_GE(fault_us, 0.03 * 1e6 * 0.99) << "at least one 30ms delay on the path";
+  EXPECT_GE(fault_us, delay_s * 1e6 * 0.99) << "at least one injected delay on the path";
   // The delay is charged to the rank the rule fired on.
   EXPECT_GE(report.by_rank.front()
                 .by_category[static_cast<std::size_t>(obs::CritCategory::kFaultDelay)],
-            0.03 * 1e6 * 0.99);
+            delay_s * 1e6 * 0.99);
 
   std::ostringstream os;
   obs::write_report(os, report);
@@ -303,6 +309,59 @@ TEST(CritPath, ResolvedFlowJumpsToSenderAndBillsNetwork) {
   }
   EXPECT_NEAR(network, 300.0, 1e-3);  // 450us arrival - 150us departure
   EXPECT_NEAR(rank1, 450.0, 1e-3);    // sender local 150us + transit 300us
+}
+
+// A send-side fault delay fires inside the send span, after the span began,
+// and is already in the departure stamp.  Rank 1's send departs at 150 us
+// after a 100 us delay.
+std::vector<obs::TraceEvent> delayed_send_trace(std::int64_t rank1_end_ns,
+                                                std::int64_t rank0_end_ns) {
+  std::vector<obs::TraceEvent> events;
+  events.push_back(instant(1, 5.0, "rank.begin", {{"vt_ns", 0}}));
+  events.push_back(
+      span(1, 10.0, 40.0, "send", "mpi", {{"tag", 3}, {"bytes", 16}, {"dep_vt_ns", 150000}}));
+  events.push_back(instant(1, 30.0, "fault.delay",
+                           {{"tag", 3}, {"delay_ns", 100000}, {"vt_ns", 150000}}));
+  events.push_back(flow(1, 35.0, /*start=*/true, 9));
+  events.push_back(instant(1, 60.0, "rank.end", {{"vt_ns", rank1_end_ns}}));
+  events.push_back(instant(0, 6.0, "rank.begin", {{"vt_ns", 0}}));
+  events.push_back(span(0, 20.0, 300.0, "recv", "mpi",
+                        {{"tag", 3}, {"vt0_ns", 50000}, {"vt1_ns", 450000}, {"bytes", 16}}));
+  events.push_back(flow(0, 310.0, /*start=*/false, 9));
+  events.push_back(instant(0, 340.0, "rank.end", {{"vt_ns", rank0_end_ns}}));
+  return events;
+}
+
+/// Rank 1's part of the path: the 100 us fault delay and `compute_us` of
+/// compute, with no warnings.
+void expect_delay_carved_out(const obs::CritPathResult& path, double compute_us) {
+  expect_tiling(path);
+  double fault = 0.0, compute = 0.0;
+  for (const auto& s : path.segments) {
+    if (s.rank != 1) continue;
+    if (s.category == obs::CritCategory::kFaultDelay) fault += s.duration_us();
+    if (s.category == obs::CritCategory::kCompute) compute += s.duration_us();
+  }
+  EXPECT_NEAR(fault, 100.0, 1e-3);
+  EXPECT_NEAR(compute, compute_us, 1e-3);
+  EXPECT_TRUE(path.warnings.empty()) << path.warnings.front();
+}
+
+TEST(CritPath, SendDelayIsFaultDelayWhenThePathJumpsToTheSend) {
+  // Rank 0 finishes last and its receive waited for the delayed message:
+  // the path crosses to rank 1 at the send, below which the delay must
+  // still be carved out rather than billed as compute.
+  const auto path = obs::extract_critical_path(delayed_send_trace(160000, 500000));
+  EXPECT_EQ(path.makespan_rank, 0);
+  expect_delay_carved_out(path, 50.0);  // the 150 us departure minus the delay
+}
+
+TEST(CritPath, SendDelayIsFaultDelayWhenThePathWalksDownTheSender) {
+  // Rank 1 finishes last: the path walks down its own timeline past the
+  // send and the delay, and no clock stamp reads as inconsistent.
+  const auto path = obs::extract_critical_path(delayed_send_trace(900000, 500000));
+  EXPECT_EQ(path.makespan_rank, 1);
+  expect_delay_carved_out(path, 800.0);  // 900 us end minus the delay
 }
 
 TEST(CritPath, EmptyTraceYieldsWarningNotCrash) {

@@ -146,7 +146,7 @@ TEST(Scheduler, ProcessTailOffKeepsSkipAccountingAccurate) {
   EXPECT_EQ(out[3], -1.0);  // the tail cell was never touched
 }
 
-TEST(Scheduler, TailProcessingWorksUnderDynamicChunking) {
+TEST(Scheduler, TailProcessingWorksAcrossContiguousSplits) {
   // 101 units (100 full chunks + the 3-element tail) over 3 workers: the
   // tail unit lands at the end of the last worker's contiguous split.
   const auto data = uniform_data(1003, 22);

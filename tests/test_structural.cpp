@@ -136,9 +136,9 @@ TEST(MovingAverage2D, RejectsBadParameters) {
 // splits differ by a chunk); the result must not depend on where the split
 // boundaries fall.
 
-class DynamicChunking : public ::testing::TestWithParam<int> {};
+class ContiguousSplits : public ::testing::TestWithParam<int> {};
 
-TEST_P(DynamicChunking, HistogramIdenticalToStaticSplits) {
+TEST_P(ContiguousSplits, HistogramMatchesReference) {
   const int threads = GetParam();
   const auto data = random_slab(9001, 505);  // deliberately non-round size
   Histogram<double> hist(SchedArgs(threads, 1), 0.0, 100.0, 23);
@@ -150,7 +150,7 @@ TEST_P(DynamicChunking, HistogramIdenticalToStaticSplits) {
   EXPECT_GE(hist.stats().worker_skew, 1.0);
 }
 
-TEST_P(DynamicChunking, WindowAppIdenticalToStaticSplits) {
+TEST_P(ContiguousSplits, WindowAppMatchesOneThread) {
   const int threads = GetParam();
   const auto data = random_slab(2000, 506);
   MovingAverage<double> single(SchedArgs(1, 1), 11);
@@ -161,7 +161,7 @@ TEST_P(DynamicChunking, WindowAppIdenticalToStaticSplits) {
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], b[i], 1e-12) << i;
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, DynamicChunking, ::testing::Values(1, 2, 3, 8));
+INSTANTIATE_TEST_SUITE_P(Threads, ContiguousSplits, ::testing::Values(1, 2, 3, 8));
 
 // --- offline block reader ----------------------------------------------------------
 

@@ -1,5 +1,5 @@
 // Tests for the single-pass combination wave: Writer buffer-reuse
-// primitives (position/patch/reserve), map absorb, MapCombiner's tree and
+// primitives (append/reserve), map absorb, MapCombiner's tree and
 // fault-tolerant rounds, vector allreduce degenerate lengths, and
 // CircularBuffer close semantics.
 #include <gtest/gtest.h>
@@ -28,28 +28,6 @@ TEST(Writer, AppendsIntoExistingBuffer) {
   Reader r(buf);
   EXPECT_EQ(r.read<std::uint32_t>(), 7u);
   EXPECT_EQ(r.read<std::uint32_t>(), 9u);
-}
-
-TEST(Writer, PatchOverwritesPlaceholder) {
-  Buffer buf;
-  Writer w(buf);
-  w.write<std::uint16_t>(0xAAAA);
-  const std::size_t pos = w.position();
-  w.write<std::uint64_t>(0);  // placeholder count
-  w.write<std::uint16_t>(0xBBBB);
-  w.patch<std::uint64_t>(pos, 42);
-
-  Reader r(buf);
-  EXPECT_EQ(r.read<std::uint16_t>(), 0xAAAA);
-  EXPECT_EQ(r.read<std::uint64_t>(), 42u);
-  EXPECT_EQ(r.read<std::uint16_t>(), 0xBBBB);
-}
-
-TEST(Writer, PatchPastEndThrows) {
-  Buffer buf;
-  Writer w(buf);
-  w.write<std::uint32_t>(1);
-  EXPECT_THROW(w.patch<std::uint64_t>(1, 0), std::out_of_range);
 }
 
 TEST(Writer, ReserveKeepsContents) {
