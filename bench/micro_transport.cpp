@@ -21,10 +21,6 @@
 //     workload under the flat, fat-tree, and dragonfly cost models; the
 //     virtual_makespan_s counters record how link contention stretches the
 //     modeled runtime while wall time stays flat.
-//   * 8-rank collective fan-out: alltoall and scatter+gather of one
-//     PayloadArena allocation shipped as slices, reporting
-//     payload_bytes_copied per round (0: the zero-copy property itself is
-//     asserted by TransportArena.CollectiveFanoutZeroCopy).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -381,68 +377,6 @@ void BM_TopologyMakespanDragonfly(benchmark::State& state) {
   topology_makespan(state, "dragonfly");
 }
 BENCHMARK(BM_TopologyMakespanDragonfly)->Unit(benchmark::kMillisecond);
-
-// --- arena-sliced collective fan-out ------------------------------------------
-
-constexpr int kFanoutRanks = 8;
-constexpr std::size_t kFanoutChunk = 32u * 1024;
-constexpr int kFanoutRoundsPerLaunch = 8;
-
-/// Every rank stages its n destination payloads once into a PayloadArena
-/// and ships them as offset/length slices — one allocation per rank per
-/// round, zero transport copies.
-void BM_ArenaAlltoall8Ranks(benchmark::State& state) {
-  std::uint64_t copied = 0;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = payload_bytes_copied();
-    launch(kFanoutRanks, [](Communicator& comm) {
-      PayloadArena arena;
-      const Buffer chunk(kFanoutChunk, std::byte{5});
-      for (int round = 0; round < kFanoutRoundsPerLaunch; ++round) {
-        arena.begin(static_cast<std::size_t>(comm.size()) * kFanoutChunk);
-        for (int r = 0; r < comm.size(); ++r) arena.add(chunk.data(), chunk.size());
-        benchmark::DoNotOptimize(comm.alltoall_shared(arena.finish()));
-      }
-    });
-    copied += payload_bytes_copied() - before;
-    rounds += kFanoutRoundsPerLaunch;
-  }
-  state.SetItemsProcessed(rounds);
-  state.counters["payload_bytes_copied_per_round"] =
-      benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
-}
-BENCHMARK(BM_ArenaAlltoall8Ranks)->Unit(benchmark::kMillisecond);
-
-/// The zero-copy round trip: arena slices out, the received view travels
-/// straight back, and the root keeps children's payloads shared.
-void BM_ArenaScatterGather8Ranks(benchmark::State& state) {
-  std::uint64_t copied = 0;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = payload_bytes_copied();
-    launch(kFanoutRanks, [](Communicator& comm) {
-      PayloadArena arena;
-      const Buffer chunk(kFanoutChunk, std::byte{6});
-      for (int round = 0; round < kFanoutRoundsPerLaunch; ++round) {
-        std::vector<SharedBuffer> slices;
-        if (comm.rank() == 0) {
-          arena.begin(static_cast<std::size_t>(comm.size()) * kFanoutChunk);
-          for (int r = 0; r < comm.size(); ++r) arena.add(chunk.data(), chunk.size());
-          slices = arena.finish();
-        }
-        const SharedBuffer mine = comm.scatter_shared(slices, 0);
-        benchmark::DoNotOptimize(comm.gather_shared(mine, 0));
-      }
-    });
-    copied += payload_bytes_copied() - before;
-    rounds += kFanoutRoundsPerLaunch;
-  }
-  state.SetItemsProcessed(rounds);
-  state.counters["payload_bytes_copied_per_round"] =
-      benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
-}
-BENCHMARK(BM_ArenaScatterGather8Ranks)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 //   $ ./smart_cli --sim lulesh --app moving_median --mode space
 //   $ ./smart_cli --sim heat3d --app summary --render /tmp/slab.pgm
 //   $ ./smart_cli --list
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -43,10 +44,16 @@ class SimDriver {
       lulesh_ = std::make_unique<sim::MiniLulesh>(sim::MiniLulesh::Params{.edge = size_hint},
                                                   comm, pool);
     } else if (kind == "emulator") {
+      std::size_t step_len = 0;
+      if (__builtin_mul_overflow(size_hint, size_hint, &step_len) ||
+          __builtin_mul_overflow(step_len, std::size_t{4}, &step_len)) {
+        throw std::invalid_argument("--size " + std::to_string(size_hint) +
+                                    ": the emulator's step length (4 * size^2) overflows");
+      }
       // Each rank's stream is derived from the one master seed, so --seed
       // reproduces the whole cluster's data and ranks stay decorrelated.
       emulator_ = std::make_unique<sim::Emulator>(sim::Emulator::Params{
-          .step_len = size_hint * size_hint * 4,
+          .step_len = step_len,
           .seed = derive_seed(master_seed, static_cast<std::uint64_t>(comm->rank()))});
     } else {
       throw std::invalid_argument("unknown --sim '" + kind + "' (heat3d|lulesh|emulator)");
@@ -148,11 +155,14 @@ int run(const ArgParser& args) {
 
   const std::string sim_kind = args.get("sim");
   const std::string app_name = args.get("app");
-  const int ranks = static_cast<int>(args.get_long("ranks"));
-  const int threads = static_cast<int>(args.get_long("threads"));
-  const int steps = static_cast<int>(args.get_long("steps"));
+  // Ranks and pool workers are OS threads of this process.
+  constexpr long kMaxThreads = 1024;
+  const int ranks = static_cast<int>(args.get_long("ranks", 1, kMaxThreads));
+  const int threads = static_cast<int>(args.get_long("threads", 1, kMaxThreads));
+  const int steps = static_cast<int>(args.get_long("steps", 0, INT_MAX));
   const std::string mode = args.get("mode");
-  const auto size_hint = static_cast<std::size_t>(args.get_long("size"));
+  // Each simulation rejects a size whose element count overflows.
+  const auto size_hint = static_cast<std::size_t>(args.get_long("size", 1, LONG_MAX));
   if (mode != "time" && mode != "space") {
     throw std::invalid_argument("--mode must be 'time' or 'space'");
   }
@@ -163,24 +173,27 @@ int run(const ArgParser& args) {
   if (args.has("net-alpha")) net_cfg.alpha_seconds = args.get_double("net-alpha");
   if (args.has("net-beta")) net_cfg.beta_bytes_per_second = args.get_double("net-beta");
   if (args.has("ranks-per-node")) {
-    net_cfg.ranks_per_node = static_cast<int>(args.get_long("ranks-per-node"));
+    net_cfg.ranks_per_node = static_cast<int>(args.get_long("ranks-per-node", 1, INT_MAX));
   }
   if (args.has("net-lane-cap")) {
-    net_cfg.lane_capacity_msgs = static_cast<std::size_t>(args.get_long("net-lane-cap"));
+    net_cfg.lane_capacity_msgs =
+        static_cast<std::size_t>(args.get_long("net-lane-cap", 0, LONG_MAX));
   }
   if (args.has("net-lane-cap-bytes")) {
-    net_cfg.lane_capacity_bytes = static_cast<std::size_t>(args.get_long("net-lane-cap-bytes"));
+    net_cfg.lane_capacity_bytes =
+        static_cast<std::size_t>(args.get_long("net-lane-cap-bytes", 0, LONG_MAX));
   }
 
   // Reproducibility: one master seed for the run (rank streams derive from
   // it), plus the deterministic schedule-exploration knobs.  A failing
   // explored schedule is reproduced with
   //   --schedule replay --schedule-trace "<string the harness printed>".
-  const auto master_seed = static_cast<std::uint64_t>(args.get_long("seed"));
+  const auto master_seed = static_cast<std::uint64_t>(args.get_long("seed", 0, LONG_MAX));
   if (args.has("schedule")) net_cfg.sched_policy = args.get("schedule");
-  net_cfg.sched_seed = args.has("schedule-seed")
-                           ? static_cast<std::uint64_t>(args.get_long("schedule-seed"))
-                           : master_seed;
+  net_cfg.sched_seed =
+      args.has("schedule-seed")
+          ? static_cast<std::uint64_t>(args.get_long("schedule-seed", 0, LONG_MAX))
+          : master_seed;
   if (args.has("schedule-trace")) net_cfg.sched_trace = args.get("schedule-trace");
   const auto net = simmpi::make_network_model(net_cfg);
 

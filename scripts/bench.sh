@@ -33,10 +33,7 @@
 #     lane-capacity backpressure (peak_mailbox_bytes counter);
 #   * BM_TopologyMakespanFlat / FatTree / Dragonfly — the same compute +
 #     allreduce workload priced by each network cost model
-#     (virtual_makespan_s counter; simmpi/network.h);
-#   * BM_ArenaAlltoall8Ranks and BM_ArenaScatterGather8Ranks — the
-#     collectives' fan-out of PayloadArena slices over one backing buffer
-#     (payload_bytes_copied_per_round counter; 0).
+#     (virtual_makespan_s counter; simmpi/network.h).
 #
 # Numbers are container-relative; compare runs from the same machine only —
 # except the before/after *ratios* within one file, which scripts/check.sh

@@ -9,12 +9,18 @@
 # The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
-# The TSan half rebuilds seven test binaries in a separate build tree
+# The reachability step (scripts/check_reachability.py) walks #include
+# from every fig harness, example and perfbench source and fails on any
+# src/ header the walk does not reach: a module stays only if a workload
+# runs it.
+#
+# The TSan half rebuilds ten test binaries in a separate build tree
 # (build-tsan/) with -DSMART_SANITIZE=thread and runs them: test_threading,
 # test_space_sharing, test_obs, test_combination_map, test_transport,
-# test_batch_kernels and test_critpath.  The runtime is thread-heavy (thread
-# pool, circular buffer, simmpi mailboxes), so data races are the bug class
-# worth a dedicated pass.
+# test_batch_kernels, test_critpath, test_simmpi, test_intransit and
+# test_schedule_explore.  The runtime is thread-heavy (thread pool, circular
+# buffer, simmpi mailboxes), so data races are the bug class worth a
+# dedicated pass.
 #
 # The ASan half rebuilds every test in build-asan/ with
 # -DSMART_SANITIZE=address, which arms ASan and UBSan together (any UBSan
@@ -50,6 +56,9 @@ cmake --build "$repo/build" -j "$jobs"
 
 echo "== tier-1: ctest =="
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" --timeout 120
+
+echo "== tier-1: reachability (reach it or remove it) =="
+python3 "$repo/scripts/check_reachability.py" "$repo"
 
 echo "== tier-1: schedule exploration (bounded) =="
 # Deterministic-schedule sweep (DESIGN.md "Deterministic schedule
@@ -137,12 +146,12 @@ print(f"   trace8 ok: {len(events)} events, {len(starts & ends)} matched "
 EOF
 
 echo "== tier-1: zero-copy collective fan-out =="
-# The arena fast path's acceptance bar: an 8-rank scatter -> alltoall ->
-# gather round over PayloadArena slices must move zero payload bytes
-# through memcpy — tests/test_transport.cpp asserts the
-# payload_bytes_copied delta across the whole fan-out is exactly 0.
+# The shared-payload fan-outs' acceptance bar: a 1 MiB bcast_shared and a
+# 4-rank allreduce_shared must move zero payload bytes through memcpy —
+# tests/test_transport.cpp asserts each payload_bytes_copied delta is
+# exactly 0.
 "$repo/build/tests/test_transport" \
-  --gtest_filter='*CollectiveFanoutZeroCopy*' --gtest_brief=1
+  --gtest_filter='TransportSharedPayload.*MovesZeroBytes' --gtest_brief=1
 echo "   zero-copy fan-out ok"
 
 echo "== tier-1: critical-path profiler validation =="
@@ -272,21 +281,18 @@ cmake --build "$repo/build-native" -j "$jobs" \
 echo "   native pass ok"
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== tsan: build test_threading + test_space_sharing + test_obs + test_combination_map + test_transport + test_batch_kernels + test_critpath =="
+  tsan_tests=(test_threading test_space_sharing test_obs test_combination_map
+              test_transport test_batch_kernels test_critpath test_simmpi
+              test_intransit test_schedule_explore)
+  echo "== tsan: build ${tsan_tests[*]} =="
   cmake -B "$repo/build-tsan" -S "$repo" -DSMART_SANITIZE=thread \
     -DSMART_BUILD_BENCHES=OFF -DSMART_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "$repo/build-tsan" -j "$jobs" \
-    --target test_threading test_space_sharing test_obs test_combination_map \
-             test_transport test_batch_kernels test_critpath
+  cmake --build "$repo/build-tsan" -j "$jobs" --target "${tsan_tests[@]}"
 
   echo "== tsan: run =="
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_threading"
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_space_sharing"
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_obs"
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_combination_map"
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_transport"
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_batch_kernels"
-  TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/test_critpath"
+  for t in "${tsan_tests[@]}"; do
+    TSAN_OPTIONS="halt_on_error=1" "$repo/build-tsan/tests/$t"
+  done
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -53,19 +53,4 @@ std::vector<double> kernel_density(const double* data, std::size_t len, std::siz
 std::vector<double> savitzky_golay(const double* data, std::size_t len, int window,
                                    int poly_order);
 
-/// K-nearest-neighbor smoother: mean of the k window elements closest in
-/// value to the center element (clipped windows at the boundary).
-std::vector<double> knn_smoother(const double* data, std::size_t len, std::size_t window,
-                                 std::size_t k);
-
-/// 3-D block means: the slab (nx*ny*nz, x fastest) tiled by bx*by*bz
-/// blocks; returns block means in block-row-major order.
-std::vector<double> block_aggregation(const double* data, std::size_t nx, std::size_t ny,
-                                      std::size_t nz, std::size_t bx, std::size_t by,
-                                      std::size_t bz);
-
-/// 2-D moving average over an nx*ny plane with square clipped windows.
-std::vector<double> moving_average_2d(const double* data, std::size_t nx, std::size_t ny,
-                                      std::size_t window);
-
 }  // namespace smart::analytics::ref

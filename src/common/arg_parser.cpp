@@ -68,13 +68,24 @@ std::string ArgParser::get(const std::string& name) const {
   return spec->second.default_value;
 }
 
-long ArgParser::get_long(const std::string& name) const {
+long ArgParser::get_long(const std::string& name, long min, long max) const {
   const std::string v = get(name);
+  const auto reject = [&](const std::string& why) {
+    return std::invalid_argument("option '--" + name + "': " + why);
+  };
+  const std::string outside =
+      v + " is outside [" + std::to_string(min) + ", " + std::to_string(max) + "]";
   std::size_t used = 0;
-  const long parsed = std::stol(v, &used);
-  if (used != v.size()) {
-    throw std::invalid_argument("option '--" + name + "': '" + v + "' is not an integer");
+  long parsed = 0;
+  try {
+    parsed = std::stol(v, &used);
+  } catch (const std::out_of_range&) {
+    throw reject(outside);
+  } catch (const std::invalid_argument&) {
+    throw reject("'" + v + "' is not an integer");
   }
+  if (used != v.size()) throw reject("'" + v + "' is not an integer");
+  if (parsed < min || parsed > max) throw reject(outside);
   return parsed;
 }
 

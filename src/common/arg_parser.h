@@ -25,7 +25,9 @@ class ArgParser {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
-  long get_long(const std::string& name) const;
+  /// The option's integer value; throws std::invalid_argument naming the
+  /// option when the value is not an integer or lies outside [min, max].
+  long get_long(const std::string& name, long min, long max) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 

@@ -24,60 +24,40 @@ namespace smart {
 /// Growable byte buffer; the unit of exchange between simmpi ranks.
 using Buffer = std::vector<std::byte>;
 
-/// Immutable, reference-counted view of wire bytes.  Fan-out senders
-/// (bcast children, checkpoint distribution, FT direct root fan-out)
-/// serialize once and hand the same SharedBuffer to every destination;
-/// receivers each deserialize from the shared bytes, so the
-/// serialize-once-per-message fidelity rule (simmpi/mailbox.h) is
-/// untouched while the per-child payload copies disappear.
-///
-/// A SharedBuffer is an (owner, offset, length) *view*, not a bare
-/// shared_ptr: scatter/alltoall fan-out packs all destinations into one
-/// pooled arena allocation (PayloadArena below) and ships each rank an
-/// offset/length slice of it — per-destination payloads with zero copies
-/// and one allocation per collective round.  The backing storage is
-/// released (to the BufferPool, via make_shared_buffer's deleter) when the
-/// last slice anywhere drops its reference.
+/// Immutable, reference-counted wire bytes.  Fan-out senders (bcast
+/// children, checkpoint distribution, FT direct root fan-out) serialize
+/// once and hand the same SharedBuffer to every destination; receivers each
+/// deserialize from the shared bytes, so the serialize-once-per-message
+/// fidelity rule (simmpi/mailbox.h) is untouched while the per-child
+/// payload copies disappear.  The backing storage returns to the
+/// BufferPool (via make_shared_buffer's deleter) when the last reference
+/// drops.
 class SharedBuffer {
  public:
   SharedBuffer() = default;
   SharedBuffer(std::nullptr_t) {}  // NOLINT(google-explicit-constructor): mirrors shared_ptr
-  /// Whole-buffer view — the common case of one payload, one allocation.
-  SharedBuffer(std::shared_ptr<const Buffer> whole)  // NOLINT(google-explicit-constructor)
-      : owner_(std::move(whole)), size_(owner_ ? owner_->size() : 0) {}
-  /// Slice view over [offset, offset + length) of `owner`'s bytes.
-  SharedBuffer(std::shared_ptr<const Buffer> owner, std::size_t offset, std::size_t length)
-      : owner_(std::move(owner)), offset_(offset), size_(length) {
-    if (!owner_ || offset_ > owner_->size() || size_ > owner_->size() - offset_) {
-      throw std::out_of_range("smart::SharedBuffer: slice outside owner");
-    }
-  }
+  SharedBuffer(std::shared_ptr<const Buffer> bytes)  // NOLINT(google-explicit-constructor)
+      : owner_(std::move(bytes)) {}
 
-  const std::byte* data() const { return owner_ ? owner_->data() + offset_ : nullptr; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  const std::byte* data() const { return owner_ ? owner_->data() : nullptr; }
+  std::size_t size() const { return owner_ ? owner_->size() : 0; }
+  bool empty() const { return size() == 0; }
   const std::byte& operator[](std::size_t i) const { return *(data() + i); }
 
-  /// True when the view covers its owner's entire extent — the only case
-  /// where a receiver may steal the backing storage instead of copying.
-  bool whole() const { return owner_ && offset_ == 0 && size_ == owner_->size(); }
-
-  /// The backing allocation (shared by every slice carved from it).
+  /// The backing allocation.
   const std::shared_ptr<const Buffer>& storage() const { return owner_; }
 
   explicit operator bool() const { return owner_ != nullptr; }
-  void reset() { owner_.reset(); offset_ = 0; size_ = 0; }
+  void reset() { owner_.reset(); }
 
   friend bool operator==(const SharedBuffer& b, std::nullptr_t) { return b.owner_ == nullptr; }
-  /// View identity (same storage, same window) — not byte equality.
+  /// Identity (same storage) — not byte equality.
   friend bool operator==(const SharedBuffer& a, const SharedBuffer& b) {
-    return a.owner_ == b.owner_ && a.offset_ == b.offset_ && a.size_ == b.size_;
+    return a.owner_ == b.owner_;
   }
 
  private:
   std::shared_ptr<const Buffer> owner_;
-  std::size_t offset_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Size-classed buffer recycler for steady-state wire traffic.
@@ -330,80 +310,6 @@ inline const SharedBuffer& shared_empty_buffer() {
   return empty;
 }
 
-/// One pooled allocation per collective round, carved into per-destination
-/// SharedBuffer slices.
-///
-/// Instead of one owning Buffer per destination (n-1 allocations and n-1
-/// payload copies per round), a PayloadArena is a single staging Buffer
-/// the caller serializes *into*, destination after destination, sealing
-/// each one with end_slice(); finish() freezes the arena into shared
-/// storage and returns offset/length views of it.  Sending the views
-/// (Communicator::scatter_shared/alltoall_shared) moves zero payload
-/// bytes, and the arena's capacity returns to the BufferPool when the last
-/// receiver anywhere drops its slice.
-///
-/// The arena object is reusable: begin() re-acquires staging storage from
-/// the pool sized by the largest round seen so far, so steady-state rounds
-/// neither copy nor allocate.
-class PayloadArena {
- public:
-  /// Starts a round: staging storage comes from the BufferPool, sized by
-  /// max(size_hint, largest finished round).  Discards any unfinished round.
-  void begin(std::size_t size_hint = 0) {
-    staging_ = BufferPool::acquire(std::max(size_hint, high_water_));
-    staging_.clear();
-    slices_.clear();
-    mark_ = 0;
-  }
-
-  /// The round's staging buffer: append the current destination's bytes
-  /// here (e.g. via Writer, which always appends), then call end_slice().
-  Buffer& staging() { return staging_; }
-
-  /// Appends `n` raw bytes and seals them as one slice — the convenience
-  /// path for pre-serialized chunks.
-  void add(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    staging_.insert(staging_.end(), p, p + n);
-    end_slice();
-  }
-
-  /// Seals [previous end, current end) as the next slice (may be empty).
-  void end_slice() {
-    slices_.emplace_back(mark_, staging_.size() - mark_);
-    mark_ = staging_.size();
-  }
-
-  /// Bytes staged so far this round.
-  std::size_t staged_bytes() const { return staging_.size(); }
-  std::size_t slice_count() const { return slices_.size(); }
-
-  /// Freezes the staged bytes into one shared allocation and returns the
-  /// sealed slices as views of it, in end_slice() order.  Empty slices
-  /// come back null (no payload) so send paths treat them as empty
-  /// messages without pinning the arena.
-  std::vector<SharedBuffer> finish() {
-    if (staging_.size() > high_water_) high_water_ = staging_.size();
-    std::vector<SharedBuffer> out;
-    out.reserve(slices_.size());
-    const SharedBuffer whole = make_shared_buffer(std::move(staging_));
-    for (const auto& [offset, length] : slices_) {
-      out.push_back(length == 0 ? SharedBuffer{}
-                                : SharedBuffer(whole.storage(), offset, length));
-    }
-    staging_ = Buffer{};
-    slices_.clear();
-    mark_ = 0;
-    return out;
-  }
-
- private:
-  Buffer staging_;
-  std::vector<std::pair<std::size_t, std::size_t>> slices_;  ///< (offset, length)
-  std::size_t mark_ = 0;        ///< start offset of the slice being staged
-  std::size_t high_water_ = 0;  ///< largest finished round, sizes begin()'s acquire
-};
-
 /// Appends primitives, strings and trivially-copyable spans to a Buffer.
 ///
 /// A Writer always *appends* to the Buffer it wraps — it never clears it.
@@ -475,7 +381,7 @@ class Reader {
  public:
   Reader(const std::byte* data, std::size_t size) : data_(data), size_(size) {}
   explicit Reader(const Buffer& buf) : Reader(buf.data(), buf.size()) {}
-  /// Reads a shared payload (or a slice of one) in place — no copy.
+  /// Reads a shared payload in place — no copy.
   explicit Reader(const SharedBuffer& buf) : Reader(buf.data(), buf.size()) {}
 
   void read_bytes(void* dst, std::size_t n) {

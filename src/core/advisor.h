@@ -4,24 +4,23 @@
 // for the applications involving frequent synchronization."
 //
 // Given measured per-step costs (simulation compute, analytics compute,
-// synchronization) and the node's scaling curves, the advisor evaluates
-// time sharing against every candidate core split and recommends a mode —
-// the calculation the Figure 10 harness performs, packaged as a library
-// facility a deployment can call after a few profiled steps.
+// synchronization) and the node's scaling curves, the advisor prices time
+// sharing and every core split, and recommends a mode.  The Figure 10
+// harness (bench/fig10_space_sharing.cpp) prints every modeled time through
+// these functions:
+//   time sharing        T = S/sp_s(cores) + A/sp_a(cores) + sync
+//   space sharing n_m   T = max(S/sp_s(n), A/sp_a(m) + kSpaceSyncFactor·sync)
 #pragma once
 
-#include <cstddef>
 #include <functional>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace smart {
 
 struct ModeCosts {
-  double sim_seconds_per_step = 0.0;   ///< single-thread simulation compute
-  double ana_seconds_per_step = 0.0;   ///< single-thread analytics compute
-  double sync_seconds_per_step = 0.0;  ///< cross-rank combination cost
+  double sim_seconds_per_step = 0.0;   ///< single-thread simulation compute (S)
+  double ana_seconds_per_step = 0.0;   ///< single-thread analytics compute (A)
+  double sync_seconds_per_step = 0.0;  ///< cross-rank combination cost (sync)
 };
 
 struct NodeModel {
@@ -29,11 +28,12 @@ struct NodeModel {
   /// Speedup of the simulation/analytics on t cores.
   std::function<double(int)> sim_speedup;
   std::function<double(int)> ana_speedup;
-  /// Synchronization inflation when sim and analytics tasks must serialize
-  /// their message passing (space sharing); the paper's single-threaded-MPI
-  /// effect.  2.0 by default.
-  double space_sync_factor = 2.0;
 };
+
+/// Synchronization inflation under space sharing: the simulation and
+/// analytics tasks must serialize their message passing (the paper's
+/// single-threaded-MPI effect), so the analytics lane pays sync twice.
+constexpr double kSpaceSyncFactor = 2.0;
 
 struct ModeRecommendation {
   enum class Mode { kTimeSharing, kSpaceSharing } mode = Mode::kTimeSharing;
@@ -48,9 +48,16 @@ struct ModeRecommendation {
   std::string to_string() const;
 };
 
-/// Evaluates time sharing vs every (sim_cores, ana_cores) split with both
-/// counts >= min_cores_per_side and recommends the cheaper mode.
-ModeRecommendation advise_mode(const ModeCosts& costs, const NodeModel& node,
-                               int min_cores_per_side = 1);
+/// Per-step time when simulation and analytics take turns on all
+/// node.cores cores.
+double time_sharing_seconds(const ModeCosts& costs, const NodeModel& node);
+
+/// Per-step time when the simulation runs on `sim_cores` cores and the
+/// analytics concurrently on the other node.cores - sim_cores.
+double space_sharing_seconds(const ModeCosts& costs, const NodeModel& node, int sim_cores);
+
+/// Evaluates time sharing vs every split that leaves each side at least
+/// one core and recommends the cheaper mode.
+ModeRecommendation advise_mode(const ModeCosts& costs, const NodeModel& node);
 
 }  // namespace smart

@@ -1,5 +1,6 @@
 #include "sim/heat3d.h"
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,10 +11,28 @@ namespace smart::sim {
 namespace {
 constexpr int kHaloUpTag = 100;    // plane traveling to the rank above (higher z)
 constexpr int kHaloDownTag = 101;  // plane traveling to the rank below
+
+/// Rejects bad parameters before any member allocates, including a domain
+/// whose two grids of (nz_local + 2) * nx * ny doubles overflow size_t.
+const Heat3D::Params& validated(const Heat3D::Params& p) {
+  if (p.nx < 3 || p.ny < 3 || p.nz_local < 1) {
+    throw std::invalid_argument("Heat3D: domain too small (need nx,ny >= 3, nz_local >= 1)");
+  }
+  if (p.alpha <= 0.0 || p.alpha >= 1.0 / 6.0) {
+    throw std::invalid_argument("Heat3D: alpha must be in (0, 1/6) for stability");
+  }
+  std::size_t elems = 0;
+  if (p.nz_local > SIZE_MAX - 2 || __builtin_mul_overflow(p.nx, p.ny, &elems) ||
+      __builtin_mul_overflow(elems, p.nz_local + 2, &elems) ||
+      elems > SIZE_MAX / (2 * sizeof(double))) {
+    throw std::invalid_argument("Heat3D: (nz_local + 2) * nx * ny elements overflow");
+  }
+  return p;
+}
 }  // namespace
 
 Heat3D::Heat3D(const Params& params, simmpi::Communicator* comm, ThreadPool* pool)
-    : p_(params),
+    : p_(validated(params)),
       comm_(comm),
       pool_(pool),
       plane_(params.nx * params.ny),
@@ -21,12 +40,6 @@ Heat3D::Heat3D(const Params& params, simmpi::Communicator* comm, ThreadPool* poo
       grid_b_((params.nz_local + 2) * params.nx * params.ny, 0.0),
       mem_charge_(MemCategory::kSimulation,
                   2 * (params.nz_local + 2) * params.nx * params.ny * sizeof(double)) {
-  if (p_.nx < 3 || p_.ny < 3 || p_.nz_local < 1) {
-    throw std::invalid_argument("Heat3D: domain too small (need nx,ny >= 3, nz_local >= 1)");
-  }
-  if (p_.alpha <= 0.0 || p_.alpha >= 1.0 / 6.0) {
-    throw std::invalid_argument("Heat3D: alpha must be in (0, 1/6) for stability");
-  }
   apply_boundaries(grid_a_);
   apply_boundaries(grid_b_);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -20,10 +21,26 @@ void unpack_plane(const Buffer& buf, std::vector<double>& dst) {
   dst.resize(buf.size() / sizeof(double));
   std::memcpy(dst.data(), buf.data(), buf.size());
 }
+
+/// Rejects bad parameters before any member allocates, including a cube
+/// whose five fields of edge^3 doubles overflow size_t.
+const MiniLulesh::Params& validated(const MiniLulesh::Params& p) {
+  if (p.edge < 2) throw std::invalid_argument("MiniLulesh: edge must be >= 2");
+  if (p.gamma <= 1.0) throw std::invalid_argument("MiniLulesh: gamma must exceed 1");
+  if (p.courant <= 0.0 || p.courant > 1.0 / 6.0) {
+    throw std::invalid_argument("MiniLulesh: courant must be in (0, 1/6]");
+  }
+  std::size_t cells = 0;
+  if (__builtin_mul_overflow(p.edge, p.edge, &cells) ||
+      __builtin_mul_overflow(cells, p.edge, &cells) || cells > SIZE_MAX / (5 * sizeof(double))) {
+    throw std::invalid_argument("MiniLulesh: edge^3 elements overflow");
+  }
+  return p;
+}
 }  // namespace
 
 MiniLulesh::MiniLulesh(const Params& params, simmpi::Communicator* comm, ThreadPool* pool)
-    : p_(params),
+    : p_(validated(params)),
       comm_(comm),
       pool_(pool),
       e_(params.edge * params.edge * params.edge, 1.0),
@@ -33,11 +50,6 @@ MiniLulesh::MiniLulesh(const Params& params, simmpi::Communicator* comm, ThreadP
       flux_(e_.size(), 0.0),
       mem_charge_(MemCategory::kSimulation,
                   5 * params.edge * params.edge * params.edge * sizeof(double)) {
-  if (p_.edge < 2) throw std::invalid_argument("MiniLulesh: edge must be >= 2");
-  if (p_.gamma <= 1.0) throw std::invalid_argument("MiniLulesh: gamma must exceed 1");
-  if (p_.courant <= 0.0 || p_.courant > 1.0 / 6.0) {
-    throw std::invalid_argument("MiniLulesh: courant must be in (0, 1/6]");
-  }
   // Sedov-like deposition: a point blast at the global origin corner.
   if (comm_ == nullptr || comm_->rank() == 0) {
     e_[idx(0, 0, 0)] += p_.blast_energy;

@@ -14,28 +14,13 @@
 namespace smart::simmpi {
 
 namespace {
-// Internal tag space for collectives; user tags must be >= 0.  Gather and
-// alltoall complete in any-source order, so successive calls separate their
-// rounds with an Envelope::epoch stamp matched by the mailbox — otherwise a
-// fast rank's round-k+1 message could be consumed by a slow root still
-// draining round k.  (The epoch used to be folded into the tag modulo
-// 1000, which aliased round k with round k+1000: on the 1001st call a stale
-// wrapped message could be consumed as current.)  The epoch's high bits
-// carry the communicator's context id, so a split's round k never matches
-// the world's (or a sibling split's) round k either.
+// Internal tag space for collectives; user tags must be >= 0.  Every
+// collective receive names its exact source, so per-(source, tag) FIFO
+// keeps a fast rank's next round behind the current one.
 constexpr int kBarrierBase = -1000;
 constexpr int kBcastTag = -2000;
-constexpr int kGatherTag = -3000;
+constexpr int kSplitTag = -3000;
 constexpr int kReduceTag = -4000;
-constexpr int kScatterTag = -5000;
-constexpr int kAlltoallTag = -6000;
-
-/// Epoch layout: context id above bit 40, round number below.  2^40 rounds
-/// of one collective on one communicator is beyond any run's reach, and
-/// 2^24 split() calls per World is plenty; the mask only guarantees a
-/// round can never bleed into the context bits.
-constexpr int kContextShift = 40;
-constexpr std::uint64_t kRoundMask = (std::uint64_t{1} << kContextShift) - 1;
 
 std::atomic<std::uint64_t> g_payload_bytes_copied{0};
 
@@ -60,22 +45,12 @@ Buffer pooled_copy(const Buffer& src) {
   return out;
 }
 
-/// Same, from a shared payload view (possibly an arena slice).
+/// Same, from a shared payload.
 Buffer pooled_copy(const SharedBuffer& src) {
   Buffer out = BufferPool::acquire(src.size());
   out.assign(src.data(), src.data() + src.size());
   count_payload_copy(src.size());
   return out;
-}
-
-/// Payload bytes moved as views of a shared arena (the zero-copy fan-out
-/// fast path) — the counterpart of simmpi.payload_bytes_copied.
-void count_arena_bytes(std::size_t bytes) {
-  if (bytes != 0 && obs::metrics_enabled()) {
-    static obs::Counter& arena =
-        obs::MetricsRegistry::global().counter("simmpi.arena_bytes");
-    arena.add(static_cast<std::int64_t>(bytes));
-  }
 }
 
 /// Message-latency buckets for simmpi.recv_wait_us: 1µs .. 1s in decades.
@@ -119,12 +94,11 @@ Communicator::Communicator(World& world, int world_rank)
 }
 
 Communicator::Communicator(World& world, int world_rank, std::vector<int> group,
-                           std::shared_ptr<detail::RankState> state, std::uint64_t context)
+                           std::shared_ptr<detail::RankState> state)
     : world_(world),
       world_rank_(world_rank),
       group_(std::move(group)),
-      state_(std::move(state)),
-      context_(context) {
+      state_(std::move(state)) {
   const auto it = std::find(group_.begin(), group_.end(), world_rank_);
   if (it == group_.end()) {
     throw std::logic_error("simmpi: split communicator does not contain this rank");
@@ -148,10 +122,6 @@ int Communicator::from_world(int world_rank) const {
   return static_cast<int>(it - group_.begin());
 }
 
-std::uint64_t Communicator::next_epoch(std::uint64_t& round) const {
-  return (context_ << kContextShift) | (round++ & kRoundMask);
-}
-
 void Communicator::charge_own_cpu() {
   const double now = thread_cpu_seconds();
   state_->vclock += now - state_->last_cpu;
@@ -168,8 +138,7 @@ double Communicator::vclock() {
   return state_->vclock;
 }
 
-void Communicator::send_envelope(int dest, int tag, SharedBuffer payload, bool shared,
-                                 std::uint64_t epoch) {
+void Communicator::send_envelope(int dest, int tag, SharedBuffer payload, bool shared) {
   if (dest < 0 || dest >= size()) {
     throw std::out_of_range("simmpi::send: destination rank out of range");
   }
@@ -243,7 +212,6 @@ void Communicator::send_envelope(int dest, int tag, SharedBuffer payload, bool s
   // Departure stamp on the span: the profiler jumps from an
   // arrival-constrained recv back to this clock value on this rank.
   span.arg("dep_vt_ns", vt_ns(e.vtime));
-  e.epoch = epoch;
   e.payload = std::move(payload);
   e.shared_payload = shared;
   if (obs::trace_enabled()) {
@@ -362,24 +330,21 @@ Buffer Communicator::deliver(Envelope e, int* actual_source, int* actual_tag) {
   // this envelope's alone by construction, so the bytes can be stolen; a
   // shared one must be copied — checking the flag instead of use_count()
   // keeps the decision deterministic and race-free (a sibling receiver may
-  // be dropping its reference concurrently).  Arena slices are always
-  // shared, but whole() guards against stealing storage a sibling slice
-  // still views.
-  const bool steal =
-      static_cast<bool>(e.payload) && !e.shared_payload && e.payload.whole();
+  // be dropping its reference concurrently).
+  const bool steal = static_cast<bool>(e.payload) && !e.shared_payload;
   SharedBuffer data = deliver_shared(e, actual_source, actual_tag);
   if (steal) return std::move(*const_cast<Buffer*>(data.storage().get()));
   if (data.empty()) return Buffer{};
   return pooled_copy(data);
 }
 
-Envelope Communicator::recv_envelope(int source, int tag, std::uint64_t epoch) {
+Envelope Communicator::recv_envelope(int source, int tag) {
   charge_own_cpu();
   const int world_source = source == kAnySource ? kAnySource : to_world(source);
   inject_recv_faults(world_source, tag);
   const bool measure = obs::metrics_enabled();
   const auto wait_start = std::chrono::steady_clock::now();
-  Envelope e = world_.mailbox(world_rank_).receive(world_source, tag, epoch);
+  Envelope e = world_.mailbox(world_rank_).receive(world_source, tag);
   if (measure) observe_recv_wait(wait_start);
   return e;
 }
@@ -487,20 +452,6 @@ std::vector<int> Communicator::alive_ranks() const {
   return out;
 }
 
-std::optional<Buffer> Communicator::try_recv(int source, int tag, int* actual_source,
-                                             int* actual_tag) {
-  charge_own_cpu();
-  const int world_source = source == kAnySource ? kAnySource : to_world(source);
-  auto e = world_.mailbox(world_rank_).try_receive(world_source, tag);
-  if (!e) return std::nullopt;
-  return deliver(std::move(*e), actual_source, actual_tag);
-}
-
-bool Communicator::probe(int source, int tag) const {
-  const int world_source = source == kAnySource ? kAnySource : to_world(source);
-  return world_.mailbox(world_rank_).has_match(world_source, tag);
-}
-
 void Communicator::barrier() {
   // Dissemination barrier: ceil(log2(n)) rounds of shifted exchanges.
   const int n = size();
@@ -536,94 +487,6 @@ void Communicator::bcast_shared(SharedBuffer& data, int root) {
       if (m < n) send_shared((m + root) % n, kBcastTag, data);
     }
   }
-}
-
-SharedBuffer Communicator::scatter_shared(const std::vector<SharedBuffer>& slices, int root) {
-  if (rank_ != root) return recv_shared(root, kScatterTag);
-  if (slices.size() != static_cast<std::size_t>(size())) {
-    throw std::invalid_argument("simmpi::scatter_shared: need one slice per rank");
-  }
-  obs::TraceSpan span("scatter.arena", "mpi", {{"ranks", size()}});
-  std::size_t fanned_out = 0;
-  for (int r = 0; r < size(); ++r) {
-    if (r == root) continue;
-    const SharedBuffer& slice = slices[static_cast<std::size_t>(r)];
-    fanned_out += slice.size();
-    send_envelope(r, kScatterTag, slice, /*shared=*/true);
-  }
-  span.arg("bytes", static_cast<std::int64_t>(fanned_out));
-  count_arena_bytes(fanned_out);
-  return slices[static_cast<std::size_t>(root)];
-}
-
-std::vector<SharedBuffer> Communicator::alltoall_shared(const std::vector<SharedBuffer>& sends) {
-  const int n = size();
-  if (sends.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("simmpi::alltoall_shared: need one slice per rank");
-  }
-  obs::TraceSpan span("alltoall.arena", "mpi", {{"ranks", n}});
-  // Every call advances this rank's round counter; all ranks call the
-  // collective the same number of times, so the counters agree without
-  // coordination.  The epoch rides in the Envelope and the any-source
-  // receives below match only this round's messages on this communicator.
-  const std::uint64_t epoch = next_epoch(alltoall_epoch_);
-  std::vector<SharedBuffer> recvs(static_cast<std::size_t>(n));
-  recvs[static_cast<std::size_t>(rank_)] = sends[static_cast<std::size_t>(rank_)];
-  std::size_t fanned_out = 0;
-  for (int r = 0; r < n; ++r) {
-    if (r == rank_) continue;
-    const SharedBuffer& slice = sends[static_cast<std::size_t>(r)];
-    fanned_out += slice.size();
-    send_envelope(r, kAlltoallTag, slice, /*shared=*/true, epoch);
-  }
-  span.arg("bytes", static_cast<std::int64_t>(fanned_out));
-  count_arena_bytes(fanned_out);
-  for (int i = 0; i < n - 1; ++i) {
-    obs::TraceSpan rspan("recv", "mpi", {{"tag", kAlltoallTag}});
-    Envelope e = recv_envelope(kAnySource, kAlltoallTag, epoch);
-    rspan.arg("vt0_ns", vt_ns(state_->vclock));
-    rspan.arg("bytes", static_cast<std::int64_t>(e.size()));
-    int src = kAnySource;
-    SharedBuffer got = deliver_shared(e, &src, nullptr);
-    rspan.arg("vt1_ns", vt_ns(state_->vclock));
-    if (src == kAnySource || src == rank_) {
-      throw std::logic_error("simmpi::alltoall_shared: unexpected message source");
-    }
-    recvs[static_cast<std::size_t>(src)] = std::move(got);
-  }
-  return recvs;
-}
-
-std::vector<SharedBuffer> Communicator::gather_shared(SharedBuffer local, int root) {
-  const int n = size();
-  // Same per-rank round counter scheme as alltoall_shared (see there).
-  const std::uint64_t epoch = next_epoch(gather_epoch_);
-  if (rank_ != root) {
-    count_arena_bytes(local.size());
-    send_envelope(root, kGatherTag, std::move(local), /*shared=*/true, epoch);
-    return {};
-  }
-  obs::TraceSpan span("gather.arena", "mpi", {{"ranks", n}});
-  std::vector<SharedBuffer> all(static_cast<std::size_t>(n));
-  all[static_cast<std::size_t>(rank_)] = std::move(local);
-  // Drain children in completion order instead of fixed rank order: a slow
-  // early rank does not head-of-line-block the fast ones behind it.
-  for (int i = 0; i < n - 1; ++i) {
-    obs::TraceSpan rspan("recv", "mpi", {{"tag", kGatherTag}});
-    Envelope e = recv_envelope(kAnySource, kGatherTag, epoch);
-    rspan.arg("vt0_ns", vt_ns(state_->vclock));
-    rspan.arg("bytes", static_cast<std::int64_t>(e.size()));
-    int src = kAnySource;
-    // Root-side placement stays shared: the child's payload lands in `all`
-    // as the same view it travelled as, with no materializing copy.
-    SharedBuffer got = deliver_shared(e, &src, nullptr);
-    rspan.arg("vt1_ns", vt_ns(state_->vclock));
-    if (src == kAnySource || src == root) {
-      throw std::logic_error("simmpi::gather_shared: unexpected message source");
-    }
-    all[static_cast<std::size_t>(src)] = std::move(got);
-  }
-  return all;
 }
 
 Buffer Communicator::reduce(Buffer local,
@@ -665,58 +528,35 @@ SharedBuffer Communicator::allreduce_shared(
 }
 
 Communicator Communicator::split(int color, int key) {
-  // Gather (color, key, world rank) triples to rank 0 of this communicator,
-  // broadcast the full table, and carve out the same-color group sorted by
-  // (key, world rank) — MPI_Comm_split semantics.
-  Buffer mine;
-  {
-    Writer w(mine);
-    w.write(color);
-    w.write(key);
-    w.write(world_rank_);
-  }
-  const std::vector<SharedBuffer> table = gather_shared(make_shared_buffer(std::move(mine)), 0);
-  // Rank 0 draws the new communicators' context id, packs it with the table
-  // and fans both out as one shared payload; every rank (rank 0 included)
-  // deserializes straight from the shared bytes, so nothing is copied.
-  // Every group of this split shares the id: their members never message
-  // each other.
-  SharedBuffer packed;
-  if (rank_ == 0) {
-    Buffer packed_bytes;
-    Writer w(packed_bytes);
-    w.write(world_.next_context_id());
-    w.write<std::uint64_t>(table.size());
-    for (const auto& entry : table) {
-      Reader r(entry);
-      w.write(r.read<int>());
-      w.write(r.read<int>());
-      w.write(r.read<int>());
-    }
-    packed = make_shared_buffer(std::move(packed_bytes));
-  }
-  bcast_shared(packed, 0);
-
+  // Every rank sends its (color, key, world rank) entry to rank 0, which
+  // packs the table in rank order and broadcasts it; each rank carves out
+  // its same-color group sorted by (key, world rank) — MPI_Comm_split
+  // semantics.  Entries move into their sends and the table is one shared
+  // payload, so nothing is copied.
   struct Entry {
     int color, key, world_rank;
   };
-  std::uint64_t context = 0;
-  std::vector<Entry> entries;
-  {
-    Reader r(packed);
-    context = r.read<std::uint64_t>();
-    const auto n = r.read<std::uint64_t>();
-    entries.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Entry e{};
-      e.color = r.read<int>();
-      e.key = r.read<int>();
-      e.world_rank = r.read<int>();
-      entries.push_back(e);
+  SharedBuffer table;
+  if (rank_ != 0) {
+    Buffer mine;
+    Writer(mine).write(Entry{color, key, world_rank_});
+    send(0, kSplitTag, std::move(mine));
+  } else {
+    Buffer packed;
+    Writer w(packed);
+    w.write(Entry{color, key, world_rank_});
+    for (int peer = 1; peer < size(); ++peer) {
+      const SharedBuffer entry = recv_shared(peer, kSplitTag);
+      w.write(Reader(entry).read<Entry>());
     }
+    table = make_shared_buffer(std::move(packed));
   }
+  bcast_shared(table, 0);
+
   std::vector<Entry> group;
-  for (const auto& e : entries) {
+  Reader r(table);
+  for (int i = 0; i < size(); ++i) {
+    const auto e = r.read<Entry>();
     if (e.color == color) group.push_back(e);
   }
   std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
@@ -728,7 +568,7 @@ Communicator Communicator::split(int color, int key) {
   // A barrier keeps successive collectives on parent and child communicators
   // from interleaving their fixed-source internal tags across groups.
   barrier();
-  return Communicator(world_, world_rank_, std::move(world_ranks), state_, context);
+  return Communicator(world_, world_rank_, std::move(world_ranks), state_);
 }
 
 }  // namespace smart::simmpi

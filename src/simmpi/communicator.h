@@ -1,11 +1,12 @@
 // SPMD communicator: the MPI stand-in the Smart runtime is written against.
 //
-// Programming model (mirrors the LLNL MPI tutorial's subset that "most MPI
-// programs can be written with"): explicit rank/size, tagged point-to-point
-// send/recv, barrier, broadcast, gather, scatter, alltoall, reduce,
-// allreduce, and communicator splitting (MPI_Comm_split) for group-local
-// collectives — e.g. a simulation sub-communicator next to staging ranks.
-// All payloads are serialized byte buffers (common/serialize.h).
+// Programming model (the subset of the LLNL MPI tutorial's "most MPI
+// programs can be written with" that the runtime uses): explicit rank/size,
+// tagged point-to-point send/recv (blocking or timed), barrier, broadcast,
+// reduce, allreduce, and communicator splitting (MPI_Comm_split) for
+// group-local collectives — e.g. a simulation sub-communicator next to
+// staging ranks.  All payloads are serialized byte buffers
+// (common/serialize.h).
 //
 // Virtual time model (see DESIGN.md §1): each rank carries a virtual clock.
 // Compute advances it by the rank thread's measured CPU time; parallel
@@ -24,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,14 +109,6 @@ class Communicator {
   /// tree over the same reduced rank set without a consensus round.
   std::vector<int> alive_ranks() const;
 
-  /// Non-blocking probe-and-receive: returns the matched message if one is
-  /// already waiting, std::nullopt otherwise (MPI_Iprobe + MPI_Recv).
-  std::optional<Buffer> try_recv(int source, int tag, int* actual_source = nullptr,
-                                 int* actual_tag = nullptr);
-
-  /// True if a matching message is waiting (MPI_Iprobe).
-  bool probe(int source, int tag) const;
-
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void send_value(int dest, int tag, const T& value) {
@@ -149,11 +141,11 @@ class Communicator {
 
   // --- collectives (must be called by every rank of this communicator, in
   // --- the same order) ------------------------------------------------------
-  // Every payload travels as a SharedBuffer: fan-outs ship views of one
-  // immutable allocation (serialize once, e.g. into a PayloadArena — see
-  // common/serialize.h — and pass its slices), so payload_bytes_copied()
-  // stays flat across a whole round, and results arrive still shared —
-  // receivers deserialize in place.
+  // Every internal receive names its exact source, so per-(source, tag)
+  // FIFO alone keeps successive rounds apart.  Fan-outs hand every child
+  // the same immutable SharedBuffer, so payload_bytes_copied() stays flat
+  // across a whole round, and results arrive still shared — receivers
+  // deserialize in place.
   void barrier();
   /// Shared-payload broadcast: the root's SharedBuffer is handed down the
   /// binomial tree with every hop *sharing* the same immutable bytes —
@@ -162,16 +154,6 @@ class Communicator {
   /// fan-out primitive the heavy paths (map combination broadcast,
   /// checkpoint/result distribution) are built on.
   void bcast_shared(SharedBuffer& data, int root);
-  /// Root sends slices[r] to each rank r; returns this rank's slice (root:
-  /// slices[root] untouched; non-root: never null).
-  SharedBuffer scatter_shared(const std::vector<SharedBuffer>& slices, int root);
-  /// Every rank sends sends[r] to rank r; result indexed by source rank,
-  /// entries never null (empty messages yield the canonical empty buffer —
-  /// except this rank's own entry, which is sends[rank()] untouched).
-  std::vector<SharedBuffer> alltoall_shared(const std::vector<SharedBuffer>& sends);
-  /// Rank-ordered shared payloads at root (root-side placement stays
-  /// shared: no per-child materializing copy); empty vector elsewhere.
-  std::vector<SharedBuffer> gather_shared(SharedBuffer local, int root);
   /// Binomial-tree reduction with a user combiner; result valid at root only.
   Buffer reduce(Buffer local, int root,
                 const std::function<Buffer(const Buffer&, const Buffer&)>& combine);
@@ -190,7 +172,9 @@ class Communicator {
 
   /// MPI_Comm_split: collective over this communicator.  Ranks with the
   /// same color land in one sub-communicator, ordered by (key, rank).
-  /// The returned communicator shares this rank's virtual clock.
+  /// Rank 0 collects every (color, key, rank) entry with exact-source
+  /// receives and broadcasts the table; no payload byte is copied.  The
+  /// returned communicator shares this rank's virtual clock.
   Communicator split(int color, int key);
 
   // --- virtual time --------------------------------------------------------
@@ -210,7 +194,7 @@ class Communicator {
 
  private:
   Communicator(World& world, int world_rank, std::vector<int> group,
-               std::shared_ptr<detail::RankState> state, std::uint64_t context);
+               std::shared_ptr<detail::RankState> state);
 
   int to_world(int rank_in_comm) const;
   int from_world(int world_rank) const;
@@ -222,12 +206,10 @@ class Communicator {
   /// start, the NetworkModel arrival stamp, and the mailbox post (which
   /// may block on a full lane — the stall is charged to this rank's clock
   /// and the simmpi.send_stall_us histogram).  `shared` marks the payload
-  /// as potentially multi-referenced so receivers copy instead of steal;
-  /// `epoch` stamps collective round isolation (0 for plain sends).
-  void send_envelope(int dest, int tag, SharedBuffer payload, bool shared,
-                     std::uint64_t epoch = 0);
+  /// as potentially multi-referenced so receivers copy instead of steal.
+  void send_envelope(int dest, int tag, SharedBuffer payload, bool shared);
   /// Blocking matched-envelope wait shared by recv / recv_shared.
-  Envelope recv_envelope(int source, int tag, std::uint64_t epoch = kAnyEpoch);
+  Envelope recv_envelope(int source, int tag);
   /// Timed wait shared by recv_timeout / recv_shared_timeout; raises
   /// PeerUnreachable on deadline or a dead awaited peer.
   Envelope recv_envelope_timeout(int source, int tag, double timeout_seconds);
@@ -239,30 +221,11 @@ class Communicator {
   /// and counts the copy — when the payload is shared (fan-out/duplicate).
   Buffer deliver(Envelope e, int* actual_source, int* actual_tag);
 
-  /// Next Envelope::epoch for an any-source collective: this
-  /// communicator's context id in the high bits, `round` (post-incremented)
-  /// in the low ones.
-  std::uint64_t next_epoch(std::uint64_t& round) const;
-
   World& world_;
   int world_rank_;
   int rank_;                ///< rank within group_ (== world_rank_ for world view)
   std::vector<int> group_;  ///< group rank -> world rank; empty = world view
   std::shared_ptr<detail::RankState> state_;
-  /// MPI-style communication context: 0 for the world, a fresh World-wide
-  /// id per split() call.  It keeps a split's any-source collective from
-  /// consuming a message another communicator's same collective sent this
-  /// rank — both count their rounds from 0.
-  std::uint64_t context_ = 0;
-  /// Round counters for the any-source collectives (gather, alltoall):
-  /// each call stamps its messages' Envelope::epoch so a fast rank's
-  /// next-round message cannot be consumed by a root still draining the
-  /// previous round — unlike the mod-1000 tag suffix this replaced (which
-  /// aliased round k with round k+1000), the round field never wraps in
-  /// practice.  Collectives are called in the same order on every rank,
-  /// so the counters stay in lockstep without coordination.
-  std::uint64_t gather_epoch_ = 0;
-  std::uint64_t alltoall_epoch_ = 0;
 };
 
 template <typename T>

@@ -46,7 +46,7 @@ bool Mailbox::lane_full_locked(const Lane& lane, std::size_t incoming_bytes) con
   return false;
 }
 
-void Mailbox::wake_matching_waiter_locked(int source, int tag, std::uint64_t epoch) {
+void Mailbox::wake_matching_waiter_locked(int source, int tag) {
   // Wake one receiver this message can satisfy.  Waiters blocked with
   // signaled == false have already verified (under this mutex) that nothing
   // queued matches them, so the new message is the only thing a matching
@@ -55,8 +55,7 @@ void Mailbox::wake_matching_waiter_locked(int source, int tag, std::uint64_t epo
   // deliberate: the Waiter lives on the receiver's stack and may be
   // deregistered (and destroyed) the moment the mutex is released.
   for (Waiter* w : waiters_) {
-    if (!w->signaled && selector_matches(w->source, w->tag, source, tag) &&
-        epoch_matches(w->epoch, epoch)) {
+    if (!w->signaled && selector_matches(w->source, w->tag, source, tag)) {
       w->signaled = true;
       w->cv.notify_one();
       break;
@@ -103,7 +102,6 @@ void Mailbox::enqueue_locked(Envelope e) {
   lane.source = source;
   lane.tag = tag;
   lane.bytes += nbytes;
-  const std::uint64_t epoch = e.epoch;
   lane.q.push_back(std::move(e));
   ++pending_;
   pending_bytes_ += nbytes;
@@ -118,7 +116,7 @@ void Mailbox::enqueue_locked(Envelope e) {
     lanes.update_max(static_cast<double>(lanes_.size()));
     peak_bytes.update_max(static_cast<double>(pending_bytes_));
   }
-  wake_matching_waiter_locked(source, tag, epoch);
+  wake_matching_waiter_locked(source, tag);
 }
 
 void Mailbox::post_scheduled(Envelope e) {
@@ -126,7 +124,7 @@ void Mailbox::post_scheduled(Envelope e) {
   enqueue_locked(std::move(e));
 }
 
-void Mailbox::notify_scheduled(int source, int tag, std::uint64_t epoch) {
+void Mailbox::notify_scheduled(int source, int tag) {
   std::lock_guard<std::mutex> lock(mu_);
   // Prefer a receiver whose selector the newly *held* message satisfies —
   // it will pump the controller and (policy willing) commit it.  When no
@@ -136,8 +134,7 @@ void Mailbox::notify_scheduled(int source, int tag, std::uint64_t epoch) {
   // this submission does not — every committed envelope re-wakes its own
   // matching waiter via enqueue_locked, so one arbitrary pumper suffices.
   for (Waiter* w : waiters_) {
-    if (!w->signaled && selector_matches(w->source, w->tag, source, tag) &&
-        epoch_matches(w->epoch, epoch)) {
+    if (!w->signaled && selector_matches(w->source, w->tag, source, tag)) {
       w->signaled = true;
       w->cv.notify_one();
       return;
@@ -152,7 +149,7 @@ void Mailbox::notify_scheduled(int source, int tag, std::uint64_t epoch) {
   }
 }
 
-std::optional<Envelope> Mailbox::take_locked(int source, int tag, std::uint64_t epoch) {
+std::optional<Envelope> Mailbox::take_locked(int source, int tag) {
   if (lanes_.empty()) return std::nullopt;
   auto pop_lane = [&](std::unordered_map<std::uint64_t, Lane>::iterator it) {
     Envelope e = std::move(it->second.q.front());
@@ -166,27 +163,18 @@ std::optional<Envelope> Mailbox::take_locked(int source, int tag, std::uint64_t 
       // Erase drained lanes: collective tags descend every round, so keeping
       // empty lanes around would grow the table without bound.
       lanes_.erase(it);
-    } else {
-      // A new head is exposed; a parked epoch-selective waiter that skipped
-      // this lane because of the old head may now match it (only possible
-      // when several receiver threads share a mailbox — one rank thread
-      // consuming rounds in order never needs this).
-      const Envelope& head = it->second.q.front();
-      wake_matching_waiter_locked(head.source, head.tag, head.epoch);
     }
     return e;
   };
   if (source != kAnySource && tag != kAnyTag) {
     const auto it = lanes_.find(lane_key(source, tag));
     if (it == lanes_.end()) return std::nullopt;
-    if (!epoch_matches(epoch, it->second.q.front().epoch)) return std::nullopt;
     return pop_lane(it);
   }
   // Wildcard receive: earliest arrival among the matching lanes' heads.
   auto best = lanes_.end();
   for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
     if (!selector_matches(source, tag, it->second.source, it->second.tag)) continue;
-    if (!epoch_matches(epoch, it->second.q.front().epoch)) continue;
     if (best == lanes_.end() || it->second.q.front().seq < best->second.q.front().seq) {
       best = it;
     }
@@ -204,16 +192,16 @@ void Mailbox::unregister_locked(Waiter* w) {
   }
 }
 
-Envelope Mailbox::receive(int source, int tag, std::uint64_t epoch) {
-  if (sched_ != nullptr) return receive_scheduled(source, tag, epoch);
+Envelope Mailbox::receive(int source, int tag) {
+  if (sched_ != nullptr) return receive_scheduled(source, tag);
   std::unique_lock<std::mutex> lock(mu_);
-  if (auto e = take_locked(source, tag, epoch)) return std::move(*e);
-  Waiter w{source, tag, epoch};
+  if (auto e = take_locked(source, tag)) return std::move(*e);
+  Waiter w{source, tag};
   waiters_.push_back(&w);
   for (;;) {
     w.cv.wait(lock, [&] { return w.signaled; });
     w.signaled = false;
-    if (auto e = take_locked(source, tag, epoch)) {
+    if (auto e = take_locked(source, tag)) {
       unregister_locked(&w);
       return std::move(*e);
     }
@@ -223,25 +211,24 @@ Envelope Mailbox::receive(int source, int tag, std::uint64_t epoch) {
 }
 
 std::optional<Envelope> Mailbox::receive_for(int source, int tag,
-                                             std::chrono::nanoseconds timeout,
-                                             std::uint64_t epoch) {
-  if (sched_ != nullptr) return receive_for_scheduled(source, tag, timeout, epoch);
+                                             std::chrono::nanoseconds timeout) {
+  if (sched_ != nullptr) return receive_for_scheduled(source, tag, timeout);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock<std::mutex> lock(mu_);
-  if (auto e = take_locked(source, tag, epoch)) return e;
-  Waiter w{source, tag, epoch};
+  if (auto e = take_locked(source, tag)) return e;
+  Waiter w{source, tag};
   waiters_.push_back(&w);
   for (;;) {
     if (!w.cv.wait_until(lock, deadline, [&] { return w.signaled; })) {
       // Deadline passed with no signal.  One last look: the message may
       // have been posted between the final wake-up and the deadline check.
-      auto e = take_locked(source, tag, epoch);
+      auto e = take_locked(source, tag);
       unregister_locked(&w);
       if (!e) trace_receive_timeout(tag, timeout);
       return e;
     }
     w.signaled = false;
-    if (auto e = take_locked(source, tag, epoch)) {
+    if (auto e = take_locked(source, tag)) {
       unregister_locked(&w);
       return e;
     }
@@ -263,17 +250,17 @@ void Mailbox::mark_dead() {
   if (senders_waiting_ != 0) space_cv_.notify_all();
 }
 
-std::optional<Envelope> Mailbox::try_receive(int source, int tag, std::uint64_t epoch) {
+std::optional<Envelope> Mailbox::try_receive(int source, int tag) {
   // Scheduled mode: give the controller the chance to commit held traffic
   // first, so a try_receive observes whatever the policy delivers (and a
   // probe loop cannot spin forever on messages held upstream).
   if (sched_ != nullptr) sched_->pump(sched_rank_, /*force=*/true);
   std::lock_guard<std::mutex> lock(mu_);
-  return take_locked(source, tag, epoch);
+  return take_locked(source, tag);
 }
 
-Envelope Mailbox::receive_scheduled(int source, int tag, std::uint64_t epoch) {
-  Waiter w{source, tag, epoch};
+Envelope Mailbox::receive_scheduled(int source, int tag) {
+  Waiter w{source, tag};
   {
     std::lock_guard<std::mutex> lock(mu_);
     waiters_.push_back(&w);
@@ -291,7 +278,7 @@ Envelope Mailbox::receive_scheduled(int source, int tag, std::uint64_t epoch) {
     }
     sched_->pump(sched_rank_, /*force=*/true);
     std::unique_lock<std::mutex> lock(mu_);
-    if (auto e = take_locked(source, tag, epoch)) {
+    if (auto e = take_locked(source, tag)) {
       unregister_locked(&w);
       return std::move(*e);
     }
@@ -300,10 +287,9 @@ Envelope Mailbox::receive_scheduled(int source, int tag, std::uint64_t epoch) {
 }
 
 std::optional<Envelope> Mailbox::receive_for_scheduled(int source, int tag,
-                                                       std::chrono::nanoseconds timeout,
-                                                       std::uint64_t epoch) {
+                                                       std::chrono::nanoseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  Waiter w{source, tag, epoch};
+  Waiter w{source, tag};
   {
     std::lock_guard<std::mutex> lock(mu_);
     waiters_.push_back(&w);
@@ -315,7 +301,7 @@ std::optional<Envelope> Mailbox::receive_for_scheduled(int source, int tag,
     }
     sched_->pump(sched_rank_, /*force=*/true);
     std::unique_lock<std::mutex> lock(mu_);
-    if (auto e = take_locked(source, tag, epoch)) {
+    if (auto e = take_locked(source, tag)) {
       unregister_locked(&w);
       return e;
     }
@@ -331,22 +317,11 @@ std::optional<Envelope> Mailbox::receive_for_scheduled(int source, int tag,
       lock.unlock();
       sched_->pump(sched_rank_, /*force=*/true);
       lock.lock();
-      auto e = take_locked(source, tag, epoch);
+      auto e = take_locked(source, tag);
       if (!e) trace_receive_timeout(tag, timeout);
       return e;
     }
   }
-}
-
-bool Mailbox::has_match(int source, int tag) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (source != kAnySource && tag != kAnyTag) {
-    return lanes_.find(lane_key(source, tag)) != lanes_.end();
-  }
-  for (const auto& [key, lane] : lanes_) {
-    if (selector_matches(source, tag, lane.source, lane.tag)) return true;
-  }
-  return false;
 }
 
 std::size_t Mailbox::pending() const {

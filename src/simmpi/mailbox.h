@@ -29,9 +29,6 @@ constexpr int kAnySource = -1;
 /// user wildcard receive must not consume the barrier message of a peer
 /// that has already moved on to a collective.
 constexpr int kAnyTag = -0x7fffffff;
-/// Wildcard for Envelope::epoch matching (the default for every receive
-/// that is not an epoch-stamped collective).
-constexpr std::uint64_t kAnyEpoch = ~std::uint64_t{0};
 
 /// A message in flight: sender rank, user tag, payload, and the sender's
 /// virtual-clock timestamp (see communicator.h for the time model).
@@ -40,13 +37,6 @@ struct Envelope {
   int tag = 0;
   double vtime = 0.0;         ///< sender's virtual clock at departure
   double arrival_vtime = 0.0; ///< NetworkModel arrival (stamped by send_envelope)
-  /// Collective round number for the any-source collectives (gather,
-  /// alltoall): a root draining round k matches only epoch-k messages, so a
-  /// sprinting peer's round-k+1 traffic can never be consumed as round k —
-  /// at any round count (the old mod-1000 tag suffix wrapped and aliased
-  /// after 1000 rounds).  64-bit: never wraps in practice.  Plain sends
-  /// carry 0 and plain receives match any epoch.
-  std::uint64_t epoch = 0;
   /// Serialized bytes; null means an empty payload.  Immutable once posted.
   SharedBuffer payload;
   std::uint64_t flow_id = 0;  ///< nonzero links send→recv trace flow events
@@ -59,9 +49,7 @@ struct Envelope {
   bool shared_payload = false;
 
   std::size_t size() const { return payload.size(); }
-  /// The payload view (null → a zero-length view); a slice's size() is the
-  /// slice, not its backing arena — mailbox byte accounting and
-  /// backpressure charge only the bytes this message actually carries.
+  /// The payload (null → a zero-length view).
   const SharedBuffer& bytes() const { return payload; }
 };
 
@@ -117,21 +105,21 @@ class Mailbox {
   /// Scheduled-mode wake-up (ScheduleController::submit only): signals one
   /// blocked receiver whose selector matches a newly *held* message so it
   /// re-pumps the controller.  The message itself is not yet queued here.
-  void notify_scheduled(int source, int tag, std::uint64_t epoch);
+  void notify_scheduled(int source, int tag);
 
   /// Blocks until a matching message arrives.
-  Envelope receive(int source, int tag, std::uint64_t epoch = kAnyEpoch);
+  Envelope receive(int source, int tag);
 
   /// Timed blocking receive: waits up to `timeout` for a matching message,
   /// std::nullopt once the deadline passes.  This is the primitive the
   /// fault-tolerant paths are built on — a dead peer becomes a bounded
   /// wait instead of a hang (Communicator::recv_timeout raises the typed
   /// PeerUnreachable on top of it).
-  std::optional<Envelope> receive_for(int source, int tag, std::chrono::nanoseconds timeout,
-                                      std::uint64_t epoch = kAnyEpoch);
+  std::optional<Envelope> receive_for(int source, int tag, std::chrono::nanoseconds timeout);
 
-  /// Non-blocking probe-and-take.
-  std::optional<Envelope> try_receive(int source, int tag, std::uint64_t epoch = kAnyEpoch);
+  /// Non-blocking probe-and-take; Communicator::recv_timeout polls with it
+  /// between its bounded waits.
+  std::optional<Envelope> try_receive(int source, int tag);
 
   /// Wakes every blocked receiver *and* sender so it re-evaluates its wait
   /// condition (used by World::mark_rank_dead to cut short waits on a dead
@@ -142,9 +130,6 @@ class Mailbox {
   /// post() stops blocking on full lanes (nobody will ever drain them) and
   /// blocked senders are released.
   void mark_dead();
-
-  /// True if a matching message is queued (does not consume it).
-  bool has_match(int source, int tag) const;
 
   std::size_t pending() const;
 
@@ -171,11 +156,9 @@ class Mailbox {
   /// One blocked receiver: its selector plus a private wake token, so a
   /// post can signal exactly the receivers its message can satisfy.
   struct Waiter {
-    Waiter(int source_sel, int tag_sel, std::uint64_t epoch_sel)
-        : source(source_sel), tag(tag_sel), epoch(epoch_sel) {}
+    Waiter(int source_sel, int tag_sel) : source(source_sel), tag(tag_sel) {}
     int source;
     int tag;
-    std::uint64_t epoch;
     std::condition_variable cv;
     bool signaled = false;
   };
@@ -183,10 +166,6 @@ class Mailbox {
   static bool selector_matches(int sel_source, int sel_tag, int source, int tag) {
     return (sel_source == kAnySource || sel_source == source) &&
            (sel_tag == kAnyTag ? tag >= 0 : sel_tag == tag);
-  }
-
-  static bool epoch_matches(std::uint64_t sel_epoch, std::uint64_t epoch) {
-    return sel_epoch == kAnyEpoch || sel_epoch == epoch;
   }
 
   static std::uint64_t lane_key(int source, int tag) {
@@ -198,21 +177,20 @@ class Mailbox {
   /// under the configured bounds.  An empty lane never refuses.
   bool lane_full_locked(const Lane& lane, std::size_t incoming_bytes) const;
 
-  /// Wakes one unsignaled waiter whose selector matches (source, tag,
-  /// epoch); the caller holds mu_.
-  void wake_matching_waiter_locked(int source, int tag, std::uint64_t epoch);
+  /// Wakes one unsignaled waiter whose selector matches (source, tag); the
+  /// caller holds mu_.
+  void wake_matching_waiter_locked(int source, int tag);
 
-  std::optional<Envelope> take_locked(int source, int tag, std::uint64_t epoch);
+  std::optional<Envelope> take_locked(int source, int tag);
   void unregister_locked(Waiter* w);
   void enqueue_locked(Envelope e);
 
   /// Scheduled-mode receive loops: pump the controller (never while
   /// holding mu_ — lock order is controller first, then mailbox), then
   /// take; block armed against the submit/post wake-ups in between.
-  Envelope receive_scheduled(int source, int tag, std::uint64_t epoch);
+  Envelope receive_scheduled(int source, int tag);
   std::optional<Envelope> receive_for_scheduled(int source, int tag,
-                                                std::chrono::nanoseconds timeout,
-                                                std::uint64_t epoch);
+                                                std::chrono::nanoseconds timeout);
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Lane> lanes_;

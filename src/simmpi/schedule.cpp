@@ -119,7 +119,6 @@ void ScheduleController::attach(std::vector<Mailbox*> boxes) {
 void ScheduleController::submit(int dest, Envelope e) {
   const int source = e.source;
   const int tag = e.tag;
-  const std::uint64_t epoch = e.epoch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     DestState& ds = dests_.at(static_cast<std::size_t>(dest));
@@ -142,7 +141,7 @@ void ScheduleController::submit(int dest, Envelope e) {
   // A receiver blocked on the destination mailbox re-pumps on wake-up; wake
   // one whose selector this held message could satisfy (taken after the
   // controller lock — lock order is always controller, then mailbox).
-  boxes_.at(static_cast<std::size_t>(dest))->notify_scheduled(source, tag, epoch);
+  boxes_.at(static_cast<std::size_t>(dest))->notify_scheduled(source, tag);
 }
 
 std::size_t ScheduleController::pump(int dest, bool force) {
@@ -156,8 +155,8 @@ std::size_t ScheduleController::pump(int dest, bool force) {
     for (const auto& [key, lane] : ds.lanes) {
       if (lane.q.empty()) continue;
       const Envelope& head = lane.q.front();
-      heads.push_back(PendingDelivery{dest, lane.source, lane.tag, head.epoch,
-                                      lane.head_submit_seq, head.arrival_vtime});
+      heads.push_back(PendingDelivery{dest, lane.source, lane.tag, lane.head_submit_seq,
+                                      head.arrival_vtime});
     }
     std::sort(heads.begin(), heads.end(), [](const PendingDelivery& a, const PendingDelivery& b) {
       return a.submit_seq < b.submit_seq;

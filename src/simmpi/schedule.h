@@ -3,7 +3,7 @@
 // Ranks are real threads, so the order in which concurrent messages land in
 // a destination mailbox — the seq numbers any-source receives merge lanes
 // by — is normally decided by the OS scheduler.  TSan only checks the
-// interleavings a run happens to hit; the epoch-aliasing and barrier bugs
+// interleavings a run happens to hit; the round-aliasing and barrier bugs
 // of earlier PRs shipped precisely because the buggy orders were rare.
 //
 // The ScheduleController turns that arrival order into a *decision*:
@@ -63,7 +63,6 @@ struct PendingDelivery {
   int dest = 0;
   int source = 0;
   int tag = 0;
-  std::uint64_t epoch = 0;
   std::uint64_t submit_seq = 0;  ///< global submission order (process-wide)
   double arrival_vtime = 0.0;    ///< NetworkModel arrival stamp
 };

@@ -10,7 +10,6 @@
 // outcome, which is the whole point of fault-tolerant analytics.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,11 +57,6 @@ class World {
   /// World ranks currently dead, ascending.
   std::vector<int> dead_ranks() const;
 
-  /// A communication context id no communicator of this World has used yet
-  /// (the world communicator owns 0).  Communicator::split() draws one per
-  /// call so the new groups' collectives cannot match anyone else's.
-  std::uint64_t next_context_id() { return next_context_.fetch_add(1) + 1; }
-
  private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::shared_ptr<NetworkModel> net_;
@@ -70,7 +64,6 @@ class World {
   std::shared_ptr<ScheduleController> sched_;
   mutable std::mutex dead_mu_;
   std::vector<bool> dead_;
-  std::atomic<std::uint64_t> next_context_{0};
 };
 
 /// Outcome of one SPMD launch: per-rank final virtual clocks and traffic.

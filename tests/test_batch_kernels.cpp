@@ -27,14 +27,11 @@
 #include <vector>
 
 #include "analytics/batch_kernels.h"
-#include "analytics/block_aggregation.h"
 #include "analytics/grid_aggregation.h"
 #include "analytics/histogram.h"
 #include "analytics/kde.h"
 #include "analytics/kmeans.h"
-#include "analytics/knn_smoother.h"
 #include "analytics/moving_average.h"
-#include "analytics/moving_average_2d.h"
 #include "analytics/moving_median.h"
 #include "analytics/red_objs.h"
 #include "analytics/savitzky_golay.h"
@@ -356,24 +353,6 @@ TEST(BatchedExactness, GridAggregationWithRaggedTail) {
   }
 }
 
-TEST(BatchedExactness, BlockAggregationBitForBit) {
-  Rng rng(914);
-  BlockAggregation<double>::Shape shape;
-  shape.nx = 16; shape.ny = 8; shape.nz = 4;
-  shape.bx = 4;  shape.by = 4; shape.bz = 2;
-  std::vector<double> data(shape.nx * shape.ny * shape.nz);
-  for (auto& x : data) x = rng.gaussian(3.0, 2.0);
-  auto run_block = [&](int threads, std::size_t batch_chunks) {
-    BlockAggregation<double> block(SchedArgs(threads, 1), shape, with_batch(batch_chunks));
-    std::vector<double> out(block.num_blocks(), 0.0);
-    block.run(data.data(), data.size(), out.data(), out.size());
-    return out;
-  };
-  for (const int threads : {1, 3}) {
-    EXPECT_EQ(run_block(threads, 0), run_block(threads, 64)) << "threads=" << threads;
-  }
-}
-
 // --- trigger mid-batch -------------------------------------------------------
 
 // A windowed sum that triggers every `window` values: batch 64 with window
@@ -566,31 +545,6 @@ TEST(Run2Batched, SavitzkyGolayMatchesPerChunkWalk) {
   }
 }
 
-TEST(Run2Batched, KnnSmootherMatchesPerChunkWalk) {
-  for (const std::size_t n : kRun2Sizes) {
-    expect_run2_batched_matches_per_chunk(
-        "KnnSmoother",
-        [](const SchedArgs& a, RunOptions o) {
-          return std::make_unique<KnnSmoother<double>>(a, kWindow, 5, o);
-        },
-        gaussian_data(n, 924), n);
-  }
-}
-
-TEST(Run2Batched, MovingAverage2DMatchesPerChunkWalk) {
-  // Planes of 1, W - 1, 1000 and 64 * 3 + 13 elements for a 5 x 5 window.
-  const std::size_t window = 5;
-  const std::pair<std::size_t, std::size_t> shapes[] = {{1, 1}, {4, 1}, {40, 25}, {41, 5}};
-  for (const auto& [nx, ny] : shapes) {
-    expect_run2_batched_matches_per_chunk(
-        "MovingAverage2D",
-        [nx = nx, ny = ny, window](const SchedArgs& a, RunOptions o) {
-          return std::make_unique<MovingAverage2D<double>>(a, nx, ny, window, o);
-        },
-        gaussian_data(nx * ny, 925), nx * ny);
-  }
-}
-
 // On a window run the key-major walk hands each key exactly its window, so
 // the stop at the window size never cuts a run short there; this pins the
 // override's stop_after_trigger contract directly.
@@ -752,6 +706,22 @@ TEST(Run2Batched, KeyEmittedTwicePerChunkAccumulatesTwiceInOrder) {
   const auto data = gaussian_data(1000, 928);
   const auto r = run_keyed(keys_fn, 5, data, data.size() + 8, 1, true, 64);
   EXPECT_GT(r.batch_calls, 0u);
+  EXPECT_GT(r.early_emissions, 0u);
+}
+
+TEST(Run2Batched, KeysThatSkipChunksMatchPerChunkWalk) {
+  // Element p feeds key p % 5 + 5 * (p / 35): inside a batch each key's
+  // chunk list steps by 5, so the key-major walk must split it into runs
+  // of one chunk.  Every element has its own value, so a run that took the
+  // chunks between a key's own would change that key's sum.  Each key gets
+  // 7 elements, one window, and so writes its output slot once.
+  auto keys_fn = [](std::size_t pos, std::vector<int>& keys) {
+    keys.push_back(static_cast<int>(pos % 5 + 5 * (pos / 35)));
+  };
+  expect_keyed_batched_matches_per_chunk("strided", keys_fn, 7, 1);
+  const auto data = gaussian_data(1000, 931);
+  const auto r = run_keyed(keys_fn, 7, data, data.size() + 8, 1, true, 64);
+  EXPECT_EQ(r.batch_calls, data.size());  // every run is one chunk long
   EXPECT_GT(r.early_emissions, 0u);
 }
 

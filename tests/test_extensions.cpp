@@ -1,147 +1,13 @@
-// Tests for the extension facilities: Smart job pipelines, the KNN
-// smoother, and the time/space-sharing mode advisor.
+// Tests for the time/space-sharing mode advisor (core/advisor.h), the model
+// behind the Figure 10 harness.
 #include <gtest/gtest.h>
 
-#include "analytics/knn_smoother.h"
-#include "analytics/moving_average.h"
-#include "analytics/moving_median.h"
-#include "analytics/reference.h"
-#include "analytics/savitzky_golay.h"
-#include "common/rng.h"
+#include <algorithm>
+
 #include "core/advisor.h"
-#include "core/pipeline.h"
 
 namespace smart {
 namespace {
-
-using namespace analytics;
-
-std::vector<double> noisy_signal(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = std::sin(static_cast<double>(i) * 0.02) * 5.0 + rng.gaussian(0.0, 0.8);
-  }
-  return v;
-}
-
-// --- KNN smoother ------------------------------------------------------------
-
-class KnnSweep : public ::testing::TestWithParam<std::tuple<int, std::size_t, std::size_t>> {};
-
-TEST_P(KnnSweep, MatchesReference) {
-  const auto [threads, window, k] = GetParam();
-  const auto data = noisy_signal(1200, 201);
-  KnnSmoother<double> knn(SchedArgs(threads, 1), window, k);
-  std::vector<double> out(data.size(), 0.0);
-  knn.run2(data.data(), data.size(), out.data(), out.size());
-  const auto expected = ref::knn_smoother(data.data(), data.size(), window, k);
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_NEAR(out[i], expected[i], 1e-9) << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Params, KnnSweep,
-                         ::testing::Combine(::testing::Values(1, 2, 4),
-                                            ::testing::Values(std::size_t{7}, std::size_t{15}),
-                                            ::testing::Values(std::size_t{1}, std::size_t{3},
-                                                              std::size_t{7})));
-
-TEST(KnnSmoother, KEqualsWindowIsMovingAverage) {
-  // With k = window every neighbor is kept: identical to the moving average.
-  const auto data = noisy_signal(600, 202);
-  KnnSmoother<double> knn(SchedArgs(2, 1), 9, 9);
-  std::vector<double> knn_out(data.size(), 0.0);
-  knn.run2(data.data(), data.size(), knn_out.data(), knn_out.size());
-  const auto avg = ref::moving_average(data.data(), data.size(), 9);
-  for (std::size_t i = 0; i < data.size(); ++i) ASSERT_NEAR(knn_out[i], avg[i], 1e-9);
-}
-
-TEST(KnnSmoother, PreservesEdgesBetterThanMovingAverage) {
-  // A step function: the KNN smoother excludes across-the-step neighbors,
-  // while the moving average smears them.
-  std::vector<double> step(200, 0.0);
-  for (std::size_t i = 100; i < 200; ++i) step[i] = 10.0;
-  KnnSmoother<double> knn(SchedArgs(2, 1), 9, 3);
-  std::vector<double> knn_out(step.size(), 0.0);
-  knn.run2(step.data(), step.size(), knn_out.data(), knn_out.size());
-  const auto avg = ref::moving_average(step.data(), step.size(), 9);
-  // Just before the edge: KNN stays at 0, the average has leaked upward.
-  EXPECT_NEAR(knn_out[99], 0.0, 1e-12);
-  EXPECT_GT(avg[99], 1.0);
-  EXPECT_NEAR(knn_out[100], 10.0, 1e-12);
-}
-
-TEST(KnnSmoother, ObjectStateIsThetaK) {
-  // With the trigger disabled every object survives to the sampling point,
-  // exposing the Θ(K) state difference the paper's Section 4.1 describes.
-  const auto data = noisy_signal(5000, 203);
-  RunOptions no_trigger;
-  no_trigger.enable_trigger = false;
-  KnnSmoother<double> small_k(SchedArgs(1, 1), 25, 2, no_trigger);
-  KnnSmoother<double> large_k(SchedArgs(1, 1), 25, 25, no_trigger);
-  std::vector<double> out(data.size(), 0.0);
-  small_k.run2(data.data(), data.size(), out.data(), out.size());
-  large_k.run2(data.data(), data.size(), out.data(), out.size());
-  EXPECT_LT(small_k.stats().peak_reduction_bytes, large_k.stats().peak_reduction_bytes);
-}
-
-TEST(KnnSmoother, RejectsBadParameters) {
-  EXPECT_THROW(KnnSmoother<double>(SchedArgs(1, 1), 8, 3), std::invalid_argument);
-  EXPECT_THROW(KnnSmoother<double>(SchedArgs(1, 1), 7, 0), std::invalid_argument);
-  EXPECT_THROW(KnnSmoother<double>(SchedArgs(1, 1), 7, 8), std::invalid_argument);
-  EXPECT_THROW(KnnSmoother<double>(SchedArgs(1, 2), 7, 3), std::invalid_argument);
-}
-
-// --- pipelines ---------------------------------------------------------------
-
-TEST(Pipeline, ChainsWindowStages) {
-  // Median despiking followed by Savitzky-Golay smoothing: the paper's
-  // preprocessing-pipeline scenario.  Equivalent to applying the two
-  // references in sequence.
-  const auto data = noisy_signal(800, 204);
-
-  MovingMedian<double> despike(SchedArgs(2, 1), 5);
-  SavitzkyGolay<double> smooth(SchedArgs(2, 1), 9, 2);
-  Pipeline pipe;
-  pipe.add_stage("despike", Pipeline::window_stage(despike))
-      .add_stage("smooth", Pipeline::window_stage(smooth));
-  EXPECT_EQ(pipe.stage_count(), 2u);
-
-  const auto& out = pipe.run(data.data(), data.size());
-
-  auto stage1 = ref::moving_median(data.data(), data.size(), 5);
-  auto stage2 = ref::savitzky_golay(stage1.data(), stage1.size(), 9, 2);
-  // SG leaves boundary positions untouched; the pipeline's pass-through
-  // gives them stage1's value, so compare the interior.
-  for (std::size_t i = 4; i + 4 < out.size(); ++i) {
-    ASSERT_NEAR(out[i], stage2[i], 1e-9) << i;
-  }
-  // Boundary positions carry the despiked (stage-1) values through.
-  EXPECT_NEAR(out[0], stage1[0], 1e-9);
-}
-
-TEST(Pipeline, EmptyPipelineThrows) {
-  Pipeline pipe;
-  const std::vector<double> data = {1.0};
-  EXPECT_THROW(pipe.run(data.data(), data.size()), std::logic_error);
-}
-
-TEST(Pipeline, RejectsGlobalStages) {
-  MovingAverage<double> ma(SchedArgs(1, 1), 5);
-  ma.set_global_combination(true);
-  EXPECT_THROW(Pipeline::window_stage(ma), std::logic_error);
-}
-
-TEST(Pipeline, ReusableAcrossBlocks) {
-  MovingAverage<double> ma(SchedArgs(2, 1), 7);
-  Pipeline pipe;
-  pipe.add_stage("avg", Pipeline::window_stage(ma));
-  for (int block = 0; block < 3; ++block) {
-    const auto data = noisy_signal(500, 205 + static_cast<std::uint64_t>(block));
-    const auto& out = pipe.run(data.data(), data.size());
-    const auto expected = ref::moving_average(data.data(), data.size(), 7);
-    for (std::size_t i = 0; i < out.size(); ++i) ASSERT_NEAR(out[i], expected[i], 1e-9);
-  }
-}
 
 // --- mode advisor --------------------------------------------------------------
 
@@ -191,17 +57,42 @@ TEST(Advisor, BalancedSplitForBalancedLoad) {
 }
 
 TEST(Advisor, SyncInflationCanFlipTheDecision) {
-  ModeCosts costs{.sim_seconds_per_step = 1.0,
-                  .ana_seconds_per_step = 0.4,
-                  .sync_seconds_per_step = 0.05};
-  NodeModel cheap_sync = phi_model();
-  cheap_sync.space_sync_factor = 1.0;
-  NodeModel dear_sync = phi_model();
-  dear_sync.space_sync_factor = 20.0;
-  const auto cheap = advise_mode(costs, cheap_sync);
-  const auto dear = advise_mode(costs, dear_sync);
+  // Space sharing pays sync kSpaceSyncFactor times in its analytics lane:
+  // cheap sync leaves the overlap gain ahead, dear sync hands the win to
+  // time sharing.
+  ModeCosts cheap_sync{.sim_seconds_per_step = 1.0,
+                       .ana_seconds_per_step = 0.4,
+                       .sync_seconds_per_step = 0.05};
+  ModeCosts dear_sync = cheap_sync;
+  dear_sync.sync_seconds_per_step = 0.5;
+  const auto cheap = advise_mode(cheap_sync, phi_model());
+  const auto dear = advise_mode(dear_sync, phi_model());
   EXPECT_EQ(cheap.mode, ModeRecommendation::Mode::kSpaceSharing);
   EXPECT_EQ(dear.mode, ModeRecommendation::Mode::kTimeSharing);
+}
+
+TEST(Advisor, ReproducesFigure10ModelBitForBit) {
+  // The Figure 10 model written out: every time the fig10 harness prints
+  // comes from the advisor and must equal these expressions bit for bit.
+  const NodeModel node = phi_model();
+  auto sp_sim = [](int t) { return t / (1.0 + 0.05 * (t - 1.0)); };
+  auto sp_ana = [](int t) { return t / (1.0 + 0.02 * (t - 1.0)); };
+  const ModeCosts triples[] = {{1.0, 0.02, 0.1},
+                               {3.7e-3, 1.9e-3, 2.1e-6},
+                               {2.5e-2, 4.4e-2, 0.0},
+                               {1.3e-3, 0.0, 7.9e-5}};
+  for (const ModeCosts& c : triples) {
+    const double s = c.sim_seconds_per_step;
+    const double a = c.ana_seconds_per_step;
+    const double sync = c.sync_seconds_per_step;
+    EXPECT_EQ(time_sharing_seconds(c, node), s / sp_sim(60) + a / sp_ana(60) + sync);
+    EXPECT_EQ(time_sharing_seconds(ModeCosts{.sim_seconds_per_step = s}, node), s / sp_sim(60));
+    for (const int n : {50, 40, 30, 20, 10}) {
+      EXPECT_EQ(space_sharing_seconds(c, node, n),
+                std::max(s / sp_sim(n), a / sp_ana(60 - n) + 2.0 * sync))
+          << "S=" << s << " A=" << a << " sync=" << sync << " n=" << n;
+    }
+  }
 }
 
 TEST(Advisor, RejectsDegenerateInput) {

@@ -1,5 +1,4 @@
-// Tests for the in-transit / hybrid processing extension (core/intransit.h)
-// and the simmpi additions backing it (scatter, alltoall, try_recv, probe).
+// Tests for the in-transit / hybrid processing extension (core/intransit.h).
 #include <gtest/gtest.h>
 
 #include "analytics/histogram.h"
@@ -33,57 +32,6 @@ TEST(Topology, RejectsDegenerateSplits) {
   EXPECT_THROW(none.validate(), std::invalid_argument);
   intransit::Topology all{.world_size = 4, .num_staging = 4};
   EXPECT_THROW(all.validate(), std::invalid_argument);
-}
-
-TEST(Simmpi, ScatterDeliversPerRankChunks) {
-  simmpi::launch(4, [](simmpi::Communicator& comm) {
-    std::vector<SharedBuffer> chunks;
-    if (comm.rank() == 1) {
-      for (int r = 0; r < 4; ++r) {
-        Buffer b;
-        Writer(b).write(r * 100);
-        chunks.push_back(make_shared_buffer(std::move(b)));
-      }
-    }
-    const SharedBuffer mine = comm.scatter_shared(chunks, 1);
-    EXPECT_EQ(Reader(mine).read<int>(), comm.rank() * 100);
-  });
-}
-
-TEST(Simmpi, AlltoallExchangesEverything) {
-  simmpi::launch(3, [](simmpi::Communicator& comm) {
-    std::vector<SharedBuffer> sends;
-    for (int r = 0; r < 3; ++r) {
-      Buffer b;
-      Writer(b).write(comm.rank() * 10 + r);
-      sends.push_back(make_shared_buffer(std::move(b)));
-    }
-    const auto recvs = comm.alltoall_shared(sends);
-    ASSERT_EQ(recvs.size(), 3u);
-    for (int src = 0; src < 3; ++src) {
-      EXPECT_EQ(Reader(recvs[static_cast<std::size_t>(src)]).read<int>(),
-                src * 10 + comm.rank());
-    }
-  });
-}
-
-TEST(Simmpi, TryRecvAndProbe) {
-  simmpi::launch(2, [](simmpi::Communicator& comm) {
-    if (comm.rank() == 0) {
-      EXPECT_FALSE(comm.try_recv(1, 7).has_value());
-      comm.send_value(1, 5, 1);             // release the peer
-      (void)comm.recv(1, 6);                // wait for its message
-      EXPECT_TRUE(comm.probe(1, 7));
-      auto got = comm.try_recv(1, 7);
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(Reader(*got).read<int>(), 42);
-      EXPECT_FALSE(comm.probe(1, 7));
-    } else {
-      (void)comm.recv_value<int>(0, 5);
-      comm.send_value(0, 7, 42);
-      comm.send(0, 6, Buffer{});
-    }
-  });
 }
 
 TEST(InTransit, RawShippingMatchesSerialHistogram) {

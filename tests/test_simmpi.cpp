@@ -76,7 +76,6 @@ TEST(Mailbox, WildcardTagSkipsCollectiveTraffic) {
   box.post(std::move(user));
   EXPECT_EQ(box.receive(kAnySource, kAnyTag).tag, 0);
   EXPECT_FALSE(box.try_receive(kAnySource, kAnyTag).has_value());
-  EXPECT_FALSE(box.has_match(kAnySource, kAnyTag));
   EXPECT_EQ(box.receive(kAnySource, -1001).source, 1);
 }
 
@@ -195,23 +194,6 @@ TEST_P(CollectiveRanks, BcastFromEveryRoot) {
       EXPECT_EQ(Reader(buf).read_string(), "payload from " + std::to_string(root));
     });
   }
-}
-
-TEST_P(CollectiveRanks, GatherCollectsInRankOrder) {
-  const int n = GetParam();
-  launch(n, [&](Communicator& comm) {
-    Buffer mine;
-    Writer(mine).write(comm.rank() * 10);
-    const auto all = comm.gather_shared(make_shared_buffer(std::move(mine)), 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
-      for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(Reader(all[static_cast<std::size_t>(r)]).read<int>(), r * 10);
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
 }
 
 TEST_P(CollectiveRanks, AllreduceSumMatchesSerial) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "sim/emulator.h"
@@ -18,6 +19,18 @@ TEST(Heat3D, RejectsBadParameters) {
   EXPECT_THROW(Heat3D({.nx = 8, .ny = 8, .nz_local = 4, .alpha = 0.2}, nullptr),
                std::invalid_argument);
   EXPECT_THROW(Heat3D({.nx = 8, .ny = 8, .nz_local = 4, .alpha = -0.1}, nullptr),
+               std::invalid_argument);
+  // Grid sizes that wrap size_t: nz_local + 2 wraps to 1 (a 1024-element
+  // grid every later step overruns) or to 0 (an empty grid the hot-plane
+  // write overruns), and the plane product wraps past SIZE_MAX.
+  constexpr std::size_t kMax = SIZE_MAX;
+  EXPECT_THROW(Heat3D({.nx = 32, .ny = 32, .nz_local = kMax}, nullptr), std::invalid_argument);
+  EXPECT_THROW(Heat3D({.nx = 32, .ny = 32, .nz_local = kMax - 1}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Heat3D({.nx = 32, .ny = 32, .nz_local = kMax / 64}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(Heat3D({.nx = std::size_t{1} << 32, .ny = std::size_t{1} << 32, .nz_local = 1},
+                      nullptr),
                std::invalid_argument);
 }
 
@@ -78,13 +91,15 @@ TEST(Heat3D, RankCountInvariance) {
     for (int s = 0; s < kSteps; ++s) local.step();
     Buffer mine;
     Writer(mine).write_span(local.output(), local.output_len());
-    const auto all = comm.gather_shared(make_shared_buffer(std::move(mine)), 0);
-    if (comm.rank() == 0) {
-      std::size_t at = 0;
-      for (const auto& buf : all) {
-        Reader r(buf);
-        at += r.read_span(gathered.data() + at, gathered.size() - at);
-      }
+    if (comm.rank() != 0) {
+      comm.send(0, 0, std::move(mine));
+      return;
+    }
+    std::size_t at = 0;
+    for (int src = 0; src < comm.size(); ++src) {
+      const Buffer buf = src == 0 ? std::move(mine) : comm.recv(src, 0);
+      Reader r(buf);
+      at += r.read_span(gathered.data() + at, gathered.size() - at);
     }
   });
 
@@ -104,6 +119,11 @@ TEST(MiniLulesh, RejectsBadParameters) {
   EXPECT_THROW(MiniLulesh({.edge = 1}, nullptr), std::invalid_argument);
   EXPECT_THROW(MiniLulesh({.edge = 4, .gamma = 0.9}, nullptr), std::invalid_argument);
   EXPECT_THROW(MiniLulesh({.edge = 4, .courant = 0.5}, nullptr), std::invalid_argument);
+  // edge^3 wraps to 0 at 2^22: the blast deposit would write into an empty
+  // field.  At 2^21 the count fits but five fields' bytes do not.
+  EXPECT_THROW(MiniLulesh({.edge = std::size_t{1} << 22}, nullptr), std::invalid_argument);
+  EXPECT_THROW(MiniLulesh({.edge = std::size_t{1} << 21}, nullptr), std::invalid_argument);
+  EXPECT_THROW(MiniLulesh({.edge = SIZE_MAX}, nullptr), std::invalid_argument);
 }
 
 TEST(MiniLulesh, EnergyConservedSingleRank) {

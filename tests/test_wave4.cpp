@@ -24,7 +24,7 @@ TEST(ArgParser, DefaultsApplyWhenAbsent) {
   const char* argv[] = {"prog"};
   args.parse(1, argv);
   EXPECT_EQ(args.get("sim"), "heat3d");
-  EXPECT_EQ(args.get_long("steps"), 3);
+  EXPECT_EQ(args.get_long("steps", 0, 100), 3);
   EXPECT_DOUBLE_EQ(args.get_double("rate"), 0.5);
   EXPECT_FALSE(args.get_flag("verbose"));
   EXPECT_FALSE(args.has("sim"));
@@ -35,7 +35,7 @@ TEST(ArgParser, ParsesSeparateAndInlineValues) {
   const char* argv[] = {"prog", "--sim", "lulesh", "--steps=7", "--verbose"};
   args.parse(5, argv);
   EXPECT_EQ(args.get("sim"), "lulesh");
-  EXPECT_EQ(args.get_long("steps"), 7);
+  EXPECT_EQ(args.get_long("steps", 0, 100), 7);
   EXPECT_TRUE(args.get_flag("verbose"));
   EXPECT_TRUE(args.has("sim"));
 }
@@ -67,8 +67,34 @@ TEST(ArgParser, TypedGettersValidate) {
   ArgParser args = make_parser();
   const char* argv[] = {"prog", "--steps", "12abc"};
   args.parse(3, argv);
-  EXPECT_THROW(args.get_long("steps"), std::invalid_argument);
+  EXPECT_THROW(args.get_long("steps", 0, 100), std::invalid_argument);
   EXPECT_THROW(args.get("undeclared"), std::logic_error);
+
+  // Out-of-range values throw std::invalid_argument naming the option,
+  // never a wrapped or clamped number; the bounds themselves are accepted.
+  const auto long_of = [](const char* value, long min, long max) {
+    ArgParser p = make_parser();
+    const char* argv2[] = {"prog", "--steps", value};
+    p.parse(3, argv2);
+    return p.get_long("steps", min, max);
+  };
+  const auto range_error = [&](const char* value, long min, long max) {
+    try {
+      long_of(value, min, max);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(long_of("1", 1, 8), 1);
+  EXPECT_EQ(long_of("8", 1, 8), 8);
+  EXPECT_EQ(long_of("-3", -5, 5), -3);
+  EXPECT_NE(range_error("-1", 1, 8).find("'--steps'"), std::string::npos);
+  EXPECT_NE(range_error("-1", 1, 8).find("outside [1, 8]"), std::string::npos);
+  EXPECT_NE(range_error("9", 1, 8).find("outside [1, 8]"), std::string::npos);
+  EXPECT_NE(range_error("4294967298", 1, 1024).find("outside"), std::string::npos);
+  EXPECT_NE(range_error("99999999999999999999", 0, 5).find("'--steps'"), std::string::npos);
+  EXPECT_NE(range_error("", 0, 5).find("not an integer"), std::string::npos);
 }
 
 TEST(ArgParser, UsageListsEverything) {
