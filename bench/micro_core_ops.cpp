@@ -260,19 +260,18 @@ void BM_MovingAverageEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_MovingAverageEndToEnd)->Arg(1)->Arg(0);
 
-// --- scalar vs batched reduction path ----------------------------------------
+// --- batched reduction path ---------------------------------------------------
 //
-// The before/after pairs for the batched kernel work (DESIGN.md §4.8):
-// the same app over the same data, single-threaded, with batch_chunks = 0
-// (the legacy chunk-at-a-time loop: one virtual gen_key + map locate +
-// virtual accumulate per chunk) against the default batched path (one
-// gen_keys_batch per batch, key-run detection, one accumulate_batch per
-// run).  Results are bit-identical; only the per-chunk overhead moves.
+// One app over one input, single-threaded, on the default batched path
+// (one gen_keys_batch per batch, key-run detection, one accumulate_batch
+// per run; DESIGN.md §4.8).  Recorded in BENCH_core.json, not gated: the
+// call counts are pinned by RunBatched.OneAccumulateBatchPerKeyRun and the
+// kernels' vectorization by check.sh's vec probe.
 //
 // The input is a smooth field — a slowly drifting wave, the shape an
 // in-situ simulation slab actually has and the shape key-run detection is
 // built for.  White noise (run length ~1) is covered by the kernel-level
-// benches below, which measure gen_keys_batch vectorization alone.
+// bench below, which measures gen_keys_batch vectorization alone.
 
 std::vector<double> smooth_field(std::size_t n, std::uint64_t seed = 77) {
   Rng rng(seed);
@@ -298,13 +297,12 @@ std::vector<double> smooth_points(std::size_t n, std::size_t dims, std::size_t k
   return v;
 }
 
-void accumulate_bench(benchmark::State& state, const std::string& app, std::size_t batch) {
+void BM_BatchedAccumulate(benchmark::State& state, const char* app_name) {
+  const std::string app = app_name;
   const auto chunks = static_cast<std::size_t>(state.range(0));
-  RunOptions opts;
-  opts.batch_chunks = batch;
   if (app == "histogram") {
     const auto data = smooth_field(chunks);
-    Histogram<double> h(SchedArgs(1, 1), -2.0, 2.0, 100, opts);
+    Histogram<double> h(SchedArgs(1, 1), -2.0, 2.0, 100);
     for (auto _ : state) h.run(data.data(), data.size(), nullptr, 0);
   } else if (app == "kmeans") {
     constexpr std::size_t dims = 4, k = 8;
@@ -314,67 +312,35 @@ void accumulate_bench(benchmark::State& state, const std::string& app, std::size
       for (std::size_t d = 0; d < dims; ++d) init[c * dims + d] = static_cast<double>(c * 10 + d);
     }
     KMeansInit seed{init.data(), k, dims};
-    KMeans<double> km(SchedArgs(1, dims, &seed, 1), k, dims, opts);
+    KMeans<double> km(SchedArgs(1, dims, &seed, 1), k, dims);
     for (auto _ : state) km.run(data.data(), data.size(), nullptr, 0);
   } else if (app == "moments") {
     const auto data = smooth_field(chunks);
-    SummaryStats<double> stats(SchedArgs(1, 1), opts);
+    SummaryStats<double> stats(SchedArgs(1, 1));
     for (auto _ : state) stats.run(data.data(), data.size(), nullptr, 0);
   } else {  // grid
     const auto data = smooth_field(chunks * 8);
-    GridAggregation<double> grid(SchedArgs(1, 8), 64, opts);
+    GridAggregation<double> grid(SchedArgs(1, 8), 64);
     for (auto _ : state) grid.run(data.data(), data.size(), nullptr, 0);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chunks));
 }
 
-void BM_ScalarAccumulate(benchmark::State& state, const char* app) {
-  accumulate_bench(state, app, 0);  // batch_chunks = 0: legacy per-chunk path
-}
-void BM_BatchedAccumulate(benchmark::State& state, const char* app) {
-  accumulate_bench(state, app, 64);  // the default batched path
-}
 // The reduction runs on pool workers while the bench thread waits, so the
 // default thread-CPU clock would miss all the work: measure process CPU
 // (also the stablest clock on a shared/loaded container).
-#define SMART_ACCUMULATE_BENCH(fn, tag) \
-  BENCHMARK_CAPTURE(fn, tag, #tag)->MeasureProcessCPUTime()->UseRealTime()
-SMART_ACCUMULATE_BENCH(BM_ScalarAccumulate, histogram)->Arg(10000)->Arg(100000);
-SMART_ACCUMULATE_BENCH(BM_BatchedAccumulate, histogram)->Arg(10000)->Arg(100000);
-SMART_ACCUMULATE_BENCH(BM_ScalarAccumulate, kmeans)->Arg(10000)->Arg(100000);
-SMART_ACCUMULATE_BENCH(BM_BatchedAccumulate, kmeans)->Arg(10000)->Arg(100000);
-SMART_ACCUMULATE_BENCH(BM_ScalarAccumulate, moments)->Arg(100000);
-SMART_ACCUMULATE_BENCH(BM_BatchedAccumulate, moments)->Arg(100000);
-SMART_ACCUMULATE_BENCH(BM_ScalarAccumulate, grid)->Arg(10000);
-SMART_ACCUMULATE_BENCH(BM_BatchedAccumulate, grid)->Arg(10000);
+#define SMART_ACCUMULATE_BENCH(tag) \
+  BENCHMARK_CAPTURE(BM_BatchedAccumulate, tag, #tag)->MeasureProcessCPUTime()->UseRealTime()
+SMART_ACCUMULATE_BENCH(histogram)->Arg(10000)->Arg(100000);
+SMART_ACCUMULATE_BENCH(kmeans)->Arg(10000)->Arg(100000);
+SMART_ACCUMULATE_BENCH(moments)->Arg(100000);
+SMART_ACCUMULATE_BENCH(grid)->Arg(10000);
 #undef SMART_ACCUMULATE_BENCH
 
-// Kernel-level pair: the bucketing loop alone, one element at a time (the
-// scalar gen_key shape) vs one vectorizable pass — worst-case run length
-// (white noise) so the win here is pure SIMD + call amortization, not runs.
-// The scalar side goes through a noinline boundary, as the real per-chunk
-// path's virtual gen_key does; inlined, the compiler would fuse the n = 1
-// calls back into the very vector loop it is the baseline for.
-__attribute__((noinline)) void histogram_key_one(const double* x, int* key) {
-  kernels::histogram_keys(x, 1, 1, -5.0, 0.1, 100, key);
-}
-
-void BM_HistogramKeysScalar(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto data = bench_data(n);
-  std::vector<int> keys(n);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      histogram_key_one(data.data() + i, keys.data() + i);
-    }
-    benchmark::DoNotOptimize(keys.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_HistogramKeysScalar)->Arg(65536);
-
+// Kernel-level bench: the bucketing loop alone, one vectorizable pass over
+// white noise (worst-case run length), so it measures SIMD and call
+// amortization, not runs.  check.sh's vec probe guards the loop.
 void BM_HistogramKeysBatched(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto data = bench_data(n);

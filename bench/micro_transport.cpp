@@ -1,18 +1,18 @@
-// Transport microbenchmarks (google-benchmark): before/after pairs for the
-// simmpi data-plane overhaul, emitted to BENCH_transport.json by
-// scripts/bench.sh.
+// Transport microbenchmarks (google-benchmark) for the simmpi data plane,
+// recorded in BENCH_transport.json by scripts/bench.sh.  None is gated on
+// wall time: each path's property has a deterministic test instead
+// (tests/test_transport.cpp).
 //
-//   * any-source fan-in: LegacyMailbox (the replaced design — one deque,
-//     O(pending) matching scan, notify_all) vs the sharded-lane Mailbox,
-//     with a backlog of stale control messages ahead of the data — the
-//     shape a combination root sees when collective tags from other rounds
-//     sit queued while it drains this round's payloads.
-//   * 8-rank 1 MB broadcast: per-edge payload copies (the legacy fan-out
-//     behaviour, reproduced with per-child owning sends) vs bcast_shared's
-//     zero-copy shared payload, measured by the transport's own
-//     payload_bytes_copied counter rather than wall time.
-//   * BufferPool steady-state acquire/release vs a fresh allocation per
-//     message.
+//   * any-source fan-in and exact-source receive behind a backlog of stale
+//     control messages — the shape a combination root sees when collective
+//     tags from other rounds sit queued while it drains this round's
+//     payloads.  Lanes make a receive cost lane heads, not queued messages
+//     (TransportMailbox.ReceivesExamineLaneHeadsNotMessages).
+//   * 8-rank 1 MB broadcast through bcast_shared's one shared payload, with
+//     the transport's own payload_bytes_copied counter (0 per bcast;
+//     TransportSharedPayload.BcastSharedMovesZeroBytes).
+//   * BufferPool steady-state acquire/release at 64 KiB and 1 MiB
+//     (TransportBufferPool.SteadyLoopHitsAfterFirstAcquire).
 //   * slow-receiver peak mailbox bytes: unbounded lanes (everything the
 //     producer sends sits queued) vs bounded lanes with sender
 //     backpressure (peak pinned at the lane cap) — the flow-control
@@ -23,13 +23,8 @@
 //     modeled runtime while wall time stays flat.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <thread>
+#include <vector>
 
 #include "simmpi/world.h"
 
@@ -37,47 +32,6 @@ namespace {
 
 using namespace smart;
 using namespace smart::simmpi;
-
-// --- the replaced mailbox, kept as the before side of the pairs ------------
-
-/// The pre-lane design: one deque for every pending message, each receive a
-/// linear scan for the first match, each post a notify_all to every blocked
-/// receiver.  Preserved here (not in src/) so the fan-in pair in
-/// BENCH_transport.json keeps measuring the claimed speedup against the
-/// design it replaced.
-class LegacyMailbox {
- public:
-  void post(Envelope e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      q_.push_back(std::move(e));
-    }
-    cv_.notify_all();
-  }
-
-  std::optional<Envelope> try_receive(int source, int tag) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = q_.begin(); it != q_.end(); ++it) {
-      if ((source == kAnySource || it->source == source) &&
-          (tag == kAnyTag || it->tag == tag)) {
-        Envelope e = std::move(*it);
-        q_.erase(it);
-        return e;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::size_t pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return q_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Envelope> q_;
-};
 
 Envelope data_envelope(int source, int tag) {
   Envelope e;
@@ -97,30 +51,11 @@ constexpr int kStaleSources = 64;
 
 /// Posts the stale backlog: `backlog` control-tag messages spread over
 /// kStaleSources sources (deep lanes), none matching the data receives.
-template <typename Box>
-void fill_backlog(Box& box, int backlog) {
+void fill_backlog(Mailbox& box, int backlog) {
   for (int i = 0; i < backlog; ++i) {
     box.post(data_envelope(i % kStaleSources, kControlTag));
   }
 }
-
-void BM_LegacyAnySourceFanIn(benchmark::State& state) {
-  // Every receive scans the whole stale backlog before finding its data
-  // message: O(backlog) per message, O(P * backlog) per round.
-  const int backlog = static_cast<int>(state.range(0));
-  const int fan_in = static_cast<int>(state.range(1));
-  LegacyMailbox box;
-  fill_backlog(box, backlog);
-  for (auto _ : state) {
-    for (int p = 0; p < fan_in; ++p) box.post(data_envelope(p, kDataTag));
-    for (int p = 0; p < fan_in; ++p) {
-      auto e = box.try_receive(kAnySource, kDataTag);
-      benchmark::DoNotOptimize(e);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * fan_in);
-}
-BENCHMARK(BM_LegacyAnySourceFanIn)->Args({4096, 16})->Args({16384, 16});
 
 void BM_ShardedAnySourceFanIn(benchmark::State& state) {
   // Lanes: the stale backlog collapses to kStaleSources lane heads; an
@@ -140,19 +75,6 @@ void BM_ShardedAnySourceFanIn(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedAnySourceFanIn)->Args({4096, 16})->Args({16384, 16});
 
-void BM_LegacyExactSourceRecv(benchmark::State& state) {
-  const int backlog = static_cast<int>(state.range(0));
-  LegacyMailbox box;
-  fill_backlog(box, backlog);
-  for (auto _ : state) {
-    box.post(data_envelope(7, kDataTag));
-    auto e = box.try_receive(7, kDataTag);
-    benchmark::DoNotOptimize(e);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LegacyExactSourceRecv)->Arg(4096);
-
 void BM_ShardedExactSourceRecv(benchmark::State& state) {
   const int backlog = static_cast<int>(state.range(0));
   Mailbox box;
@@ -166,57 +88,11 @@ void BM_ShardedExactSourceRecv(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedExactSourceRecv)->Arg(4096);
 
-// --- 8-rank 1 MB broadcast payload copies ----------------------------------
+// --- 8-rank 1 MB broadcast ----------------------------------------------------
 
 constexpr int kBcastRanks = 8;
 constexpr std::size_t kBcastBytes = 1u << 20;
 constexpr int kBcastRoundsPerLaunch = 4;
-constexpr int kBcastTagBase = 100;
-
-/// The legacy fan-out: every binomial-tree edge ships its own owning copy
-/// of the payload (what bcast did before shared payloads) — n-1 copies of
-/// the full buffer per broadcast, reproduced with per-child owning sends
-/// over the current transport.
-void legacy_edge_copy_bcast(Communicator& comm, Buffer& buf, int root, int tag) {
-  const int n = comm.size();
-  const int rel = (comm.rank() - root + n) % n;
-  if (rel != 0) {
-    int mask = 1;
-    while ((rel & mask) == 0) mask <<= 1;
-    const int parent_rel = rel & ~mask;
-    buf = comm.recv((parent_rel + root) % n, tag);
-    for (int m = mask >> 1; m >= 1; m >>= 1) {
-      if (rel + m < n) comm.send((rel + m + root) % n, tag, buf);
-    }
-  } else {
-    int top = 1;
-    while (top < n) top <<= 1;
-    for (int m = top >> 1; m >= 1; m >>= 1) {
-      if (m < n) comm.send((m + root) % n, tag, buf);
-    }
-  }
-}
-
-void BM_LegacyBcast1MiB8Ranks(benchmark::State& state) {
-  std::uint64_t copied = 0;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = payload_bytes_copied();
-    launch(kBcastRanks, [](Communicator& comm) {
-      Buffer buf;
-      if (comm.rank() == 0) buf.assign(kBcastBytes, std::byte{1});
-      for (int r = 0; r < kBcastRoundsPerLaunch; ++r) {
-        legacy_edge_copy_bcast(comm, buf, 0, kBcastTagBase + r);
-      }
-    });
-    copied += payload_bytes_copied() - before;
-    rounds += kBcastRoundsPerLaunch;
-  }
-  state.SetItemsProcessed(rounds);
-  state.counters["payload_bytes_copied_per_bcast"] =
-      benchmark::Counter(static_cast<double>(copied) / static_cast<double>(rounds));
-}
-BENCHMARK(BM_LegacyBcast1MiB8Ranks)->Unit(benchmark::kMillisecond);
 
 void BM_SharedBcast1MiB8Ranks(benchmark::State& state) {
   std::uint64_t copied = 0;
@@ -240,31 +116,17 @@ void BM_SharedBcast1MiB8Ranks(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedBcast1MiB8Ranks)->Unit(benchmark::kMillisecond);
 
-// --- buffer pool vs fresh allocation ---------------------------------------
+// --- buffer pool -------------------------------------------------------------
 
-// The codec hot path: serialize a message into a Buffer.  The fresh side
-// grows from zero capacity — the geometric realloc-and-copy churn every
-// per-round wire serialization used to pay; the pooled side acquires
-// storage already sized by the previous round (the prepare_wire pattern in
-// the map combiner) and appends without a single reallocation.
+// The codec hot path: serialize a message into a Buffer acquired from the
+// pool, storage already sized by the previous round (the prepare_wire
+// pattern in the map combiner), so it appends without a reallocation.
 void serialize_message(Buffer& b, std::size_t bytes) {
   Writer w(b);
   for (std::size_t i = 0; i < bytes / sizeof(std::uint64_t); ++i) {
     w.write<std::uint64_t>(i);
   }
 }
-
-void BM_FreshBufferPerMessage(benchmark::State& state) {
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Buffer b;
-    serialize_message(b, bytes);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_FreshBufferPerMessage)->Arg(64 * 1024)->Arg(1 << 20);
 
 void BM_PooledBufferPerMessage(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

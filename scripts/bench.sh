@@ -6,7 +6,7 @@
 #   scripts/bench.sh              # full sweep -> BENCH_core.json + BENCH_transport.json
 #   scripts/bench.sh out.json     # core sweep to out.json, transport beside it
 #
-# The sweep covers the reduction hot path and its before/after pairs:
+# The core sweep covers the reduction hot path:
 #   * BM_ReductionMapAccumulate vs BM_LegacyStdMapAccumulate — the flat
 #     CombinationMap against the std::map it replaced;
 #   * BM_CombinationMapInsert vs BM_LegacyStdMapInsert — cold seeding;
@@ -14,20 +14,18 @@
 #     counter per size;
 #   * BM_LocalCombine — the serial local-combination fold;
 #   * BM_MapSerializeRoundTrip — the map codec's serialize + deserialize
-#     round trip.
+#     round trip;
+#   * BM_BatchedAccumulate — histogram, k-means, moments and grid on the
+#     batched reduction path;
+#   * BM_HistogramKeysBatched — the bucketing kernel alone.
 #
 # The transport suite (bench/micro_transport.cpp) covers the simmpi data
-# plane and its before/after pairs:
-#   * BM_LegacyAnySourceFanIn vs BM_ShardedAnySourceFanIn — the single-deque
-#     linear-scan mailbox against sharded (source, tag) lanes, with a stale
-#     control backlog ahead of the data;
-#   * BM_LegacyExactSourceRecv vs BM_ShardedExactSourceRecv — exact matching
-#     behind a deep backlog;
-#   * BM_LegacyBcast1MiB8Ranks vs BM_SharedBcast1MiB8Ranks — per-edge payload
-#     copies vs one shared immutable payload, with a
-#     payload_bytes_copied_per_bcast counter;
-#   * BM_FreshBufferPerMessage vs BM_PooledBufferPerMessage — BufferPool
-#     recycling against a fresh allocation per message;
+# plane:
+#   * BM_ShardedAnySourceFanIn and BM_ShardedExactSourceRecv — receives
+#     through sharded (source, tag) lanes behind a stale control backlog;
+#   * BM_SharedBcast1MiB8Ranks — one shared immutable payload per bcast,
+#     with a payload_bytes_copied_per_bcast counter;
+#   * BM_PooledBufferPerMessage — BufferPool recycling per message;
 #   * BM_UnboundedSlowReceiverPeakBytes vs BM_BoundedSlowReceiverPeakBytes —
 #     peak queued mailbox bytes under a slow receiver, unbounded lanes vs
 #     lane-capacity backpressure (peak_mailbox_bytes counter);
@@ -36,8 +34,8 @@
 #     (virtual_makespan_s counter; simmpi/network.h).
 #
 # Numbers are container-relative; compare runs from the same machine only —
-# except the before/after *ratios* within one file, which scripts/check.sh
-# gates on via scripts/bench_gate.py.
+# except the std::map pair *ratios* within BENCH_core.json, which
+# scripts/check.sh gates on via scripts/bench_gate.py.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -45,7 +43,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 out="${1:-$repo/BENCH_core.json}"
 transport_out="$(dirname "$out")/BENCH_transport.json"
 
-filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_ScalarAccumulate|BM_BatchedAccumulate|BM_HistogramKeys'
+filter='BM_ReductionMapAccumulate|BM_LegacyStdMapAccumulate|BM_CombinationMapInsert|BM_LegacyStdMapInsert|BM_MapCodec|BM_LocalCombine|BM_MapSerializeRoundTrip|BM_BatchedAccumulate|BM_HistogramKeysBatched'
 
 echo "== bench: build (Release) =="
 cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -96,7 +94,7 @@ python3 -m json.tool "$out" >/dev/null
 stamp_context "$out"
 echo "== bench: wrote $out =="
 
-echo "== bench: run (transport fan-in / bcast copies / buffer pool) =="
+echo "== bench: run (transport data plane) =="
 "$repo/build/bench/micro_transport" \
   --benchmark_out="$transport_out" \
   --benchmark_out_format=json \
@@ -105,16 +103,3 @@ echo "== bench: run (transport fan-in / bcast copies / buffer pool) =="
 python3 -m json.tool "$transport_out" >/dev/null
 stamp_context "$transport_out"
 echo "== bench: wrote $transport_out =="
-
-echo "== bench: critical-path attribution (4-rank reference run) =="
-# Attach a makespan attribution to the bench record: BENCH_critpath.json
-# says *where* the reference run's virtual time went (per category / rank /
-# phase), so when scripts/bench_gate.py flags a regression it can point at
-# the bucket that grew instead of just the ratio that moved.
-critpath_out="$(dirname "$out")/BENCH_critpath.json"
-cmake --build "$repo/build" -j "$jobs" --target smart_cli
-"$repo/build/examples/smart_cli" --sim heat3d --app histogram --ranks 4 \
-  --threads 2 --steps 3 --critpath-json "$critpath_out" >/dev/null
-python3 "$repo/scripts/validate_critpath.py" \
-  "$repo/scripts/critpath_schema.json" "$critpath_out"
-echo "== bench: wrote $critpath_out =="

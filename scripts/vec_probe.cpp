@@ -27,4 +27,10 @@ template void histogram_keys<float>(const float*, std::size_t, std::size_t, doub
 template void nearest_centroids<double>(const double*, std::size_t, std::size_t, const double*,
                                         std::size_t, int*);
 
+// K-means sums: the fixed widths' point loop and the generic dim loop.
+template void accumulate_points<double>(const double*, std::size_t, std::size_t, double*);
+
+// Grid aggregation's running sum (vectorized in order: no reassociation).
+template double accumulate_sum<double>(const double*, std::size_t, double);
+
 }  // namespace smart::analytics::kernels

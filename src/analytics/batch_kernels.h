@@ -287,7 +287,7 @@ template <class T, std::size_t Dims>
 inline void accumulate_points_fixed(const T* pts, std::size_t n, double* sum) {
   double s[Dims];
   for (std::size_t d = 0; d < Dims; ++d) s[d] = sum[d];
-  for (std::size_t p = 0; p < n; ++p) {
+  for (std::size_t p = 0; p < n; ++p) {  // vec-probe: must vectorize
     const T* pt = pts + p * Dims;
     for (std::size_t d = 0; d < Dims; ++d) s[d] += static_cast<double>(pt[d]);
   }
@@ -307,7 +307,7 @@ inline void accumulate_points(const T* pts, std::size_t n, std::size_t dims, dou
   }
   for (std::size_t p = 0; p < n; ++p) {
     const T* pt = pts + p * dims;
-    for (std::size_t d = 0; d < dims; ++d) {
+    for (std::size_t d = 0; d < dims; ++d) {  // vec-probe: must vectorize
       sum[d] += static_cast<double>(pt[d]);
     }
   }
@@ -315,8 +315,8 @@ inline void accumulate_points(const T* pts, std::size_t n, std::size_t dims, dou
 
 /// One-pass moments over n contiguous values, resuming from (and writing
 /// back) the caller's running state.  sum / sum_sq stay one scalar chain
-/// each (exactness contract); min / max and the v*v products are still
-/// lane-parallel for the compiler to pick up.
+/// each (exactness contract), which keeps GCC from vectorizing the loop;
+/// its guard is the call count of RunBatched.OneAccumulateBatchPerKeyRun.
 template <class In>
 inline void accumulate_moments(const In* x, std::size_t n, double& sum, double& sum_sq,
                                double& min, double& max) {
@@ -339,7 +339,9 @@ inline void accumulate_moments(const In* x, std::size_t n, double& sum, double& 
 /// through a pointer so the caller's += keeps its own order.
 template <class In>
 inline double accumulate_sum(const In* x, std::size_t n, double sum) {
-  for (std::size_t i = 0; i < n; ++i) sum += static_cast<double>(x[i]);
+  for (std::size_t i = 0; i < n; ++i) {  // vec-probe: must vectorize
+    sum += static_cast<double>(x[i]);
+  }
   return sum;
 }
 

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/env.h"
+
 namespace smart {
 
 ArgParser& ArgParser::option(const std::string& name, const std::string& help,
@@ -69,24 +71,7 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 long ArgParser::get_long(const std::string& name, long min, long max) const {
-  const std::string v = get(name);
-  const auto reject = [&](const std::string& why) {
-    return std::invalid_argument("option '--" + name + "': " + why);
-  };
-  const std::string outside =
-      v + " is outside [" + std::to_string(min) + ", " + std::to_string(max) + "]";
-  std::size_t used = 0;
-  long parsed = 0;
-  try {
-    parsed = std::stol(v, &used);
-  } catch (const std::out_of_range&) {
-    throw reject(outside);
-  } catch (const std::invalid_argument&) {
-    throw reject("'" + v + "' is not an integer");
-  }
-  if (used != v.size()) throw reject("'" + v + "' is not an integer");
-  if (parsed < min || parsed > max) throw reject(outside);
-  return parsed;
+  return parse_long(get(name), "option '--" + name + "'", min, max);
 }
 
 double ArgParser::get_double(const std::string& name) const {

@@ -41,19 +41,6 @@ struct RunOptions {
   /// the paper's per-time-step launch (Listing 1).
   bool accumulate_across_runs = false;
 
-  /// Process the trailing `in_len % chunk_size` elements as a short final
-  /// chunk (its Chunk::length carries the real element count so structural
-  /// apps clip) instead of silently dropping them.  On by default; record
-  /// apps whose chunk is a fixed-width feature vector (k-means, logistic
-  /// regression, mutual information) force it off — a partial record is
-  /// malformed input — and the dropped elements are counted in
-  /// RunStats::elements_skipped.
-  bool process_tail = true;
-
-  /// Pin pool workers to cores (paper Section 3.1).  Off by default in
-  /// the test environment.
-  bool pin_threads = false;
-
   /// Chunks per batch on the batched reduction path, for run() and run2()
   /// alike: the scheduler keys up to this many consecutive full chunks at
   /// once and accumulates each run of consecutive chunks that share a key

@@ -14,8 +14,8 @@
 //      No key-value pair is emitted, so there is no shuffle and the
 //      mapping phase needs no extra memory.  The trailing in_len %
 //      chunk_size elements are processed as a short final chunk (its
-//      Chunk::length carries the true count) unless RunOptions::
-//      process_tail is off or the app declared require_full_chunks();
+//      Chunk::length carries the true count) unless the app declared
+//      require_full_chunks();
 //   3. local combination merges worker maps (merge); global combination
 //      merges rank maps across simmpi via core/map_combiner: each rank
 //      serializes its map at most once and deserializes the global result
@@ -89,7 +89,7 @@ class Scheduler {
   explicit Scheduler(const SchedArgs& args, RunOptions opts = {})
       : args_(args),
         opts_(opts),
-        pool_(std::make_unique<ThreadPool>(args.num_threads, opts.pin_threads)),
+        pool_(std::make_unique<ThreadPool>(args.num_threads)),
         reduction_maps_(static_cast<std::size_t>(args.num_threads)),
         feed_buffer_(std::make_unique<CircularBuffer<FeedCell>>(opts.buffer_cells)) {
     if (args.chunk_size == 0) {
@@ -311,9 +311,9 @@ class Scheduler {
 
   /// Apps whose chunk is a fixed-width record (k-means feature vectors,
   /// logistic-regression rows) call this in their constructor: a partial
-  /// tail record is malformed input, so tail processing is forced off and
-  /// ragged trailing elements stay in RunStats::elements_skipped.
-  void require_full_chunks() { opts_.process_tail = false; }
+  /// tail record is malformed input, so the ragged trailing elements are
+  /// not processed and are counted in RunStats::elements_skipped.
+  void require_full_chunks() { process_tail_ = false; }
 
  private:
   struct FeedCell {
@@ -380,8 +380,8 @@ class Scheduler {
     const std::size_t num_chunks = in_len / args_.chunk_size;
     const std::size_t tail = in_len - num_chunks * args_.chunk_size;
     // Ragged tail: processed as a short final chunk (Chunk::length tells
-    // the app how much is real) unless the option is off.
-    const std::size_t tail_len = opts_.process_tail ? tail : 0;
+    // the app how much is real) unless the app requires full chunks.
+    const std::size_t tail_len = process_tail_ ? tail : 0;
     if (tail_len == 0) stats_.elements_skipped += tail;
 
     // A run() analyzes one time-step independently (Listing 1 constructs
@@ -834,6 +834,7 @@ class Scheduler {
   RecoveryPolicy recovery_;
   std::vector<int> survivors_;  ///< degraded combination group; empty = everyone
   bool global_combination_ = true;
+  bool process_tail_ = true;  ///< cleared by require_full_chunks()
   std::size_t total_len_ = 0;
   std::size_t tracked_red_bytes_ = 0;
   std::unique_ptr<CircularBuffer<FeedCell>> feed_buffer_;

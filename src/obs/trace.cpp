@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -112,8 +113,8 @@ ThreadRankGuard::~ThreadRankGuard() { t_thread_rank = previous_; }
 
 TraceCollector::TraceCollector()
     : origin_(std::chrono::steady_clock::now()),
-      ring_capacity_(static_cast<std::size_t>(
-          std::max(1L, env_long("SMART_TRACE_EVENTS", 1L << 15)))) {}
+      ring_capacity_(
+          static_cast<std::size_t>(env_long("SMART_TRACE_EVENTS", 1L << 15, 1, LONG_MAX))) {}
 
 TraceCollector& TraceCollector::instance() {
   static TraceCollector collector;

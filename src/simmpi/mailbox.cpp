@@ -169,11 +169,13 @@ std::optional<Envelope> Mailbox::take_locked(int source, int tag) {
   if (source != kAnySource && tag != kAnyTag) {
     const auto it = lanes_.find(lane_key(source, tag));
     if (it == lanes_.end()) return std::nullopt;
+    ++heads_examined_;
     return pop_lane(it);
   }
   // Wildcard receive: earliest arrival among the matching lanes' heads.
   auto best = lanes_.end();
   for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
+    ++heads_examined_;
     if (!selector_matches(source, tag, it->second.source, it->second.tag)) continue;
     if (best == lanes_.end() || it->second.q.front().seq < best->second.q.front().seq) {
       best = it;
@@ -342,6 +344,11 @@ std::size_t Mailbox::peak_pending_bytes() const {
 std::size_t Mailbox::lane_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lanes_.size();
+}
+
+std::uint64_t Mailbox::heads_examined() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return heads_examined_;
 }
 
 }  // namespace smart::simmpi

@@ -138,12 +138,18 @@ class Mailbox {
 
   /// High-water mark of pending_bytes() over this mailbox's lifetime — the
   /// number the bounded-lane work exists to keep flat under a slow
-  /// receiver (see BM_SlowReceiverPeakBytes* in bench/micro_transport.cpp).
+  /// receiver (see BM_*SlowReceiverPeakBytes in bench/micro_transport.cpp).
   std::size_t peak_pending_bytes() const;
 
   /// Active (non-empty) lanes; lanes are erased as they drain, so this is
   /// the number of distinct (source, tag) pairs with messages queued.
   std::size_t lane_count() const;
+
+  /// Lane heads that receives have examined, summed over this mailbox's
+  /// lifetime: an exact (source, tag) receive counts the one lane it pops,
+  /// and a wildcard receive counts each head its walk compares against the
+  /// selector — at most lane_count(), never one per queued message.
+  std::uint64_t heads_examined() const;
 
  private:
   struct Lane {
@@ -202,6 +208,7 @@ class Mailbox {
   std::size_t pending_ = 0;
   std::size_t pending_bytes_ = 0;
   std::size_t peak_pending_bytes_ = 0;
+  std::uint64_t heads_examined_ = 0;
   std::size_t max_lane_msgs_ = 0;   ///< 0 = unbounded
   std::size_t max_lane_bytes_ = 0;  ///< 0 = unbounded
   bool dead_ = false;

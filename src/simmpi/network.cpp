@@ -1,7 +1,10 @@
 #include "simmpi/network.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -84,7 +87,7 @@ class ContentionModel : public NetworkModel {
   }
 
  private:
-  int node_of(int rank) const { return rank / std::max(1, cfg_.ranks_per_node); }
+  int node_of(int rank) const { return rank / cfg_.ranks_per_node; }
 
   /// Occupies `link` for bytes/bandwidth starting no earlier than `t`;
   /// returns when the transfer clears the link.  Caller holds mu_.
@@ -113,9 +116,8 @@ class FatTreeModel final : public ContentionModel {
 
  protected:
   void append_path(int src_node, int dst_node, std::vector<PathLink>& out) const override {
-    const int npe = std::max(1, cfg_.nodes_per_edge);
-    const int src_pod = src_node / npe;
-    const int dst_pod = dst_node / npe;
+    const int src_pod = src_node / cfg_.nodes_per_edge;
+    const int dst_pod = dst_node / cfg_.nodes_per_edge;
     const double beta = cfg_.beta_bytes_per_second;
     const double up_bw = beta * cfg_.uplink_bandwidth_factor;
     out.push_back({link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)), beta});
@@ -136,9 +138,8 @@ class DragonflyModel final : public ContentionModel {
 
  protected:
   void append_path(int src_node, int dst_node, std::vector<PathLink>& out) const override {
-    const int npg = std::max(1, cfg_.nodes_per_group);
-    const int src_group = src_node / npg;
-    const int dst_group = dst_node / npg;
+    const int src_group = src_node / cfg_.nodes_per_group;
+    const int dst_group = dst_node / cfg_.nodes_per_group;
     const double beta = cfg_.beta_bytes_per_second;
     out.push_back({link_id(LinkKind::kNodeUp, static_cast<std::uint64_t>(src_node)), beta});
     if (src_group != dst_group) {
@@ -188,10 +189,7 @@ class TorusModel final : public ContentionModel {
   }
 
  private:
-  int dim(int d) const {
-    const int v = d == 0 ? cfg_.torus_x : d == 1 ? cfg_.torus_y : cfg_.torus_z;
-    return std::max(1, v);
-  }
+  int dim(int d) const { return d == 0 ? cfg_.torus_x : d == 1 ? cfg_.torus_y : cfg_.torus_z; }
 
   void coords(int node, int out[3]) const {
     out[0] = node % dim(0);
@@ -211,39 +209,73 @@ class TorusModel final : public ContentionModel {
   }
 };
 
+/// Throws std::invalid_argument naming the first field outside its domain.
+/// A zero bandwidth prices every message at infinity, and a negative
+/// latency lands a message before it leaves.
+void validate(const NetworkConfig& cfg) {
+  const auto reject = [](const char* field, const std::string& value, const char* rule) {
+    throw std::invalid_argument(std::string("simmpi: network config ") + field + " = " + value +
+                                " (must be " + rule + ")");
+  };
+  const auto check_real = [&](const char* field, double v, bool zero_ok) {
+    if (std::isfinite(v) && (zero_ok ? v >= 0.0 : v > 0.0)) return;
+    char text[32];
+    std::snprintf(text, sizeof(text), "%g", v);
+    reject(field, text, zero_ok ? "finite and >= 0" : "finite and > 0");
+  };
+  const auto check_shape = [&](const char* field, int v) {
+    if (v < 1) reject(field, std::to_string(v), ">= 1");
+  };
+  check_real("alpha_seconds", cfg.alpha_seconds, true);
+  check_real("hop_latency_seconds", cfg.hop_latency_seconds, true);
+  check_real("beta_bytes_per_second", cfg.beta_bytes_per_second, false);
+  check_real("uplink_bandwidth_factor", cfg.uplink_bandwidth_factor, false);
+  check_real("global_bandwidth_factor", cfg.global_bandwidth_factor, false);
+  check_shape("ranks_per_node", cfg.ranks_per_node);
+  check_shape("nodes_per_edge", cfg.nodes_per_edge);
+  check_shape("nodes_per_group", cfg.nodes_per_group);
+  check_shape("torus_x", cfg.torus_x);
+  check_shape("torus_y", cfg.torus_y);
+  check_shape("torus_z", cfg.torus_z);
+}
+
 }  // namespace
 
 NetworkConfig NetworkConfig::from_env() {
+  // Integers are range-checked as they are read, so the error names the
+  // variable and nothing wraps in a cast; make_network_model checks the
+  // doubles.  Every int field is a node or torus shape, hence >= 1.
+  const auto env_int = [](const char* name, int fallback) {
+    return static_cast<int>(env_long(name, fallback, 1, INT_MAX));
+  };
+  const auto env_unsigned = [](const char* name, std::size_t fallback) {
+    return static_cast<std::size_t>(env_long(name, static_cast<long>(fallback), 0, LONG_MAX));
+  };
   NetworkConfig cfg;
   cfg.model = env_string("SMART_NET_MODEL", cfg.model);
   cfg.alpha_seconds = env_double("SMART_NET_ALPHA", cfg.alpha_seconds);
   cfg.beta_bytes_per_second = env_double("SMART_NET_BETA", cfg.beta_bytes_per_second);
-  cfg.ranks_per_node =
-      static_cast<int>(env_long("SMART_NET_RANKS_PER_NODE", cfg.ranks_per_node));
-  cfg.nodes_per_edge =
-      static_cast<int>(env_long("SMART_NET_NODES_PER_EDGE", cfg.nodes_per_edge));
-  cfg.nodes_per_group =
-      static_cast<int>(env_long("SMART_NET_NODES_PER_GROUP", cfg.nodes_per_group));
+  cfg.ranks_per_node = env_int("SMART_NET_RANKS_PER_NODE", cfg.ranks_per_node);
+  cfg.nodes_per_edge = env_int("SMART_NET_NODES_PER_EDGE", cfg.nodes_per_edge);
+  cfg.nodes_per_group = env_int("SMART_NET_NODES_PER_GROUP", cfg.nodes_per_group);
   cfg.hop_latency_seconds = env_double("SMART_NET_HOP_LATENCY", cfg.hop_latency_seconds);
   cfg.uplink_bandwidth_factor =
       env_double("SMART_NET_UPLINK_FACTOR", cfg.uplink_bandwidth_factor);
   cfg.global_bandwidth_factor =
       env_double("SMART_NET_GLOBAL_FACTOR", cfg.global_bandwidth_factor);
-  cfg.torus_x = static_cast<int>(env_long("SMART_NET_TORUS_X", cfg.torus_x));
-  cfg.torus_y = static_cast<int>(env_long("SMART_NET_TORUS_Y", cfg.torus_y));
-  cfg.torus_z = static_cast<int>(env_long("SMART_NET_TORUS_Z", cfg.torus_z));
-  cfg.lane_capacity_msgs = static_cast<std::size_t>(
-      env_long("SMART_NET_LANE_CAP", static_cast<long>(cfg.lane_capacity_msgs)));
-  cfg.lane_capacity_bytes = static_cast<std::size_t>(
-      env_long("SMART_NET_LANE_CAP_BYTES", static_cast<long>(cfg.lane_capacity_bytes)));
+  cfg.torus_x = env_int("SMART_NET_TORUS_X", cfg.torus_x);
+  cfg.torus_y = env_int("SMART_NET_TORUS_Y", cfg.torus_y);
+  cfg.torus_z = env_int("SMART_NET_TORUS_Z", cfg.torus_z);
+  cfg.lane_capacity_msgs = env_unsigned("SMART_NET_LANE_CAP", cfg.lane_capacity_msgs);
+  cfg.lane_capacity_bytes = env_unsigned("SMART_NET_LANE_CAP_BYTES", cfg.lane_capacity_bytes);
   cfg.sched_policy = env_string("SMART_SCHED_POLICY", cfg.sched_policy);
-  cfg.sched_seed =
-      static_cast<std::uint64_t>(env_long("SMART_SCHED_SEED", static_cast<long>(cfg.sched_seed)));
+  cfg.sched_seed = env_unsigned("SMART_SCHED_SEED", cfg.sched_seed);
   cfg.sched_trace = env_string("SMART_SCHED_TRACE", cfg.sched_trace);
   return cfg;
 }
 
 std::shared_ptr<NetworkModel> make_network_model(NetworkConfig cfg) {
+  validate(cfg);
   if (cfg.model == "flat") return std::make_shared<FlatModel>(std::move(cfg));
   if (cfg.model == "fattree") return std::make_shared<FatTreeModel>(std::move(cfg));
   if (cfg.model == "dragonfly") return std::make_shared<DragonflyModel>(std::move(cfg));

@@ -102,7 +102,10 @@ struct NetworkConfig {
   /// SMART_NET_UPLINK_FACTOR, SMART_NET_GLOBAL_FACTOR,
   /// SMART_NET_TORUS_X, SMART_NET_TORUS_Y, SMART_NET_TORUS_Z,
   /// SMART_NET_LANE_CAP (messages), SMART_NET_LANE_CAP_BYTES,
-  /// SMART_SCHED_POLICY, SMART_SCHED_SEED, SMART_SCHED_TRACE.
+  /// SMART_SCHED_POLICY, SMART_SCHED_SEED, SMART_SCHED_TRACE.  Integer
+  /// variables must be whole numbers, node and torus shapes in
+  /// [1, INT_MAX] and lane caps and the seed in [0, LONG_MAX]; anything
+  /// else throws std::invalid_argument naming the variable.
   static NetworkConfig from_env();
 };
 
@@ -128,8 +131,10 @@ class NetworkModel {
   NetworkConfig cfg_;
 };
 
-/// Builds the cost engine named by cfg.model; throws std::invalid_argument
-/// on an unknown model name.
+/// Builds the cost engine named by cfg.model.  Throws std::invalid_argument
+/// naming the field on an unknown model name, a latency (alpha, hop) that
+/// is negative or not finite, a bandwidth (beta, uplink and global factors)
+/// that is not finite and > 0, or a node/torus shape below 1.
 std::shared_ptr<NetworkModel> make_network_model(NetworkConfig cfg);
 
 /// make_network_model(NetworkConfig::from_env()) — what World uses when the

@@ -5,6 +5,7 @@
 // harness prints next to it (--schedule replay --schedule-trace "...").
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -63,7 +64,7 @@ inline NetworkConfig net_config_for(const ExploreCase& c) {
 /// Schedules explored per configuration; SMART_EXPLORE_SCHEDULES overrides
 /// (check.sh pins it low for the bounded CI step, soak runs raise it).
 inline int explore_schedules() {
-  return static_cast<int>(env_long("SMART_EXPLORE_SCHEDULES", 6));
+  return static_cast<int>(env_long("SMART_EXPLORE_SCHEDULES", 6, 1, INT_MAX));
 }
 
 /// Builds a fresh recording controller for one explored schedule.

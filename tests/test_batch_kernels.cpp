@@ -12,7 +12,8 @@
 // (truncation == floor after clamping, hinted == unhinted argmin with the
 // lowest-index tie rule), trigger-driven mid-batch erase through the
 // default accumulate_batch, run2's key-major batches against the per-chunk
-// walk, and the consumed-count check on accumulate_batch overrides.
+// walk, the call counts of run()'s batched path, and the consumed-count
+// check on accumulate_batch overrides.
 // Registered under the `schedule` ctest label and run under TSan by
 // scripts/check.sh.
 #include <gtest/gtest.h>
@@ -745,6 +746,92 @@ TEST(Run2Batched, OneAccumulateBatchPerWindowRun) {
       EXPECT_EQ(run_keyed(window_keys(n), kWindow, data, n, 1, trigger, 0).batch_calls, 0u);
     }
   }
+}
+
+// --- run(): one accumulate_batch per key run ---------------------------------
+
+/// Counts the batched-path calls `App` receives and delegates each to it.
+template <class App>
+class CallCounting : public App {
+ public:
+  using App::App;
+  mutable std::size_t key_batches = 0;      ///< gen_keys_batch calls
+  mutable std::size_t full_chunk_keys = 0;  ///< gen_key calls on a full chunk
+  std::size_t accumulate_batches = 0;       ///< accumulate_batch calls
+
+ protected:
+  int gen_key(const Chunk& chunk, const double* data, const CombinationMap& map) const override {
+    if (chunk.length == this->chunk_size()) ++full_chunk_keys;
+    return App::gen_key(chunk, data, map);
+  }
+  void gen_keys_batch(const ChunkBatch& batch, const double* data, int* keys,
+                      const CombinationMap& map) const override {
+    ++key_batches;
+    App::gen_keys_batch(batch, data, keys, map);
+  }
+  std::size_t accumulate_batch(const ChunkBatch& batch, const double* data,
+                               std::unique_ptr<RedObj>& obj, bool stop_after_trigger) override {
+    ++accumulate_batches;
+    return App::accumulate_batch(batch, data, obj, stop_after_trigger);
+  }
+};
+
+// The single-key twin of Run2Batched.OneAccumulateBatchPerWindowRun, and the
+// deterministic guard of the batched run() path.  Each input holds 1000 full
+// chunks whose key changes every 16 chunks (SummaryStats' key never does).
+// With one thread a run keys them in ceil(1000 / 64) = 16 gen_keys_batch
+// calls, accumulates each key run of a batch in one accumulate_batch call —
+// ceil(1000 / 16) = 63 runs, as 16 divides the batch — and keys no full
+// chunk one at a time.
+constexpr std::size_t kCountedChunks = 1000;
+constexpr std::size_t kKeyRun = 16;
+
+template <class App>
+void expect_one_call_per_key_run(const char* app_name, CallCounting<App>& app,
+                                 const std::vector<double>& data, std::size_t key_runs) {
+  app.run(data.data(), data.size(), nullptr, 0);
+  EXPECT_EQ(app.key_batches, (kCountedChunks + 63) / 64) << app_name;
+  EXPECT_EQ(app.accumulate_batches, key_runs) << app_name;
+  EXPECT_EQ(app.full_chunk_keys, 0u) << app_name;
+}
+
+TEST(RunBatched, OneAccumulateBatchPerKeyRun) {
+  const std::size_t runs = (kCountedChunks + kKeyRun - 1) / kKeyRun;
+  // Histogram: unit buckets over [0, 8), chunk i in bucket (i / 16) % 8.
+  std::vector<double> values(kCountedChunks);
+  for (std::size_t i = 0; i < kCountedChunks; ++i) {
+    values[i] = static_cast<double>(i / kKeyRun % 8) + 0.5;
+  }
+  CallCounting<Histogram<double>> hist(SchedArgs(1, 1), 0.0, 8.0, 8, with_batch(64));
+  expect_one_call_per_key_run("histogram", hist, values, runs);
+
+  // K-means: point i sits on centroid (i / 16) % 4; two ragged elements
+  // at the end are dropped, never keyed.
+  constexpr std::size_t dims = 4, k = 4;
+  std::vector<double> init(k * dims);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t d = 0; d < dims; ++d) init[c * dims + d] = 10.0 * static_cast<double>(c);
+  }
+  std::vector<double> points;
+  for (std::size_t i = 0; i < kCountedChunks; ++i) {
+    const std::size_t c = i / kKeyRun % k;
+    points.insert(points.end(), init.begin() + static_cast<std::ptrdiff_t>(c * dims),
+                  init.begin() + static_cast<std::ptrdiff_t>((c + 1) * dims));
+  }
+  points.insert(points.end(), {1.0, 2.0});
+  KMeansInit seed{init.data(), k, dims};
+  CallCounting<KMeans<double>> km(SchedArgs(1, dims, &seed, 1), k, dims, with_batch(64));
+  expect_one_call_per_key_run("kmeans", km, points, runs);
+
+  // Summary moments: one key, so one run per batch.
+  CallCounting<SummaryStats<double>> stats(SchedArgs(1, 1), with_batch(64));
+  expect_one_call_per_key_run("moments", stats, values, (kCountedChunks + 63) / 64);
+
+  // Grid aggregation: 2-element chunks under 32-element cells, plus a
+  // one-element ragged tail keyed by gen_key as a short chunk.
+  const std::vector<double> field(2 * kCountedChunks + 1, 1.0);
+  CallCounting<GridAggregation<double>> grid(SchedArgs(1, 2), 2 * kKeyRun, with_batch(64));
+  expect_one_call_per_key_run("grid", grid, field, runs);
 }
 
 // --- accumulate_batch must report what it consumed ---------------------------

@@ -18,6 +18,7 @@
 // bounds the exploration width (check.sh pins it for CI).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -260,6 +261,7 @@ TEST(ScheduleExplore, RecoveryEqualsFaultFreeAcrossSchedules) {
                       .peer = 0,
                       .action = FaultAction::kDrop,
                       .max_fires = 1});
+    std::array<std::size_t, 2> retries{};
     simmpi::launch(
         2,
         [&](Communicator& comm) {
@@ -275,10 +277,15 @@ TEST(ScheduleExplore, RecoveryEqualsFaultFreeAcrossSchedules) {
           hist.run(data.data() + offset, half, out.data(), out.size());
           EXPECT_EQ(out, expected)
               << "rank " << comm.rank() << " seed " << s << "; " << prop::replay_hint(*sched);
-          EXPECT_EQ(hist.stats().combine_retries, 1u) << "rank " << comm.rank();
-          EXPECT_EQ(hist.stats().ranks_lost, 0u);
+          EXPECT_EQ(hist.stats().ranks_lost, 0u) << "rank " << comm.rank();
+          retries[static_cast<std::size_t>(comm.rank())] = hist.stats().combine_retries;
         },
         nullptr, faults, sched);
+    // Which rank times out first is up to wall time: a rank that reaches
+    // its receive after the other's resend landed never retries.  The lost
+    // payload still costs at least one retry between the two.
+    EXPECT_GE(retries[0] + retries[1], 1u)
+        << "seed " << s << ": the dropped payload went unretried";
   }
 }
 

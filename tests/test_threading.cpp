@@ -114,13 +114,6 @@ TEST(ThreadPool, NestedRegionPropagatesExceptionAndOuterSurvives) {
   EXPECT_EQ(ok.load(), 2);
 }
 
-TEST(ThreadPool, PinnedPoolStillWorks) {
-  ThreadPool pool(2, /*pin_threads=*/true);
-  std::atomic<int> n{0};
-  pool.parallel_region([&](int) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 2);
-}
-
 TEST(CircularBuffer, FifoOrder) {
   CircularBuffer<int> buf(4);
   for (int i = 0; i < 4; ++i) buf.push(i);

@@ -3,20 +3,27 @@
 //   * MPI's non-overtaking guarantee — FIFO per (source, tag) — under
 //     multi-producer contention,
 //   * any-source receives merge lanes by arrival order (no lane starves),
+//     and a receive examines lane heads, never the queued backlog,
 //   * receive_for's deadline racing a concurrent post never loses or
 //     duplicates a message,
 //   * collectives at non-power-of-two sizes (n = 3, 5, 7),
 //   * shared fan-out payloads move zero bytes (bcast_shared, allreduce,
 //     split) while the duplicate fault shares one payload instead of
 //     deep-copying it,
-//   * BufferPool recycling, retention bounds, and counters.
+//   * BufferPool recycling, retention bounds, and counters,
+//   * network cost models, and their rejection of out-of-domain configs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -170,6 +177,43 @@ TEST(TransportMailbox, PostWakesOnlyMatchingWaiter) {
   EXPECT_EQ(done.load(), 11);
 }
 
+TEST(TransportMailbox, ReceivesExamineLaneHeadsNotMessages) {
+  // bench/micro_transport.cpp's fan-in shape: a stale backlog of 4096
+  // control-tag messages over 64 sources sits queued ahead of 16 data
+  // messages.  A receive pays for lane heads, not queued messages: an
+  // exact (source, tag) receive examines its own lane's head only, and an
+  // any-source receive at most one head per active lane — where one deque
+  // scanned front to back would pass the whole backlog.
+  constexpr int kBacklog = 4096;
+  constexpr int kStaleSources = 64;
+  constexpr int kFanIn = 16;
+  constexpr int kControlTag = 1;
+  constexpr int kDataTag = 2;
+  Mailbox box;
+  for (int i = 0; i < kBacklog; ++i) box.post(make_envelope(i % kStaleSources, kControlTag, i));
+  const auto post_data = [&box] {
+    for (int p = 0; p < kFanIn; ++p) box.post(make_envelope(p, kDataTag, p));
+  };
+  post_data();
+  ASSERT_EQ(box.lane_count(), static_cast<std::size_t>(kStaleSources + kFanIn));
+  for (int p = 0; p < kFanIn; ++p) {
+    const std::size_t lanes = box.lane_count();
+    const std::uint64_t before = box.heads_examined();
+    const auto e = box.try_receive(kAnySource, kDataTag);
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(envelope_value(*e), p);  // arrival order
+    EXPECT_LE(box.heads_examined() - before, lanes) << "any-source receive " << p;
+  }
+  post_data();
+  for (int p = 0; p < kFanIn; ++p) {
+    const std::uint64_t before = box.heads_examined();
+    const Envelope e = box.receive(p, kDataTag);
+    EXPECT_EQ(envelope_value(e), p);
+    EXPECT_EQ(box.heads_examined() - before, 1u) << "exact-source receive " << p;
+  }
+  EXPECT_EQ(box.pending(), static_cast<std::size_t>(kBacklog));
+}
+
 TEST(TransportCollectives, OddSizesAgainstSerialReferences) {
   for (const int n : {3, 5, 7}) {
     launch(n, [n](Communicator& comm) {
@@ -278,10 +322,12 @@ TEST(TransportBufferPool, PooledBufferAlwaysCoversRequest) {
   BufferPool::drain_thread_cache();
 }
 
-TEST(TransportBufferPool, SteadyNonPowerOfTwoLoopHitsAfterFirstAcquire) {
-  // Message sizes are rarely powers of two.  A steady loop at one such
-  // size must recycle its buffer: only the first acquire may miss.
-  for (const std::size_t size : {std::size_t{300}, std::size_t{8472}}) {
+TEST(TransportBufferPool, SteadyLoopHitsAfterFirstAcquire) {
+  // A steady loop at one message size must recycle its buffer: only the
+  // first acquire may miss.  Sizes are rarely powers of two; 64 KiB and
+  // 1 MiB are bench/micro_transport.cpp's BM_PooledBufferPerMessage sizes.
+  for (const std::size_t size : {std::size_t{300}, std::size_t{8472}, std::size_t{65536},
+                                 std::size_t{1048576}}) {
     BufferPool::drain_thread_cache();
     const auto t0 = BufferPool::totals();
     constexpr int kRounds = 100;
@@ -558,6 +604,86 @@ TEST(TransportNetwork, UnknownModelNameThrows) {
   NetworkConfig cfg;
   cfg.model = "hypercube";
   EXPECT_THROW((void)make_network_model(cfg), std::invalid_argument);
+}
+
+TEST(TransportNetwork, OutOfDomainFieldsThrowNamingTheField) {
+  // Each case breaks one field of an otherwise valid config: a zero or
+  // negative bandwidth, a negative or non-finite latency, or an empty node
+  // or torus shape.  Every model rejects it, whichever it would use.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, std::function<void(NetworkConfig&)>>> cases = {
+      {"alpha_seconds", [](NetworkConfig& c) { c.alpha_seconds = -1e-6; }},
+      {"alpha_seconds", [&](NetworkConfig& c) { c.alpha_seconds = nan; }},
+      {"hop_latency_seconds", [](NetworkConfig& c) { c.hop_latency_seconds = -5e-7; }},
+      {"beta_bytes_per_second", [](NetworkConfig& c) { c.beta_bytes_per_second = 0.0; }},
+      {"beta_bytes_per_second", [](NetworkConfig& c) { c.beta_bytes_per_second = -5e9; }},
+      {"beta_bytes_per_second", [&](NetworkConfig& c) { c.beta_bytes_per_second = inf; }},
+      {"uplink_bandwidth_factor", [](NetworkConfig& c) { c.uplink_bandwidth_factor = 0.0; }},
+      {"global_bandwidth_factor", [&](NetworkConfig& c) { c.global_bandwidth_factor = nan; }},
+      {"ranks_per_node", [](NetworkConfig& c) { c.ranks_per_node = 0; }},
+      {"nodes_per_edge", [](NetworkConfig& c) { c.nodes_per_edge = -2; }},
+      {"nodes_per_group", [](NetworkConfig& c) { c.nodes_per_group = 0; }},
+      {"torus_x", [](NetworkConfig& c) { c.torus_x = 0; }},
+      {"torus_y", [](NetworkConfig& c) { c.torus_y = -1; }},
+      {"torus_z", [](NetworkConfig& c) { c.torus_z = 0; }},
+  };
+  for (const char* model : {"flat", "fattree", "dragonfly", "torus"}) {
+    NetworkConfig good;
+    good.model = model;
+    EXPECT_NO_THROW((void)make_network_model(good)) << model;
+    for (const auto& [field, corrupt] : cases) {
+      NetworkConfig bad = good;
+      corrupt(bad);
+      try {
+        (void)make_network_model(bad);
+        ADD_FAILURE() << model << ": no throw for a bad " << field;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << model << ": '" << e.what() << "' does not name " << field;
+      }
+    }
+  }
+  // Zero latency is a legal ideal link.
+  NetworkConfig ideal;
+  ideal.alpha_seconds = 0.0;
+  ideal.hop_latency_seconds = 0.0;
+  EXPECT_NO_THROW((void)make_network_model(ideal));
+}
+
+TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
+  // Each bad value throws naming its variable; none may wrap in a cast
+  // (2^32 + 2 ranks per node to 2, a negative lane cap to SIZE_MAX).
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"SMART_NET_RANKS_PER_NODE", "4294967298"},
+      {"SMART_NET_RANKS_PER_NODE", "0"},
+      {"SMART_NET_TORUS_X", "four"},
+      {"SMART_NET_LANE_CAP", "-1"},
+      {"SMART_NET_LANE_CAP_BYTES", "64k"},
+      {"SMART_SCHED_SEED", "-7"},
+  };
+  for (const auto& [name, value] : bad) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    try {
+      (void)NetworkConfig::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    unsetenv(name);
+  }
+  // A bad double is caught where the model is built.
+  ASSERT_EQ(setenv("SMART_NET_BETA", "0", 1), 0);
+  EXPECT_THROW((void)default_network_model(), std::invalid_argument);
+  unsetenv("SMART_NET_BETA");
+
+  ASSERT_EQ(setenv("SMART_NET_RANKS_PER_NODE", "3", 1), 0);
+  ASSERT_EQ(setenv("SMART_NET_LANE_CAP", "0", 1), 0);
+  const NetworkConfig cfg = NetworkConfig::from_env();
+  EXPECT_EQ(cfg.ranks_per_node, 3);
+  EXPECT_EQ(cfg.lane_capacity_msgs, 0u);
+  unsetenv("SMART_NET_RANKS_PER_NODE");
+  unsetenv("SMART_NET_LANE_CAP");
 }
 
 TEST(TransportNetwork, TorusCostsOrderByHopDistance) {
