@@ -30,6 +30,47 @@ struct Leg {
   RunStats rank0;  ///< rank 0's full scheduler stat set (RUNSTATS line)
 };
 
+/// A leg run several times: its makespan through bench::repeat, the rest
+/// (object counts, budget flag, stats) from the last run.
+struct RepeatedLeg {
+  bench::Repeated makespan;
+  Leg last;
+};
+
+template <typename Fn>
+RepeatedLeg repeat_leg(const Fn& run_leg) {
+  RepeatedLeg out;
+  out.makespan = bench::repeat([&] {
+    out.last = run_leg();
+    return out.last.makespan;
+  });
+  return out;
+}
+
+/// One table row: each side's min, median and spread, then the speedup
+/// of the minima and the object counts.
+void add_row(smart::Table& table, const RepeatedLeg& on, const RepeatedLeg& off) {
+  for (const auto* leg : {&on, &off}) {
+    table.add(leg->makespan.min, 4);
+    table.add(leg->makespan.median, 4);
+    table.add(leg->makespan.spread, 3);
+  }
+  table.add(off.makespan.min / on.makespan.min, 2);
+  table.add(on.last.peak_objects);
+  table.add(off.last.peak_objects);
+  table.add(static_cast<double>(off.last.peak_objects) /
+                static_cast<double>(std::max<std::size_t>(on.last.peak_objects, 1)),
+            1);
+  table.add(off.last.over_budget ? "OVER-BUDGET (paper: crash)" : "ok");
+}
+
+/// A table's columns: the size column, then add_row's.
+std::vector<std::string> columns(const std::string& size_column) {
+  return {size_column,     "on_min_s",      "on_median_s",     "on_spread",
+          "off_min_s",     "off_median_s",  "off_spread",      "speedup_x",
+          "peak_objs_on",  "peak_objs_off", "obj_reduction_x", "no_trigger_flag"};
+}
+
 Leg heat3d_moving_average(std::size_t nz_local, bool trigger, std::size_t budget) {
   smart::bench::reset_memory(budget);
   RunOptions opts;
@@ -88,11 +129,11 @@ int main() {
       "Figure 11: early emission of reduction objects on vs off",
       "(a) Heat3D + moving average (win 7), 0.5-1 GB steps, speedup <= 5.6x, 1 GB no-trigger "
       "crashes; (b) Lulesh + moving median (win 11), edge 60-200, speedup <= 5.2x",
-      std::to_string(kRanks) + " ranks x 2 threads, " + std::to_string(kSteps) + " steps");
+      std::to_string(kRanks) + " ranks x 2 threads, " + std::to_string(kSteps) +
+          " steps; each leg runs 3 times and the speedup compares the minima");
 
   {
-    Table table({"step_size_per_rank", "with_trigger_s", "no_trigger_s", "speedup_x",
-                 "peak_objs_on", "peak_objs_off", "obj_reduction_x", "no_trigger_flag"});
+    Table table(columns("step_size_per_rank"));
     // Budget calibrated between the largest size's with-trigger and
     // no-trigger footprints, so only the Θ(N)-object variant crosses it —
     // the paper's crash boundary.
@@ -107,30 +148,22 @@ int main() {
         sim_bytes + kRanks * (on_top + (off_top - on_top) * 4 / 5);
     for (const std::size_t nz : nz_sweep) {
       const std::size_t scaled_nz = smart::bench::scaled(nz);
-      const Leg on = heat3d_moving_average(scaled_nz, true, budget);
-      const Leg off = heat3d_moving_average(scaled_nz, false, budget);
+      const auto on = repeat_leg([&] { return heat3d_moving_average(scaled_nz, true, budget); });
+      const auto off =
+          repeat_leg([&] { return heat3d_moving_average(scaled_nz, false, budget); });
       smart::bench::print_run_stats("fig11a/nz=" + std::to_string(scaled_nz) + "/trigger=on",
-                                    on.rank0);
+                                    on.last.rank0);
       smart::bench::print_run_stats("fig11a/nz=" + std::to_string(scaled_nz) + "/trigger=off",
-                                    off.rank0);
+                                    off.last.rank0);
       table.begin_row();
       table.add(smart::format_bytes(32 * 32 * scaled_nz * sizeof(double)));
-      table.add(on.makespan, 4);
-      table.add(off.makespan, 4);
-      table.add(off.makespan / on.makespan, 2);
-      table.add(on.peak_objects);
-      table.add(off.peak_objects);
-      table.add(static_cast<double>(off.peak_objects) /
-                    static_cast<double>(std::max<std::size_t>(on.peak_objects, 1)),
-                1);
-      table.add(off.over_budget ? "OVER-BUDGET (paper: crash)" : "ok");
+      add_row(table, on, off);
     }
     smart::bench::finish(table, "fig11a", "Figure 11(a): Heat3D + moving average (window 7)");
   }
 
   {
-    Table table({"edge", "with_trigger_s", "no_trigger_s", "speedup_x", "peak_objs_on",
-                 "peak_objs_off", "obj_reduction_x", "no_trigger_flag"});
+    Table table(columns("edge"));
     const std::vector<std::size_t> edge_sweep = {16, 24, 36};
     const auto largest_edge = static_cast<std::size_t>(
         static_cast<double>(edge_sweep.back()) * std::cbrt(smart::bench_scale()));
@@ -143,23 +176,16 @@ int main() {
     for (const std::size_t edge : edge_sweep) {
       const auto scaled_edge = static_cast<std::size_t>(
           static_cast<double>(edge) * std::cbrt(smart::bench_scale()));
-      const Leg on = lulesh_moving_median(scaled_edge, true, budget);
-      const Leg off = lulesh_moving_median(scaled_edge, false, budget);
+      const auto on = repeat_leg([&] { return lulesh_moving_median(scaled_edge, true, budget); });
+      const auto off =
+          repeat_leg([&] { return lulesh_moving_median(scaled_edge, false, budget); });
       smart::bench::print_run_stats("fig11b/edge=" + std::to_string(scaled_edge) + "/trigger=on",
-                                    on.rank0);
+                                    on.last.rank0);
       smart::bench::print_run_stats(
-          "fig11b/edge=" + std::to_string(scaled_edge) + "/trigger=off", off.rank0);
+          "fig11b/edge=" + std::to_string(scaled_edge) + "/trigger=off", off.last.rank0);
       table.begin_row();
       table.add(scaled_edge);
-      table.add(on.makespan, 4);
-      table.add(off.makespan, 4);
-      table.add(off.makespan / on.makespan, 2);
-      table.add(on.peak_objects);
-      table.add(off.peak_objects);
-      table.add(static_cast<double>(off.peak_objects) /
-                    static_cast<double>(std::max<std::size_t>(on.peak_objects, 1)),
-                1);
-      table.add(off.over_budget ? "OVER-BUDGET (paper: crash)" : "ok");
+      add_row(table, on, off);
     }
     smart::bench::finish(table, "fig11b", "Figure 11(b): Lulesh + moving median (window 11)");
   }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "analytics/render.h"
@@ -170,8 +171,14 @@ int run(const ArgParser& args) {
   // Interconnect model: SMART_NET_* environment first, explicit flags win.
   simmpi::NetworkConfig net_cfg = simmpi::NetworkConfig::from_env();
   if (args.has("net-model")) net_cfg.model = args.get("net-model");
-  if (args.has("net-alpha")) net_cfg.alpha_seconds = args.get_double("net-alpha");
-  if (args.has("net-beta")) net_cfg.beta_bytes_per_second = args.get_double("net-beta");
+  // make_network_model rejects a zero bandwidth.
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  if (args.has("net-alpha")) {
+    net_cfg.alpha_seconds = args.get_double("net-alpha", 0.0, kMaxDouble);
+  }
+  if (args.has("net-beta")) {
+    net_cfg.beta_bytes_per_second = args.get_double("net-beta", 0.0, kMaxDouble);
+  }
   if (args.has("ranks-per-node")) {
     net_cfg.ranks_per_node = static_cast<int>(args.get_long("ranks-per-node", 1, INT_MAX));
   }

@@ -9,6 +9,12 @@
 # The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
+# The perfbench smoke runs the end-to-end benchmark's summary self-tests
+# and a 1 s run of each of its workloads (a Release build of
+# perfbench_e2e): every analyzed step is checked against the serial
+# reference, and the step fails unless each run ends with `correct: true`
+# and 0 failed checks.
+#
 # The reachability step (scripts/check_reachability.py) walks #include
 # from every fig harness, example and perfbench source and fails on any
 # src/ header the walk does not reach: a module stays only if a workload
@@ -241,6 +247,25 @@ for line in $probe_lines; do
          sed -n "${line}p" "$kernels_h" >&2; cat "$vec_log" >&2; exit 1; }
 done
 echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized"
+
+echo "== tier-1: perfbench smoke =="
+# perfbench/run.py builds perfbench_e2e in Release into .bench_build/ and
+# prints one JSON object as its last line; its log goes to build/.
+python3 "$repo/perfbench/test_summary.py"
+for workload in kmeans_d64 lulesh_median_space; do
+  perf_log="$repo/build/check_perfbench_$workload.log"
+  perf_last="$(python3 "$repo/perfbench/run.py" --workload "$workload" --seed 1 \
+    --seconds 1 --trace 0 2> "$perf_log" | tail -n 1)" \
+    || { echo "perfbench $workload failed:" >&2; cat "$perf_log" >&2; exit 1; }
+  python3 - "$workload" "$perf_last" <<'EOF'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"perfbench {workload} failed its output checks: {line}")
+print(f"   perfbench {workload} ok: {result['attempted']} checks, 0 failed")
+EOF
+done
 
 echo "== native: build + test with SMART_NATIVE=ON =="
 # One pass of the batched-kernel exactness properties and a bench smoke with

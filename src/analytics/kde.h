@@ -39,9 +39,9 @@ class KernelDensity : public Scheduler<In, double> {
   double bandwidth() const { return h_; }
 
  protected:
-  void gen_keys(const Chunk& chunk, const In*, std::vector<int>& keys,
-                const CombinationMap&) const override {
-    window_center_keys(chunk.start, this->total_len(), window_, keys);
+  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In*,
+                                        const CombinationMap&) const override {
+    return window_center_range(chunk.start, this->total_len(), window_);
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {

@@ -28,9 +28,9 @@ class MovingMedian : public Scheduler<In, double> {
   std::size_t window() const { return window_; }
 
  protected:
-  void gen_keys(const Chunk& chunk, const In*, std::vector<int>& keys,
-                const CombinationMap&) const override {
-    window_center_keys(chunk.start, this->total_len(), window_, keys);
+  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In*,
+                                        const CombinationMap&) const override {
+    return window_center_range(chunk.start, this->total_len(), window_);
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {

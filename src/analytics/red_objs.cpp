@@ -123,7 +123,10 @@ void WinMedianObj::deserialize(Reader& r) {
 
 double WinMedianObj::median() const {
   if (elems.empty()) throw std::logic_error("WinMedianObj::median on empty window");
-  std::vector<double> copy = elems;
+  // Selects in a per-thread scratch copy: every emitted window calls this,
+  // and a fresh copy would cost one allocation per window.
+  thread_local std::vector<double> copy;
+  copy.assign(elems.begin(), elems.end());
   const std::size_t mid = copy.size() / 2;
   std::nth_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(mid), copy.end());
   if (copy.size() % 2 == 1) return copy[mid];
@@ -146,51 +149,6 @@ void KdeObj::deserialize(Reader& r) {
   kernel_sum = r.read<double>();
   count = r.read<std::uint64_t>();
   window = r.read<std::uint64_t>();
-}
-
-// --- KnnObj ----------------------------------------------------------------
-
-std::unique_ptr<RedObj> KnnObj::clone() const { return std::make_unique<KnnObj>(*this); }
-
-void KnnObj::serialize(Writer& w) const {
-  w.write(center);
-  w.write_vector(nearest);
-  w.write<std::uint64_t>(k);
-  w.write<std::uint64_t>(seen);
-  w.write<std::uint64_t>(window);
-}
-
-void KnnObj::deserialize(Reader& r) {
-  center = r.read<double>();
-  nearest = r.read_vector<double>();
-  k = r.read<std::uint64_t>();
-  seen = r.read<std::uint64_t>();
-  window = r.read<std::uint64_t>();
-}
-
-void KnnObj::offer(double value) {
-  if (nearest.size() < k) {
-    nearest.push_back(value);
-    return;
-  }
-  // Replace the current farthest neighbor if this value is closer.
-  std::size_t worst = 0;
-  double worst_dist = -1.0;
-  for (std::size_t i = 0; i < nearest.size(); ++i) {
-    const double d = std::abs(nearest[i] - center);
-    if (d > worst_dist) {
-      worst_dist = d;
-      worst = i;
-    }
-  }
-  if (std::abs(value - center) < worst_dist) nearest[worst] = value;
-}
-
-double KnnObj::smoothed() const {
-  if (nearest.empty()) throw std::logic_error("KnnObj::smoothed on empty neighbor set");
-  double sum = 0.0;
-  for (double v : nearest) sum += v;
-  return sum / static_cast<double>(nearest.size());
 }
 
 // --- SgObj -----------------------------------------------------------------
@@ -222,7 +180,6 @@ void register_red_objs() {
     reg.register_type("WinObj", [] { return std::make_unique<WinObj>(); });
     reg.register_type("WinMedianObj", [] { return std::make_unique<WinMedianObj>(); });
     reg.register_type("KdeObj", [] { return std::make_unique<KdeObj>(); });
-    reg.register_type("KnnObj", [] { return std::make_unique<KnnObj>(); });
     reg.register_type("SgObj", [] { return std::make_unique<SgObj>(); });
     return true;
   }();

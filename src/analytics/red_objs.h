@@ -136,32 +136,6 @@ struct KdeObj : RedObj {
   std::size_t footprint_bytes() const override { return sizeof(*this); }
 };
 
-/// K-nearest-neighbor smoother: keeps the K window elements closest in
-/// value to the window center — the paper's Section 4.1 example of a
-/// Θ(K), 1 <= K <= W reduction object.
-struct KnnObj : RedObj {
-  double center = 0.0;            ///< the value being smoothed
-  std::vector<double> nearest;    ///< up to K values, closest to center
-  std::size_t k = 0;
-  std::size_t seen = 0;           ///< window elements accumulated so far
-  std::size_t window = 0;
-
-  std::string type_name() const override { return "KnnObj"; }
-  std::unique_ptr<RedObj> clone() const override;
-  void serialize(Writer& w) const override;
-  void deserialize(Reader& r) override;
-  bool trigger() const override { return window != 0 && seen == window; }
-  std::size_t footprint_bytes() const override {
-    return sizeof(*this) + nearest.capacity() * sizeof(double);
-  }
-
-  /// Inserts a candidate value, keeping only the k nearest to center
-  /// (callers track `seen` themselves so merge can reuse this).
-  void offer(double value);
-  /// Mean of the kept neighbors (the smoothed value).
-  double smoothed() const;
-};
-
 /// Savitzky–Golay filter: the running convolution at one window center.
 struct SgObj : RedObj {
   double acc = 0.0;

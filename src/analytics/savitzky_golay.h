@@ -32,9 +32,9 @@ class SavitzkyGolay : public Scheduler<In, double> {
   const std::vector<double>& coefficients() const { return coeff_; }
 
  protected:
-  void gen_keys(const Chunk& chunk, const In*, std::vector<int>& keys,
-                const CombinationMap&) const override {
-    full_window_center_keys(chunk.start, this->total_len(), window_, keys);
+  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In*,
+                                        const CombinationMap&) const override {
+    return full_window_center_range(chunk.start, this->total_len(), window_);
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {

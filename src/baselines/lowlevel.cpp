@@ -1,5 +1,6 @@
 #include "baselines/lowlevel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -56,9 +57,7 @@ std::vector<double> lowlevel_kmeans(const double* points, std::size_t num_points
         mine[k * dims + best] += 1.0;
       }
     });
-    double critical_path = 0.0;
-    for (double b : busy) critical_path = std::max(critical_path, b);
-    if (comm != nullptr) comm->advance(critical_path);
+    if (comm != nullptr) comm->advance_region(busy);
 
     // Thread-local partials fold into one contiguous buffer ...
     std::vector<double> local(partial_len, 0.0);
@@ -103,9 +102,7 @@ std::vector<double> lowlevel_logreg(const double* records, std::size_t num_recor
         mine[dim] += 1.0;
       }
     });
-    double critical_path = 0.0;
-    for (double b : busy) critical_path = std::max(critical_path, b);
-    if (comm != nullptr) comm->advance(critical_path);
+    if (comm != nullptr) comm->advance_region(busy);
 
     std::vector<double> local(partial_len, 0.0);
     for (int worker = 0; worker < nw; ++worker) {

@@ -74,14 +74,8 @@ long ArgParser::get_long(const std::string& name, long min, long max) const {
   return parse_long(get(name), "option '--" + name + "'", min, max);
 }
 
-double ArgParser::get_double(const std::string& name) const {
-  const std::string v = get(name);
-  std::size_t used = 0;
-  const double parsed = std::stod(v, &used);
-  if (used != v.size()) {
-    throw std::invalid_argument("option '--" + name + "': '" + v + "' is not a number");
-  }
-  return parsed;
+double ArgParser::get_double(const std::string& name, double min, double max) const {
+  return parse_double(get(name), "option '--" + name + "'", min, max);
 }
 
 bool ArgParser::get_flag(const std::string& name) const { return flags_set_.count(name) != 0; }

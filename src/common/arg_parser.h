@@ -28,7 +28,9 @@ class ArgParser {
   /// The option's integer value; throws std::invalid_argument naming the
   /// option when the value is not an integer or lies outside [min, max].
   long get_long(const std::string& name, long min, long max) const;
-  double get_double(const std::string& name) const;
+  /// The option's value as a finite double; throws std::invalid_argument
+  /// naming the option when it is not a number or lies outside [min, max].
+  double get_double(const std::string& name, double min, double max) const;
   bool get_flag(const std::string& name) const;
 
   std::string usage(const std::string& program) const;

@@ -49,4 +49,12 @@ struct ChunkBatch {
   std::size_t elements() const { return chunk_len * count; }
 };
 
+/// The keys one chunk feeds, as the ascending range [first, last]; empty
+/// when first > last.  A window app's element feeds the centers of every
+/// window that covers it, which is one such range (Scheduler::gen_key_range).
+struct KeyRange {
+  int first = 0;
+  int last = -1;
+};
+
 }  // namespace smart

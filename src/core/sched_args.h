@@ -41,19 +41,19 @@ struct RunOptions {
   /// the paper's per-time-step launch (Listing 1).
   bool accumulate_across_runs = false;
 
-  /// Chunks per batch on the batched reduction path, for run() and run2()
-  /// alike: the scheduler keys up to this many consecutive full chunks at
-  /// once and accumulates each run of consecutive chunks that share a key
-  /// through one accumulate_batch call — hoisting the map lookup and the
-  /// virtual dispatch out of the per-chunk loop and letting the numeric
-  /// apps' kernels vectorize.  run() finds runs of equal keys in one
-  /// gen_keys_batch call; run2() counting-sorts the batch's (key, chunk)
-  /// pairs by key, so a window object is looked up once per batch rather
-  /// than once per element.  0 or 1 disables batching (the chunk-at-a-time
-  /// path).  Results are bit-identical either way: every object receives
-  /// its chunks in the same order, default batch implementations replay
-  /// the scalar path, and the app kernels preserve scalar accumulation
-  /// order (see DESIGN.md §4.8).
+  /// The batched reduction path: each run of consecutive chunks that
+  /// share a key goes through one accumulate_batch call — hoisting the map
+  /// lookup and the virtual dispatch out of the per-chunk loop and letting
+  /// the numeric apps' kernels vectorize.  run() keys up to this many
+  /// consecutive full chunks in one gen_keys_batch call and finds the runs
+  /// of equal keys among them.  run2() on an app that declares key ranges
+  /// (Scheduler::gen_key_range) walks each split key by key, so a window
+  /// object is looked up once, whatever the batch size; run2() on an app
+  /// with only gen_keys stays chunk-at-a-time.  0 or 1 disables batching
+  /// (the chunk-at-a-time path) for both.  Results are bit-identical either
+  /// way: every object receives its chunks in the same order, default
+  /// batch implementations replay the scalar path, and the app kernels
+  /// preserve scalar accumulation order (see DESIGN.md §4.8).
   std::size_t batch_chunks = 64;
 
   /// Cells in the space-sharing circular buffer (paper Figure 4).

@@ -56,6 +56,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -239,20 +240,44 @@ class Scheduler {
     throw std::logic_error("Scheduler: run() used but gen_key not overridden");
   }
 
+  /// The keys `chunk` feeds as one ascending range, for multi-key apps
+  /// whose keys per chunk are contiguous (the window apps).  The default
+  /// declares no range: the app keys through gen_keys or gen_key.  An app
+  /// that declares a range for one chunk declares one for every chunk, and
+  /// its ranges are monotone: neither `first` nor `last` decreases as the
+  /// chunk position grows.  Batched run2() then walks a split key by key
+  /// (see reduction_phase) and checks the monotonicity as it goes.
+  virtual std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In* data,
+                                                const CombinationMap& com_map) const {
+    (void)chunk;
+    (void)data;
+    (void)com_map;
+    return std::nullopt;
+  }
+
+  /// Pushes the declared range's keys in ascending order, or gen_key's one
+  /// key when the app declares no range.
   virtual void gen_keys(const Chunk& chunk, const In* data, std::vector<int>& keys,
                         const CombinationMap& com_map) const {
-    keys.push_back(gen_key(chunk, data, com_map));
+    if (const auto range = gen_key_range(chunk, data, com_map)) {
+      for (std::int64_t k = range->first; k <= range->last; ++k) {
+        keys.push_back(static_cast<int>(k));
+      }
+    } else {
+      keys.push_back(gen_key(chunk, data, com_map));
+    }
   }
 
   virtual void accumulate(const Chunk& chunk, const In* data,
                           std::unique_ptr<RedObj>& red_obj) = 0;
 
   // --- batch-granular API (the batched reduction path; DESIGN.md §4.8) ----
-  // The scheduler walks full chunks in batches of RunOptions::batch_chunks:
-  // keys for the whole batch first (gen_keys_batch for run(), gen_keys per
-  // chunk for run2()), then one accumulate_batch call per *run* of
-  // consecutive chunks that share a key, with the map lookup hoisted out of
-  // the loop.  The defaults below replay the per-chunk virtuals, so every
+  // With RunOptions::batch_chunks > 1 the scheduler makes one
+  // accumulate_batch call per *run* of consecutive chunks that share a key,
+  // with the map lookup hoisted out of the loop: run() keys batches of up
+  // to batch_chunks chunks through gen_keys_batch, and run2() on an app
+  // that declares key ranges walks its split key by key (gen_key_range).
+  // The defaults below replay the per-chunk virtuals, so every
   // app is batch-correct by construction; the numeric apps override them
   // with vectorizable kernels (analytics/batch_kernels.h).  Overrides must
   // preserve the scalar path's accumulation order bit-for-bit —
@@ -472,27 +497,26 @@ class Scheduler {
   /// chunk of tail_len elements at offset num_chunks * chunk_size.
   ///
   /// Full chunks take the *batched* path when RunOptions::batch_chunks > 1,
-  /// up to batch_chunks consecutive chunks at a time, and every run of
-  /// chunks that share a key costs one map lookup plus one accumulate_batch
-  /// call instead of a lookup and two virtual dispatches per chunk:
-  ///   * single-key (run): one gen_keys_batch call keys the whole batch over
-  ///     a columnar ChunkBatch view, and runs of consecutive equal keys are
-  ///     detected (consecutive chunks usually share a key — the cached-slot
-  ///     trick extended to whole runs);
-  ///   * multi-key (run2): gen_keys runs once per chunk, the batch's
-  ///     (key, chunk) pairs are counting-sorted by key, and each key's
-  ///     chunk list splits into runs of consecutive chunks, so a window
-  ///     object is found once per batch instead of once per element.  Each
-  ///     object still receives its chunks in ascending position order,
-  ///     which keeps outputs, emissions and floating-point bits identical
-  ///     to the per-chunk walk.  A batch whose key range exceeds
-  ///     kDenseKeySpan times its pair count (sparse keys) walks its chunks
-  ///     one at a time instead, which bounds the count array.
+  /// and every run of chunks that share a key costs one map lookup plus one
+  /// accumulate_batch call instead of a lookup and two virtual dispatches
+  /// per chunk:
+  ///   * single-key (run): one gen_keys_batch call keys up to batch_chunks
+  ///     chunks over a columnar ChunkBatch view, and runs of consecutive
+  ///     equal keys are detected (consecutive chunks usually share a key —
+  ///     the cached-slot trick extended to whole runs);
+  ///   * multi-key (run2) on an app that declares key ranges: one walk over
+  ///     the split visits its keys in ascending order, skipping keys no
+  ///     chunk covers.  By the ranges' monotonicity the chunks covering a
+  ///     key form one contiguous run, found by two pointers that only move
+  ///     forward, so a window object costs one lookup and one
+  ///     accumulate_batch call.  Each object still receives its chunks in
+  ///     ascending position order, which keeps outputs, emissions and
+  ///     floating-point bits identical to the per-chunk walk.  Apps with
+  ///     only gen_keys take the per-chunk walk.
   /// The ragged tail unit and runs with batching disabled stay
   /// chunk-at-a-time.
   void reduction_phase(const In* data, std::size_t num_chunks, std::size_t tail_len, Out* out,
                        std::size_t out_len, bool multi_key) {
-    constexpr std::int64_t kDenseKeySpan = 4;
     const std::size_t num_units = num_chunks + (tail_len > 0 ? 1 : 0);
     const auto workers = static_cast<std::size_t>(args_.num_threads);
     const std::size_t base = num_units / workers;
@@ -544,6 +568,8 @@ class Scheduler {
           throw std::logic_error("Scheduler: accumulate left a null reduction object");
         }
         slot->set_key(key);
+        // Counted before a trigger drops it: the object was live.
+        if (rmap.size() > peak) peak = rmap.size();
         if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
       };
       auto process_chunk = [&](std::size_t c) {
@@ -558,7 +584,6 @@ class Scheduler {
         } else {
           process_key(chunk, gen_key(chunk, data, combination_map_));
         }
-        if (rmap.size() > peak) peak = rmap.size();
       };
       // Accumulates `len` consecutive chunks of `batch`, starting at chunk
       // `first`, into `key`'s object: one lookup plus one accumulate_batch
@@ -585,21 +610,16 @@ class Scheduler {
                                    std::to_string(left) + " chunks");
           }
           slot->set_key(key);
+          // Counted before a trigger drops it: the object was live.
+          if (rmap.size() > peak) peak = rmap.size();
           if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
           i += consumed;
           left -= consumed;
         }
       };
-      // Batched path state.  Single-key: one key per chunk of the batch.
-      // Multi-key: the batch's keys chunk by chunk (chunk i's keys are
-      // pair_keys[pair_begin[i] .. pair_begin[i + 1])), then the counting
-      // sort's per-key end offsets and the key-major chunk list.
-      const std::size_t batch_cap = opts_.batch_chunks > 1 ? opts_.batch_chunks : 0;
-      std::vector<int> batch_keys(multi_key ? 0 : batch_cap);
-      std::vector<int> pair_keys;
-      std::vector<std::size_t> pair_begin;
-      std::vector<std::size_t> key_end;
-      std::vector<std::size_t> key_chunks;
+      // Batched run(): one key per chunk of the batch.
+      const bool batched = opts_.batch_chunks > 1;
+      std::vector<int> batch_keys(batched && !multi_key ? opts_.batch_chunks : 0);
       auto process_batch = [&](std::size_t first_chunk, std::size_t n) {
         const ChunkBatch batch{first_chunk * args_.chunk_size, args_.chunk_size, n};
         gen_keys_batch(batch, data, batch_keys.data(), combination_map_);
@@ -609,60 +629,53 @@ class Scheduler {
           accumulate_run(batch, i, run_end - i, batch_keys[i]);
           i = run_end;
         }
-        if (rmap.size() > peak) peak = rmap.size();
       };
-      auto process_multi_key_batch = [&](std::size_t first_chunk, std::size_t n) {
-        const ChunkBatch batch{first_chunk * args_.chunk_size, args_.chunk_size, n};
-        pair_keys.clear();
-        pair_begin.assign(1, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          keys.clear();
-          gen_keys(batch.chunk(i), data, keys, combination_map_);
-          pair_keys.insert(pair_keys.end(), keys.begin(), keys.end());
-          pair_begin.push_back(pair_keys.size());
+      // Batched run2() on a range app.  All full chunks as one batch, which
+      // the walk's runs index into.
+      const ChunkBatch full{0, args_.chunk_size, num_chunks};
+      auto range_of = [&](std::size_t c) {
+        const auto range = gen_key_range(full.chunk(c), data, combination_map_);
+        if (!range) {
+          throw std::logic_error("Scheduler: gen_key_range declared no range for chunk " +
+                                 std::to_string(c) + " but did for an earlier one");
         }
-        const std::size_t pairs = pair_keys.size();
-        if (pairs == 0) return;
-        const auto [lo_it, hi_it] = std::minmax_element(pair_keys.begin(), pair_keys.end());
-        const std::int64_t lo = *lo_it;
-        const std::int64_t span = std::int64_t{*hi_it} - lo + 1;
-        if (span > kDenseKeySpan * static_cast<std::int64_t>(pairs)) {
-          // Sparse keys: the per-chunk walk, over the keys already made.
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t p = pair_begin[i]; p < pair_begin[i + 1]; ++p) {
-              process_key(batch.chunk(i), pair_keys[p]);
+        return *range;
+      };
+      // Walks full chunks [first, stop) key by key, from chunk first's
+      // range.  Chunks [lo, hi) are the ones covering `key`: by
+      // monotonicity every chunk before hi starts at or before it and every
+      // chunk from lo on ends at or after it, so both pointers only move
+      // forward as the key grows.
+      auto walk_key_ranges = [&](std::size_t first, std::size_t stop, KeyRange first_range) {
+        std::size_t lo = first;
+        std::size_t hi = first;
+        KeyRange lo_range = first_range;  // chunk lo's, while lo < stop
+        KeyRange hi_range = first_range;  // chunk hi's, while hi < stop
+        std::int64_t key = first_range.first;
+        while (lo < stop) {
+          while (hi < stop && hi_range.first <= key) {
+            if (++hi == stop) break;
+            const KeyRange next = range_of(hi);
+            if (next.first < hi_range.first || next.last < hi_range.last) {
+              throw std::logic_error(
+                  "Scheduler: gen_key_range of chunk " + std::to_string(hi) + " is [" +
+                  std::to_string(next.first) + ", " + std::to_string(next.last) +
+                  "], below the previous chunk's [" + std::to_string(hi_range.first) + ", " +
+                  std::to_string(hi_range.last) + "]; key ranges must not decrease");
             }
-            if (rmap.size() > peak) peak = rmap.size();
+            hi_range = next;
           }
-          return;
-        }
-        // Counting sort of the pairs by key.  Chunks are scattered in
-        // ascending order, so each key's chunk list stays ascending.
-        const auto slots = static_cast<std::size_t>(span);
-        key_end.assign(slots + 1, 0);
-        for (const int key : pair_keys) ++key_end[static_cast<std::size_t>(key - lo) + 1];
-        for (std::size_t k = 1; k <= slots; ++k) key_end[k] += key_end[k - 1];
-        key_chunks.resize(pairs);
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t p = pair_begin[i]; p < pair_begin[i + 1]; ++p) {
-            key_chunks[key_end[static_cast<std::size_t>(pair_keys[p] - lo)]++] = i;
+          while (lo < hi && lo_range.last < key) {
+            if (++lo < stop) lo_range = range_of(lo);
           }
-        }
-        // key_end[k] now ends key k's chunk list, which starts where key
-        // k - 1's ended.
-        std::size_t s = 0;
-        for (std::size_t k = 0; k < slots; ++k) {
-          const int key = static_cast<int>(lo + static_cast<std::int64_t>(k));
-          while (s < key_end[k]) {
-            std::size_t run_end = s + 1;
-            while (run_end < key_end[k] && key_chunks[run_end] == key_chunks[run_end - 1] + 1) {
-              ++run_end;
-            }
-            accumulate_run(batch, key_chunks[s], run_end - s, key);
-            s = run_end;
+          if (lo == hi) {
+            // No chunk covers `key`: skip to chunk hi's first key.
+            if (hi < stop) key = hi_range.first;
+            continue;
           }
+          accumulate_run(full, lo, hi - lo, static_cast<int>(key));
+          ++key;
         }
-        if (rmap.size() > peak) peak = rmap.size();
       };
       // Contiguous split of chunks for this worker (the paper's equal
       // division of a block into splits) — affinity-friendly: one
@@ -670,20 +683,20 @@ class Scheduler {
       const std::size_t begin = uw * base + std::min(uw, extra);
       const std::size_t end = begin + base + (uw < extra ? 1 : 0);
       std::size_t c = begin;
-      if (batch_cap != 0) {
-        const std::size_t full_end = std::min(end, num_chunks);
-        while (c < full_end) {
-          const std::size_t n = std::min(batch_cap, full_end - c);
-          if (multi_key) {
-            process_multi_key_batch(c, n);
-          } else {
-            process_batch(c, n);
-          }
-          c += n;
+      const std::size_t full_end = std::min(end, num_chunks);
+      if (batched && !multi_key) {
+        for (std::size_t n = 0; c < full_end; c += n) {
+          n = std::min(opts_.batch_chunks, full_end - c);
+          process_batch(c, n);
+        }
+      } else if (batched && c < full_end) {
+        if (const auto range = gen_key_range(full.chunk(c), data, combination_map_)) {
+          walk_key_ranges(c, full_end, *range);
+          c = full_end;
         }
       }
-      // Per-chunk path: batching disabled, and the ragged tail unit (never
-      // part of a ChunkBatch).
+      // Per-chunk path: batching disabled, apps without key ranges under
+      // run2(), and the ragged tail unit (never part of a ChunkBatch).
       for (; c < end; ++c) process_chunk(c);
       peak_objs[uw] = peak;
     });
@@ -708,7 +721,7 @@ class Scheduler {
     }
     // Threads within a rank run on that rank's dedicated cores; the rank's
     // virtual clock advances by the slowest worker.
-    if (auto* comm = simmpi::current()) comm->advance(critical_path);
+    if (auto* comm = simmpi::current()) comm->advance_region(busy);
 
     std::size_t peak_total = combination_map_.size();
     for (std::size_t w = 0; w < workers; ++w) {

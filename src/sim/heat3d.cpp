@@ -118,11 +118,7 @@ void Heat3D::step() {
       const std::size_t end = begin + per + (uw < extra ? 1 : 0);
       sweep_planes(begin, end);
     });
-    if (comm_ != nullptr) {
-      double critical = 0.0;
-      for (double b : busy) critical = std::max(critical, b);
-      comm_->advance(critical);
-    }
+    if (comm_ != nullptr) comm_->advance_region(busy);
   } else {
     sweep_planes(1, p_.nz_local + 1);
   }

@@ -71,11 +71,7 @@ void MiniLulesh::parallel_over_z(const std::function<void(std::size_t, std::size
     const std::size_t end = begin + per + (uw < extra ? 1 : 0);
     body(begin, end);
   });
-  if (comm_ != nullptr) {
-    double critical = 0.0;
-    for (double b : busy) critical = std::max(critical, b);
-    comm_->advance(critical);
-  }
+  if (comm_ != nullptr) comm_->advance_region(busy);
 }
 
 void MiniLulesh::compute_eos(std::size_t z_begin, std::size_t z_end) {

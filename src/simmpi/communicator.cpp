@@ -133,6 +133,11 @@ void Communicator::advance(double seconds) {
   state_->vclock += seconds;
 }
 
+void Communicator::advance_region(const std::vector<double>& busy) {
+  if (busy.size() < 2) return;
+  advance(*std::max_element(busy.begin(), busy.end()));
+}
+
 double Communicator::vclock() {
   charge_own_cpu();
   return state_->vclock;

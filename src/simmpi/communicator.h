@@ -11,7 +11,7 @@
 // Virtual time model (see DESIGN.md §1): each rank carries a virtual clock.
 // Compute advances it by the rank thread's measured CPU time; parallel
 // regions advance it by the max busy time across that rank's workers (via
-// advance()); messages carry the sender's clock, and a receive sets
+// advance_region()); messages carry the sender's clock, and a receive sets
 //   vclock = max(vclock, NetworkModel::arrival_vtime(src, dst, bytes, send vclock))
 // — the pluggable interconnect cost model (simmpi/network.h): flat
 // alpha–beta by default, fat-tree or dragonfly with per-link contention on
@@ -178,9 +178,13 @@ class Communicator {
   Communicator split(int color, int key);
 
   // --- virtual time --------------------------------------------------------
-  /// Adds externally measured compute time (e.g. a parallel region's
-  /// critical path) to this rank's virtual clock.
+  /// Adds externally measured compute time to this rank's virtual clock.
   void advance(double seconds);
+  /// Adds a parallel region's critical path, its slowest worker's busy
+  /// time.  A one-worker region ran on this rank's thread (ThreadPool runs
+  /// it inline), whose CPU time the clock charges itself, so it adds
+  /// nothing: charging both would count the region twice.
+  void advance_region(const std::vector<double>& busy);
   /// Folds the rank thread's own CPU time since the last event into the
   /// clock, then returns the clock.
   double vclock();

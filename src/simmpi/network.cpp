@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -242,27 +243,31 @@ void validate(const NetworkConfig& cfg) {
 }  // namespace
 
 NetworkConfig NetworkConfig::from_env() {
-  // Integers are range-checked as they are read, so the error names the
-  // variable and nothing wraps in a cast; make_network_model checks the
-  // doubles.  Every int field is a node or torus shape, hence >= 1.
+  // Every value is range-checked as it is read, so the error names the
+  // variable and nothing wraps in a cast.  Every int field is a node or
+  // torus shape, hence >= 1; every double is finite and >= 0, and
+  // make_network_model rejects the ones that must not be 0.
   const auto env_int = [](const char* name, int fallback) {
     return static_cast<int>(env_long(name, fallback, 1, INT_MAX));
   };
   const auto env_unsigned = [](const char* name, std::size_t fallback) {
     return static_cast<std::size_t>(env_long(name, static_cast<long>(fallback), 0, LONG_MAX));
   };
+  const auto env_real = [](const char* name, double fallback) {
+    return env_double(name, fallback, 0.0, std::numeric_limits<double>::max());
+  };
   NetworkConfig cfg;
   cfg.model = env_string("SMART_NET_MODEL", cfg.model);
-  cfg.alpha_seconds = env_double("SMART_NET_ALPHA", cfg.alpha_seconds);
-  cfg.beta_bytes_per_second = env_double("SMART_NET_BETA", cfg.beta_bytes_per_second);
+  cfg.alpha_seconds = env_real("SMART_NET_ALPHA", cfg.alpha_seconds);
+  cfg.beta_bytes_per_second = env_real("SMART_NET_BETA", cfg.beta_bytes_per_second);
   cfg.ranks_per_node = env_int("SMART_NET_RANKS_PER_NODE", cfg.ranks_per_node);
   cfg.nodes_per_edge = env_int("SMART_NET_NODES_PER_EDGE", cfg.nodes_per_edge);
   cfg.nodes_per_group = env_int("SMART_NET_NODES_PER_GROUP", cfg.nodes_per_group);
-  cfg.hop_latency_seconds = env_double("SMART_NET_HOP_LATENCY", cfg.hop_latency_seconds);
+  cfg.hop_latency_seconds = env_real("SMART_NET_HOP_LATENCY", cfg.hop_latency_seconds);
   cfg.uplink_bandwidth_factor =
-      env_double("SMART_NET_UPLINK_FACTOR", cfg.uplink_bandwidth_factor);
+      env_real("SMART_NET_UPLINK_FACTOR", cfg.uplink_bandwidth_factor);
   cfg.global_bandwidth_factor =
-      env_double("SMART_NET_GLOBAL_FACTOR", cfg.global_bandwidth_factor);
+      env_real("SMART_NET_GLOBAL_FACTOR", cfg.global_bandwidth_factor);
   cfg.torus_x = env_int("SMART_NET_TORUS_X", cfg.torus_x);
   cfg.torus_y = env_int("SMART_NET_TORUS_Y", cfg.torus_y);
   cfg.torus_z = env_int("SMART_NET_TORUS_Z", cfg.torus_z);

@@ -13,6 +13,9 @@ ThreadPool::ThreadPool(int num_workers) {
   }
   busy_seconds_.assign(static_cast<std::size_t>(num_workers), 0.0);
   errors_.assign(static_cast<std::size_t>(num_workers), nullptr);
+  // One worker runs every region on the caller (parallel_region): a thread
+  // would only be woken and waited for.
+  if (num_workers == 1) return;
   workers_.reserve(static_cast<std::size_t>(num_workers));
   worker_ids_.reserve(static_cast<std::size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
@@ -70,9 +73,9 @@ bool ThreadPool::on_worker_thread() const {
 }
 
 std::vector<double> ThreadPool::run_inline(const std::function<void(int)>& fn) {
-  // Nested region from a worker thread: serialize on the caller.  Results
-  // are kept local — the outer region owns busy_seconds_/errors_, and the
-  // caller-worker's own slot will be written when its outer leg finishes.
+  // Serialize on the caller.  Results are kept local — in a nested region
+  // the outer region owns busy_seconds_/errors_, and the caller-worker's
+  // own slot will be written when its outer leg finishes.
   std::vector<double> busy(static_cast<std::size_t>(size()), 0.0);
   std::exception_ptr first_error = nullptr;
   for (int id = 0; id < size(); ++id) {
@@ -92,8 +95,9 @@ std::vector<double> ThreadPool::parallel_region(const std::function<void(int)>& 
   // A worker calling back into its own pool would wait forever for itself:
   // the outer region's remaining_ includes the calling worker, which is
   // blocked here instead of finishing its leg.  Run the nested region
-  // inline instead of deadlocking.
-  if (on_worker_thread()) return run_inline(fn);
+  // inline instead of deadlocking.  A one-worker pool has no thread and
+  // always runs inline.
+  if (workers_.empty() || on_worker_thread()) return run_inline(fn);
   std::unique_lock<std::mutex> lock(mu_);
   job_ = &fn;
   remaining_ = size();

@@ -26,11 +26,12 @@ class ThreadPool {
 
   ~ThreadPool();
 
-  int size() const { return static_cast<int>(workers_.size()); }
+  int size() const { return static_cast<int>(busy_seconds_.size()); }
 
   /// Executes fn(worker_id) on all workers, waits for completion, and
   /// returns per-worker CPU busy seconds.  Rethrows the first worker
-  /// exception after the region completes.
+  /// exception after the region completes.  A one-worker pool starts no
+  /// thread: it runs fn(0) on the calling thread, with the same contract.
   ///
   /// Re-entrancy: calling this from one of the pool's own worker threads
   /// (fn starting a nested region) used to deadlock — the outer region's

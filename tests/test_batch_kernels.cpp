@@ -11,9 +11,9 @@
 // Also covered: the kernel-level identities the batched apps rely on
 // (truncation == floor after clamping, hinted == unhinted argmin with the
 // lowest-index tie rule), trigger-driven mid-batch erase through the
-// default accumulate_batch, run2's key-major batches against the per-chunk
-// walk, the call counts of run()'s batched path, and the consumed-count
-// check on accumulate_batch overrides.
+// default accumulate_batch, run2's key-range walk against the per-chunk
+// walk, the call counts of both batched paths, and the consumed-count check
+// on accumulate_batch overrides.
 // Registered under the `schedule` ctest label and run under TSan by
 // scripts/check.sh.
 #include <gtest/gtest.h>
@@ -23,7 +23,9 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -446,14 +448,13 @@ TEST(TriggerMidBatch, BatchedEmissionsMatchScalarBitForBit) {
   EXPECT_EQ(sched.get_combination_map().size(), segments);
 }
 
-// --- run2: key-major batches == the per-chunk walk ---------------------------
+// --- run2: the key-range walk == the per-chunk walk --------------------------
 
-// run2 batches key-major: every (key, chunk) pair of a batch is sorted by
-// key and each key's consecutive chunks go through one accumulate_batch
-// call.  Each object still receives its chunks in ascending position
-// order, so outputs and early emissions must equal the per-chunk walk
-// (batch_chunks 0) exactly, at every thread count and with the trigger on
-// or off.
+// Batched run2 walks a range app's split key by key: each key's chunks are
+// one contiguous run and go through one accumulate_batch call.  Each object
+// still receives its chunks in ascending position order, so outputs and
+// early emissions must equal the per-chunk walk (batch_chunks 0) exactly,
+// at every thread count and with the trigger on or off.
 
 constexpr std::size_t kWindow = 25;
 
@@ -546,7 +547,7 @@ TEST(Run2Batched, SavitzkyGolayMatchesPerChunkWalk) {
   }
 }
 
-// On a window run the key-major walk hands each key exactly its window, so
+// On a window run the key-range walk hands each key exactly its window, so
 // the stop at the window size never cuts a run short there; this pins the
 // override's stop_after_trigger contract directly.
 class ExposedMovingMedian : public MovingMedian<double> {
@@ -575,10 +576,14 @@ TEST(Run2Batched, MovingMedianBatchStopsWhereTheWindowFills) {
 }
 
 // A windowed sum over caller-chosen keys: each key's object triggers at
-// `window` elements.  Keys may repeat within a chunk and may be negative
-// (those reach no output slot and survive in the map).
+// `window` elements.  KeysFn either pushes an element's keys (an app with
+// only gen_keys) or returns them as a KeyRange (a range app).  Keys may
+// repeat within a chunk and may be negative (those reach no output slot and
+// survive in the map).
 template <class KeysFn>
 class KeyedWindowSum : public Scheduler<double, double> {
+  static constexpr bool kRanges = std::is_invocable_r_v<KeyRange, KeysFn, std::size_t>;
+
  public:
   KeyedWindowSum(const SchedArgs& args, RunOptions opts, std::size_t window, KeysFn keys_fn)
       : Scheduler<double, double>(args, opts), window_(window), keys_fn_(keys_fn) {
@@ -588,9 +593,21 @@ class KeyedWindowSum : public Scheduler<double, double> {
   std::atomic<std::size_t> batch_calls{0};  ///< accumulate_batch calls, all workers
 
  protected:
-  void gen_keys(const Chunk& chunk, const double*, std::vector<int>& keys,
-                const CombinationMap&) const override {
-    keys_fn_(chunk.start, keys);
+  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const double*,
+                                        const CombinationMap&) const override {
+    if constexpr (kRanges) {
+      return keys_fn_(chunk.start);
+    } else {
+      return std::nullopt;
+    }
+  }
+  void gen_keys(const Chunk& chunk, const double* data, std::vector<int>& keys,
+                const CombinationMap& map) const override {
+    if constexpr (kRanges) {
+      Scheduler<double, double>::gen_keys(chunk, data, keys, map);
+    } else {
+      keys_fn_(chunk.start, keys);
+    }
   }
   void accumulate(const Chunk& chunk, const double* data,
                   std::unique_ptr<RedObj>& obj) override {
@@ -675,10 +692,13 @@ void expect_keyed_batched_matches_per_chunk(const char* name, KeysFn keys_fn, st
   }
 }
 
+// The next three apps have only gen_keys, so batched run2 takes the
+// per-chunk walk for them (no accumulate_batch call) and must still equal
+// batch_chunks 0 exactly.
+
 TEST(Run2Batched, SparseNegativeKeysFallBackToPerChunkWalk) {
   // Each group of 3 elements feeds one negative and one positive key, 100
-  // apart: a 64-chunk batch spans about 4,400 keys for 128 pairs, so every
-  // batch takes the per-chunk walk and never calls accumulate_batch.
+  // apart.
   auto keys_fn = [](std::size_t pos, std::vector<int>& keys) {
     const int group = static_cast<int>(pos / 3);
     keys.push_back(-1 - 100 * group);
@@ -694,9 +714,9 @@ TEST(Run2Batched, SparseNegativeKeysFallBackToPerChunkWalk) {
 
 TEST(Run2Batched, KeyEmittedTwicePerChunkAccumulatesTwiceInOrder) {
   // Element p feeds key p / 4 twice and key p / 4 + 1 once, so each key
-  // takes 12 elements.  Window 5 fills twice per key, and mid-run: the
-  // key-major walk must stop, emit and resume exactly where the per-chunk
-  // walk does.
+  // takes 12 elements.  Window 5 fills twice per key, and mid-chunk: the
+  // object must be emitted and restarted between a chunk's two feeds of
+  // one key, in order.
   auto keys_fn = [](std::size_t pos, std::vector<int>& keys) {
     const int group = static_cast<int>(pos / 4);
     keys.push_back(group);
@@ -706,44 +726,85 @@ TEST(Run2Batched, KeyEmittedTwicePerChunkAccumulatesTwiceInOrder) {
   expect_keyed_batched_matches_per_chunk("duplicate", keys_fn, 5, 1);
   const auto data = gaussian_data(1000, 928);
   const auto r = run_keyed(keys_fn, 5, data, data.size() + 8, 1, true, 64);
-  EXPECT_GT(r.batch_calls, 0u);
+  EXPECT_EQ(r.batch_calls, 0u);
   EXPECT_GT(r.early_emissions, 0u);
 }
 
 TEST(Run2Batched, KeysThatSkipChunksMatchPerChunkWalk) {
-  // Element p feeds key p % 5 + 5 * (p / 35): inside a batch each key's
-  // chunk list steps by 5, so the key-major walk must split it into runs
-  // of one chunk.  Every element has its own value, so a run that took the
-  // chunks between a key's own would change that key's sum.  Each key gets
-  // 7 elements, one window, and so writes its output slot once.
+  // Element p feeds key p % 5 + 5 * (p / 35): each key's chunks step by 5.
+  // Every element has its own value, so a walk that gave a key the chunks
+  // between its own would change that key's sum.  Each key gets 7
+  // elements, one window, and so writes its output slot once.
   auto keys_fn = [](std::size_t pos, std::vector<int>& keys) {
     keys.push_back(static_cast<int>(pos % 5 + 5 * (pos / 35)));
   };
   expect_keyed_batched_matches_per_chunk("strided", keys_fn, 7, 1);
   const auto data = gaussian_data(1000, 931);
   const auto r = run_keyed(keys_fn, 7, data, data.size() + 8, 1, true, 64);
-  EXPECT_EQ(r.batch_calls, data.size());  // every run is one chunk long
+  EXPECT_EQ(r.batch_calls, 0u);
   EXPECT_GT(r.early_emissions, 0u);
 }
 
-// The deterministic guard for the key-major batch: on a W = 25 window app
-// every window key needs at least one accumulate_batch call, and a window
-// straddling a batch boundary needs two.  With 64-chunk batches that is at
-// most 24 extra calls per boundary, so n (1 + 24/64) + 25 calls bound a
-// single-thread run2 from above.  The per-chunk walk makes none.
+// Range app: element p feeds [3p - 3(p % 2), 3p + 1], so even and odd
+// neighbours share two keys, one key in six is covered by no chunk, and
+// every eighth element feeds none (an empty range between its neighbours').
+// Window 2 fills on the shared keys only.  The walk must skip the uncovered
+// keys and the empty chunks and still equal the per-chunk walk.
+TEST(Run2Batched, KeyRangesWithGapsAndEmptyChunksMatchPerChunkWalk) {
+  auto ranges = [](std::size_t pos) {
+    const int p = static_cast<int>(pos);
+    return p % 8 == 7 ? KeyRange{3 * p, 3 * p - 1} : KeyRange{3 * p - 3 * (p % 2), 3 * p + 1};
+  };
+  expect_keyed_batched_matches_per_chunk("ranges", ranges, 2, 4);
+  const auto data = gaussian_data(1000, 933);
+  const auto r = run_keyed(ranges, 2, data, 4 * data.size() + 8, 1, true, 64);
+  EXPECT_GT(r.batch_calls, 0u);
+  EXPECT_GT(r.early_emissions, 0u);
+}
+
+// The walk needs monotone ranges; a range whose first or last key steps
+// below the previous chunk's throws std::logic_error naming the chunk.
+// The per-chunk walk does not need the order and runs.
+TEST(Run2Batched, KeyRangesThatStepBackwardsThrowNamingTheChunk) {
+  const auto first_back = [](std::size_t pos) {
+    const int p = static_cast<int>(pos);
+    return pos == 500 ? KeyRange{p - 10, p + 5} : KeyRange{p, p + 5};
+  };
+  const auto last_back = [](std::size_t pos) {
+    const int p = static_cast<int>(pos);
+    return pos == 700 ? KeyRange{p, p + 2} : KeyRange{p, p + 5};
+  };
+  const auto data = gaussian_data(1000, 932);
+  const std::size_t out_len = data.size() + 8;
+  const auto error_of = [&](auto ranges) {
+    try {
+      (void)run_keyed(ranges, 6, data, out_len, 1, true, 64);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(error_of(first_back).find("chunk 500 "), std::string::npos) << error_of(first_back);
+  EXPECT_NE(error_of(last_back).find("chunk 700 "), std::string::npos) << error_of(last_back);
+  EXPECT_NO_THROW((void)run_keyed(first_back, 6, data, out_len, 1, true, 0));
+  EXPECT_NO_THROW((void)run_keyed(last_back, 6, data, out_len, 1, true, 0));
+}
+
+// The deterministic guard for the key-range walk: on a W = 25 window app
+// each window key is one run of the split, never cut at a batch boundary,
+// so every key costs exactly one accumulate_batch call (an interior window
+// fills at its last chunk, and an edge window never fills) and a
+// single-thread run2 makes exactly n calls.  The per-chunk walk makes none.
 TEST(Run2Batched, OneAccumulateBatchPerWindowRun) {
-  auto window_keys = [](std::size_t total) {
-    return [total](std::size_t pos, std::vector<int>& keys) {
-      window_center_keys(pos, total, kWindow, keys);
-    };
+  auto window_ranges = [](std::size_t total) {
+    return [total](std::size_t pos) { return window_center_range(pos, total, kWindow); };
   };
   for (const std::size_t n : {std::size_t{1000}, std::size_t{64 * 20 + 13}}) {
     const auto data = gaussian_data(n, 929);
     for (const bool trigger : {true, false}) {
-      const auto r = run_keyed(window_keys(n), kWindow, data, n, 1, trigger, 64);
-      EXPECT_GE(r.batch_calls, n) << "n=" << n << " trigger=" << trigger;
-      EXPECT_LE(r.batch_calls, n + n * 24 / 64 + 25) << "n=" << n << " trigger=" << trigger;
-      EXPECT_EQ(run_keyed(window_keys(n), kWindow, data, n, 1, trigger, 0).batch_calls, 0u);
+      const auto r = run_keyed(window_ranges(n), kWindow, data, n, 1, trigger, 64);
+      EXPECT_EQ(r.batch_calls, n) << "n=" << n << " trigger=" << trigger;
+      EXPECT_EQ(run_keyed(window_ranges(n), kWindow, data, n, 1, trigger, 0).batch_calls, 0u);
     }
   }
 }
@@ -847,9 +908,9 @@ class MiscountingSum : public Scheduler<double, double> {
 
  protected:
   int gen_key(const Chunk&, const double*, const CombinationMap&) const override { return 0; }
-  void gen_keys(const Chunk&, const double*, std::vector<int>& keys,
-                const CombinationMap&) const override {
-    keys.push_back(0);
+  std::optional<KeyRange> gen_key_range(const Chunk&, const double*,
+                                        const CombinationMap&) const override {
+    return KeyRange{0, 0};
   }
   void accumulate(const Chunk& chunk, const double* data, std::unique_ptr<RedObj>& obj) override {
     if (!obj) obj = std::make_unique<WinObj>();
@@ -866,10 +927,11 @@ class MiscountingSum : public Scheduler<double, double> {
   std::size_t (*reported_)(std::size_t);
 };
 
-// Runs run() and run2() over 200 elements (a first batch of 64 chunks,
-// all keyed 0) and returns each call's logic_error message, or "" if none.
+// Runs run() and run2() over 64 elements, all keyed 0 (one batch for run(),
+// one key run for run2()'s walk), and returns each call's logic_error
+// message, or "" if none.
 std::vector<std::string> miscount_errors(std::size_t (*reported)(std::size_t)) {
-  const std::vector<double> data(200, 1.0);
+  const std::vector<double> data(64, 1.0);
   std::vector<std::string> errors;
   for (const bool multi_key : {false, true}) {
     MiscountingSum app(reported);

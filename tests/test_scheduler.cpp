@@ -13,6 +13,7 @@
 #include "analytics/reference.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
+#include "simmpi/world.h"
 
 namespace smart {
 namespace {
@@ -39,6 +40,25 @@ TEST(Scheduler, RejectsBadArguments) {
   EXPECT_THROW(Histogram<double>(SchedArgs(0, 1), 0.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram<double>(SchedArgs(2, 1), 1.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram<double>(SchedArgs(2, 1), 0.0, 1.0, 0), std::invalid_argument);
+}
+
+TEST(Scheduler, OneWorkerReductionChargesTheRankClockOnce) {
+  // A one-worker pool runs the reduction on the rank thread, whose CPU time
+  // the rank's virtual clock charges itself; adding the region's busy time
+  // on top would count the reduction twice.
+  const auto data = uniform_data(1 << 20, 6);
+  RunOptions per_chunk;
+  per_chunk.batch_chunks = 0;
+  simmpi::launch(1, [&](simmpi::Communicator& comm) {
+    Histogram<double> hist(SchedArgs(1, 1), 0.0, 100.0, 64, per_chunk);
+    const double v0 = comm.vclock();
+    hist.run(data.data(), data.size(), nullptr, 0);
+    const double charged = comm.vclock() - v0;
+    const double reduction = hist.stats().reduction_seconds;
+    EXPECT_GT(reduction, 0.0);
+    EXPECT_LT(charged, 1.5 * reduction) << "charged " << charged << " s for a " << reduction
+                                        << " s reduction";
+  });
 }
 
 TEST(Scheduler, HistogramMatchesReferenceSingleThread) {

@@ -72,6 +72,31 @@ TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool pool(0), std::invalid_argument);
 }
 
+TEST(ThreadPool, OneWorkerRunsOnTheCallersThread) {
+  // A one-worker pool starts no thread: waking a worker and waiting for it
+  // would only add latency.  Busy time and exceptions keep their contract.
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1);
+  std::thread::id ran_on;
+  int worker = -1;
+  const auto busy = pool.parallel_region([&](int w) {
+    ran_on = std::this_thread::get_id();
+    worker = w;
+    volatile double sink = 0.0;
+    for (int i = 0; i < 1000000; ++i) sink = sink + 1.0;
+    (void)sink;
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(worker, 0);
+  ASSERT_EQ(busy.size(), 1u);
+  EXPECT_GT(busy[0], 0.0);
+  EXPECT_THROW(pool.parallel_region([](int) { throw std::runtime_error("worker failed"); }),
+               std::runtime_error);
+  std::atomic<int> ok{0};
+  pool.parallel_region([&](int) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 1);
+}
+
 TEST(ThreadPool, NestedRegionFromWorkerRunsInline) {
   // Regression: a worker calling parallel_region on its own pool used to
   // deadlock — the outer region's completion count includes the calling

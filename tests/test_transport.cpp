@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "simmpi/world.h"
 
@@ -684,6 +685,45 @@ TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
   EXPECT_EQ(cfg.lane_capacity_msgs, 0u);
   unsetenv("SMART_NET_RANKS_PER_NODE");
   unsetenv("SMART_NET_LANE_CAP");
+}
+
+TEST(TransportNetwork, EnvironmentDoublesAreRangeChecked) {
+  // Each bad value throws naming its variable, instead of running at the
+  // default (text) or at a prefix of the value (trailing text).
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"SMART_NET_BETA", "fast"},         {"SMART_NET_ALPHA", "1e-3x"},
+      {"SMART_NET_ALPHA", "-1e-6"},       {"SMART_NET_HOP_LATENCY", "nan"},
+      {"SMART_NET_UPLINK_FACTOR", "inf"}, {"SMART_NET_GLOBAL_FACTOR", "1e999"},
+  };
+  for (const auto& [name, value] : bad) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    try {
+      (void)NetworkConfig::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    unsetenv(name);
+  }
+  ASSERT_EQ(setenv("SMART_NET_ALPHA", "1e-3", 1), 0);
+  EXPECT_EQ(NetworkConfig::from_env().alpha_seconds, 1e-3);
+  unsetenv("SMART_NET_ALPHA");
+
+  // The bench scale multiplies sizes that are cast to std::size_t, so it
+  // must be a finite positive number, and a bounded one.
+  for (const char* value : {"abc", "2x", "-1", "0", "inf", "1e300"}) {
+    ASSERT_EQ(setenv("SMART_BENCH_SCALE", value, 1), 0);
+    try {
+      (void)bench_scale();
+      ADD_FAILURE() << "SMART_BENCH_SCALE=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SMART_BENCH_SCALE"), std::string::npos) << e.what();
+    }
+  }
+  ASSERT_EQ(setenv("SMART_BENCH_SCALE", "0.5", 1), 0);
+  EXPECT_EQ(bench_scale(), 0.5);
+  unsetenv("SMART_BENCH_SCALE");
+  EXPECT_EQ(bench_scale(), 1.0);
 }
 
 TEST(TransportNetwork, TorusCostsOrderByHopDistance) {

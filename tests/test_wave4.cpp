@@ -25,7 +25,7 @@ TEST(ArgParser, DefaultsApplyWhenAbsent) {
   args.parse(1, argv);
   EXPECT_EQ(args.get("sim"), "heat3d");
   EXPECT_EQ(args.get_long("steps", 0, 100), 3);
-  EXPECT_DOUBLE_EQ(args.get_double("rate"), 0.5);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0, 1.0), 0.5);
   EXPECT_FALSE(args.get_flag("verbose"));
   EXPECT_FALSE(args.has("sim"));
 }
@@ -95,6 +95,29 @@ TEST(ArgParser, TypedGettersValidate) {
   EXPECT_NE(range_error("4294967298", 1, 1024).find("outside"), std::string::npos);
   EXPECT_NE(range_error("99999999999999999999", 0, 5).find("'--steps'"), std::string::npos);
   EXPECT_NE(range_error("", 0, 5).find("not an integer"), std::string::npos);
+
+  // Doubles take the same whole-text, range-checked parse: no silent
+  // default, no prefix read, no escaping std::stod error without the name.
+  const auto double_error = [](const char* value, double min, double max) {
+    ArgParser p = make_parser();
+    const char* argv2[] = {"prog", "--rate", value};
+    p.parse(3, argv2);
+    try {
+      return std::to_string(p.get_double("rate", min, max));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(double_error("0.25", 0.0, 1.0), std::to_string(0.25));
+  EXPECT_EQ(double_error("1e-3", 0.0, 1.0), std::to_string(1e-3));
+  EXPECT_EQ(double_error("1", 0.0, 1.0), std::to_string(1.0));
+  for (const char* bad : {"fast", "1e-3x", "", "nan", "inf", "1e999", "-1"}) {
+    EXPECT_NE(double_error(bad, 0.0, 1e300).find("'--rate'"), std::string::npos) << bad;
+  }
+  EXPECT_NE(double_error("fast", 0.0, 1.0).find("not a number"), std::string::npos);
+  EXPECT_NE(double_error("1e-3x", 0.0, 1.0).find("not a number"), std::string::npos);
+  EXPECT_NE(double_error("1e999", 0.0, 1e300).find("outside"), std::string::npos);
+  EXPECT_NE(double_error("-1", 0.0, 1.0).find("outside [0, 1]"), std::string::npos);
 }
 
 TEST(ArgParser, UsageListsEverything) {
