@@ -167,7 +167,7 @@ void ablate_combination() {
 
 }  // namespace
 
-int main() {
+int harness_main() {
   smart::bench::print_header("Ablation: design choices",
                              "not a paper figure; isolates DESIGN.md decision points",
                              "buffer depth, placement, combination topology");
@@ -181,3 +181,5 @@ int main() {
                "flexible keyed objects (paper Section 5.3).\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -81,6 +82,38 @@ Repeated repeat(const Fn& leg, int reps = 3) {
   out.median = n % 2 == 1 ? runs[n / 2] : 0.5 * (runs[n / 2 - 1] + runs[n / 2]);
   out.spread = out.median > 0.0 ? (runs.back() - runs.front()) / out.median : 0.0;
   return out;
+}
+
+/// A leg run several times: its makespan through repeat(), the rest of
+/// its result (stats, byte and object counts) from the last run.
+template <typename Leg>
+struct RepeatedLeg {
+  Repeated makespan;
+  Leg last;
+};
+
+/// repeat() over a leg that returns a result with a `makespan` field.
+template <typename Fn>
+auto repeat_leg(const Fn& run_leg) {
+  RepeatedLeg<decltype(run_leg())> out;
+  out.makespan = repeat([&] {
+    out.last = run_leg();
+    return out.last.makespan;
+  });
+  return out;
+}
+
+/// Runs a harness's body and reports an exception that escapes it as
+/// smart_cli does: `error: <what>` on stderr and exit status 1, not
+/// std::terminate.  simmpi::launch rethrows a rank's exception on its
+/// caller, so errors inside ranks land here too.
+inline int guarded_main(int (*body)()) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 /// Resets the process-wide memory tracker between experiment legs.

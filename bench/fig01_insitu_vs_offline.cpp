@@ -105,7 +105,7 @@ ModeResult run_offline(int steps, int kmeans_iters) {
 
 }  // namespace
 
-int main() {
+int harness_main() {
   using smart::Table;
   smart::bench::print_header(
       "Figure 1: in-situ vs offline k-means on Heat3D",
@@ -135,3 +135,5 @@ int main() {
                "the gap shrinks as analytics iterations grow (compute amortizes I/O).\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

@@ -136,7 +136,7 @@ void run_app(const char* name, const char* tag, const std::vector<double>& data,
 
 }  // namespace
 
-int main() {
+int harness_main() {
   using smart::Table;
   const std::size_t n_doubles = smart::bench::scaled(1u << 21);  // ~16 MB base
   smart::bench::print_header(
@@ -165,3 +165,5 @@ int main() {
                "in threads; Smart's peak memory a small fraction of MiniSpark's.\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

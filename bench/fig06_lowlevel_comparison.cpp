@@ -89,7 +89,7 @@ Pair bench_logreg(const std::vector<double>& data, int nranks) {
 
 }  // namespace
 
-int main() {
+int harness_main() {
   const std::size_t n_doubles = smart::bench::scaled(1u << 22);
   smart::bench::print_header(
       "Figure 6: Smart vs hand-written low-level (MPI/threads) analytics",
@@ -122,3 +122,5 @@ int main() {
                "with rank count.\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

@@ -77,7 +77,7 @@ Leg lulesh_mi(std::size_t edge, bool copy_input, std::size_t budget) {
 
 }  // namespace
 
-int main() {
+int harness_main() {
   using smart::Table;
   smart::bench::print_header(
       "Figure 9: time-sharing zero copy vs an extra input copy",
@@ -149,3 +149,5 @@ int main() {
                "budget (the paper's crash / 5x degradation points), zero-copy never does.\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

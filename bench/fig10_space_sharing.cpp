@@ -134,7 +134,7 @@ double real_space_sharing_wall() {
 
 }  // namespace
 
-int main() {
+int harness_main() {
   smart::bench::print_header(
       "Figure 10: time sharing vs space sharing (many-core model)",
       "1 TB Lulesh on 8 Xeon Phi nodes (60 usable cores); best space scheme: histogram "
@@ -182,3 +182,5 @@ int main() {
                "histogram at every scheme (synchronization-dominated).\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

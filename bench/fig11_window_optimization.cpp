@@ -30,26 +30,10 @@ struct Leg {
   RunStats rank0;  ///< rank 0's full scheduler stat set (RUNSTATS line)
 };
 
-/// A leg run several times: its makespan through bench::repeat, the rest
-/// (object counts, budget flag, stats) from the last run.
-struct RepeatedLeg {
-  bench::Repeated makespan;
-  Leg last;
-};
-
-template <typename Fn>
-RepeatedLeg repeat_leg(const Fn& run_leg) {
-  RepeatedLeg out;
-  out.makespan = bench::repeat([&] {
-    out.last = run_leg();
-    return out.last.makespan;
-  });
-  return out;
-}
-
 /// One table row: each side's min, median and spread, then the speedup
 /// of the minima and the object counts.
-void add_row(smart::Table& table, const RepeatedLeg& on, const RepeatedLeg& off) {
+void add_row(smart::Table& table, const bench::RepeatedLeg<Leg>& on,
+             const bench::RepeatedLeg<Leg>& off) {
   for (const auto* leg : {&on, &off}) {
     table.add(leg->makespan.min, 4);
     table.add(leg->makespan.median, 4);
@@ -123,7 +107,7 @@ Leg lulesh_moving_median(std::size_t edge, bool trigger, std::size_t budget) {
 
 }  // namespace
 
-int main() {
+int harness_main() {
   using smart::Table;
   smart::bench::print_header(
       "Figure 11: early emission of reduction objects on vs off",
@@ -148,9 +132,10 @@ int main() {
         sim_bytes + kRanks * (on_top + (off_top - on_top) * 4 / 5);
     for (const std::size_t nz : nz_sweep) {
       const std::size_t scaled_nz = smart::bench::scaled(nz);
-      const auto on = repeat_leg([&] { return heat3d_moving_average(scaled_nz, true, budget); });
+      const auto on =
+          bench::repeat_leg([&] { return heat3d_moving_average(scaled_nz, true, budget); });
       const auto off =
-          repeat_leg([&] { return heat3d_moving_average(scaled_nz, false, budget); });
+          bench::repeat_leg([&] { return heat3d_moving_average(scaled_nz, false, budget); });
       smart::bench::print_run_stats("fig11a/nz=" + std::to_string(scaled_nz) + "/trigger=on",
                                     on.last.rank0);
       smart::bench::print_run_stats("fig11a/nz=" + std::to_string(scaled_nz) + "/trigger=off",
@@ -176,9 +161,10 @@ int main() {
     for (const std::size_t edge : edge_sweep) {
       const auto scaled_edge = static_cast<std::size_t>(
           static_cast<double>(edge) * std::cbrt(smart::bench_scale()));
-      const auto on = repeat_leg([&] { return lulesh_moving_median(scaled_edge, true, budget); });
+      const auto on =
+          bench::repeat_leg([&] { return lulesh_moving_median(scaled_edge, true, budget); });
       const auto off =
-          repeat_leg([&] { return lulesh_moving_median(scaled_edge, false, budget); });
+          bench::repeat_leg([&] { return lulesh_moving_median(scaled_edge, false, budget); });
       smart::bench::print_run_stats("fig11b/edge=" + std::to_string(scaled_edge) + "/trigger=on",
                                     on.last.rank0);
       smart::bench::print_run_stats(
@@ -195,3 +181,5 @@ int main() {
                "the largest no-trigger configurations go OVER-BUDGET (the paper's crash).\n";
   return 0;
 }
+
+int main() { return smart::bench::guarded_main(harness_main); }

@@ -9,6 +9,10 @@
 # The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
+# The harness error-path step runs two fig harnesses into a typed error (a
+# non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube) and
+# fails unless each prints `error: ...` on stderr and exits 1.
+#
 # The perfbench smoke runs the end-to-end benchmark's summary self-tests
 # and a 1 s run of each of its workloads (a Release build of
 # perfbench_e2e): every analyzed step is checked against the serial
@@ -202,6 +206,26 @@ bench_transport_json="$repo/build/check_bench_transport.json"
   --benchmark_out="$bench_transport_json" --benchmark_out_format=json >/dev/null
 python3 -m json.tool "$bench_transport_json" >/dev/null
 echo "   bench smoke ok"
+
+echo "== tier-1: harness error path =="
+# A fig harness that meets a typed error reports it as smart_cli does:
+# `error: <what>` on stderr and exit status 1, never an abort (134).  Two
+# cases: a SMART_BENCH_SCALE that is not a number, and one inside the
+# accepted range whose Fig 8 cube edge truncates below MiniLulesh's minimum
+# (the error is thrown in the ranks and rethrown by simmpi::launch).
+harness_err="$repo/build/check_harness_error.log"
+for harness_case in "abc fig10_space_sharing" "1e-6 fig08_scale_threads"; do
+  read -r scale harness <<< "$harness_case"
+  status=0
+  SMART_BENCH_SCALE="$scale" "$repo/build/bench/$harness" >/dev/null 2> "$harness_err" \
+    || status=$?
+  if [[ "$status" != 1 ]] || ! grep -q '^error: ' "$harness_err"; then
+    echo "$harness at SMART_BENCH_SCALE=$scale exited $status, want 1 with error: on stderr:" >&2
+    cat "$harness_err" >&2
+    exit 1
+  fi
+  echo "   $harness ok: $(head -n 1 "$harness_err")"
+done
 
 echo "== tier-1: bench regression gate =="
 # Re-measure the committed std::map pairs (the flat CombinationMap against

@@ -107,7 +107,7 @@ void Heat3D::step() {
   exchange_halos();
   // The global top face is cold Dirichlet: the top rank's outermost
   // interior plane keeps its halo (initialized to 0) as neighbor.
-  if (pool_ != nullptr && pool_->size() > 1) {
+  if (pool_ != nullptr) {
     // Jacobi writes to a disjoint grid, so a plane split is race-free.
     const int nw = pool_->size();
     const auto busy = pool_->parallel_region([&](int w) {

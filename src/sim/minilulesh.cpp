@@ -58,7 +58,7 @@ MiniLulesh::MiniLulesh(const Params& params, simmpi::Communicator* comm, ThreadP
 
 void MiniLulesh::parallel_over_z(const std::function<void(std::size_t, std::size_t)>& body) {
   const std::size_t n = p_.edge;
-  if (pool_ == nullptr || pool_->size() <= 1) {
+  if (pool_ == nullptr) {
     body(0, n);
     return;
   }

@@ -134,8 +134,8 @@ void Communicator::advance(double seconds) {
 }
 
 void Communicator::advance_region(const std::vector<double>& busy) {
-  if (busy.size() < 2) return;
-  advance(*std::max_element(busy.begin(), busy.end()));
+  const double leg0 = busy.at(0);
+  advance(*std::max_element(busy.begin(), busy.end()) - leg0);
 }
 
 double Communicator::vclock() {

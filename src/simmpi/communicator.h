@@ -9,9 +9,10 @@
 // (common/serialize.h).
 //
 // Virtual time model (see DESIGN.md §1): each rank carries a virtual clock.
-// Compute advances it by the rank thread's measured CPU time; parallel
-// regions advance it by the max busy time across that rank's workers (via
-// advance_region()); messages carry the sender's clock, and a receive sets
+// Compute advances it by the rank thread's measured CPU time, which covers
+// leg 0 of each parallel region (threading/thread_pool.h); advance_region()
+// adds the rest of the region's slowest leg; messages carry the sender's
+// clock, and a receive sets
 //   vclock = max(vclock, NetworkModel::arrival_vtime(src, dst, bytes, send vclock))
 // — the pluggable interconnect cost model (simmpi/network.h): flat
 // alpha–beta by default, fat-tree or dragonfly with per-link contention on
@@ -180,10 +181,10 @@ class Communicator {
   // --- virtual time --------------------------------------------------------
   /// Adds externally measured compute time to this rank's virtual clock.
   void advance(double seconds);
-  /// Adds a parallel region's critical path, its slowest worker's busy
-  /// time.  A one-worker region ran on this rank's thread (ThreadPool runs
-  /// it inline), whose CPU time the clock charges itself, so it adds
-  /// nothing: charging both would count the region twice.
+  /// Charges a parallel region's slowest leg, given each leg's busy time
+  /// (leg 0 first).  Leg 0 ran on this rank's thread, whose CPU time the
+  /// clock charges itself, so this adds max(busy) - busy[0]; a one-leg
+  /// region adds nothing.
   void advance_region(const std::vector<double>& busy);
   /// Folds the rank thread's own CPU time since the last event into the
   /// clock, then returns the clock.

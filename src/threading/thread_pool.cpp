@@ -7,20 +7,32 @@
 
 namespace smart {
 
+namespace {
+/// The pool whose region this thread runs a leg of (a pool thread's own
+/// pool; the caller's during leg 0): a region called on it is nested.
+thread_local const ThreadPool* t_region_pool = nullptr;
+
+/// Runs leg `id` CPU-timed; an exception it throws lands in `error`.
+double timed_leg(const std::function<void(int)>& fn, int id, std::exception_ptr& error) {
+  ThreadCpuTimer timer;
+  try {
+    fn(id);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  return timer.seconds();
+}
+}  // namespace
+
 ThreadPool::ThreadPool(int num_workers) {
   if (num_workers <= 0) {
     throw std::invalid_argument("ThreadPool: num_workers must be positive");
   }
   busy_seconds_.assign(static_cast<std::size_t>(num_workers), 0.0);
   errors_.assign(static_cast<std::size_t>(num_workers), nullptr);
-  // One worker runs every region on the caller (parallel_region): a thread
-  // would only be woken and waited for.
-  if (num_workers == 1) return;
-  workers_.reserve(static_cast<std::size_t>(num_workers));
-  worker_ids_.reserve(static_cast<std::size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
+  // Leg 0 runs on the caller of each region.
+  for (int i = 1; i < num_workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
-    worker_ids_.push_back(workers_.back().get_id());
   }
 }
 
@@ -34,6 +46,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(int id) {
+  t_region_pool = this;
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(int)>* job = nullptr;
@@ -44,14 +57,8 @@ void ThreadPool::worker_loop(int id) {
       seen = generation_;
       job = job_;
     }
-    ThreadCpuTimer timer;
     std::exception_ptr error = nullptr;
-    try {
-      (*job)(id);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const double busy = timer.seconds();
+    const double busy = timed_leg(*job, id, error);
     {
       std::lock_guard<std::mutex> lock(mu_);
       busy_seconds_[static_cast<std::size_t>(id)] = busy;
@@ -64,45 +71,38 @@ void ThreadPool::worker_loop(int id) {
   }
 }
 
-bool ThreadPool::on_worker_thread() const {
-  const std::thread::id self = std::this_thread::get_id();
-  for (const std::thread::id& id : worker_ids_) {
-    if (id == self) return true;
-  }
-  return false;
-}
-
 std::vector<double> ThreadPool::run_inline(const std::function<void(int)>& fn) {
-  // Serialize on the caller.  Results are kept local — in a nested region
-  // the outer region owns busy_seconds_/errors_, and the caller-worker's
-  // own slot will be written when its outer leg finishes.
+  // Results stay local: the outer region owns busy_seconds_/errors_ and
+  // writes the calling leg's slot when that leg finishes.
   std::vector<double> busy(static_cast<std::size_t>(size()), 0.0);
   std::exception_ptr first_error = nullptr;
   for (int id = 0; id < size(); ++id) {
-    ThreadCpuTimer timer;
-    try {
-      fn(id);
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-    busy[static_cast<std::size_t>(id)] = timer.seconds();
+    std::exception_ptr error = nullptr;
+    busy[static_cast<std::size_t>(id)] = timed_leg(fn, id, error);
+    if (!first_error) first_error = error;
   }
   if (first_error) std::rethrow_exception(first_error);
   return busy;
 }
 
 std::vector<double> ThreadPool::parallel_region(const std::function<void(int)>& fn) {
-  // A worker calling back into its own pool would wait forever for itself:
-  // the outer region's remaining_ includes the calling worker, which is
-  // blocked here instead of finishing its leg.  Run the nested region
-  // inline instead of deadlocking.  A one-worker pool has no thread and
-  // always runs inline.
-  if (workers_.empty() || on_worker_thread()) return run_inline(fn);
-  std::unique_lock<std::mutex> lock(mu_);
-  job_ = &fn;
-  remaining_ = size();
-  ++generation_;
+  // A nested call would wait for itself: the outer region cannot finish
+  // while one of its legs sits blocked here.
+  if (t_region_pool == this) return run_inline(fn);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = &fn;
+    remaining_ = size() - 1;
+    ++generation_;
+  }
   work_cv_.notify_all();
+
+  const ThreadPool* outer = t_region_pool;
+  t_region_pool = this;
+  busy_seconds_[0] = timed_leg(fn, 0, errors_[0]);
+  t_region_pool = outer;
+
+  std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return remaining_ == 0; });
   job_ = nullptr;
   for (auto& err : errors_) {

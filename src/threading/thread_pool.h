@@ -2,10 +2,11 @@
 // scheduler drives.  One pool per scheduler; each worker owns one reduction
 // map, mirroring the paper's one-split-per-thread execution.
 //
-// parallel_region(fn) runs fn(worker_id) on every worker simultaneously and
-// returns each worker's measured CPU busy time for the region — the max of
-// those is the region's critical path, which the scheduler feeds into the
-// rank's virtual clock (see simmpi/communicator.h).
+// parallel_region(fn) runs fn(leg) for legs 0..size()-1 at once and returns
+// each leg's CPU busy time; the max is the region's critical path.  As in
+// an OpenMP region, the caller runs leg 0 itself, so a pool of n legs
+// starts n - 1 threads, and the rank's virtual clock charges leg 0 as the
+// caller's own CPU time (simmpi/communicator.h, advance_region).
 #pragma once
 
 #include <condition_variable>
@@ -26,26 +27,23 @@ class ThreadPool {
 
   ~ThreadPool();
 
+  /// Legs per region: the threads started plus the caller.
   int size() const { return static_cast<int>(busy_seconds_.size()); }
 
-  /// Executes fn(worker_id) on all workers, waits for completion, and
-  /// returns per-worker CPU busy seconds.  Rethrows the first worker
-  /// exception after the region completes.  A one-worker pool starts no
-  /// thread: it runs fn(0) on the calling thread, with the same contract.
+  /// Runs fn(leg) for every leg, fn(0) on the calling thread and the others
+  /// on the pool's threads, and returns per-leg CPU busy seconds.  Returns
+  /// or rethrows only once every leg has finished, even when leg 0 throws;
+  /// the first exception in leg order is rethrown.
   ///
-  /// Re-entrancy: calling this from one of the pool's own worker threads
-  /// (fn starting a nested region) used to deadlock — the outer region's
-  /// completion count could never reach zero while its caller-worker sat
-  /// blocked in the nested wait.  A worker-thread call now runs the region
-  /// inline instead: fn(0..size()-1) sequentially on the calling thread,
-  /// each leg CPU-timed, first exception rethrown at the end.  Same
-  /// contract, serialized execution — the degenerate but correct nesting
-  /// semantics (mirroring OpenMP's default of serializing nested regions).
+  /// Nesting: a call from inside a region of this pool (from one of its
+  /// threads, or from the caller during leg 0) would hand the running legs
+  /// a second job and wait for itself, so it runs fn(0..size()-1) inline on
+  /// the calling thread instead: each leg CPU-timed, first exception
+  /// rethrown at the end (OpenMP's default of serializing nested regions).
   std::vector<double> parallel_region(const std::function<void(int)>& fn);
 
  private:
   void worker_loop(int id);
-  bool on_worker_thread() const;
   std::vector<double> run_inline(const std::function<void(int)>& fn);
 
   std::mutex mu_;
@@ -56,12 +54,11 @@ class ThreadPool {
   int remaining_ = 0;
   bool shutdown_ = false;
 
+  /// Per-leg results.  Legs 1.. write their slot under mu_; leg 0's slot
+  /// is written by the caller, the only thread that reads the vectors.
   std::vector<double> busy_seconds_;
   std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> workers_;
-  /// Workers' thread ids, written once in the constructor (before any
-  /// region can run) and read-only afterwards — the re-entrancy check.
-  std::vector<std::thread::id> worker_ids_;
 };
 
 }  // namespace smart

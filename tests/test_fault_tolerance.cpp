@@ -301,6 +301,10 @@ TEST(Recovery, RetryRecoversFromTransientDrop) {
         RecoveryPolicy policy;
         policy.peer_timeout_seconds = 0.25;
         policy.combine_retries = 2;
+        // Rank 1's resend must land after rank 0's first wait times out,
+        // or rank 0 reads it in that wait and never retries: the backoff
+        // bounds how much later than rank 1 rank 0 may start waiting.
+        policy.retry_backoff_seconds = 0.1;
         hist.set_recovery_policy(policy);
 
         std::vector<std::size_t> out(16, 0);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "threading/circular_buffer.h"
 #include "threading/thread_pool.h"
@@ -72,29 +76,51 @@ TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool pool(0), std::invalid_argument);
 }
 
-TEST(ThreadPool, OneWorkerRunsOnTheCallersThread) {
-  // A one-worker pool starts no thread: waking a worker and waiting for it
-  // would only add latency.  Busy time and exceptions keep their contract.
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  std::thread::id ran_on;
-  int worker = -1;
-  const auto busy = pool.parallel_region([&](int w) {
-    ran_on = std::this_thread::get_id();
-    worker = w;
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000000; ++i) sink = sink + 1.0;
-    (void)sink;
-  });
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-  EXPECT_EQ(worker, 0);
-  ASSERT_EQ(busy.size(), 1u);
-  EXPECT_GT(busy[0], 0.0);
-  EXPECT_THROW(pool.parallel_region([](int) { throw std::runtime_error("worker failed"); }),
-               std::runtime_error);
-  std::atomic<int> ok{0};
-  pool.parallel_region([&](int) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 1);
+TEST(ThreadPool, LegZeroRunsOnTheCallersThread) {
+  // As in an OpenMP region, the caller does leg 0 itself and only n - 1
+  // threads are woken; busy time and exceptions keep their contract.
+  for (const int n : {1, 2, 3, 8}) {
+    SCOPED_TRACE("workers " + std::to_string(n));
+    ThreadPool pool(n);
+    EXPECT_EQ(pool.size(), n);
+    std::vector<std::thread::id> ran_on(static_cast<std::size_t>(n));
+    const auto busy = pool.parallel_region([&](int w) {
+      ran_on[static_cast<std::size_t>(w)] = std::this_thread::get_id();
+      volatile double sink = 0.0;
+      for (int i = 0; i < 1000000; ++i) sink = sink + 1.0;
+      (void)sink;
+    });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    const std::set<std::thread::id> others(ran_on.begin() + 1, ran_on.end());
+    EXPECT_EQ(others.size(), static_cast<std::size_t>(n - 1));
+    EXPECT_EQ(others.count(std::this_thread::get_id()), 0u);
+    EXPECT_EQ(others.count(std::thread::id()), 0u) << "a leg did not run";
+    ASSERT_EQ(busy.size(), static_cast<std::size_t>(n));
+    for (const double b : busy) EXPECT_GT(b, 0.0);
+    EXPECT_THROW(pool.parallel_region([](int) { throw std::runtime_error("worker failed"); }),
+                 std::runtime_error);
+    std::atomic<int> ok{0};
+    pool.parallel_region([&](int) { ok.fetch_add(1); });
+    EXPECT_EQ(ok.load(), n);
+  }
+}
+
+TEST(ThreadPool, LegZeroExceptionWaitsForTheOtherLegs) {
+  // The region's captures live on the caller's stack, so a leg-0 throw
+  // may reach the caller only once every other leg has finished.
+  ThreadPool pool(2);
+  std::atomic<bool> leg1_done{false};
+  bool caught_after_leg1 = false;
+  try {
+    pool.parallel_region([&](int w) {
+      if (w == 0) throw std::runtime_error("leg 0 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      leg1_done = true;
+    });
+  } catch (const std::runtime_error&) {
+    caught_after_leg1 = leg1_done.load();
+  }
+  EXPECT_TRUE(caught_after_leg1);
 }
 
 TEST(ThreadPool, NestedRegionFromWorkerRunsInline) {
@@ -102,7 +128,8 @@ TEST(ThreadPool, NestedRegionFromWorkerRunsInline) {
   // deadlock — the outer region's completion count includes the calling
   // worker, which sat blocked in the nested wait forever.  A nested call
   // now serializes on the caller: every worker id runs, on the worker's
-  // own thread.
+  // own thread.  (NestedRegionPropagatesExceptionAndOuterSurvives nests
+  // from leg 0, which runs on the region's caller.)
   ThreadPool pool(3);
   std::vector<std::atomic<int>> inner_hits(3);
   std::atomic<int> outer_hits{0};
