@@ -17,14 +17,9 @@
 //     producer sends sits queued) vs bounded lanes with sender
 //     backpressure (peak pinned at the lane cap) — the flow-control
 //     acceptance pair, measured by Mailbox::peak_pending_bytes.
-//   * topology makespans: the same fig07-style compute + tree-allreduce
-//     workload under the flat, fat-tree, and dragonfly cost models; the
-//     virtual_makespan_s counters record how link contention stretches the
-//     modeled runtime while wall time stays flat.
 #include <benchmark/benchmark.h>
 
 #include <thread>
-#include <vector>
 
 #include "simmpi/world.h"
 
@@ -190,55 +185,6 @@ void BM_BoundedSlowReceiverPeakBytes(benchmark::State& state) {
   state.counters["peak_mailbox_bytes"] = benchmark::Counter(peak);
 }
 BENCHMARK(BM_BoundedSlowReceiverPeakBytes);
-
-// --- topology makespans -----------------------------------------------------
-
-constexpr int kTopoRanks = 8;
-constexpr std::size_t kTopoElems = 32u * 1024;  // 256 KiB of doubles
-constexpr int kTopoRounds = 3;
-
-/// fig07's shape in miniature: per-rank compute then a tree allreduce of a
-/// 256 KiB vector, iterated.  The virtual makespan is what the cost model
-/// says an ideal cluster of kTopoRanks one-core nodes would take; the
-/// fat-tree and dragonfly models stretch it with tapered-link queueing the
-/// flat model cannot see.
-void topology_makespan(benchmark::State& state, const char* model) {
-  NetworkConfig cfg;
-  cfg.model = model;
-  // 2 ranks per node, 2 nodes per pod/group: 8 ranks span 2 pods (groups),
-  // so the allreduce tree crosses tapered links every round.
-  cfg.ranks_per_node = 2;
-  cfg.nodes_per_edge = 2;
-  cfg.nodes_per_group = 2;
-  double makespan = 0.0;
-  for (auto _ : state) {
-    const LaunchStats stats = launch(
-        kTopoRanks,
-        [](Communicator& comm) {
-          std::vector<double> v(kTopoElems, static_cast<double>(comm.rank()));
-          for (int r = 0; r < kTopoRounds; ++r) {
-            comm.advance(1e-3);  // modeled compute phase
-            v = comm.allreduce_sum(v);
-          }
-          benchmark::DoNotOptimize(v.data());
-        },
-        cfg);
-    makespan = stats.makespan();
-  }
-  state.SetItemsProcessed(state.iterations() * kTopoRounds);
-  state.counters["virtual_makespan_s"] = benchmark::Counter(makespan);
-}
-
-void BM_TopologyMakespanFlat(benchmark::State& state) { topology_makespan(state, "flat"); }
-BENCHMARK(BM_TopologyMakespanFlat)->Unit(benchmark::kMillisecond);
-
-void BM_TopologyMakespanFatTree(benchmark::State& state) { topology_makespan(state, "fattree"); }
-BENCHMARK(BM_TopologyMakespanFatTree)->Unit(benchmark::kMillisecond);
-
-void BM_TopologyMakespanDragonfly(benchmark::State& state) {
-  topology_makespan(state, "dragonfly");
-}
-BENCHMARK(BM_TopologyMakespanDragonfly)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

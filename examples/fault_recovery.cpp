@@ -64,7 +64,7 @@ int main() {
         }
         lost[static_cast<std::size_t>(comm.rank())] = hist.stats().ranks_lost;
       },
-      nullptr, faults);
+      std::nullopt, faults);
 
   std::printf("ranks killed mid-run : %zu (rank %d)\n", stats.ranks_killed.size(),
               stats.ranks_killed.empty() ? -1 : stats.ranks_killed.front());

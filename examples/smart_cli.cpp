@@ -168,19 +168,15 @@ int run(const ArgParser& args) {
     throw std::invalid_argument("--mode must be 'time' or 'space'");
   }
 
-  // Interconnect model: SMART_NET_* environment first, explicit flags win.
+  // Interconnect: SMART_NET_* environment first, explicit flags win.
   simmpi::NetworkConfig net_cfg = simmpi::NetworkConfig::from_env();
-  if (args.has("net-model")) net_cfg.model = args.get("net-model");
-  // make_network_model rejects a zero bandwidth.
+  // launch() rejects a zero bandwidth.
   constexpr double kMaxDouble = std::numeric_limits<double>::max();
   if (args.has("net-alpha")) {
     net_cfg.alpha_seconds = args.get_double("net-alpha", 0.0, kMaxDouble);
   }
   if (args.has("net-beta")) {
     net_cfg.beta_bytes_per_second = args.get_double("net-beta", 0.0, kMaxDouble);
-  }
-  if (args.has("ranks-per-node")) {
-    net_cfg.ranks_per_node = static_cast<int>(args.get_long("ranks-per-node", 1, INT_MAX));
   }
   if (args.has("net-lane-cap")) {
     net_cfg.lane_capacity_msgs =
@@ -202,7 +198,6 @@ int run(const ArgParser& args) {
           ? static_cast<std::uint64_t>(args.get_long("schedule-seed", 0, LONG_MAX))
           : master_seed;
   if (args.has("schedule-trace")) net_cfg.sched_trace = args.get("schedule-trace");
-  const auto net = simmpi::make_network_model(net_cfg);
 
   const std::string trace_out = args.has("trace-out") ? args.get("trace-out") : "";
   const std::string metrics_out = args.has("metrics-out") ? args.get("metrics-out") : "";
@@ -321,7 +316,7 @@ int run(const ArgParser& args) {
         std::fprintf(stderr, "error: could not write metrics to %s\n", metrics_out.c_str());
       }
     }
-  }, net);
+  }, net_cfg);
 
   if (!phase_csv.empty()) {
     // Ranks are threads of this process, so the global collector holds
@@ -346,9 +341,9 @@ int run(const ArgParser& args) {
                        critpath_out, critpath_json);
   }
 
-  std::printf("wall %.3f s, virtual makespan %.4f s (%s model), network %s across %d rank(s)\n",
-              wall.seconds(), stats.makespan(), net->name(),
-              format_bytes(stats.total_bytes_sent()).c_str(), ranks);
+  std::printf("wall %.3f s, virtual makespan %.4f s, network %s across %d rank(s)\n",
+              wall.seconds(), stats.makespan(), format_bytes(stats.total_bytes_sent()).c_str(),
+              ranks);
   return rc;
 }
 
@@ -370,10 +365,8 @@ int main(int argc, char** argv) {
       .option("critpath-in", "analyze a saved Chrome-trace JSON file instead of running")
       .option("metrics-out", "write the aggregated metrics snapshot to this JSON path")
       .option("phase-csv", "write the scheduler's per-phase timeline to this CSV path")
-      .option("net-model", "interconnect cost model: flat | fattree | dragonfly | torus")
       .option("net-alpha", "per-message latency in seconds")
-      .option("net-beta", "access-link bandwidth in bytes/second")
-      .option("ranks-per-node", "ranks sharing one simulated node")
+      .option("net-beta", "link bandwidth in bytes/second")
       .option("net-lane-cap", "mailbox lane capacity in messages (0 = unbounded)")
       .option("net-lane-cap-bytes", "mailbox lane capacity in bytes (0 = unbounded)")
       .option("seed", "master seed: rank data streams derive from it; echoed in RUNSTATS", "0")

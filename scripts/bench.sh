@@ -28,10 +28,7 @@
 #   * BM_PooledBufferPerMessage — BufferPool recycling per message;
 #   * BM_UnboundedSlowReceiverPeakBytes vs BM_BoundedSlowReceiverPeakBytes —
 #     peak queued mailbox bytes under a slow receiver, unbounded lanes vs
-#     lane-capacity backpressure (peak_mailbox_bytes counter);
-#   * BM_TopologyMakespanFlat / FatTree / Dragonfly — the same compute +
-#     allreduce workload priced by each network cost model
-#     (virtual_makespan_s counter; simmpi/network.h).
+#     lane-capacity backpressure (peak_mailbox_bytes counter).
 #
 # Numbers are container-relative; compare runs from the same machine only —
 # except the std::map pair *ratios* within BENCH_core.json, which

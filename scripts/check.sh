@@ -9,9 +9,10 @@
 # The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
-# The harness error-path step runs two fig harnesses into a typed error (a
-# non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube) and
-# fails unless each prints `error: ...` on stderr and exits 1.
+# The harness error-path step runs three fig harnesses into a typed error
+# (a non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube; a
+# SMART_NET_* variable the network does not read) and fails unless each
+# prints `error: ...` on stderr and exits 1.
 #
 # The perfbench smoke runs the end-to-end benchmark's summary self-tests
 # and a 1 s run of each of its workloads (a Release build of
@@ -201,7 +202,7 @@ bench_json="$repo/build/check_bench.json"
 python3 -m json.tool "$bench_json" >/dev/null
 bench_transport_json="$repo/build/check_bench_transport.json"
 "$repo/build/bench/micro_transport" \
-  --benchmark_filter='BM_ShardedAnySourceFanIn|BM_PooledBufferPerMessage|BM_BoundedSlowReceiverPeakBytes|BM_TopologyMakespanFatTree' \
+  --benchmark_filter='BM_ShardedAnySourceFanIn|BM_PooledBufferPerMessage|BM_BoundedSlowReceiverPeakBytes' \
   --benchmark_min_time=0.01 \
   --benchmark_out="$bench_transport_json" --benchmark_out_format=json >/dev/null
 python3 -m json.tool "$bench_transport_json" >/dev/null
@@ -209,18 +210,21 @@ echo "   bench smoke ok"
 
 echo "== tier-1: harness error path =="
 # A fig harness that meets a typed error reports it as smart_cli does:
-# `error: <what>` on stderr and exit status 1, never an abort (134).  Two
-# cases: a SMART_BENCH_SCALE that is not a number, and one inside the
-# accepted range whose Fig 8 cube edge truncates below MiniLulesh's minimum
-# (the error is thrown in the ranks and rethrown by simmpi::launch).
+# `error: <what>` on stderr and exit status 1, never an abort (134).  Three
+# cases: a SMART_BENCH_SCALE that is not a number; one inside the accepted
+# range whose Fig 8 cube edge truncates below MiniLulesh's minimum (the
+# error is thrown in the ranks and rethrown by simmpi::launch); and
+# SMART_NET_MODEL, a setting of the removed topology models, which
+# NetworkConfig::from_env rejects instead of pricing the run flat.
 harness_err="$repo/build/check_harness_error.log"
-for harness_case in "abc fig10_space_sharing" "1e-6 fig08_scale_threads"; do
-  read -r scale harness <<< "$harness_case"
+for harness_case in "SMART_BENCH_SCALE=abc fig10_space_sharing" \
+                    "SMART_BENCH_SCALE=1e-6 fig08_scale_threads" \
+                    "SMART_NET_MODEL=fattree fig07_scale_nodes"; do
+  read -r setting harness <<< "$harness_case"
   status=0
-  SMART_BENCH_SCALE="$scale" "$repo/build/bench/$harness" >/dev/null 2> "$harness_err" \
-    || status=$?
+  env "$setting" "$repo/build/bench/$harness" >/dev/null 2> "$harness_err" || status=$?
   if [[ "$status" != 1 ]] || ! grep -q '^error: ' "$harness_err"; then
-    echo "$harness at SMART_BENCH_SCALE=$scale exited $status, want 1 with error: on stderr:" >&2
+    echo "$harness at $setting exited $status, want 1 with error: on stderr:" >&2
     cat "$harness_err" >&2
     exit 1
   fi

@@ -43,25 +43,4 @@ void write_pgm(const GrayImage& image, const std::string& path) {
   if (!ok) throw std::runtime_error("write_pgm: short write to " + path);
 }
 
-std::string ascii_heatmap(const double* data, std::size_t nx, std::size_t ny) {
-  static const char kRamp[] = " .:-=+*#%@";
-  constexpr std::size_t kLevels = sizeof(kRamp) - 2;  // index range [0, kLevels]
-  if (nx == 0 || ny == 0) return "";
-  const auto [lo, hi] = value_range(data, nx * ny);
-  const double span = hi - lo;
-  std::string out;
-  out.reserve((nx + 1) * ny);
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      const double v = data[y * nx + x];
-      const std::size_t level =
-          span > 0.0 ? static_cast<std::size_t>(static_cast<double>(kLevels) * (v - lo) / span)
-                     : kLevels / 2;
-      out.push_back(kRamp[std::min(level, kLevels)]);
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
 }  // namespace smart::analytics

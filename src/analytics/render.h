@@ -1,7 +1,7 @@
 // Minimal in-situ visualization output (visualization analytics class):
-// renders a 2-D plane of aggregated values as a binary PGM image or an
-// ASCII heatmap — the last mile of the multi-resolution pipeline (simulate
-// -> block-aggregate -> render) without any external dependency.
+// renders a 2-D plane of aggregated values as a binary PGM image — the last
+// mile of the multi-resolution pipeline (simulate -> block-aggregate ->
+// render) without any external dependency.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +23,5 @@ GrayImage render_plane(const double* data, std::size_t nx, std::size_t ny);
 
 /// Writes a binary PGM (P5); throws on I/O failure.
 void write_pgm(const GrayImage& image, const std::string& path);
-
-/// ASCII heatmap (rows separated by '\n'), darkest-to-brightest ramp
-/// " .:-=+*#%@"; handy for terminal output in the examples.
-std::string ascii_heatmap(const double* data, std::size_t nx, std::size_t ny);
 
 }  // namespace smart::analytics

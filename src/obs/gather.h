@@ -1,21 +1,21 @@
-// Rank-0 gather of trace buffers and metrics registries.
+// Rank-0 gather of trace buffers.
 //
-// Header-only on purpose: these functions need simmpi::Communicator, but
-// smart_simmpi itself links smart_obs (the send/recv instrumentation), so
-// the Communicator-dependent pieces live here rather than in the library.
+// Header-only on purpose: it needs simmpi::Communicator, but smart_simmpi
+// itself links smart_obs (the send/recv instrumentation), so the
+// Communicator-dependent piece lives here rather than in the library.
 //
-// Both gathers are collective over the communicator and degrade instead of
+// The gather is collective over the communicator and degrades instead of
 // hanging: the root receives every peer's payload with recv_timeout, so a
-// rank that died mid-run (simmpi fault injection) is reported in
-// `missing_ranks` and the merged timeline/snapshot still gets written from
-// the survivors.
+// rank that died mid-run (simmpi fault injection) is reported in `missing`
+// and the merged timeline still gets written from the survivors.  Metrics
+// need no gather: ranks are threads of one process, so
+// MetricsRegistry::global() already holds every rank's.
 #pragma once
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "simmpi/communicator.h"
@@ -23,10 +23,9 @@
 
 namespace smart::obs {
 
-/// Positive user-space tags well clear of the runtime's (core/intransit
+/// A positive user-space tag well clear of the runtime's (core/intransit
 /// uses 400..404; simmpi internals are negative).
 constexpr int kTraceGatherTag = 24601;
-constexpr int kMetricsGatherTag = 24602;
 
 /// Collective: every rank ships its slice of the process-global trace to
 /// rank 0, which merges (timestamp order) and writes a Chrome-trace JSON
@@ -65,34 +64,6 @@ inline bool gather_trace_to_rank0(simmpi::Communicator& comm, const std::string&
   // Ranks are threads of this process, so the process-global drop counter
   // covers every lane that fed the merge.
   return write_chrome_trace_file(path, merged, tc.dropped_events());
-}
-
-/// Collective: merges per-rank registry snapshots onto rank 0 (counters and
-/// histogram buckets sum, gauges max).  Peers return their local snapshot;
-/// the root returns the merge, with unreachable peers listed in
-/// missing_ranks and ranks_merged counting only reporters.
-inline MetricsSnapshot gather_metrics_to_rank0(simmpi::Communicator& comm,
-                                               const MetricsRegistry& local,
-                                               double timeout_seconds = 5.0) {
-  MetricsSnapshot snap = local.snapshot();
-  if (comm.rank() != 0) {
-    Buffer buf;
-    Writer w(buf);
-    snap.serialize(w);
-    comm.send(0, kMetricsGatherTag, std::move(buf));
-    return snap;
-  }
-
-  for (int peer = 1; peer < comm.size(); ++peer) {
-    try {
-      const Buffer buf = comm.recv_timeout(peer, kMetricsGatherTag, timeout_seconds);
-      Reader r(buf);
-      snap.merge(MetricsSnapshot::deserialize(r));
-    } catch (const simmpi::PeerUnreachable&) {
-      snap.missing_ranks.push_back(peer);
-    }
-  }
-  return snap;
 }
 
 }  // namespace smart::obs

@@ -1,4 +1,4 @@
-// Named counters, gauges and fixed-bucket histograms with a mergeable
+// Named counters, gauges and fixed-bucket histograms with a plain-data
 // snapshot — the numeric side of the observability subsystem (obs/trace.h
 // is the timeline side).
 //
@@ -6,10 +6,9 @@
 // (the check lives inside add/observe/set, mirroring trace_enabled()).
 // Metric objects are created once (registry mutex) and then updated with
 // lock-free atomics, so any thread of any rank can bump a counter on the
-// hot path.  A MetricsSnapshot is plain data: it serializes through
-// Writer/Reader for the cross-rank gather (obs/gather.h), and merges
-// rank-by-rank — counters and histogram buckets sum, gauges keep the max
-// (they record peaks, e.g. the largest combination map seen).
+// hot path.  simmpi ranks are threads of one process, so the one
+// process-wide registry already holds every rank's metrics; --metrics-out
+// and SMART_METRICS dump its snapshot as JSON.
 #pragma once
 
 #include <atomic>
@@ -20,8 +19,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/serialize.h"
 
 namespace smart::obs {
 
@@ -38,15 +35,13 @@ class Counter {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
 };
 
 /// Peak-tracking value (largest map entry count, deepest queue...).  set()
-/// overwrites, update_max() keeps the high-water mark; cross-rank merge
-/// takes the max either way.
+/// overwrites, update_max() keeps the high-water mark.
 class Gauge {
  public:
   void set(double v) {
@@ -60,7 +55,6 @@ class Gauge {
     }
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -68,8 +62,7 @@ class Gauge {
 
 /// Fixed-boundary histogram: `bounds` are ascending inclusive upper bounds,
 /// a value lands in the first bucket with v <= bound, and one extra
-/// overflow bucket catches the rest.  Boundaries are fixed at creation so
-/// per-rank histograms merge bucket-wise with no rebinning.
+/// overflow bucket catches the rest.  Boundaries are fixed at creation.
 class FixedHistogram {
  public:
   explicit FixedHistogram(std::vector<double> bounds)
@@ -97,7 +90,7 @@ class FixedHistogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Plain-data capture of a registry (or a merge of several ranks').
+/// Plain-data capture of the registry.
 struct MetricsSnapshot {
   struct Histogram {
     std::string name;
@@ -116,33 +109,20 @@ struct MetricsSnapshot {
   std::map<std::string, std::int64_t> counters;
   std::map<std::string, double> gauges;
   std::vector<Histogram> histograms;
-  int ranks_merged = 1;
-  std::vector<int> missing_ranks;  ///< ranks that failed to report (gather)
-
-  /// Folds `other` in: counters and histogram buckets sum, gauges max.
-  /// A histogram whose bounds differ from the existing entry of the same
-  /// name is kept as its own entry rather than mis-summed.
-  void merge(const MetricsSnapshot& other);
 
   void dump_json(std::ostream& os) const;
-  void dump_text(std::ostream& os) const;
-
-  void serialize(Writer& w) const;
-  static MetricsSnapshot deserialize(Reader& r);
 };
 
 /// Name-keyed metric store.  get-or-create takes a mutex; the returned
-/// references are stable for the registry's lifetime and lock-free to
+/// references are stable for the process's lifetime and lock-free to
 /// update.
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Process-wide registry.  simmpi ranks are threads of one process, so
-  /// this already aggregates across ranks; per-rank registries appear only
-  /// where a test wants to exercise the gather path for real.
+  /// The one registry.  simmpi ranks are threads of one process, so it
+  /// already aggregates across ranks.
   static MetricsRegistry& global();
 
   Counter& counter(const std::string& name);
@@ -151,9 +131,10 @@ class MetricsRegistry {
   FixedHistogram& histogram(const std::string& name, std::vector<double> bounds);
 
   MetricsSnapshot snapshot() const;
-  void reset();
 
  private:
+  MetricsRegistry() = default;
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -209,11 +209,9 @@ void Communicator::send_envelope(int dest, int tag, SharedBuffer payload, bool s
   e.source = world_rank_;
   e.tag = tag;
   e.vtime = state_->vclock;
-  // The interconnect model prices the transfer once, at departure: queueing
-  // on shared topology links is accounted against this message here, and
-  // the receiver's clock can never observe the payload earlier.
-  e.arrival_vtime =
-      world_.network().arrival_vtime(world_rank_, world_dest, nbytes, state_->vclock);
+  // The interconnect prices the transfer once, at departure; the
+  // receiver's clock can never observe the payload earlier.
+  e.arrival_vtime = world_.network().arrival_vtime(nbytes, state_->vclock);
   // Departure stamp on the span: the profiler jumps from an
   // arrival-constrained recv back to this clock value on this rank.
   span.arg("dep_vt_ns", vt_ns(e.vtime));
@@ -316,9 +314,8 @@ void Communicator::inject_recv_faults(int world_source, int tag) {
 }
 
 SharedBuffer Communicator::deliver_shared(Envelope& e, int* actual_source, int* actual_tag) {
-  // Message arrival: the NetworkModel stamped the arrival time at departure
-  // (flat alpha-beta, or a topology with per-link queueing) — the receiver
-  // cannot observe the data earlier than that.
+  // Message arrival: send_envelope stamped the alpha-beta arrival time at
+  // departure — the receiver cannot observe the data earlier than that.
   if (e.arrival_vtime > state_->vclock) state_->vclock = e.arrival_vtime;
   if (actual_source != nullptr) *actual_source = from_world(e.source);
   if (actual_tag != nullptr) *actual_tag = e.tag;

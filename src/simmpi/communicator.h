@@ -13,12 +13,11 @@
 // leg 0 of each parallel region (threading/thread_pool.h); advance_region()
 // adds the rest of the region's slowest leg; messages carry the sender's
 // clock, and a receive sets
-//   vclock = max(vclock, NetworkModel::arrival_vtime(src, dst, bytes, send vclock))
-// — the pluggable interconnect cost model (simmpi/network.h): flat
-// alpha–beta by default, fat-tree or dragonfly with per-link contention on
-// request.  The maximum final clock across ranks is the run's virtual
-// makespan: the wall time an ideal one-core-per-rank cluster would have
-// shown.  A sender stalled by lane backpressure (simmpi/mailbox.h) charges
+//   vclock = max(vclock, (send vclock + alpha) + bytes / beta)
+// — the flat alpha–beta interconnect cost (simmpi/network.h), the same for
+// every pair of ranks.  The maximum final clock across ranks is the run's
+// virtual makespan: the wall time an ideal one-core-per-rank cluster would
+// have shown.  A sender stalled by lane backpressure (simmpi/mailbox.h) charges
 // the stall to its clock too.  Split communicators share the owning rank's
 // clock (they are views over the same thread).
 #pragma once
@@ -32,7 +31,6 @@
 #include "common/serialize.h"
 #include "common/timing.h"
 #include "simmpi/mailbox.h"
-#include "simmpi/network.h"
 
 namespace smart::simmpi {
 
@@ -208,7 +206,7 @@ class Communicator {
   /// delay) before blocking on the mailbox.
   void inject_recv_faults(int world_source, int tag);
   /// The one send path: fault injection, traffic accounting, trace flow
-  /// start, the NetworkModel arrival stamp, and the mailbox post (which
+  /// start, the alpha-beta arrival stamp, and the mailbox post (which
   /// may block on a full lane — the stall is charged to this rank's clock
   /// and the simmpi.send_stall_us histogram).  `shared` marks the payload
   /// as potentially multi-referenced so receivers copy instead of steal.

@@ -36,7 +36,7 @@ struct Envelope {
   int source = 0;
   int tag = 0;
   double vtime = 0.0;         ///< sender's virtual clock at departure
-  double arrival_vtime = 0.0; ///< NetworkModel arrival (stamped by send_envelope)
+  double arrival_vtime = 0.0; ///< alpha-beta arrival (stamped by send_envelope)
   /// Serialized bytes; null means an empty payload.  Immutable once posted.
   SharedBuffer payload;
   std::uint64_t flow_id = 0;  ///< nonzero links send→recv trace flow events
@@ -80,7 +80,7 @@ class Mailbox {
  public:
   /// Per-(source, tag) lane bounds; 0 disables the respective bound.
   /// Configure before the mailbox carries traffic (World does this at
-  /// construction from the NetworkModel's config).
+  /// construction from its NetworkConfig).
   void set_lane_capacity(std::size_t max_msgs, std::size_t max_bytes);
 
   /// Puts this mailbox in deterministic-schedule mode (simmpi/schedule.h):

@@ -64,7 +64,7 @@ struct PendingDelivery {
   int source = 0;
   int tag = 0;
   std::uint64_t submit_seq = 0;  ///< global submission order (process-wide)
-  double arrival_vtime = 0.0;    ///< NetworkModel arrival stamp
+  double arrival_vtime = 0.0;    ///< alpha-beta arrival stamp
 };
 
 /// One committed delivery, in commit order.  (dest, source, tag) identifies

@@ -15,21 +15,20 @@ namespace {
 thread_local Communicator* g_current = nullptr;
 }  // namespace
 
-World::World(int nranks, std::shared_ptr<NetworkModel> net) : net_(std::move(net)) {
+World::World(int nranks, NetworkConfig net) : net_(std::move(net)) {
   if (nranks <= 0) throw std::invalid_argument("simmpi::World: nranks must be positive");
-  if (!net_) net_ = default_network_model();
-  const NetworkConfig& cfg = net_->config();
+  net_.validate();
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     auto box = std::make_unique<Mailbox>();
-    box->set_lane_capacity(cfg.lane_capacity_msgs, cfg.lane_capacity_bytes);
+    box->set_lane_capacity(net_.lane_capacity_msgs, net_.lane_capacity_bytes);
     mailboxes_.push_back(std::move(box));
   }
   dead_.assign(static_cast<std::size_t>(nranks), false);
   // Deterministic mode straight from the network config (SMART_SCHED_* /
   // CLI flags); an explicitly injected controller (set_schedule) replaces
   // this one before traffic flows.
-  set_schedule(make_schedule_controller(cfg));
+  set_schedule(make_schedule_controller(net_));
 }
 
 void World::set_schedule(std::shared_ptr<ScheduleController> sched) {
@@ -69,15 +68,6 @@ bool World::rank_dead(int rank) const {
   return dead_.at(static_cast<std::size_t>(rank));
 }
 
-std::vector<int> World::dead_ranks() const {
-  std::lock_guard<std::mutex> lock(dead_mu_);
-  std::vector<int> out;
-  for (int r = 0; r < static_cast<int>(dead_.size()); ++r) {
-    if (dead_[static_cast<std::size_t>(r)]) out.push_back(r);
-  }
-  return out;
-}
-
 double LaunchStats::makespan() const {
   double m = 0.0;
   for (double t : rank_vtime) m = std::max(m, t);
@@ -96,9 +86,9 @@ CurrentGuard::~CurrentGuard() { g_current = previous_; }
 }  // namespace detail
 
 LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
-                   std::shared_ptr<NetworkModel> net, std::shared_ptr<FaultInjector> faults,
+                   std::optional<NetworkConfig> net, std::shared_ptr<FaultInjector> faults,
                    std::shared_ptr<ScheduleController> sched) {
-  World world(nranks, std::move(net));
+  World world(nranks, net ? std::move(*net) : NetworkConfig::from_env());
   world.set_fault_injector(std::move(faults));
   if (sched) world.set_schedule(std::move(sched));
   if (world.schedule() != nullptr && obs::trace_enabled()) {
@@ -160,12 +150,6 @@ LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
     if (err) std::rethrow_exception(err);
   }
   return stats;
-}
-
-LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
-                   const NetworkConfig& net_cfg, std::shared_ptr<FaultInjector> faults,
-                   std::shared_ptr<ScheduleController> sched) {
-  return launch(nranks, fn, make_network_model(net_cfg), std::move(faults), std::move(sched));
 }
 
 }  // namespace smart::simmpi

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "simmpi/communicator.h"
@@ -26,15 +27,15 @@ namespace smart::simmpi {
 
 class World {
  public:
-  /// `net` null means the environment-driven default model
-  /// (NetworkConfig::from_env — flat alpha-beta unless SMART_NET_MODEL says
-  /// otherwise).  The model's lane capacities are applied to every rank's
-  /// mailbox here, before any traffic flows.
-  explicit World(int nranks, std::shared_ptr<NetworkModel> net = nullptr);
+  /// Validates `net` (NetworkConfig::validate: std::invalid_argument
+  /// naming the bad field) and applies its lane capacities to every rank's
+  /// mailbox, before any traffic flows.
+  World(int nranks, NetworkConfig net);
 
   int size() const { return static_cast<int>(mailboxes_.size()); }
   Mailbox& mailbox(int rank) { return *mailboxes_.at(static_cast<std::size_t>(rank)); }
-  NetworkModel& network() const { return *net_; }
+  /// The interconnect every send of this world is priced on.
+  const NetworkConfig& network() const { return net_; }
 
   /// Installs the shared fault-injection rule set (null = fault-free).
   void set_fault_injector(std::shared_ptr<FaultInjector> faults) { faults_ = std::move(faults); }
@@ -54,12 +55,10 @@ class World {
   /// its full lanes (backpressure) release instead of hanging forever.
   void mark_rank_dead(int rank);
   bool rank_dead(int rank) const;
-  /// World ranks currently dead, ascending.
-  std::vector<int> dead_ranks() const;
 
  private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::shared_ptr<NetworkModel> net_;
+  NetworkConfig net_;
   std::shared_ptr<FaultInjector> faults_;
   std::shared_ptr<ScheduleController> sched_;
   mutable std::mutex dead_mu_;
@@ -87,19 +86,13 @@ struct LaunchStats {
 /// ranks finish or the world would deadlock otherwise.  A non-null
 /// `faults` arms deterministic fault injection; ranks it kills are
 /// recorded in LaunchStats::ranks_killed, not rethrown.
-/// A non-null `sched` installs a deterministic schedule controller for the
-/// launch (tests inject custom policies this way); by default the world
-/// builds one itself iff the network config's sched_policy says so.
+/// An omitted `net` means NetworkConfig::from_env(); a bad config throws
+/// before any rank starts.  A non-null `sched` installs a deterministic
+/// schedule controller for the launch (tests inject custom policies this
+/// way); by default the world builds one itself iff the network config's
+/// sched_policy says so.
 LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
-                   std::shared_ptr<NetworkModel> net = nullptr,
-                   std::shared_ptr<FaultInjector> faults = nullptr,
-                   std::shared_ptr<ScheduleController> sched = nullptr);
-
-/// Convenience overload: builds the model from `net_cfg` (flat, fattree, or
-/// dragonfly per its `model` field) — the form the CLI flags and topology
-/// benches use.
-LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
-                   const NetworkConfig& net_cfg,
+                   std::optional<NetworkConfig> net = std::nullopt,
                    std::shared_ptr<FaultInjector> faults = nullptr,
                    std::shared_ptr<ScheduleController> sched = nullptr);
 

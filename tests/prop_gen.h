@@ -12,12 +12,11 @@
 
 #include "common/env.h"
 #include "common/rng.h"
-#include "simmpi/network.h"
 #include "simmpi/schedule.h"
 
 namespace smart::simmpi::prop {
 
-/// One generated launch configuration: cluster shape, traffic shape, and
+/// One generated launch configuration: cluster size, traffic shape, and
 /// whether a (virtual) delay fault is armed.  Kept small on purpose — the
 /// schedule space per config is what the harness explores, not the config
 /// space.
@@ -25,14 +24,12 @@ struct ExploreCase {
   int nranks = 2;
   int rounds = 4;           ///< collective rounds per launch
   std::size_t vec_len = 8;  ///< payload doubles per rank and round
-  std::string net_model = "flat";
   bool delay_fault = false;      ///< arm a virtual kDelay rule on rank 1
   std::uint64_t data_seed = 1;   ///< per-case workload seed
 
   std::string describe() const {
     return "nranks=" + std::to_string(nranks) + " rounds=" + std::to_string(rounds) +
-           " vec_len=" + std::to_string(vec_len) + " net=" + net_model +
-           " delay_fault=" + (delay_fault ? "1" : "0") +
+           " vec_len=" + std::to_string(vec_len) + " delay_fault=" + (delay_fault ? "1" : "0") +
            " data_seed=" + std::to_string(data_seed);
   }
 };
@@ -41,24 +38,16 @@ struct ExploreCase {
 /// barrier/collective shapes where the PR-6 bugs lived).
 inline ExploreCase gen_case(Rng& rng) {
   static const int kRanks[] = {2, 3, 4, 5, 6};
-  static const char* kModels[] = {"flat", "flat", "fattree", "dragonfly"};
   ExploreCase c;
   c.nranks = kRanks[rng.uniform_int(0, 4)];
   c.rounds = static_cast<int>(rng.uniform_int(2, 6));
   c.vec_len = static_cast<std::size_t>(rng.uniform_int(4, 32));
-  c.net_model = kModels[rng.uniform_int(0, 3)];
+  // This draw once picked a network model; it stays so that every seed
+  // still generates the same case.
+  (void)rng.uniform_int(0, 3);
   c.delay_fault = rng.uniform() < 0.3;
   c.data_seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
   return c;
-}
-
-/// Network config for a case (no sched_* fields — the harness injects its
-/// controllers explicitly so it can read back their traces).
-inline NetworkConfig net_config_for(const ExploreCase& c) {
-  NetworkConfig cfg;
-  cfg.model = c.net_model;
-  cfg.ranks_per_node = 2;  // exercise the topology models at small n
-  return cfg;
 }
 
 /// Schedules explored per configuration; SMART_EXPLORE_SCHEDULES overrides

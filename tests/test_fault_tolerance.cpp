@@ -213,7 +213,7 @@ TEST(FaultInjector, DroppedMessageYieldsPeerUnreachableNotAHang) {
           EXPECT_THROW(comm.recv_timeout(0, 9, 0.05), simmpi::PeerUnreachable);
         }
       },
-      nullptr, faults);
+      std::nullopt, faults);
 }
 
 TEST(FaultInjector, DuplicateDeliversTwice) {
@@ -232,7 +232,7 @@ TEST(FaultInjector, DuplicateDeliversTwice) {
           EXPECT_EQ(comm.recv_timeout(0, 9, 1.0), Buffer{std::byte{7}});
         }
       },
-      nullptr, faults);
+      std::nullopt, faults);
 }
 
 TEST(FaultInjector, DelayAdvancesVirtualTime) {
@@ -251,7 +251,7 @@ TEST(FaultInjector, DelayAdvancesVirtualTime) {
           comm.recv(0, 9);
         }
       },
-      nullptr, faults);
+      std::nullopt, faults);
   // The sender stalled and its message's virtual timestamp advanced, so
   // both clocks carry the delay.
   EXPECT_GE(stats.rank_vtime[0], 0.02);
@@ -275,7 +275,7 @@ TEST(FaultInjector, KillRankRecordsDeathAndWakesPeers) {
           EXPECT_EQ(comm.alive_ranks(), (std::vector<int>{0}));
         }
       },
-      nullptr, faults);
+      std::nullopt, faults);
   EXPECT_EQ(stats.ranks_killed, (std::vector<int>{1}));
 }
 
@@ -314,7 +314,7 @@ TEST(Recovery, RetryRecoversFromTransientDrop) {
         EXPECT_EQ(hist.stats().ranks_lost, 0u);
         EXPECT_TRUE(hist.surviving_ranks().empty()) << "no degradation on a transient drop";
       },
-      nullptr, faults);
+      std::nullopt, faults);
 }
 
 TEST(Recovery, AutoCheckpointCadence) {
@@ -416,7 +416,7 @@ TEST(Recovery, KilledRankDegradesCombinationAndCheckpointRestores) {
         ranks_lost[static_cast<std::size_t>(comm.rank())] = hist.stats().ranks_lost;
         EXPECT_EQ(hist.stats().auto_checkpoints, static_cast<std::size_t>(kRuns));
       },
-      nullptr, faults);
+      std::nullopt, faults);
 
   EXPECT_EQ(stats.ranks_killed, (std::vector<int>{3}));
   // The survivor that waited on the dead rank in the combination tree
@@ -491,7 +491,7 @@ TEST(InTransitFaults, DeadProducerStreamEndIsReassigned) {
         }
         EXPECT_EQ(total, 3 * block.size());
       },
-      nullptr, faults);
+      std::nullopt, faults);
   EXPECT_EQ(stats.ranks_killed, (std::vector<int>{0}));
 }
 
@@ -533,7 +533,7 @@ TEST(InTransitFaults, CombinationFallsBackToSurvivingRoot) {
         }
         EXPECT_EQ(total, 2 * block.size()) << "rank " << comm.rank();
       },
-      nullptr, faults);
+      std::nullopt, faults);
   EXPECT_EQ(stats.ranks_killed, (std::vector<int>{3}));
 }
 

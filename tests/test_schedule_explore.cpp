@@ -51,6 +51,7 @@ using simmpi::DeliveryRecord;
 using simmpi::FaultAction;
 using simmpi::FaultInjector;
 using simmpi::FaultOp;
+using simmpi::NetworkConfig;
 using simmpi::PendingDelivery;
 using simmpi::ScheduleController;
 using simmpi::SchedulePolicy;
@@ -145,7 +146,7 @@ std::vector<std::int64_t> run_collective_mix(const prop::ExploreCase& c,
         }
         per_rank[static_cast<std::size_t>(comm.rank())] = std::move(acc);
       },
-      prop::net_config_for(c), faults, sched);
+      NetworkConfig{}, faults, sched);
   for (int r = 1; r < c.nranks; ++r) {
     EXPECT_EQ(per_rank[static_cast<std::size_t>(r)], per_rank[0])
         << what << ": rank " << r << " diverged; " << hint();
@@ -203,7 +204,7 @@ TEST(ScheduleExplore, TreeRingSerialAgreeAcrossExploredSchedules) {
             const auto mine = rank_payload(c, comm.rank(), 0);
             tree[static_cast<std::size_t>(comm.rank())] = comm.allreduce_sum(mine);
           },
-          prop::net_config_for(c), faults, sched);
+          NetworkConfig{}, faults, sched);
       for (int r = 0; r < c.nranks; ++r) {
         EXPECT_EQ(tree[static_cast<std::size_t>(r)], expected)
             << c.describe() << " " << policy << " seed " << s << " rank " << r << " (tree); "
@@ -242,7 +243,7 @@ TEST(ScheduleExplore, HistogramCombinationMatchesReferenceAcrossSchedules) {
                 << (fault_tolerant ? " fault-tolerant; " : " tree; ") << prop::replay_hint(*sched);
             EXPECT_EQ(hist.stats().combine_retries, 0u) << "rank " << comm.rank();
           },
-          nullptr, nullptr, sched);
+          std::nullopt, nullptr, sched);
     }
   }
 }
@@ -280,7 +281,7 @@ TEST(ScheduleExplore, RecoveryEqualsFaultFreeAcrossSchedules) {
           EXPECT_EQ(hist.stats().ranks_lost, 0u) << "rank " << comm.rank();
           retries[static_cast<std::size_t>(comm.rank())] = hist.stats().combine_retries;
         },
-        nullptr, faults, sched);
+        std::nullopt, faults, sched);
     // Which rank times out first is up to wall time: a rank that reaches
     // its receive after the other's resend landed never retries.  The lost
     // payload still costs at least one retry between the two.
@@ -296,7 +297,6 @@ TEST(ScheduleExplore, FlowEventsPairAcrossSchedules) {
   c.nranks = 3;
   c.rounds = 3;
   c.vec_len = 8;
-  c.net_model = "flat";
   auto& tc = obs::TraceCollector::instance();
   for (int s = 0; s < 2; ++s) {
     tc.clear();
@@ -326,11 +326,11 @@ TEST(ScheduleExplore, PerLaneArrivalVtimeNeverRegresses) {
   Rng rng(6300);
   const int schedules = prop::explore_schedules();
   for (int case_i = 0; case_i < 2; ++case_i) {
-    auto c = prop::gen_case(rng);
+    const auto c = prop::gen_case(rng);
     // Same-lane messages in the mix workload all carry equal-size payloads,
-    // so on the stateless flat model FIFO submission implies non-decreasing
-    // arrival stamps; a regression means lane order was violated.
-    c.net_model = "flat";
+    // so on the stateless alpha-beta cost FIFO submission implies
+    // non-decreasing arrival stamps; a regression means lane order was
+    // violated.
     for (int s = 0; s < schedules; ++s) {
       auto sched = prop::make_explorer("random", 600 + static_cast<std::uint64_t>(s));
       run_collective_mix(c, sched, nullptr, "vtime " + c.describe());
@@ -417,7 +417,7 @@ TEST(ScheduleExplore, NonPowerOfTwoBarrierHoldsAcrossReorderSeeds) {
               }
             }
           },
-          nullptr, nullptr, sched);
+          std::nullopt, nullptr, sched);
     }
   }
 }
@@ -478,7 +478,7 @@ TEST(ScheduleExplore, ReceiveDeadlineRaceNeverLosesTheMessage) {
                 << "message duplicated; iter " << iter;
           }
         },
-        nullptr, nullptr, sched);
+        std::nullopt, nullptr, sched);
     EXPECT_EQ(sched->deliveries(), 1u) << "iter " << iter;
     EXPECT_EQ(sched->held(), 0u) << "message lost in the controller; iter " << iter;
   }

@@ -11,7 +11,8 @@
 //     split) while the duplicate fault shares one payload instead of
 //     deep-copying it,
 //   * BufferPool recycling, retention bounds, and counters,
-//   * network cost models, and their rejection of out-of-domain configs.
+//   * the alpha-beta arrival stamp, and the rejection of out-of-domain
+//     configs and of SMART_NET_* variables the network does not read.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -551,117 +552,70 @@ TEST(TransportSharedPayload, SplitBroadcastsTableShared) {
   });
 }
 
-TEST(TransportNetwork, TopologyCostsOrderByDistance) {
-  NetworkConfig cfg;
-  cfg.ranks_per_node = 2;
-  cfg.nodes_per_edge = 2;
-  cfg.nodes_per_group = 2;
+TEST(TransportNetwork, FlatArrivalIsAlphaPlusBytesOverBeta) {
+  // The arrival stamp is (depart + alpha) + bytes / beta, evaluated in that
+  // order so every stamp is bit-identical to the cost model it replaced.
+  const NetworkConfig cfg;
   constexpr std::size_t kBytes = 1u << 20;
-
-  auto flat = make_network_model(cfg);
-  const double flat_any = flat->arrival_vtime(0, 7, kBytes, 0.0);
-  EXPECT_DOUBLE_EQ(flat_any,
-                   cfg.alpha_seconds + static_cast<double>(kBytes) / cfg.beta_bytes_per_second);
-
-  // The topology models are stateful (links remember occupancy), so each
-  // measurement below uses link-disjoint rank pairs.
-  cfg.model = "fattree";
-  auto ft = make_network_model(cfg);
-  const double ft_intra_node = ft->arrival_vtime(0, 1, kBytes, 0.0);  // same node: no links
-  const double ft_intra_pod = ft->arrival_vtime(0, 2, kBytes, 0.0);   // node 0 -> node 1, pod 0
-  const double ft_cross_pod = ft->arrival_vtime(5, 1, kBytes, 0.0);   // pod 1 -> pod 0
-  EXPECT_DOUBLE_EQ(ft_intra_node, flat_any);  // same-node messages stay memory-speed
-  EXPECT_LT(ft_intra_node, ft_intra_pod);
-  EXPECT_LT(ft_intra_pod, ft_cross_pod);  // tapered uplinks make pod crossings dearer
-  EXPECT_GT(ft_cross_pod, flat_any);
-
-  cfg.model = "dragonfly";
-  auto df = make_network_model(cfg);
-  const double df_intra_group = df->arrival_vtime(0, 2, kBytes, 0.0);  // inside group 0
-  const double df_cross_group = df->arrival_vtime(5, 1, kBytes, 0.0);  // group 1 -> group 0
-  EXPECT_LT(df_intra_group, df_cross_group);  // tapered global link
-  EXPECT_GT(df_cross_group, flat_any);
-}
-
-TEST(TransportNetwork, SharedLinkContentionDelaysSecondTransfer) {
-  NetworkConfig cfg;
-  cfg.model = "fattree";
-  cfg.ranks_per_node = 2;
-  cfg.nodes_per_edge = 2;
-  constexpr std::size_t kBytes = 1u << 20;
-  auto ft = make_network_model(cfg);
-  // Two transfers over the same node->edge->core path departing at the
-  // same instant: the second queues behind the first on every shared link.
-  const double first = ft->arrival_vtime(0, 7, kBytes, 0.0);
-  const double second = ft->arrival_vtime(0, 7, kBytes, 0.0);
-  EXPECT_GT(second, first);
-  // The flat model is stateless: repeated identical sends cost the same.
-  cfg.model = "flat";
-  auto flat = make_network_model(cfg);
-  EXPECT_DOUBLE_EQ(flat->arrival_vtime(0, 7, kBytes, 0.0), flat->arrival_vtime(0, 7, kBytes, 0.0));
-}
-
-TEST(TransportNetwork, UnknownModelNameThrows) {
-  NetworkConfig cfg;
-  cfg.model = "hypercube";
-  EXPECT_THROW((void)make_network_model(cfg), std::invalid_argument);
+  constexpr double kDepart = 0.02;
+  const double transfer = static_cast<double>(kBytes) / cfg.beta_bytes_per_second;
+  const double expected = (kDepart + cfg.alpha_seconds) + transfer;
+  // At this departure the other association rounds differently, so the
+  // check below pins the order, not just the terms.
+  ASSERT_NE(expected, kDepart + (cfg.alpha_seconds + transfer));
+  EXPECT_EQ(cfg.arrival_vtime(kBytes, kDepart), expected);
+  // Stateless: a repeated identical send costs the same.
+  EXPECT_EQ(cfg.arrival_vtime(kBytes, kDepart), cfg.arrival_vtime(kBytes, kDepart));
+  EXPECT_EQ(cfg.arrival_vtime(0, kDepart), kDepart + cfg.alpha_seconds);
 }
 
 TEST(TransportNetwork, OutOfDomainFieldsThrowNamingTheField) {
   // Each case breaks one field of an otherwise valid config: a zero or
-  // negative bandwidth, a negative or non-finite latency, or an empty node
-  // or torus shape.  Every model rejects it, whichever it would use.
+  // negative bandwidth, or a negative or non-finite latency.  launch()
+  // rejects it before any rank starts.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<std::pair<std::string, std::function<void(NetworkConfig&)>>> cases = {
       {"alpha_seconds", [](NetworkConfig& c) { c.alpha_seconds = -1e-6; }},
       {"alpha_seconds", [&](NetworkConfig& c) { c.alpha_seconds = nan; }},
-      {"hop_latency_seconds", [](NetworkConfig& c) { c.hop_latency_seconds = -5e-7; }},
       {"beta_bytes_per_second", [](NetworkConfig& c) { c.beta_bytes_per_second = 0.0; }},
       {"beta_bytes_per_second", [](NetworkConfig& c) { c.beta_bytes_per_second = -5e9; }},
       {"beta_bytes_per_second", [&](NetworkConfig& c) { c.beta_bytes_per_second = inf; }},
-      {"uplink_bandwidth_factor", [](NetworkConfig& c) { c.uplink_bandwidth_factor = 0.0; }},
-      {"global_bandwidth_factor", [&](NetworkConfig& c) { c.global_bandwidth_factor = nan; }},
-      {"ranks_per_node", [](NetworkConfig& c) { c.ranks_per_node = 0; }},
-      {"nodes_per_edge", [](NetworkConfig& c) { c.nodes_per_edge = -2; }},
-      {"nodes_per_group", [](NetworkConfig& c) { c.nodes_per_group = 0; }},
-      {"torus_x", [](NetworkConfig& c) { c.torus_x = 0; }},
-      {"torus_y", [](NetworkConfig& c) { c.torus_y = -1; }},
-      {"torus_z", [](NetworkConfig& c) { c.torus_z = 0; }},
   };
-  for (const char* model : {"flat", "fattree", "dragonfly", "torus"}) {
-    NetworkConfig good;
-    good.model = model;
-    EXPECT_NO_THROW((void)make_network_model(good)) << model;
-    for (const auto& [field, corrupt] : cases) {
-      NetworkConfig bad = good;
-      corrupt(bad);
-      try {
-        (void)make_network_model(bad);
-        ADD_FAILURE() << model << ": no throw for a bad " << field;
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-            << model << ": '" << e.what() << "' does not name " << field;
-      }
+  const auto noop = [](Communicator&) {};
+  EXPECT_NO_THROW(launch(1, noop, NetworkConfig{}));
+  for (const auto& [field, corrupt] : cases) {
+    NetworkConfig bad;
+    corrupt(bad);
+    try {
+      launch(1, noop, bad);
+      ADD_FAILURE() << "no throw for a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << "'" << e.what() << "' does not name " << field;
     }
   }
   // Zero latency is a legal ideal link.
   NetworkConfig ideal;
   ideal.alpha_seconds = 0.0;
-  ideal.hop_latency_seconds = 0.0;
-  EXPECT_NO_THROW((void)make_network_model(ideal));
+  EXPECT_NO_THROW(launch(1, noop, ideal));
 }
 
 TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
-  // Each bad value throws naming its variable; none may wrap in a cast
-  // (2^32 + 2 ranks per node to 2, a negative lane cap to SIZE_MAX).
+  // Each bad value throws naming its variable; none may wrap in a cast (a
+  // negative lane cap to SIZE_MAX).  So does any SMART_NET_* variable the
+  // network does not read: a setting of the removed topology models, or a
+  // misspelling, would otherwise leave the run priced at the defaults.
   const std::vector<std::pair<const char*, const char*>> bad = {
-      {"SMART_NET_RANKS_PER_NODE", "4294967298"},
-      {"SMART_NET_RANKS_PER_NODE", "0"},
-      {"SMART_NET_TORUS_X", "four"},
       {"SMART_NET_LANE_CAP", "-1"},
+      {"SMART_NET_LANE_CAP", "four"},
       {"SMART_NET_LANE_CAP_BYTES", "64k"},
+      {"SMART_NET_LANE_CAP_BYTES", "18446744073709551617"},
       {"SMART_SCHED_SEED", "-7"},
+      {"SMART_NET_MODEL", "dragonfly"},
+      {"SMART_NET_RANKS_PER_NODE", "2"},
+      {"SMART_NET_TORUS_X", "4"},
+      {"SMART_NET_APLHA", "1e-6"},
   };
   for (const auto& [name, value] : bad) {
     ASSERT_EQ(setenv(name, value, 1), 0);
@@ -673,27 +627,28 @@ TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
     }
     unsetenv(name);
   }
-  // A bad double is caught where the model is built.
+  // A bad double is caught where launch() takes the environment's config.
   ASSERT_EQ(setenv("SMART_NET_BETA", "0", 1), 0);
-  EXPECT_THROW((void)default_network_model(), std::invalid_argument);
+  EXPECT_THROW(launch(1, [](Communicator&) {}), std::invalid_argument);
   unsetenv("SMART_NET_BETA");
 
-  ASSERT_EQ(setenv("SMART_NET_RANKS_PER_NODE", "3", 1), 0);
   ASSERT_EQ(setenv("SMART_NET_LANE_CAP", "0", 1), 0);
+  ASSERT_EQ(setenv("SMART_NET_LANE_CAP_BYTES", "4096", 1), 0);
+  ASSERT_EQ(setenv("SMART_NET_MODEL", "", 1), 0);  // empty means unset
   const NetworkConfig cfg = NetworkConfig::from_env();
-  EXPECT_EQ(cfg.ranks_per_node, 3);
   EXPECT_EQ(cfg.lane_capacity_msgs, 0u);
-  unsetenv("SMART_NET_RANKS_PER_NODE");
+  EXPECT_EQ(cfg.lane_capacity_bytes, 4096u);
   unsetenv("SMART_NET_LANE_CAP");
+  unsetenv("SMART_NET_LANE_CAP_BYTES");
+  unsetenv("SMART_NET_MODEL");
 }
 
 TEST(TransportNetwork, EnvironmentDoublesAreRangeChecked) {
   // Each bad value throws naming its variable, instead of running at the
   // default (text) or at a prefix of the value (trailing text).
   const std::vector<std::pair<const char*, const char*>> bad = {
-      {"SMART_NET_BETA", "fast"},         {"SMART_NET_ALPHA", "1e-3x"},
-      {"SMART_NET_ALPHA", "-1e-6"},       {"SMART_NET_HOP_LATENCY", "nan"},
-      {"SMART_NET_UPLINK_FACTOR", "inf"}, {"SMART_NET_GLOBAL_FACTOR", "1e999"},
+      {"SMART_NET_BETA", "fast"},  {"SMART_NET_ALPHA", "1e-3x"}, {"SMART_NET_ALPHA", "-1e-6"},
+      {"SMART_NET_ALPHA", "nan"},  {"SMART_NET_BETA", "inf"},    {"SMART_NET_BETA", "1e999"},
   };
   for (const auto& [name, value] : bad) {
     ASSERT_EQ(setenv(name, value, 1), 0);
@@ -724,50 +679,6 @@ TEST(TransportNetwork, EnvironmentDoublesAreRangeChecked) {
   EXPECT_EQ(bench_scale(), 0.5);
   unsetenv("SMART_BENCH_SCALE");
   EXPECT_EQ(bench_scale(), 1.0);
-}
-
-TEST(TransportNetwork, TorusCostsOrderByHopDistance) {
-  NetworkConfig cfg;
-  cfg.model = "torus";
-  cfg.ranks_per_node = 1;
-  cfg.torus_x = 4;
-  cfg.torus_y = 4;
-  cfg.torus_z = 1;
-  constexpr std::size_t kBytes = 1u << 20;
-  // Each probe prices one transfer on a fresh model, so every link is idle.
-  const auto idle_arrival = [](const NetworkConfig& c, int src, int dst) {
-    return make_network_model(c)->arrival_vtime(src, dst, kBytes, 0.0);
-  };
-
-  const double one_hop = idle_arrival(cfg, 0, 1);    // (0,0) -> (1,0)
-  const double two_hops = idle_arrival(cfg, 0, 2);   // (0,0) -> (2,0)
-  const double diagonal = idle_arrival(cfg, 0, 10);  // (0,0) -> (2,2): 4 hops
-  EXPECT_LT(one_hop, two_hops);
-  EXPECT_LT(two_hops, diagonal);
-
-  // Wraparound: the last node in a row is one +x hop from the first, not
-  // extent-1 hops the long way round.
-  EXPECT_DOUBLE_EQ(idle_arrival(cfg, 3, 0), one_hop);
-
-  // Dimension extent 1 contributes no hops: a 4x1x1 torus is a plain ring.
-  NetworkConfig ring_cfg = cfg;
-  ring_cfg.torus_y = 1;
-  EXPECT_DOUBLE_EQ(idle_arrival(ring_cfg, 1, 2), one_hop);
-
-  // Same-node ranks skip the network entirely.
-  NetworkConfig packed = cfg;
-  packed.ranks_per_node = 2;
-  EXPECT_DOUBLE_EQ(idle_arrival(packed, 0, 1),
-                   cfg.alpha_seconds + static_cast<double>(kBytes) / cfg.beta_bytes_per_second);
-
-  // The arrival model is contended: two transfers over the same
-  // nearest-neighbor path queue behind each other.
-  auto torus = make_network_model(cfg);
-  const double first = torus->arrival_vtime(0, 3, kBytes, 0.0);
-  const double second = torus->arrival_vtime(0, 3, kBytes, 0.0);
-  EXPECT_GT(second, first);
-  // The first found its one -x hop idle, so it costs what one hop costs.
-  EXPECT_DOUBLE_EQ(first, one_hop);
 }
 
 TEST(TransportBufferPool, AdaptiveWatermarkTracksShiftingWorkload) {

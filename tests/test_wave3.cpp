@@ -302,19 +302,9 @@ TEST(Render, WritesValidPgm) {
   std::remove(path.c_str());
 }
 
-TEST(Render, AsciiHeatmapShapesCorrectly) {
-  const std::vector<double> plane = {0.0, 1.0, 2.0, 3.0, 4.0, 5.0};
-  const std::string art = ascii_heatmap(plane.data(), 3, 2);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 2);
-  EXPECT_EQ(art.size(), 8u);       // 3 chars + \n, twice
-  EXPECT_EQ(art.front(), ' ');     // minimum -> darkest
-  EXPECT_EQ(art[art.size() - 2], '@');  // maximum -> brightest
-}
-
 TEST(Render, RejectsEmptyPlane) {
   const std::vector<double> plane = {1.0};
   EXPECT_THROW(render_plane(plane.data(), 0, 1), std::invalid_argument);
-  EXPECT_EQ(ascii_heatmap(plane.data(), 0, 1), "");
 }
 
 }  // namespace
