@@ -6,6 +6,13 @@
 // Paper: 40 GB emulator output, single node, 8 cores; Smart beats Spark by
 // 21x/62x/92x and scales to 7.95/7.71/7.96 on 8 threads; Spark holds >90%
 // of RAM, Smart's analytics ~16 MB.
+//
+// Each Smart and MiniSpark leg runs 3 times (bench::repeat over its wall
+// time); the table prints each side's min, median and spread, and both
+// speedups divide minima.
+#include <algorithm>
+#include <limits>
+
 #include "analytics/histogram.h"
 #include "analytics/kmeans.h"
 #include "analytics/logistic_regression.h"
@@ -18,14 +25,36 @@ namespace {
 using namespace smart;
 using namespace smart::analytics;
 
-struct AppResult {
-  double smart_wall = 0.0;
-  double smart_virtual = 0.0;  // critical path: max worker busy time
-  double spark_wall = 0.0;
-  std::size_t smart_peak_bytes = 0;
-  std::size_t spark_peak_bytes = 0;
-  RunStats smart_stats;  // full scheduler stat set (RUNSTATS line)
+/// One run of one leg: Smart or MiniSpark on one app at one thread count.
+struct Run {
+  double wall = 0.0;
+  double virtual_s = 0.0;  // Smart's critical path: max worker busy time
+  std::size_t peak_bytes = 0;
+  RunStats stats;  // Smart's full scheduler stat set (RUNSTATS line)
 };
+
+using Leg = Run (*)(const std::vector<double>&, int);
+
+/// Times one leg body with the memory tracker reset around it.
+template <typename Fn>
+Run timed(const Fn& body) {
+  smart::bench::reset_memory();
+  Run r;
+  WallTimer wall;
+  body();
+  r.wall = wall.seconds();
+  r.peak_bytes = MemoryTracker::instance().peak();
+  return r;
+}
+
+/// Smart's stats and virtual time, read after its run.
+template <typename App>
+Run smart_run(App& app, const std::vector<double>& data) {
+  Run r = timed([&] { app.run(data.data(), data.size(), nullptr, 0); });
+  r.stats = app.stats();
+  r.virtual_s = r.stats.reduction_seconds + r.stats.combination_seconds;
+  return r;
+}
 
 minispark::SparkContext::Config spark_config(int threads) {
   minispark::SparkContext::Config cfg;
@@ -34,102 +63,95 @@ minispark::SparkContext::Config spark_config(int threads) {
   return cfg;
 }
 
-AppResult bench_logreg(const std::vector<double>& data, int threads) {
-  constexpr std::size_t kDim = 15;
-  constexpr int kIters = 10;
-  AppResult r;
-  {
-    smart::bench::reset_memory();
-    LogisticRegression<double> reg(SchedArgs(threads, kDim + 1, nullptr, kIters), kDim, 0.1);
-    WallTimer wall;
-    reg.run(data.data(), data.size(), nullptr, 0);
-    r.smart_wall = wall.seconds();
-    r.smart_stats = reg.stats();
-    r.smart_virtual = r.smart_stats.reduction_seconds + r.smart_stats.combination_seconds;
-    r.smart_peak_bytes = MemoryTracker::instance().peak();
-  }
-  {
-    smart::bench::reset_memory();
-    minispark::SparkContext ctx(spark_config(threads));
-    WallTimer wall;
-    (void)minispark::spark_logreg(ctx, data, kDim, kIters, 0.1);
-    r.spark_wall = wall.seconds();
-    r.spark_peak_bytes = MemoryTracker::instance().peak();
-  }
-  return r;
-}
+constexpr std::size_t kLogRegDim = 15;
+constexpr int kIters = 10;
+constexpr std::size_t kK = 8, kDims = 64;
+constexpr int kBuckets = 100;
 
-AppResult bench_kmeans(const std::vector<double>& data, int threads) {
-  constexpr std::size_t kK = 8, kDims = 64;
-  constexpr int kIters = 10;
+std::vector<double> kmeans_init() {
   std::vector<double> init(kK * kDims);
   Rng rng(23);
   for (auto& c : init) c = rng.gaussian();
-  AppResult r;
-  {
-    smart::bench::reset_memory();
-    KMeansInit seed{init.data(), kK, kDims};
-    KMeans<double> km(SchedArgs(threads, kDims, &seed, kIters), kK, kDims);
-    WallTimer wall;
-    km.run(data.data(), data.size(), nullptr, 0);
-    r.smart_wall = wall.seconds();
-    r.smart_stats = km.stats();
-    r.smart_virtual = r.smart_stats.reduction_seconds + r.smart_stats.combination_seconds;
-    r.smart_peak_bytes = MemoryTracker::instance().peak();
-  }
-  {
-    smart::bench::reset_memory();
-    minispark::SparkContext ctx(spark_config(threads));
-    WallTimer wall;
-    (void)minispark::spark_kmeans(ctx, data, kDims, kK, kIters, init);
-    r.spark_wall = wall.seconds();
-    r.spark_peak_bytes = MemoryTracker::instance().peak();
-  }
-  return r;
+  return init;
 }
 
-AppResult bench_histogram(const std::vector<double>& data, int threads) {
-  constexpr int kBuckets = 100;
-  AppResult r;
-  {
-    smart::bench::reset_memory();
-    Histogram<double> hist(SchedArgs(threads, 1), -5.0, 5.0, kBuckets);
-    WallTimer wall;
-    hist.run(data.data(), data.size(), nullptr, 0);
-    r.smart_wall = wall.seconds();
-    r.smart_stats = hist.stats();
-    r.smart_virtual = r.smart_stats.reduction_seconds + r.smart_stats.combination_seconds;
-    r.smart_peak_bytes = MemoryTracker::instance().peak();
-  }
-  {
-    smart::bench::reset_memory();
-    minispark::SparkContext ctx(spark_config(threads));
-    WallTimer wall;
-    (void)minispark::spark_histogram(ctx, data, -5.0, 5.0, kBuckets);
-    r.spark_wall = wall.seconds();
-    r.spark_peak_bytes = MemoryTracker::instance().peak();
-  }
-  return r;
+Run smart_logreg(const std::vector<double>& data, int threads) {
+  LogisticRegression<double> reg(SchedArgs(threads, kLogRegDim + 1, nullptr, kIters), kLogRegDim,
+                                 0.1);
+  return smart_run(reg, data);
 }
 
-void run_app(const char* name, const char* tag, const std::vector<double>& data,
-             AppResult (*fn)(const std::vector<double>&, int)) {
-  Table table({"threads", "smart_s", "spark_s", "spark_vs_smart_x", "smart_speedup_virtual",
+Run spark_logreg(const std::vector<double>& data, int threads) {
+  minispark::SparkContext ctx(spark_config(threads));
+  return timed([&] { (void)minispark::spark_logreg(ctx, data, kLogRegDim, kIters, 0.1); });
+}
+
+Run smart_kmeans(const std::vector<double>& data, int threads) {
+  const std::vector<double> init = kmeans_init();
+  KMeansInit seed{init.data(), kK, kDims};
+  KMeans<double> km(SchedArgs(threads, kDims, &seed, kIters), kK, kDims);
+  return smart_run(km, data);
+}
+
+Run spark_kmeans(const std::vector<double>& data, int threads) {
+  const std::vector<double> init = kmeans_init();
+  minispark::SparkContext ctx(spark_config(threads));
+  return timed([&] { (void)minispark::spark_kmeans(ctx, data, kDims, kK, kIters, init); });
+}
+
+Run smart_histogram(const std::vector<double>& data, int threads) {
+  Histogram<double> hist(SchedArgs(threads, 1), -5.0, 5.0, kBuckets);
+  return smart_run(hist, data);
+}
+
+Run spark_histogram(const std::vector<double>& data, int threads) {
+  minispark::SparkContext ctx(spark_config(threads));
+  return timed([&] { (void)minispark::spark_histogram(ctx, data, -5.0, 5.0, kBuckets); });
+}
+
+/// A leg run 3 times (bench::repeat over its wall time): the minimum of
+/// its virtual times beside, the rest from the last run.
+struct RepeatedRun {
+  smart::bench::Repeated wall;
+  double virtual_min = 0.0;
+  Run last;
+};
+
+RepeatedRun repeat_run(Leg leg, const std::vector<double>& data, int threads) {
+  RepeatedRun out;
+  out.virtual_min = std::numeric_limits<double>::infinity();
+  out.wall = smart::bench::repeat([&] {
+    out.last = leg(data, threads);
+    out.virtual_min = std::min(out.virtual_min, out.last.virtual_s);
+    return out.last.wall;
+  });
+  return out;
+}
+
+void run_app(const char* name, const char* tag, const std::vector<double>& data, Leg smart_leg,
+             Leg spark_leg) {
+  // Each leg runs 3 times; the speedups divide the minima.
+  Table table({"threads", "smart_min_s", "smart_median_s", "smart_spread", "spark_min_s",
+               "spark_median_s", "spark_spread", "spark_vs_smart_x", "smart_speedup_virtual",
                "smart_peak_mem", "spark_peak_mem"});
   double smart_base_virtual = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
-    const AppResult r = fn(data, threads);
+    const RepeatedRun smart = repeat_run(smart_leg, data, threads);
+    const RepeatedRun spark = repeat_run(spark_leg, data, threads);
     smart::bench::print_run_stats(std::string(tag) + "/threads=" + std::to_string(threads),
-                                  r.smart_stats);
-    if (threads == 1) smart_base_virtual = r.smart_virtual;
+                                  smart.last.stats);
+    if (threads == 1) smart_base_virtual = smart.virtual_min;
     table.begin_row();
     table.add(threads);
-    table.add(r.smart_wall, 3);
-    table.add(r.spark_wall, 3);
-    table.add(r.spark_wall / r.smart_wall, 1);
-    table.add(r.smart_virtual > 0 ? smart_base_virtual / r.smart_virtual : 0.0, 2);
-    table.add(format_bytes(r.smart_peak_bytes));
-    table.add(format_bytes(r.spark_peak_bytes));
+    for (const auto* leg : {&smart.wall, &spark.wall}) {
+      table.add(leg->min, 3);
+      table.add(leg->median, 3);
+      table.add(leg->spread, 3);
+    }
+    table.add(spark.wall.min / smart.wall.min, 1);
+    table.add(smart.virtual_min > 0 ? smart_base_virtual / smart.virtual_min : 0.0, 2);
+    table.add(format_bytes(smart.last.peak_bytes));
+    table.add(format_bytes(spark.last.peak_bytes));
   }
   smart::bench::finish(table, tag, name);
 }
@@ -156,9 +178,11 @@ int harness_main() {
   const std::vector<double> records(lraw, lraw + labeled.step_len());
 
   run_app("Figure 5(a): logistic regression (iters=10, dim=15)", "fig05a", records,
-          bench_logreg);
-  run_app("Figure 5(b): k-means (k=8, iters=10, dim=64)", "fig05b", gaussian, bench_kmeans);
-  run_app("Figure 5(c): histogram (100 buckets)", "fig05c", gaussian, bench_histogram);
+          smart_logreg, spark_logreg);
+  run_app("Figure 5(b): k-means (k=8, iters=10, dim=64)", "fig05b", gaussian, smart_kmeans,
+          spark_kmeans);
+  run_app("Figure 5(c): histogram (100 buckets)", "fig05c", gaussian, smart_histogram,
+          spark_histogram);
 
   std::cout << "Expectation (paper shape): spark_vs_smart_x >> 1 for every app and thread\n"
                "count (an order of magnitude or more); Smart's virtual speedup near-linear\n"

@@ -9,10 +9,10 @@
 # The tier-1 build configures with -DSMART_WERROR=ON: the tree builds
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
-# The harness error-path step runs three fig harnesses into a typed error
-# (a non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube; a
-# SMART_NET_* variable the network does not read) and fails unless each
-# prints `error: ...` on stderr and exits 1.
+# The harness error-path step runs fig harnesses into a typed error (a
+# non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube; a
+# SMART_NET_* and a SMART_SCHED_* variable the network does not read) and
+# fails unless each prints `error: ...` on stderr and exits 1.
 #
 # The perfbench smoke runs the end-to-end benchmark's summary self-tests
 # and a 1 s run of each of its workloads (a Release build of
@@ -210,16 +210,19 @@ echo "   bench smoke ok"
 
 echo "== tier-1: harness error path =="
 # A fig harness that meets a typed error reports it as smart_cli does:
-# `error: <what>` on stderr and exit status 1, never an abort (134).  Three
+# `error: <what>` on stderr and exit status 1, never an abort (134).  Four
 # cases: a SMART_BENCH_SCALE that is not a number; one inside the accepted
 # range whose Fig 8 cube edge truncates below MiniLulesh's minimum (the
-# error is thrown in the ranks and rethrown by simmpi::launch); and
+# error is thrown in the ranks and rethrown by simmpi::launch);
 # SMART_NET_MODEL, a setting of the removed topology models, which
-# NetworkConfig::from_env rejects instead of pricing the run flat.
+# NetworkConfig::from_env rejects instead of pricing the run flat; and
+# SMART_SCHED_POLICCY, a misspelt schedule setting, which it rejects
+# instead of running the normal nondeterministic mode.
 harness_err="$repo/build/check_harness_error.log"
 for harness_case in "SMART_BENCH_SCALE=abc fig10_space_sharing" \
                     "SMART_BENCH_SCALE=1e-6 fig08_scale_threads" \
-                    "SMART_NET_MODEL=fattree fig07_scale_nodes"; do
+                    "SMART_NET_MODEL=fattree fig07_scale_nodes" \
+                    "SMART_SCHED_POLICCY=random fig07_scale_nodes"; do
   read -r setting harness <<< "$harness_case"
   status=0
   env "$setting" "$repo/build/bench/$harness" >/dev/null 2> "$harness_err" || status=$?
@@ -254,16 +257,15 @@ echo "== tier-1: kernel vectorization probe =="
 # The batched kernels only pay off if the compiler actually vectorizes
 # them.  Compile the probe TU with vectorizer diagnostics on and assert a
 # "loop vectorized" report on every loop batch_kernels.h marks with
-# `// vec-probe: must vectorize` (the bucketing loops, both dim loops of
-# the generic nearest-centroid kernel, the k-means point sums and the grid
-# sum) — a libm call, an early exit, loop-carried dependence, or aliasing
-# hazard reintroduced into one of them fails here instead of surfacing
-# weeks later as a bench diff.
+# `// vec-probe: must vectorize` (the bucketing loops, the k-means point
+# sums and the grid sum) — a libm call, an early exit, loop-carried
+# dependence, or aliasing hazard reintroduced into one of them fails here
+# instead of surfacing weeks later as a bench diff.
 vec_log="$repo/build/check_vec_probe.log"
+vec_obj="$repo/build/check_vec_probe.o"
 kernels_h="$repo/src/analytics/batch_kernels.h"
 g++ -O3 -std=c++20 -I"$repo/src" -fopt-info-vec-optimized \
-  -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe.o" \
-  2> "$vec_log"
+  -c "$repo/scripts/vec_probe.cpp" -o "$vec_obj" 2> "$vec_log"
 # Marked lines are code lines ending in the marker, not comments naming it.
 probe_lines=$(grep -nE '^[[:space:]]*[^/[:space:]].*// vec-probe: must vectorize' "$kernels_h" \
   | cut -d: -f1 || true)
@@ -274,7 +276,26 @@ for line in $probe_lines; do
     || { echo "batch_kernels.h:$line: marked loop no longer vectorizes:" >&2; \
          sed -n "${line}p" "$kernels_h" >&2; cat "$vec_log" >&2; exit 1; }
 done
-echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized"
+# The nearest-centroid pair kernel is explicit two-lane vector code, which
+# the vectorizer does not report on, so its instantiation is checked in the
+# disassembly: every function of the kernel (detail::nearest_centroids_pairs
+# and the detail::pair_* tiles it calls) together must contain packed
+# subpd, mulpd and addpd, and no addsd (a distance summed one lane at a
+# time, as when the accumulators are split into two scalars per pair).
+pair_ops=$(objdump -dC --no-show-raw-insn "$vec_obj" | awk '
+  /^[0-9a-f]+ <.*kernels::detail::(pair_|nearest_centroids_pairs)/ { in_kernel = 1; next }
+  /^$/ { in_kernel = 0 }
+  in_kernel { print $2 }')
+for op in subpd mulpd addpd; do
+  grep -qx "$op" <<< "$pair_ops" \
+    || { echo "pair kernel has no packed $op (vec_probe.cpp instantiation)" >&2; exit 1; }
+done
+if grep -qx addsd <<< "$pair_ops"; then
+  echo "pair kernel adds distances with scalar addsd (vec_probe.cpp instantiation)" >&2
+  exit 1
+fi
+echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized;" \
+  "pair kernel $(grep -cx addpd <<< "$pair_ops") addpd, 0 addsd"
 
 echo "== tier-1: perfbench smoke =="
 # perfbench/run.py builds perfbench_e2e in Release into .bench_build/ and

@@ -3,11 +3,13 @@
 // This TU exists only to be compiled with -fopt-info-vec-optimized:
 // check.sh asserts the compiler reports "loop vectorized" on every loop
 // that batch_kernels.h marks with a `// vec-probe: must vectorize`
-// comment, for the kernels instantiated here.  If a change to
-// batch_kernels.h silently breaks auto-vectorization (a reintroduced libm
-// call, an early exit in a distance loop, a loop-carried dependence, an
-// aliasing hazard), the probe fails the build matrix rather than letting
-// the regression ride to a bench diff weeks later.
+// comment, for the kernels instantiated here, and that the disassembled
+// pair kernel does its distance arithmetic in packed SSE2 instructions.
+// If a change to batch_kernels.h silently breaks vectorization (a
+// reintroduced libm call, a loop-carried dependence, an aliasing hazard,
+// pair accumulators split back into scalars), the probe fails the build
+// matrix rather than letting the regression ride to a bench diff weeks
+// later.
 //
 // Never linked into anything; compiled standalone:
 //   g++ -O3 -std=c++20 -Isrc -fopt-info-vec-optimized -c scripts/vec_probe.cpp
@@ -22,10 +24,14 @@ template void histogram_keys<double>(const double*, std::size_t, std::size_t, do
 template void histogram_keys<float>(const float*, std::size_t, std::size_t, double, double,
                                     int, int*);
 
-// Nearest-centroid assignment: the generic kernel's 4-point and 1-point
-// dim loops (every width outside {2, 3, 4, 8}, d = 64 in Fig 5 and Fig 6).
-template void nearest_centroids<double>(const double*, std::size_t, std::size_t, const double*,
-                                        std::size_t, int*);
+// Nearest-centroid assignment's pair kernel (every width outside
+// {2, 3, 4, 8}, d = 64 in Fig 5 and Fig 6).  Its arithmetic is explicit
+// two-lane vector code, which draws no "loop vectorized" report; check.sh
+// disassembles this instantiation instead and requires packed subtract,
+// multiply and add and no scalar add.
+template void detail::nearest_centroids_pairs<double>(const double*, std::size_t, std::size_t,
+                                                      const detail::pair_vec*, std::size_t,
+                                                      int*);
 
 // K-means sums: the fixed widths' point loop and the generic dim loop.
 template void accumulate_points<double>(const double*, std::size_t, std::size_t, double*);

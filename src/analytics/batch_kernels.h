@@ -7,35 +7,41 @@
 //     bit-for-bit exactness property tests pin down; and
 //   * a standalone TU (scripts/vec_probe.cpp) can compile just these loops
 //     with -fopt-info-vec, and check.sh can assert that the compiler
-//     vectorizes every loop marked `// vec-probe: must vectorize`.
+//     vectorizes every loop marked `// vec-probe: must vectorize` and that
+//     the pair kernel's disassembly adds in packed, not scalar, doubles.
 //
 // Exactness contract: every kernel preserves the scalar accumulation order.
 // SIMD lanes come only from *independent* streams — per-element bucket
-// keys, per-dimension k-means sums, other points' distance chains — never
-// from reassociating one floating-point reduction chain.  That rules out
+// keys, per-dimension k-means sums, other points' or other centroids'
+// distance chains — never from reassociating one floating-point reduction
+// chain.  That rules out
 // horizontal-sum tricks on `sum += x[i]`, and it is why the summary
 // moments keep a scalar dependency chain while min/max and the squared
 // terms still vectorize.
 //
-// Nearest-centroid assignment has two shapes.  The fixed widths d in
-// {2, 3, 4, 8} unroll the dim loop, exit a centroid as soon as its
-// distance prefix can no longer win (monotone early exit) and seed each
-// 4-point block with the previous block's winner; at d = 4, k = 8 the
-// exits are worth 15-25% of BM_BatchedAccumulate/kmeans.  Every other
-// width takes a branch-free blocked kernel with neither: a per-dim exit
-// test is control flow in the dim loop, which stops GCC vectorizing it,
-// and at d = 64 (Fig 5, Fig 6, perfbench kmeans_d64) that loop left
-// Smart's k-means step 1.8x as long as the hand-written one.  Routing
-// d = 64 through the fixed widths' exit-and-seed blocked scan lost too
-// (+27-46% Fig 6 overhead, against -17..+17% for the plain loop with its
-// exit deleted); the branch-free blocked kernel brings kmeans_d64's
-// lowlevel_ratio to 0.81-0.90.  (GCC 12, baseline x86-64, shared 4-CPU
-// Xeon; DESIGN.md §4.8.)
+// Nearest-centroid assignment has two shapes, and a CentroidTable holds
+// the centroids in the layout each one scans.  The fixed widths d in
+// {2, 3, 4, 8} scan row-major centroids: they unroll the dim loop, exit a
+// centroid as soon as its distance prefix can no longer win (monotone
+// early exit) and seed each 4-point block with the previous block's
+// winner; at d = 4, k = 8 the exits are worth 15-25% of
+// BM_BatchedAccumulate/kmeans, and they pay most where consecutive points
+// share a winner, as on the smooth Heat3D fields of Fig 1, 7 and 8.  Every
+// other width takes the pair kernel over a pair-interleaved copy: two
+// centroids per SSE2 vector, one per lane, so the adds of two distance
+// chains go in one packed instruction and each lane still adds in dim
+// order.  A per-dim exit test would be control flow in the dim loop, and
+// summing one chain at a time leaves the adds scalar however the
+// subtractions are packed: at d = 64 (Fig 5, Fig 6, perfbench kmeans_d64)
+// the pair kernel scores a point-dim-centroid in 0.25-0.36 ns against
+// 0.41-0.58 ns for four scalar chains per pass (one thread, 6,144 points,
+// k = 8, -O3; GCC 12, baseline x86-64, shared 4-CPU Xeon; DESIGN.md §4.8).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 namespace smart::analytics::kernels {
 
@@ -183,96 +189,157 @@ inline void nearest_centroids_fixed(const T* pts, std::size_t n, const double* c
   }
 }
 
-/// Generic-width assignment, blocked 4 points at a time like
-/// nearest_centroids_fixed but with no early exit and no seeding: every
-/// centroid row is scanned to the end for every point.  The four distance
-/// chains are independent, so they interleave in the add pipeline, and at
-/// -O3 the compiler vectorizes the dim loop: the subtractions and squares
-/// go two doubles to a vector, and each chain's adds stay in scalar dim
-/// order.  The argmin is a branch-free select: strict <, scanned in index
-/// order, so the lowest index wins ties exactly as in the reference scan.
-///
-/// Leftover points (n % 4, and the n = 1 calls from KMeans::gen_key) take
-/// the same loop for one point, which sums each distance in the same order
-/// — batched and scalar keys are bit-identical.  No exit test goes in
-/// either dim loop (see the file comment): check.sh fails the build if one
-/// stops vectorizing.
-template <class T>
-inline void nearest_centroids_blocked(const T* pts, std::size_t n, std::size_t dims,
-                                      const double* centroids, std::size_t k, int* keys) {
-  constexpr double kFar = std::numeric_limits<double>::max();
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    const T* p0 = pts + p * dims;
-    const T* p1 = p0 + dims;
-    const T* p2 = p1 + dims;
-    const T* p3 = p2 + dims;
-    double best0 = kFar, best1 = kFar, best2 = kFar, best3 = kFar;
-    int key0 = 0, key1 = 0, key2 = 0, key3 = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-      const double* centroid = centroids + c * dims;
-      double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-      for (std::size_t d = 0; d < dims; ++d) {  // vec-probe: must vectorize
-        const double ce = centroid[d];
-        const double e0 = static_cast<double>(p0[d]) - ce;
-        const double e1 = static_cast<double>(p1[d]) - ce;
-        const double e2 = static_cast<double>(p2[d]) - ce;
-        const double e3 = static_cast<double>(p3[d]) - ce;
-        d0 += e0 * e0;
-        d1 += e1 * e1;
-        d2 += e2 * e2;
-        d3 += e3 * e3;
+/// Two doubles in one SSE2 register (plain GCC vector extension: baseline
+/// x86-64 codegen, no intrinsics header).  Its arithmetic is lane-wise, so
+/// each lane is its own IEEE chain.
+using pair_vec = double __attribute__((vector_size(16)));
+
+/// One tile of the pair kernel: P points against Q consecutive centroid
+/// pairs starting at pair q0, one pass over the dims.  Each (point, pair)
+/// accumulator holds two independent chains, one per lane, and each lane
+/// adds (x[d] - c[d])^2 in dim order: the same expression and order as
+/// nearest_centroid_fixed's scan to completion, so every distance is
+/// bit-identical.  The tile then folds its distances into the running
+/// argmin in index order (2q before 2q + 1, pairs in order) with a strict
+/// <, so the lowest index wins ties.
+template <std::size_t P, std::size_t Q, class T>
+inline void pair_tile(const T* pts, std::size_t dims, const pair_vec* pairs, std::size_t q0,
+                      double* best, int* key) {
+  // The P x Q accumulators only live in registers once the tile's loops are
+  // unrolled, which -O2 does not do on its own (the default RelWithDebInfo
+  // build): the pragmas unroll them at every optimization level.
+  pair_vec acc[P][Q] = {};
+  const pair_vec* tile = pairs + q0 * dims;
+  for (std::size_t d = 0; d < dims; ++d) {
+    pair_vec c[Q];
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < Q; ++q) c[q] = tile[q * dims + d];
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p) {
+      const double x = static_cast<double>(pts[p * dims + d]);
+      const pair_vec xx = {x, x};
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < Q; ++q) {
+        const pair_vec e = xx - c[q];
+        acc[p][q] += e * e;
       }
-      const int key = static_cast<int>(c);
-      const bool win0 = d0 < best0, win1 = d1 < best1, win2 = d2 < best2, win3 = d3 < best3;
-      key0 = win0 ? key : key0;
-      key1 = win1 ? key : key1;
-      key2 = win2 ? key : key2;
-      key3 = win3 ? key : key3;
-      best0 = win0 ? d0 : best0;
-      best1 = win1 ? d1 : best1;
-      best2 = win2 ? d2 : best2;
-      best3 = win3 ? d3 : best3;
     }
-    keys[p + 0] = key0;
-    keys[p + 1] = key1;
-    keys[p + 2] = key2;
-    keys[p + 3] = key3;
   }
-  for (; p < n; ++p) {
-    const T* p0 = pts + p * dims;
-    double best0 = kFar;
-    int key0 = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-      const double* centroid = centroids + c * dims;
-      double d0 = 0.0;
-      for (std::size_t d = 0; d < dims; ++d) {  // vec-probe: must vectorize
-        const double e0 = static_cast<double>(p0[d]) - centroid[d];
-        d0 += e0 * e0;
-      }
-      const bool win0 = d0 < best0;
-      key0 = win0 ? static_cast<int>(c) : key0;
-      best0 = win0 ? d0 : best0;
+  for (std::size_t p = 0; p < P; ++p) {
+    for (std::size_t q = 0; q < Q; ++q) {
+      const int c0 = static_cast<int>(2 * (q0 + q));
+      const double d0 = acc[p][q][0], d1 = acc[p][q][1];
+      const bool win0 = d0 < best[p];
+      key[p] = win0 ? c0 : key[p];
+      best[p] = win0 ? d0 : best[p];
+      const bool win1 = d1 < best[p];
+      key[p] = win1 ? c0 + 1 : key[p];
+      best[p] = win1 ? d1 : best[p];
     }
-    keys[p] = key0;
+  }
+}
+
+/// P points against every pair, Q pairs per pass over the dims and the
+/// leftover pairs one at a time.
+template <std::size_t P, std::size_t Q, class T>
+inline void pair_points(const T* pts, std::size_t dims, const pair_vec* pairs,
+                        std::size_t num_pairs, int* keys) {
+  double best[P];
+  int key[P];
+  for (std::size_t p = 0; p < P; ++p) {
+    best[p] = std::numeric_limits<double>::max();
+    key[p] = 0;
+  }
+  std::size_t q = 0;
+  for (; q + Q <= num_pairs; q += Q) pair_tile<P, Q>(pts, dims, pairs, q, best, key);
+  for (; q < num_pairs; ++q) pair_tile<P, 1>(pts, dims, pairs, q, best, key);
+  for (std::size_t p = 0; p < P; ++p) keys[p] = key[p];
+}
+
+template <std::size_t P, std::size_t Q, class T>
+inline void pair_scan(const T* pts, std::size_t n, std::size_t dims, const pair_vec* pairs,
+                      std::size_t num_pairs, int* keys) {
+  std::size_t p = 0;
+  for (; p + P <= n; p += P) pair_points<P, Q>(pts + p * dims, dims, pairs, num_pairs, keys + p);
+  for (; p < n; ++p) pair_points<1, Q>(pts + p * dims, dims, pairs, num_pairs, keys + p);
+}
+
+/// Generic-width assignment over the pair-interleaved centroids of a
+/// CentroidTable: two centroids per SSE2 vector, one per lane, every
+/// distance scanned to the end (no exit, no seeding).  The tile shape comes
+/// from the pair count so that about eight accumulators are in flight: 2
+/// points x 4 pairs from 4 pairs up, 4 x 2 for 2-3 pairs, 8 x 1 for one.
+/// Leftover points (n % P, and the n = 1 calls from KMeans::gen_key) take
+/// a one-point tile, which sums each distance in the same order, so batched
+/// and scalar keys are bit-identical.
+template <class T>
+inline void nearest_centroids_pairs(const T* pts, std::size_t n, std::size_t dims,
+                                    const pair_vec* pairs, std::size_t num_pairs, int* keys) {
+  if (num_pairs >= 4) {
+    pair_scan<2, 4>(pts, n, dims, pairs, num_pairs, keys);
+  } else if (num_pairs >= 2) {
+    pair_scan<4, 2>(pts, n, dims, pairs, num_pairs, keys);
+  } else {
+    pair_scan<8, 1>(pts, n, dims, pairs, num_pairs, keys);
   }
 }
 
 }  // namespace detail
 
-/// Nearest-centroid assignment for n dims-length points (row-major).
-/// Common feature widths dispatch to a fixed-dims specialization whose
-/// distance loop fully unrolls; anything else takes the blocked generic
-/// kernel.
+/// The k centroids in the layout nearest_centroids scans for their width:
+/// row-major for the fixed widths {2, 3, 4, 8}; pair-interleaved for every
+/// other width.  Pair q holds centroids 2q and 2q + 1 dim-major,
+/// [c0[0], c1[0], c0[1], c1[1], ...].  For odd k the last pair's second
+/// lane is a copy of centroid k - 1: its distance ties the first lane's
+/// exactly and loses on index, so key k is never returned.
+class CentroidTable {
+ public:
+  CentroidTable() = default;
+
+  /// `rows` holds k rows of `dims` doubles.
+  CentroidTable(const double* rows, std::size_t k, std::size_t dims) : k_(k), dims_(dims) {
+    if (dims == 2 || dims == 3 || dims == 4 || dims == 8) {
+      rows_.assign(rows, rows + k * dims);
+      return;
+    }
+    pairs_.resize((k + 1) / 2 * dims);
+    for (std::size_t c = 0; c < k + k % 2; c += 2) {
+      const double* lo = rows + c * dims;
+      const double* hi = c + 1 < k ? lo + dims : lo;
+      for (std::size_t d = 0; d < dims; ++d) {
+        pairs_[c / 2 * dims + d] = detail::pair_vec{lo[d], hi[d]};
+      }
+    }
+  }
+
+ private:
+  template <class T>
+  friend void nearest_centroids(const T* pts, std::size_t n, const CentroidTable& table,
+                                int* keys);
+
+  std::size_t k_ = 0;
+  std::size_t dims_ = 0;
+  std::vector<double> rows_;             // fixed widths
+  std::vector<detail::pair_vec> pairs_;  // every other width
+};
+
+/// Nearest centroid of each of n points of the table's width (row-major):
+/// the lowest index among the smallest squared distances.  The fixed
+/// widths dispatch to a specialization whose distance loop fully unrolls;
+/// anything else takes the pair kernel.
 template <class T>
-inline void nearest_centroids(const T* pts, std::size_t n, std::size_t dims,
-                              const double* centroids, std::size_t k, int* keys) {
-  switch (dims) {
-    case 2: detail::nearest_centroids_fixed<T, 2>(pts, n, centroids, k, keys); return;
-    case 3: detail::nearest_centroids_fixed<T, 3>(pts, n, centroids, k, keys); return;
-    case 4: detail::nearest_centroids_fixed<T, 4>(pts, n, centroids, k, keys); return;
-    case 8: detail::nearest_centroids_fixed<T, 8>(pts, n, centroids, k, keys); return;
-    default: detail::nearest_centroids_blocked(pts, n, dims, centroids, k, keys); return;
+inline void nearest_centroids(const T* pts, std::size_t n, const CentroidTable& table,
+                              int* keys) {
+  const double* rows = table.rows_.data();
+  switch (table.dims_) {
+    case 2: detail::nearest_centroids_fixed<T, 2>(pts, n, rows, table.k_, keys); return;
+    case 3: detail::nearest_centroids_fixed<T, 3>(pts, n, rows, table.k_, keys); return;
+    case 4: detail::nearest_centroids_fixed<T, 4>(pts, n, rows, table.k_, keys); return;
+    case 8: detail::nearest_centroids_fixed<T, 8>(pts, n, rows, table.k_, keys); return;
+    default:
+      detail::nearest_centroids_pairs(pts, n, table.dims_, table.pairs_.data(),
+                                      (table.k_ + 1) / 2, keys);
+      return;
   }
 }
 

@@ -43,17 +43,7 @@ class KMeans : public Scheduler<T, T*> {
   }
 
   /// Current centroids, k rows of dims, from the combination map.
-  std::vector<double> centroids() const {
-    std::vector<double> out(k_ * dims_, 0.0);
-    for (const auto& [key, obj] : this->get_combination_map()) {
-      const auto& cluster = static_cast<const ClusterObj&>(*obj);
-      if (key >= 0 && static_cast<std::size_t>(key) < k_) {
-        std::memcpy(out.data() + static_cast<std::size_t>(key) * dims_, cluster.centroid.data(),
-                    dims_ * sizeof(double));
-      }
-    }
-    return out;
-  }
+  std::vector<double> centroids() const { return centroid_rows(this->get_combination_map()); }
 
   std::size_t k() const { return k_; }
   std::size_t dims() const { return dims_; }
@@ -62,22 +52,21 @@ class KMeans : public Scheduler<T, T*> {
   int gen_key(const Chunk& chunk, const T* data, const CombinationMap& com_map) const override {
     // Nearest centroid (paper Listing 4's gen_key).  The centroids live in
     // the combination map, but scanning map nodes per point costs two
-    // pointer hops per centroid, so the app keeps a flat copy refreshed at
-    // every map hand-back (process_extra_data / post_combine) — the same
-    // contiguous layout Listing 4 gets from its fixed-size member arrays.
-    // The n = 1 call into the batch kernel keeps the scalar and batched
-    // assignments on one distance expression (same dim order, same
-    // first-index tie break).
+    // pointer hops per centroid, so the app keeps a kernels::CentroidTable
+    // refreshed at every map hand-back (process_extra_data / post_combine):
+    // contiguous like Listing 4's fixed-size member arrays, in whatever
+    // layout the kernel for this width scans.  The n = 1 call into the
+    // batch kernel keeps the scalar and batched assignments on one distance
+    // expression (same dim order, same first-index tie break).
     (void)com_map;
     int key = 0;
-    kernels::nearest_centroids(data + chunk.start, 1, dims_, centroid_cache_.data(), k_, &key);
+    kernels::nearest_centroids(data + chunk.start, 1, centroid_table_, &key);
     return key;
   }
 
   void gen_keys_batch(const ChunkBatch& batch, const T* data, int* keys,
                       const CombinationMap&) const override {
-    kernels::nearest_centroids(data + batch.start, batch.count, dims_,
-                               centroid_cache_.data(), k_, keys);
+    kernels::nearest_centroids(data + batch.start, batch.count, centroid_table_, keys);
   }
 
   void process_extra_data(const void* extra_data, CombinationMap& com_map) override {
@@ -94,7 +83,7 @@ class KMeans : public Scheduler<T, T*> {
       obj->sum.assign(dims_, 0.0);
       com_map.emplace(static_cast<int>(c), std::move(obj));
     }
-    refresh_centroid_cache(com_map);
+    refresh_centroid_table(com_map);
   }
 
   void accumulate(const Chunk& chunk, const T* data, std::unique_ptr<RedObj>& red_obj) override {
@@ -123,7 +112,7 @@ class KMeans : public Scheduler<T, T*> {
 
   void post_combine(CombinationMap& com_map) override {
     for (auto& [key, obj] : com_map) static_cast<ClusterObj&>(*obj).update();
-    refresh_centroid_cache(com_map);
+    refresh_centroid_table(com_map);
   }
 
   void convert(const RedObj& red_obj, T** out) const override {
@@ -134,19 +123,25 @@ class KMeans : public Scheduler<T, T*> {
   }
 
  private:
-  void refresh_centroid_cache(const CombinationMap& com_map) {
-    centroid_cache_.assign(k_ * dims_, 0.0);
+  /// k rows of dims from the map's clusters; rows without a cluster stay 0.
+  std::vector<double> centroid_rows(const CombinationMap& com_map) const {
+    std::vector<double> rows(k_ * dims_, 0.0);
     for (const auto& [key, obj] : com_map) {
       if (key < 0 || static_cast<std::size_t>(key) >= k_) continue;
       const auto& cluster = static_cast<const ClusterObj&>(*obj);
-      std::memcpy(centroid_cache_.data() + static_cast<std::size_t>(key) * dims_,
-                  cluster.centroid.data(), dims_ * sizeof(double));
+      std::memcpy(rows.data() + static_cast<std::size_t>(key) * dims_, cluster.centroid.data(),
+                  dims_ * sizeof(double));
     }
+    return rows;
+  }
+
+  void refresh_centroid_table(const CombinationMap& com_map) {
+    centroid_table_ = kernels::CentroidTable(centroid_rows(com_map).data(), k_, dims_);
   }
 
   std::size_t k_;
   std::size_t dims_;
-  std::vector<double> centroid_cache_;
+  kernels::CentroidTable centroid_table_;
 };
 
 }  // namespace smart::analytics

@@ -30,21 +30,27 @@ void NetworkConfig::validate() const {
 }
 
 NetworkConfig NetworkConfig::from_env() {
-  // A SMART_NET_* variable nothing reads is a typo or a setting of a model
-  // that no longer exists; running the flat model anyway would mislabel the
-  // run, so it is an error like a malformed value.
-  static constexpr std::string_view kNetVars[] = {"SMART_NET_ALPHA", "SMART_NET_BETA",
-                                                  "SMART_NET_LANE_CAP",
-                                                  "SMART_NET_LANE_CAP_BYTES"};
+  // A SMART_NET_* or SMART_SCHED_* variable nothing reads is a typo or a
+  // setting of a model that no longer exists; running anyway would mislabel
+  // the run (priced at the defaults, or nondeterministic where a schedule
+  // was asked for), so it is an error like a malformed value.
+  static constexpr std::string_view kKnownVars[] = {
+      "SMART_NET_ALPHA",    "SMART_NET_BETA",   "SMART_NET_LANE_CAP", "SMART_NET_LANE_CAP_BYTES",
+      "SMART_SCHED_POLICY", "SMART_SCHED_SEED", "SMART_SCHED_TRACE"};
   for (char** entry = environ; *entry != nullptr; ++entry) {
     const std::string_view var(*entry);
     const std::string_view name = var.substr(0, var.find('='));
     // An empty value means unset, as for every variable read below.
-    if (!name.starts_with("SMART_NET_") || var.size() <= name.size() + 1) continue;
-    if (std::find(std::begin(kNetVars), std::end(kNetVars), name) == std::end(kNetVars)) {
-      throw std::invalid_argument(std::string(name) +
-                                  ": unknown network setting (known: SMART_NET_ALPHA, "
-                                  "SMART_NET_BETA, SMART_NET_LANE_CAP, SMART_NET_LANE_CAP_BYTES)");
+    if (var.size() <= name.size() + 1) continue;
+    const bool net = name.starts_with("SMART_NET_");
+    if (!net && !name.starts_with("SMART_SCHED_")) continue;
+    if (std::find(std::begin(kKnownVars), std::end(kKnownVars), name) == std::end(kKnownVars)) {
+      throw std::invalid_argument(
+          std::string(name) +
+          (net ? ": unknown network setting (known: SMART_NET_ALPHA, SMART_NET_BETA, "
+                 "SMART_NET_LANE_CAP, SMART_NET_LANE_CAP_BYTES)"
+               : ": unknown schedule setting (known: SMART_SCHED_POLICY, SMART_SCHED_SEED, "
+                 "SMART_SCHED_TRACE)"));
     }
   }
   // Every value is range-checked as it is read, so the error names the

@@ -62,8 +62,9 @@ struct NetworkConfig {
   /// SMART_NET_LANE_CAP (messages), SMART_NET_LANE_CAP_BYTES,
   /// SMART_SCHED_POLICY, SMART_SCHED_SEED and SMART_SCHED_TRACE.  Doubles
   /// must be finite and >= 0, lane caps and the seed whole numbers in
-  /// [0, LONG_MAX]; anything else, or any other non-empty SMART_NET_*
-  /// variable, throws std::invalid_argument naming the variable.
+  /// [0, LONG_MAX]; anything else, or any other non-empty SMART_NET_* or
+  /// SMART_SCHED_* variable, throws std::invalid_argument naming the
+  /// variable.
   static NetworkConfig from_env();
 };
 

@@ -130,12 +130,13 @@ template <class T>
 void expect_keys_match_reference(const std::vector<T>& pts, std::size_t dims,
                                  const std::vector<double>& centroids, std::size_t k) {
   const std::size_t n = pts.size() / dims;
+  const kernels::CentroidTable table(centroids.data(), k, dims);
   std::vector<int> keys(n);
-  kernels::nearest_centroids(pts.data(), n, dims, centroids.data(), k, keys.data());
+  kernels::nearest_centroids(pts.data(), n, table, keys.data());
   std::vector<double> pt(dims);
   for (std::size_t p = 0; p < n; ++p) {
     int single = -1;
-    kernels::nearest_centroids(pts.data() + p * dims, 1, dims, centroids.data(), k, &single);
+    kernels::nearest_centroids(pts.data() + p * dims, 1, table, &single);
     for (std::size_t d = 0; d < dims; ++d) pt[d] = static_cast<double>(pts[p * dims + d]);
     const int want = ref_nearest(pt.data(), dims, centroids.data(), k);
     ASSERT_EQ(keys[p], want) << "dims=" << dims << " k=" << k << " n=" << n << " p=" << p;
@@ -143,13 +144,19 @@ void expect_keys_match_reference(const std::vector<T>& pts, std::size_t dims,
   }
 }
 
+// 2/3/4/8 take the fixed-dims kernels; 1 (heat3d_kmeans), 5, 64 (fig05,
+// fig06, perfbench kmeans_d64) and 65 take the pair kernel.
+constexpr std::size_t kWidths[] = {2, 3, 4, 8, 1, 5, 64, 65};
+
 template <class T>
 void check_random_points(Rng& rng) {
-  // 2/3/4/8 take the fixed-dims kernels; 1 (heat3d_kmeans), 5, 64 (fig05,
-  // fig06, perfbench kmeans_d64) and 65 take the generic blocked kernel.
-  for (const std::size_t dims : {2u, 3u, 4u, 8u, 1u, 5u, 64u, 65u}) {
-    for (const std::size_t k : {1u, 2u, 7u}) {
-      for (const std::size_t n : {401u, 402u, 403u}) {  // n % 4 = 1, 2, 3: blocks + tail
+  // k = 1, 2 run the pair kernel's 8-point x 1-pair tile, k = 3, 5 its
+  // 4 x 2 tile (k = 5 with a leftover pair), k = 7, 9 its 2 x 4 tile (k = 9
+  // with a leftover pair); n = 1..9 runs each tile shape with every tail
+  // length, n = 403 many full blocks before a tail.
+  for (const std::size_t dims : kWidths) {
+    for (const std::size_t k : {1u, 2u, 3u, 5u, 7u, 9u}) {
+      for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 403u}) {
         std::vector<double> centroids(k * dims);
         std::vector<T> pts(n * dims);
         for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
@@ -160,28 +167,53 @@ void check_random_points(Rng& rng) {
   }
 }
 
+// Odd k with every centroid at least 100 from the origin and every point
+// at the origin: a zero-filled padding lane would sit at distance 0 and
+// win as key k; the copy of centroid k - 1 ties it and loses on index.
+template <class T>
+void check_far_centroids_odd_k(Rng& rng) {
+  for (const std::size_t dims : kWidths) {
+    for (const std::size_t k : {3u, 7u, 9u}) {
+      std::vector<double> centroids(k * dims);
+      for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
+      for (std::size_t c = 0; c < k; ++c) {
+        centroids[c * dims] = (c % 2 == 0 ? 1.0 : -1.0) * rng.uniform(100.0, 110.0);
+      }
+      for (const std::size_t n : {1u, 2u, 8u, 9u}) {
+        expect_keys_match_reference(std::vector<T>(n * dims, T{0}), dims, centroids, k);
+      }
+    }
+  }
+}
+
 TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
   Rng rng(903);
   check_random_points<double>(rng);
   check_random_points<float>(rng);
+  check_far_centroids_odd_k<double>(rng);
+  check_far_centroids_odd_k<float>(rng);
 }
 
-// Duplicate centroids (every point ties across indices 0/2) and points
-// exactly midway between two distinct centroids, padded with zeros to
-// `dims`: the run-aware hint of the fixed-dims kernels can seed the scan at
-// any index, and the generic kernel's select must keep the first of equal
-// distances, so only the full lowest-index tie rule keeps the result equal
-// to the reference scan.
+// Duplicate centroids and points exactly midway between two distinct
+// centroids, padded with zeros to `dims`.  The run-aware hint of the
+// fixed-dims kernels can seed the scan at any index, and the pair kernel
+// holds tied centroids in different lanes and pairs, so only the full
+// lowest-index tie rule, applied in index order across lanes, keeps the
+// result equal to the reference scan.  Layout 0: c0 = 0, c1 = 2 e0,
+// c2 = c0 (a tie within lane 0 of pairs 0 and 1).  Layout 1: c0 = 2 e0,
+// c1 = 0, c2 = c1 (lane 1 of pair 0 ties lane 0 of pair 1; key 1 must
+// win, which an argmin kept per lane and merged lane 0 first gets wrong).
+// k = 4 adds a far c3, so pair 1 holds two real centroids.
 template <class T>
-void check_ties(std::size_t dims, std::size_t n) {
-  std::vector<double> centroids(3 * dims, 0.0);  // c0 = 0, c1 = 2 e0, c2 = c0
-  centroids[1 * dims] = 2.0;
-  const std::size_t k = 3;
+void check_ties(std::size_t dims, std::size_t n, int layout, std::size_t k) {
+  std::vector<double> centroids(k * dims, 0.0);
+  centroids[(layout == 0 ? 1 : 0) * dims] = 2.0;
+  if (k == 4) centroids[3 * dims] = 50.0;
   std::vector<T> pts(n * dims, T{0});
   for (std::size_t i = 0; i < n; ++i) {
-    const double lead = i % 3 == 0 ? 1.0    // midway c0/c1 -> key 0
-                        : i % 3 == 1 ? 2.1  // nearest c1 -> key 1
-                                     : -0.5;  // ties c0/c2 -> key 0
+    const double lead = i % 3 == 0 ? 1.0    // midway between 0 and 2 e0
+                        : i % 3 == 1 ? 2.1  // nearest the centroid at 2 e0
+                                     : -0.5;  // ties the two centroids at 0
     pts[i * dims] = static_cast<T>(lead);
   }
   expect_keys_match_reference(pts, dims, centroids, k);
@@ -189,9 +221,13 @@ void check_ties(std::size_t dims, std::size_t n) {
 
 TEST(NearestCentroids, TiesBreakToLowestIndexDespiteHintSeeding) {
   for (const std::size_t dims : {4u, 1u, 5u, 64u, 65u}) {
-    for (const std::size_t n : {29u, 30u, 31u}) {
-      check_ties<double>(dims, n);
-      check_ties<float>(dims, n);
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 29u, 30u, 31u}) {
+      for (const int layout : {0, 1}) {
+        for (const std::size_t k : {3u, 4u}) {
+          check_ties<double>(dims, n, layout, k);
+          check_ties<float>(dims, n, layout, k);
+        }
+      }
     }
   }
 }

@@ -425,7 +425,7 @@ TEST(Percentiles, InterpolateWithinBucketsAndClampOverflow) {
   EXPECT_EQ(empty.percentile(0.5), 0.0);
 }
 
-TEST(Percentiles, AppearInJsonAndTextDumps) {
+TEST(Percentiles, AppearInJsonDump) {
   obs::MetricsSnapshot snap;
   obs::MetricsSnapshot::Histogram h;
   h.name = "lat";

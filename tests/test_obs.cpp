@@ -473,7 +473,7 @@ TEST(FixedHistogram, InclusiveUpperBoundsAndOverflow) {
   EXPECT_NEAR(h.sum(), 23.001, 1e-9);
 }
 
-TEST(MetricsSnapshot, SerializeRoundTripAndValidJson) {
+TEST(MetricsSnapshot, DumpJsonIsValidJson) {
   obs::MetricsSnapshot snap;
   snap.counters["c"] = 11;
   snap.gauges["g"] = 2.5;

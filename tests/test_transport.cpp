@@ -601,11 +601,12 @@ TEST(TransportNetwork, OutOfDomainFieldsThrowNamingTheField) {
   EXPECT_NO_THROW(launch(1, noop, ideal));
 }
 
-TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
+TEST(TransportNetwork, EnvironmentIsRangeCheckedAndUnknownNamesRejected) {
   // Each bad value throws naming its variable; none may wrap in a cast (a
-  // negative lane cap to SIZE_MAX).  So does any SMART_NET_* variable the
-  // network does not read: a setting of the removed topology models, or a
-  // misspelling, would otherwise leave the run priced at the defaults.
+  // negative lane cap to SIZE_MAX).  So does any SMART_NET_* or
+  // SMART_SCHED_* variable the network does not read: a setting of the
+  // removed topology models, or a misspelling, would otherwise leave the
+  // run priced at the defaults or scheduled nondeterministically.
   const std::vector<std::pair<const char*, const char*>> bad = {
       {"SMART_NET_LANE_CAP", "-1"},
       {"SMART_NET_LANE_CAP", "four"},
@@ -616,6 +617,7 @@ TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
       {"SMART_NET_RANKS_PER_NODE", "2"},
       {"SMART_NET_TORUS_X", "4"},
       {"SMART_NET_APLHA", "1e-6"},
+      {"SMART_SCHED_POLICCY", "random"},
   };
   for (const auto& [name, value] : bad) {
     ASSERT_EQ(setenv(name, value, 1), 0);
@@ -635,12 +637,17 @@ TEST(TransportNetwork, EnvironmentIntegersAreRangeChecked) {
   ASSERT_EQ(setenv("SMART_NET_LANE_CAP", "0", 1), 0);
   ASSERT_EQ(setenv("SMART_NET_LANE_CAP_BYTES", "4096", 1), 0);
   ASSERT_EQ(setenv("SMART_NET_MODEL", "", 1), 0);  // empty means unset
+  ASSERT_EQ(setenv("SMART_SCHED_POLICCY", "", 1), 0);
+  ASSERT_EQ(setenv("SMART_SCHED_SEED", "12", 1), 0);
   const NetworkConfig cfg = NetworkConfig::from_env();
   EXPECT_EQ(cfg.lane_capacity_msgs, 0u);
   EXPECT_EQ(cfg.lane_capacity_bytes, 4096u);
+  EXPECT_EQ(cfg.sched_seed, 12u);
   unsetenv("SMART_NET_LANE_CAP");
   unsetenv("SMART_NET_LANE_CAP_BYTES");
   unsetenv("SMART_NET_MODEL");
+  unsetenv("SMART_SCHED_POLICCY");
+  unsetenv("SMART_SCHED_SEED");
 }
 
 TEST(TransportNetwork, EnvironmentDoublesAreRangeChecked) {
