@@ -21,7 +21,6 @@
 #include "common/table.h"
 #include "obs/attribution.h"
 #include "obs/critpath.h"
-#include "obs/gather.h"
 #include "obs/trace_export.h"
 #include "sim/emulator.h"
 #include "sim/heat3d.h"
@@ -213,10 +212,6 @@ int run(const ArgParser& args) {
     ThreadPool sim_pool(threads);
     SimDriver sim(sim_kind, &comm, &sim_pool, size_hint, master_seed);
 
-    // The app body runs inside this nested lambda so that its early
-    // returns still fall through to the trace gather below — the gather is
-    // collective, so every rank must reach it.
-    const auto run_app = [&] {
     // The special-cased apps produce scalar reports; everything else goes
     // through the shared bench facade.
     if (app_name == "summary") {
@@ -288,39 +283,31 @@ int run(const ArgParser& args) {
       app->stats().dump_json(std::cout);
       std::cout << "\n";
     }
-    };  // run_app
-
-    run_app();
-
-    if (!trace_out.empty()) {
-      std::vector<int> missing;
-      const bool ok = obs::gather_trace_to_rank0(comm, trace_out, 5.0, &missing);
-      if (comm.rank() == 0) {
-        if (ok) {
-          std::printf("trace written to %s (%zu rank(s) missing)\n", trace_out.c_str(),
-                      missing.size());
-          warn_dropped_events(obs::TraceCollector::instance().dropped_events());
-        } else {
-          std::fprintf(stderr, "error: could not write trace to %s\n", trace_out.c_str());
-        }
-      }
-    }
-    if (!metrics_out.empty() && comm.rank() == 0) {
-      // Ranks are threads of this process, so the global registry already
-      // holds every rank's updates; no wire gather needed here.
-      std::ofstream os(metrics_out);
-      if (os) {
-        obs::MetricsRegistry::global().snapshot().dump_json(os);
-        std::printf("metrics written to %s\n", metrics_out.c_str());
-      } else {
-        std::fprintf(stderr, "error: could not write metrics to %s\n", metrics_out.c_str());
-      }
-    }
   }, net_cfg);
 
+  // Ranks are threads of this process, so the global trace collector and
+  // metrics registry hold every rank's events and updates on one timeline:
+  // the exports below read them directly once launch has returned.
+  if (!trace_out.empty()) {
+    obs::TraceCollector& tc = obs::TraceCollector::instance();
+    if (obs::write_chrome_trace_file(trace_out, tc.snapshot_events(), tc.dropped_events())) {
+      std::printf("trace written to %s\n", trace_out.c_str());
+      warn_dropped_events(tc.dropped_events());
+    } else {
+      std::fprintf(stderr, "error: could not write trace to %s\n", trace_out.c_str());
+    }
+  }
+  if (!metrics_out.empty()) {
+    std::ofstream os(metrics_out);
+    if (os) {
+      obs::MetricsRegistry::global().snapshot().dump_json(os);
+      std::printf("metrics written to %s\n", metrics_out.c_str());
+    } else {
+      std::fprintf(stderr, "error: could not write metrics to %s\n", metrics_out.c_str());
+    }
+  }
+
   if (!phase_csv.empty()) {
-    // Ranks are threads of this process, so the global collector holds
-    // every rank's scheduler spans on one timeline.
     obs::TraceCollector& tc = obs::TraceCollector::instance();
     std::ofstream os(phase_csv);
     if (os) {
@@ -334,8 +321,6 @@ int run(const ArgParser& args) {
 
   int rc = 0;
   if (!critpath_out.empty() || !critpath_json.empty()) {
-    // Ranks are threads of this process, so the global collector already
-    // holds the merged cross-rank trace.
     obs::TraceCollector& tc = obs::TraceCollector::instance();
     rc = emit_critpath(obs::extract_critical_path(tc.snapshot_events(), tc.dropped_events()),
                        critpath_out, critpath_json);

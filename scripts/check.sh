@@ -14,6 +14,11 @@
 # SMART_NET_* and a SMART_SCHED_* variable the network does not read) and
 # fails unless each prints `error: ...` on stderr and exits 1.
 #
+# The Fig 11 shape step runs fig11_window_optimization at the default
+# scale (about 1 s) and checks the figure's claim as counts, never wall
+# time: in each panel the trigger-on peak of live reduction objects is the
+# same at every input size, and the trigger-off peak grows with the size.
+#
 # The perfbench smoke runs the end-to-end benchmark's summary self-tests
 # and a 1 s run of each of its workloads (a Release build of
 # perfbench_e2e): every analyzed step is checked against the serial
@@ -233,6 +238,31 @@ for harness_case in "SMART_BENCH_SCALE=abc fig10_space_sharing" \
   fi
   echo "   $harness ok: $(head -n 1 "$harness_err")"
 done
+
+echo "== tier-1: Fig 11 shape (live reduction objects) =="
+# With the trigger on, rank 0's peak of live reduction objects depends on
+# the window and the thread count only (the windows a split boundary cuts,
+# plus the one being filled), so it is the same at every size of a panel;
+# with the trigger off every window stays live until the run ends, so the
+# peak grows with the input.  Counts only: the harness's times are not
+# checked.
+fig11_log="$repo/build/check_fig11.log"
+"$repo/build/bench/fig11_window_optimization" > "$fig11_log"
+python3 - "$fig11_log" <<'EOF'
+import csv, sys
+text = open(sys.argv[1]).read()
+for tag in ("fig11a", "fig11b"):
+    begin, end = f"--- csv {tag} begin ---\n", f"--- csv {tag} end ---"
+    assert begin in text and end in text, f"{tag}: no CSV table in the harness output"
+    rows = list(csv.DictReader(text.split(begin, 1)[1].split(end, 1)[0].splitlines()))
+    assert len(rows) >= 2, f"{tag}: {len(rows)} size(s), need at least 2"
+    on = [int(r["peak_objs_on"]) for r in rows]
+    off = [int(r["peak_objs_off"]) for r in rows]
+    assert len(set(on)) == 1, f"{tag}: trigger-on peak objects vary with size: {on}"
+    assert all(a < b for a, b in zip(off, off[1:])), \
+        f"{tag}: trigger-off peak objects do not grow with size: {off}"
+    print(f"   {tag} ok: trigger-on peak objects {on[0]} at every size, trigger-off {off}")
+EOF
 
 echo "== tier-1: bench regression gate =="
 # Re-measure the committed std::map pairs (the flat CombinationMap against

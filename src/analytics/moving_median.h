@@ -34,9 +34,7 @@ class MovingMedian : public Scheduler<In, double> {
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {
-    if (!red_obj) red_obj = new_window();
-    static_cast<WinMedianObj&>(*red_obj).elems.push_back(
-        static_cast<double>(data[chunk.start]));
+    window_of(red_obj).elems.push_back(static_cast<double>(data[chunk.start]));
   }
 
   /// Appends a whole run of consecutive elements in one insert.  With
@@ -45,8 +43,7 @@ class MovingMedian : public Scheduler<In, double> {
   std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
                                std::unique_ptr<RedObj>& red_obj,
                                bool stop_after_trigger) override {
-    if (!red_obj) red_obj = new_window();
-    auto& med = static_cast<WinMedianObj&>(*red_obj);
+    auto& med = window_of(red_obj);
     std::size_t n = batch.count;
     if (stop_after_trigger && med.window > med.elems.size()) {
       n = std::min(n, med.window - med.elems.size());
@@ -66,15 +63,28 @@ class MovingMedian : public Scheduler<In, double> {
     *out = static_cast<const WinMedianObj&>(red_obj).median();
   }
 
+  /// Selects the median in place and clears the object for the next
+  /// window; its elements keep their capacity, so a recycled window costs
+  /// no allocation and its elements are copied once, as they arrive.
+  void emit(std::unique_ptr<RedObj>& red_obj, double* out) override {
+    auto& med = static_cast<WinMedianObj&>(*red_obj);
+    if (out != nullptr) *out = med.median_in_place();
+    med.elems.clear();
+  }
+
  private:
-  /// A fresh object for the window centered at the current key, clipped
-  /// at the partition boundary.
-  std::unique_ptr<RedObj> new_window() const {
-    auto obj = std::make_unique<WinMedianObj>();
-    obj->window = clipped_window_size(static_cast<std::size_t>(this->current_key()),
-                                      this->total_len(), window_);
-    obj->elems.reserve(obj->window);
-    return obj;
+  /// The object for the current key's window: a new one when `red_obj` is
+  /// null, sized for the window centered at the current key (clipped at
+  /// the partition boundary) whenever it is empty.
+  WinMedianObj& window_of(std::unique_ptr<RedObj>& red_obj) const {
+    if (!red_obj) red_obj = std::make_unique<WinMedianObj>();
+    auto& med = static_cast<WinMedianObj&>(*red_obj);
+    if (med.elems.empty()) {
+      med.window = clipped_window_size(static_cast<std::size_t>(this->current_key()),
+                                       this->total_len(), window_);
+      med.elems.reserve(med.window);
+    }
+    return med;
   }
 
   std::size_t window_;

@@ -121,19 +121,29 @@ void WinMedianObj::deserialize(Reader& r) {
   window = r.read<std::uint64_t>();
 }
 
-double WinMedianObj::median() const {
-  if (elems.empty()) throw std::logic_error("WinMedianObj::median on empty window");
-  // Selects in a per-thread scratch copy: every emitted window calls this,
-  // and a fresh copy would cost one allocation per window.
-  thread_local std::vector<double> copy;
-  copy.assign(elems.begin(), elems.end());
-  const std::size_t mid = copy.size() / 2;
-  std::nth_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(mid), copy.end());
-  if (copy.size() % 2 == 1) return copy[mid];
-  const double hi = copy[mid];
-  const double lo = *std::max_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(mid));
+namespace {
+
+/// The median of `v`, selected in place.
+double select_median(std::vector<double>& v) {
+  if (v.empty()) throw std::logic_error("WinMedianObj::median on empty window");
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
+  if (v.size() % 2 == 1) return v[mid];
+  const double hi = v[mid];
+  const double lo = *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
   return 0.5 * (lo + hi);
 }
+
+}  // namespace
+
+double WinMedianObj::median() const {
+  // A per-thread copy: a fresh one would cost one allocation per window.
+  thread_local std::vector<double> copy;
+  copy.assign(elems.begin(), elems.end());
+  return select_median(copy);
+}
+
+double WinMedianObj::median_in_place() { return select_median(elems); }
 
 // --- KdeObj ----------------------------------------------------------------
 

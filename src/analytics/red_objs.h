@@ -119,7 +119,10 @@ struct WinMedianObj : RedObj {
     return sizeof(*this) + elems.capacity() * sizeof(double);
   }
 
+  /// The median of elems, selected in a per-thread copy.
   double median() const;
+  /// The median of elems, selected in place: reorders elems.
+  double median_in_place();
 };
 
 /// Gaussian kernel density estimate at one window center.

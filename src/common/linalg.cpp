@@ -51,17 +51,6 @@ Matrix gram(const Matrix& a) {
   return g;
 }
 
-std::vector<double> transpose_times(const Matrix& a, const std::vector<double>& b) {
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("transpose_times: dimension mismatch");
-  }
-  std::vector<double> out(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) out[c] += a(r, c) * b[r];
-  }
-  return out;
-}
-
 std::vector<double> savitzky_golay_coefficients(int window, int poly_order) {
   if (window <= 0 || window % 2 == 0) {
     throw std::invalid_argument("savitzky_golay_coefficients: window must be odd and positive");

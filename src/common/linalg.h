@@ -33,9 +33,6 @@ std::vector<double> solve_linear_system(Matrix a, std::vector<double> b);
 /// A^T * A for a (possibly rectangular) design matrix.
 Matrix gram(const Matrix& a);
 
-/// A^T * b.
-std::vector<double> transpose_times(const Matrix& a, const std::vector<double>& b);
-
 /// Savitzky–Golay convolution coefficients for a centered window.
 ///
 /// window must be odd; poly_order < window.  The returned vector c has

@@ -2,20 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 namespace smart {
-
-const char* to_string(MemCategory c) {
-  switch (c) {
-    case MemCategory::kSimulation: return "simulation";
-    case MemCategory::kInputCopy: return "input-copy";
-    case MemCategory::kReductionObjects: return "reduction-objects";
-    case MemCategory::kFramework: return "framework";
-    case MemCategory::kCount: break;
-  }
-  return "unknown";
-}
 
 MemoryTracker& MemoryTracker::instance() {
   static MemoryTracker tracker;
@@ -67,21 +55,6 @@ void MemoryTracker::reset() {
   peak_.store(0, std::memory_order_relaxed);
   for (auto& c : current_by_cat_) c.store(0, std::memory_order_relaxed);
   for (auto& p : peak_by_cat_) p.store(0, std::memory_order_relaxed);
-}
-
-std::string MemoryTracker::report() const {
-  std::ostringstream os;
-  os << "logical footprint: current=" << current() << " B, peak=" << peak() << " B";
-  if (budget() != 0) {
-    os << ", budget=" << budget() << " B" << (peak_over_budget() ? " [OVER-BUDGET]" : "");
-  }
-  for (int i = 0; i < static_cast<int>(MemCategory::kCount); ++i) {
-    const auto cat = static_cast<MemCategory>(i);
-    if (peak_in(cat) == 0) continue;
-    os << "\n  " << to_string(cat) << ": current=" << current_in(cat)
-       << " B, peak=" << peak_in(cat) << " B";
-  }
-  return os.str();
 }
 
 std::size_t process_peak_rss_bytes() {

@@ -13,11 +13,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace smart {
 
-/// What a tracked allocation is for; reported per category.
+/// What a tracked allocation is for; counted and peaked per category.
 enum class MemCategory : int {
   kSimulation = 0,   ///< simulation state + per-step output slabs
   kInputCopy,        ///< extra copies of simulation output (copy mode, circular buffer)
@@ -25,8 +24,6 @@ enum class MemCategory : int {
   kFramework,        ///< runtime internals (buffers, messages)
   kCount,
 };
-
-const char* to_string(MemCategory c);
 
 /// Process-wide logical footprint tracker.  All counters are atomics; the
 /// peak is maintained with a CAS loop so concurrent charges never lose a
@@ -52,8 +49,6 @@ class MemoryTracker {
 
   /// Clears all counters and peaks (budget is preserved).
   void reset();
-
-  std::string report() const;
 
  private:
   MemoryTracker() = default;

@@ -32,6 +32,14 @@
 // Early emission (Algorithm 2): right after accumulate, RedObj::trigger()
 // may emit the object straight into the output and drop it from the map,
 // bounding live objects by the window size instead of the input size.
+// Every emission goes through one hook, emit(), which converts the object
+// and drops it or (the moving median) emits in place and recycles it.
+// Batched run2() on an app that declares key ranges skips the map for
+// triggered windows altogether: a key the worker's map does not hold
+// accumulates into one per-worker scratch object, which emit() hands back
+// for the next window, and only a window that has not triggered by the end
+// of its run enters the map — one cut by a split boundary, or every window
+// when the trigger is off.
 //
 // Iterative-context contract: process_extra_data and post_combine must
 // leave every field that merge() accumulates at its merge identity
@@ -325,6 +333,18 @@ class Scheduler {
     (void)out;
   }
 
+  /// Early emission of an object whose trigger() fired (Algorithm 2 lines
+  /// 5-7): writes it into `out`, which is null when its key has no output
+  /// slot.  On return `obj` is null, or empty and ready to accumulate a
+  /// fresh window: the range walk (see reduction_phase) goes on
+  /// accumulating the rest of the run, or the next key's window, into
+  /// whatever is left; elsewhere the runtime then drops it.  The default
+  /// converts the object and drops it.
+  virtual void emit(std::unique_ptr<RedObj>& obj, Out* out) {
+    if (out != nullptr) convert(*obj, out);
+    obj.reset();
+  }
+
   /// Length of the block currently being processed (window apps use this
   /// to clip windows at the partition boundary).
   std::size_t total_len() const { return total_len_; }
@@ -508,11 +528,14 @@ class Scheduler {
   ///     the split visits its keys in ascending order, skipping keys no
   ///     chunk covers.  By the ranges' monotonicity the chunks covering a
   ///     key form one contiguous run, found by two pointers that only move
-  ///     forward, so a window object costs one lookup and one
-  ///     accumulate_batch call.  Each object still receives its chunks in
-  ///     ascending position order, which keeps outputs, emissions and
-  ///     floating-point bits identical to the per-chunk walk.  Apps with
-  ///     only gen_keys take the per-chunk walk.
+  ///     forward, so a window costs one accumulate_batch call.  A key the
+  ///     worker's map does not hold accumulates into the worker's scratch
+  ///     object; a trigger emits it without a map insert or erase, and a
+  ///     window still pending at the end of its run moves into the map.
+  ///     Each object still receives its chunks in ascending position
+  ///     order, which keeps outputs, emissions and floating-point bits
+  ///     identical to the per-chunk walk.  Apps with only gen_keys take
+  ///     the per-chunk walk.
   /// The ragged tail unit and runs with batching disabled stay
   /// chunk-at-a-time.
   void reduction_phase(const In* data, std::size_t num_chunks, std::size_t tail_len, Out* out,
@@ -526,7 +549,7 @@ class Scheduler {
     std::vector<std::size_t> emitted(workers, 0);
 
     // Pool workers have no rank attribution of their own; pin their spans
-    // to this scheduler's rank so the gather picks them up.
+    // to this scheduler's rank so the export files them in its lane.
     const int trace_rank = obs::thread_rank();
     const std::vector<double> busy = pool_->parallel_region([&](int w) {
       obs::TraceSpan worker_span("reduce.worker", "sched", {{"worker", w}}, trace_rank);
@@ -548,16 +571,18 @@ class Scheduler {
         }
         return rmap.slot_at(cached_slot);
       };
+      auto emit_key = [&](std::unique_ptr<RedObj>& obj, int key) {
+        const bool has_slot = out != nullptr && key >= 0 && static_cast<std::size_t>(key) < out_len;
+        emit(obj, has_slot ? out + key : nullptr);
+        ++emitted[uw];
+      };
       auto emit_and_erase = [&](std::unique_ptr<RedObj>& slot, int key) {
         // Algorithm 2 lines 5-7: convert and drop right away.
-        if (out != nullptr && key >= 0 && static_cast<std::size_t>(key) < out_len) {
-          convert(*slot, out + key);
-        }
+        emit_key(slot, key);
         // erase() swap-moves the last entry into the freed index, so the
         // cached index may now name a different key — drop it.
         rmap.erase(key);
         cached_slot = CombinationMap::npos;
-        ++emitted[uw];
       };
       auto process_key = [&](const Chunk& chunk, int key) {
         detail::t_current_key = key;
@@ -586,16 +611,20 @@ class Scheduler {
         }
       };
       // Accumulates `len` consecutive chunks of `batch`, starting at chunk
-      // `first`, into `key`'s object: one lookup plus one accumulate_batch
-      // call, repeated only when the object triggers mid-run.  A triggered
-      // run resumes on the next pass: locate() re-inserts the key and
-      // accumulation restarts on a fresh object, exactly like the per-chunk
-      // path.
+      // `first`, into `key`'s object: one accumulate_batch call, repeated
+      // only when the object triggers mid-run.  With `scratch` null the
+      // object is the map's: a triggered run resumes on the next pass,
+      // where locate() re-inserts the key and accumulation restarts on a
+      // fresh object, exactly like the per-chunk path.  Otherwise it is
+      // *scratch, for a key the map does not hold: a trigger emits it with
+      // no erase, the rest of the run accumulates into what emit() left,
+      // and a window still pending at the end of the run moves into the map.
       auto accumulate_run = [&](const ChunkBatch& batch, std::size_t first, std::size_t len,
-                                int key) {
+                                int key, std::unique_ptr<RedObj>* scratch) {
+        bool pending = false;  // the last pass left a window no emit() took
         for (std::size_t i = first, left = len; left > 0;) {
           detail::t_current_key = key;
-          auto& slot = locate(key);
+          auto& slot = scratch != nullptr ? *scratch : locate(key);
           if (slot) slot->set_key(key);
           const std::size_t consumed =
               accumulate_batch(batch.sub(i, left), data, slot, opts_.enable_trigger);
@@ -611,11 +640,19 @@ class Scheduler {
           }
           slot->set_key(key);
           // Counted before a trigger drops it: the object was live.
-          if (rmap.size() > peak) peak = rmap.size();
-          if (opts_.enable_trigger && slot->trigger()) emit_and_erase(slot, key);
+          const std::size_t live = rmap.size() + (scratch != nullptr ? 1 : 0);
+          if (live > peak) peak = live;
+          const bool fired = opts_.enable_trigger && slot->trigger();
+          if (fired && scratch != nullptr) {
+            emit_key(slot, key);
+          } else if (fired) {
+            emit_and_erase(slot, key);
+          }
+          pending = !fired;
           i += consumed;
           left -= consumed;
         }
+        if (pending && scratch != nullptr) rmap.emplace(key, std::move(*scratch));
       };
       // Batched run(): one key per chunk of the batch.
       const bool batched = opts_.batch_chunks > 1;
@@ -626,7 +663,7 @@ class Scheduler {
         for (std::size_t i = 0; i < n;) {
           std::size_t run_end = i + 1;
           while (run_end < n && batch_keys[run_end] == batch_keys[i]) ++run_end;
-          accumulate_run(batch, i, run_end - i, batch_keys[i]);
+          accumulate_run(batch, i, run_end - i, batch_keys[i], nullptr);
           i = run_end;
         }
       };
@@ -641,6 +678,12 @@ class Scheduler {
         }
         return *range;
       };
+      // The walk's scratch object.  The walk visits each key once, so only
+      // a key seeded into the map before the phase (an iterative app's
+      // distributed map) is found there; the walk's own keys enter the map
+      // only as windows left pending at the end of their run.
+      std::unique_ptr<RedObj> scratch;
+      const bool seeded = !rmap.empty();
       // Walks full chunks [first, stop) key by key, from chunk first's
       // range.  Chunks [lo, hi) are the ones covering `key`: by
       // monotonicity every chunk before hi starts at or before it and every
@@ -673,7 +716,8 @@ class Scheduler {
             if (hi < stop) key = hi_range.first;
             continue;
           }
-          accumulate_run(full, lo, hi - lo, static_cast<int>(key));
+          const int k = static_cast<int>(key);
+          accumulate_run(full, lo, hi - lo, k, seeded && rmap.contains(k) ? nullptr : &scratch);
           ++key;
         }
       };

@@ -195,8 +195,7 @@ void TraceCollector::flow_end(std::string_view name, std::string_view cat, std::
   record(TraceEvent::Type::kFlowEnd, name, cat, now_us(), 0.0, flow_id, {}, rank);
 }
 
-std::vector<TraceEvent> TraceCollector::snapshot_filtered(bool all, int rank,
-                                                          bool include_unattributed) const {
+std::vector<TraceEvent> TraceCollector::snapshot_events() const {
   std::vector<TraceEvent> out;
   std::lock_guard<std::mutex> registry_lock(registry_mu_);
   for (const auto& buf : buffers_) {
@@ -207,9 +206,6 @@ std::vector<TraceEvent> TraceCollector::snapshot_filtered(bool all, int rank,
     const std::size_t start = (buf->next + cap - buf->count) % cap;
     for (std::size_t i = 0; i < buf->count; ++i) {
       const Record& r = buf->ring[(start + i) % cap];
-      if (!all && r.rank != rank && !(include_unattributed && r.rank == kUnattributedRank)) {
-        continue;
-      }
       TraceEvent e;
       e.type = r.type;
       e.rank = r.rank;
@@ -230,15 +226,6 @@ std::vector<TraceEvent> TraceCollector::snapshot_filtered(bool all, int rank,
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
   return out;
-}
-
-std::vector<TraceEvent> TraceCollector::snapshot_events() const {
-  return snapshot_filtered(/*all=*/true, 0, false);
-}
-
-std::vector<TraceEvent> TraceCollector::snapshot_events(int rank,
-                                                        bool include_unattributed) const {
-  return snapshot_filtered(/*all=*/false, rank, include_unattributed);
 }
 
 std::size_t TraceCollector::dropped_events() const {

@@ -20,9 +20,8 @@
 //     makes a 4-rank in-situ run read as four process lanes in Perfetto.
 //
 // Ranks in this reproduction are threads of one process, so the collector
-// is process-global and all ranks share its clock origin; the rank-0
-// gather (obs/gather.h) still moves each rank's events through simmpi the
-// way a real MPI deployment would, so the merge path is exercised for real.
+// is process-global and all ranks share its clock origin: one snapshot is
+// the whole cross-rank timeline, with no gather over simmpi.
 #pragma once
 
 #include <atomic>
@@ -63,7 +62,7 @@ struct TraceArg {
 /// critical-path profiler reconstructs the causal DAG from (obs/critpath.h).
 constexpr std::uint8_t kMaxTraceArgs = 4;
 
-/// Export/gather form of one recorded event (internal storage is interned;
+/// Export form of one recorded event (internal storage is interned;
 /// see TraceCollector::snapshot_events).
 struct TraceEvent {
   enum class Type : std::uint8_t { kComplete, kInstant, kFlowStart, kFlowEnd };
@@ -114,9 +113,6 @@ class TraceCollector {
   // --- draining ------------------------------------------------------------
   /// All recorded events, in timestamp order.
   std::vector<TraceEvent> snapshot_events() const;
-  /// Events attributed to `rank` (plus, when `include_unattributed`, events
-  /// from threads outside any launch) — the per-rank slice the gather ships.
-  std::vector<TraceEvent> snapshot_events(int rank, bool include_unattributed) const;
 
   /// Events lost to full rings since the last clear().
   std::size_t dropped_events() const;
@@ -173,7 +169,6 @@ class TraceCollector {
   void record(TraceEvent::Type type, std::string_view name, std::string_view cat, double ts_us,
               double dur_us, std::uint64_t flow_id, std::initializer_list<TraceArg> args,
               int rank);
-  std::vector<TraceEvent> snapshot_filtered(bool all, int rank, bool include_unattributed) const;
 
   std::chrono::steady_clock::time_point origin_;
   mutable std::mutex registry_mu_;

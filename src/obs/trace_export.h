@@ -1,6 +1,6 @@
 // Chrome trace-event / Perfetto JSON export for obs::TraceEvent streams, a
-// flat per-phase CSV view of the scheduler spans, and the byte-level codec
-// the rank-0 gather uses to ship events.
+// flat per-phase CSV view of the scheduler spans, and a byte-level event
+// codec.
 //
 // The timeline maps pid=rank and tid=dense thread id, with "process_name"
 // metadata per rank, so ui.perfetto.dev (or chrome://tracing) renders a
@@ -58,7 +58,7 @@ bool read_chrome_trace(std::string_view json, ChromeTrace& out, std::string* err
 bool read_chrome_trace_file(const std::string& path, ChromeTrace& out,
                             std::string* error = nullptr);
 
-/// Appends `events` to `w` for shipping across ranks (gather.h).
+/// Appends `events` to `w` in a compact binary form.
 void serialize_events(Writer& w, const std::vector<TraceEvent>& events);
 
 /// Reads back a serialize_events stream.

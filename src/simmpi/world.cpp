@@ -130,9 +130,10 @@ LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
       stats.rank_vtime[static_cast<std::size_t>(r)] = comm.vclock();
       stats.rank_bytes_sent[static_cast<std::size_t>(r)] = comm.bytes_sent();
       stats.rank_send_stall_seconds[static_cast<std::size_t>(r)] = comm.send_stall_seconds();
-      if (obs::trace_enabled()) {
+      if (obs::trace_enabled() && !killed[static_cast<std::size_t>(r)]) {
         // Same value LaunchStats::makespan() sees, so the trace-side
         // reconstruction (obs/critpath.h) anchors on the exact makespan.
+        // A killed rank never ends: its trace stops at its rank_dead event.
         obs::TraceCollector::instance().instant(
             "rank.end", "mpi",
             {{"vt_ns", static_cast<std::int64_t>(

@@ -12,8 +12,9 @@
 // (truncation == floor after clamping, hinted == unhinted argmin with the
 // lowest-index tie rule), trigger-driven mid-batch erase through the
 // default accumulate_batch, run2's key-range walk against the per-chunk
-// walk, the call counts of both batched paths, and the consumed-count check
-// on accumulate_batch overrides.
+// walk, the walk's recycled scratch object (its construction count), the
+// call counts of both batched paths, and the consumed-count check on
+// accumulate_batch overrides.
 // Registered under the `schedule` ctest label and run under TSan by
 // scripts/check.sh.
 #include <gtest/gtest.h>
@@ -843,6 +844,150 @@ TEST(Run2Batched, OneAccumulateBatchPerWindowRun) {
       EXPECT_EQ(run_keyed(window_ranges(n), kWindow, data, n, 1, trigger, 0).batch_calls, 0u);
     }
   }
+}
+
+// --- run2: triggered windows never enter the map -----------------------------
+
+/// A window sum that counts its constructions.
+struct CountedWinObj : WinObj {
+  explicit CountedWinObj(std::atomic<std::size_t>& constructed) {
+    constructed.fetch_add(1, std::memory_order_relaxed);
+  }
+};
+
+/// Sums each centered window of kWindow elements, clipped at the partition
+/// edges, and triggers at the clipped size or at `trigger_at` elements,
+/// whichever is smaller.  emit() writes the sum and recycles the object.
+/// With trigger_at below the window a key's run is longer than its window:
+/// the object triggers mid-run and the rest of the run is left pending.
+class RecyclingWindowSum : public Scheduler<double, double> {
+ public:
+  RecyclingWindowSum(const SchedArgs& args, RunOptions opts, std::size_t trigger_at)
+      : Scheduler<double, double>(args, opts), trigger_at_(trigger_at) {}
+
+  std::atomic<std::size_t> constructed{0};  ///< CountedWinObj constructions, all workers
+
+ protected:
+  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const double*,
+                                        const CombinationMap&) const override {
+    return window_center_range(chunk.start, total_len(), kWindow);
+  }
+  void accumulate(const Chunk& chunk, const double* data,
+                  std::unique_ptr<RedObj>& obj) override {
+    if (!obj) obj = std::make_unique<CountedWinObj>(constructed);
+    auto& win = static_cast<WinObj&>(*obj);
+    if (win.count == 0) {
+      const auto center = static_cast<std::size_t>(current_key());
+      win.window = std::min(clipped_window_size(center, total_len(), kWindow), trigger_at_);
+    }
+    win.sum += data[chunk.start];
+    win.count += 1;
+  }
+  void merge(const RedObj& src, std::unique_ptr<RedObj>& dst) override {
+    auto& d = static_cast<WinObj&>(*dst);
+    const auto& s = static_cast<const WinObj&>(src);
+    d.sum += s.sum;
+    d.count += s.count;
+  }
+  // Relaxed atomic store, as in KeyedWindowSum: with trigger_at below the
+  // window, two workers may both emit a key whose window a split cuts.
+  void convert(const RedObj& obj, double* out) const override {
+    std::atomic_ref<double>(*out).store(static_cast<const WinObj&>(obj).sum,
+                                        std::memory_order_relaxed);
+  }
+  void emit(std::unique_ptr<RedObj>& obj, double* out) override {
+    auto& win = static_cast<WinObj&>(*obj);
+    if (out != nullptr) convert(win, out);
+    win.sum = 0.0;
+    win.count = 0;
+  }
+
+ private:
+  std::size_t trigger_at_;
+};
+
+struct RecyclingRun {
+  std::vector<double> out;
+  std::size_t early_emissions = 0;
+  std::vector<std::pair<int, double>> survivors;  ///< (key, sum), key order
+  std::size_t constructed = 0;
+};
+
+RecyclingRun run_recycling(const std::vector<double>& data, int threads, bool trigger,
+                           std::size_t batch_chunks, std::size_t trigger_at) {
+  RunOptions opts = with_batch(batch_chunks);
+  opts.enable_trigger = trigger;
+  RecyclingWindowSum app(SchedArgs(threads, 1), opts, trigger_at);
+  RecyclingRun r;
+  r.out.assign(data.size(), -1.0);
+  app.run2(data.data(), data.size(), r.out.data(), r.out.size());
+  r.early_emissions = app.stats().early_emissions;
+  for (const auto& [key, obj] : app.get_combination_map()) {
+    r.survivors.emplace_back(key, static_cast<const WinObj&>(*obj).sum);
+  }
+  r.constructed = app.constructed.load();
+  return r;
+}
+
+// The deterministic guard for the walk's scratch object.  With the trigger
+// on, a whole window triggers and its object is recycled by emit(), so one
+// worker constructs exactly 1 object for n windows.  A split boundary cuts
+// kWindow - 1 windows into a piece on each side; each piece ends its run
+// untriggered and enters its worker's map as an object of its own, and
+// only the last worker's scratch object is never handed over, so t workers
+// construct 2 (kWindow - 1) (t - 1) + 1 objects.  With the trigger off
+// every window piece enters the map: n + (kWindow - 1) (t - 1) objects.  A
+// walk that accumulated in the map would construct that many in every
+// case, as the per-chunk walk does.
+TEST(Run2Batched, TriggeredWindowsRecycleOneScratchObjectPerWorker) {
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{64 * 20 + 13}}) {
+    const auto data = gaussian_data(n, 934);
+    for (const int threads : {1, 2, 3}) {
+      const auto t = static_cast<std::size_t>(threads);
+      const std::size_t cut_windows = (kWindow - 1) * (t - 1);
+      for (const bool trigger : {true, false}) {
+        const auto per_chunk = run_recycling(data, threads, trigger, 0, kWindow);
+        const auto batched = run_recycling(data, threads, trigger, 64, kWindow);
+        const std::string where =
+            "n=" + std::to_string(n) + " threads=" + std::to_string(threads) +
+            " trigger=" + std::to_string(trigger);
+        EXPECT_EQ(batched.out, per_chunk.out) << where;
+        EXPECT_EQ(batched.early_emissions, per_chunk.early_emissions) << where;
+        EXPECT_EQ(batched.survivors, per_chunk.survivors) << where;
+        EXPECT_EQ(batched.constructed, trigger ? 2 * cut_windows + 1 : n + cut_windows) << where;
+        EXPECT_EQ(per_chunk.constructed, n + cut_windows) << where;
+        EXPECT_EQ(batched.early_emissions, trigger ? n - cut_windows : 0u) << where;
+      }
+    }
+  }
+}
+
+// trigger_at 10 < kWindow: an interior window's run of 25 chunks triggers
+// after 10 and again after 20, and the last 5 are handed to the map, where
+// they survive local combination and write the key's output last.
+TEST(Run2Batched, RunLongerThanItsWindowHandsItsRestToTheMap) {
+  constexpr std::size_t kTriggerAt = 10;
+  const std::size_t n = 1000;
+  const auto data = gaussian_data(n, 935);
+  for (const int threads : {1, 2, 3}) {
+    for (const bool trigger : {true, false}) {
+      const auto per_chunk = run_recycling(data, threads, trigger, 0, kTriggerAt);
+      const auto batched = run_recycling(data, threads, trigger, 64, kTriggerAt);
+      const std::string where =
+          "threads=" + std::to_string(threads) + " trigger=" + std::to_string(trigger);
+      EXPECT_EQ(batched.out, per_chunk.out) << where;
+      EXPECT_EQ(batched.early_emissions, per_chunk.early_emissions) << where;
+      EXPECT_EQ(batched.survivors, per_chunk.survivors) << where;
+    }
+  }
+  // One worker: each of the n - 24 interior windows triggers twice and
+  // leaves 5 elements pending.  Of the 24 clipped edge windows, the ten of
+  // 20..24 elements trigger twice and leave 0..4, the fourteen of 13..19
+  // trigger once and leave 3..9, so only the two 20-element windows leave
+  // nothing in the map.
+  const auto one = run_recycling(data, 1, true, 64, kTriggerAt);
+  EXPECT_EQ(one.survivors.size(), n - 2);
+  EXPECT_EQ(one.early_emissions, 2 * (n - 24) + 2 * 10 + 14);
 }
 
 // --- run(): one accumulate_batch per key run ---------------------------------

@@ -100,13 +100,6 @@ TEST_F(MemoryTrackerTest, ConcurrentChargesKeepConsistentPeak) {
   EXPECT_LE(t.peak(), 4u * 64u);
 }
 
-TEST_F(MemoryTrackerTest, ReportMentionsCategories) {
-  auto& t = MemoryTracker::instance();
-  t.charge(MemCategory::kSimulation, 123);
-  const std::string report = t.report();
-  EXPECT_NE(report.find("simulation"), std::string::npos);
-}
-
 TEST(ProcessRss, ReturnsPlausibleValue) {
   const std::size_t rss = process_peak_rss_bytes();
   EXPECT_GT(rss, 1u << 20);   // more than 1 MB
