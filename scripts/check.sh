@@ -19,6 +19,13 @@
 # time: in each panel the trigger-on peak of live reduction objects is the
 # same at every input size, and the trigger-off peak grows with the size.
 #
+# The vec-probe step compiles scripts/vec_probe.cpp at -O3 and at -O2 (the
+# default RelWithDebInfo level).  At -O3 every loop batch_kernels.h marks
+# must report "loop vectorized"; at both levels the disassembled
+# nearest-centroid pair kernel must hold packed subpd, mulpd and addpd, no
+# scalar addsd, and no packed store to the stack (an accumulator spilled
+# because one of its tile loops was left rolled).
+#
 # The perfbench smoke runs the end-to-end benchmark's summary self-tests
 # and a 1 s run of each of its workloads (a Release build of
 # perfbench_e2e): every analyzed step is checked against the serial
@@ -292,10 +299,9 @@ echo "== tier-1: kernel vectorization probe =="
 # dependence, or aliasing hazard reintroduced into one of them fails here
 # instead of surfacing weeks later as a bench diff.
 vec_log="$repo/build/check_vec_probe.log"
-vec_obj="$repo/build/check_vec_probe.o"
 kernels_h="$repo/src/analytics/batch_kernels.h"
 g++ -O3 -std=c++20 -I"$repo/src" -fopt-info-vec-optimized \
-  -c "$repo/scripts/vec_probe.cpp" -o "$vec_obj" 2> "$vec_log"
+  -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe-O3.o" 2> "$vec_log"
 # Marked lines are code lines ending in the marker, not comments naming it.
 probe_lines=$(grep -nE '^[[:space:]]*[^/[:space:]].*// vec-probe: must vectorize' "$kernels_h" \
   | cut -d: -f1 || true)
@@ -308,24 +314,42 @@ for line in $probe_lines; do
 done
 # The nearest-centroid pair kernel is explicit two-lane vector code, which
 # the vectorizer does not report on, so its instantiation is checked in the
-# disassembly: every function of the kernel (detail::nearest_centroids_pairs
-# and the detail::pair_* tiles it calls) together must contain packed
-# subpd, mulpd and addpd, and no addsd (a distance summed one lane at a
-# time, as when the accumulators are split into two scalars per pair).
-pair_ops=$(objdump -dC --no-show-raw-insn "$vec_obj" | awk '
-  /^[0-9a-f]+ <.*kernels::detail::(pair_|nearest_centroids_pairs)/ { in_kernel = 1; next }
-  /^$/ { in_kernel = 0 }
-  in_kernel { print $2 }')
-for op in subpd mulpd addpd; do
-  grep -qx "$op" <<< "$pair_ops" \
-    || { echo "pair kernel has no packed $op (vec_probe.cpp instantiation)" >&2; exit 1; }
+# disassembly, at -O3 and at -O2 (the default RelWithDebInfo build):
+# every function of the kernel (detail::nearest_centroids_pairs and the
+# detail::pair_* tiles it calls) together must contain packed subpd, mulpd
+# and addpd, no addsd (a distance summed one lane at a time, as when the
+# accumulators are split into two scalars per pair), and no packed store
+# to the stack (movapd/movaps of an xmm register to (%rsp): an accumulator
+# spilled because a tile loop was left rolled, which at -O2 made the
+# kernel twice as slow per point at d = 4).
+g++ -O2 -std=c++20 -I"$repo/src" \
+  -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe-O2.o"
+pair_report=""
+for opt in O3 O2; do
+  pair_asm=$(objdump -dC --no-show-raw-insn "$repo/build/check_vec_probe-$opt.o" | awk '
+    /^[0-9a-f]+ <.*kernels::detail::(pair_|nearest_centroids_pairs)/ { in_kernel = 1; next }
+    /^$/ { in_kernel = 0 }
+    in_kernel { print $2, $3 }')
+  pair_ops=$(cut -d' ' -f1 <<< "$pair_asm")
+  for op in subpd mulpd addpd; do
+    grep -qx "$op" <<< "$pair_ops" \
+      || { echo "pair kernel at -$opt has no packed $op (vec_probe.cpp)" >&2; exit 1; }
+  done
+  if grep -qx addsd <<< "$pair_ops"; then
+    echo "pair kernel at -$opt adds distances with scalar addsd (vec_probe.cpp)" >&2
+    exit 1
+  fi
+  spills=$(grep -E '^mov[au]p[sd] %xmm[0-9]+,.*\(%[re]sp\)' <<< "$pair_asm" || true)
+  if [[ -n "$spills" ]]; then
+    echo "pair kernel at -$opt stores $(wc -l <<< "$spills") packed register(s) to the" \
+      "stack (vec_probe.cpp); a tile loop over points or pairs is not unrolled:" >&2
+    head -n 5 <<< "$spills" >&2
+    exit 1
+  fi
+  pair_report+=" -$opt $(grep -cx addpd <<< "$pair_ops") addpd;"
 done
-if grep -qx addsd <<< "$pair_ops"; then
-  echo "pair kernel adds distances with scalar addsd (vec_probe.cpp instantiation)" >&2
-  exit 1
-fi
 echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized;" \
-  "pair kernel $(grep -cx addpd <<< "$pair_ops") addpd, 0 addsd"
+  "pair kernel$pair_report 0 addsd and 0 packed stack stores at both levels"
 
 echo "== tier-1: perfbench smoke =="
 # perfbench/run.py builds perfbench_e2e in Release into .bench_build/ and

@@ -50,30 +50,6 @@ std::vector<double> StepStore::read_step(int rank, int step) const {
   return data;
 }
 
-BlockReader::BlockReader(const std::string& path, std::size_t block_elems)
-    : file_(std::fopen(path.c_str(), "rb")), block_elems_(block_elems) {
-  if (file_ == nullptr) throw std::runtime_error("BlockReader: cannot open " + path);
-  if (block_elems == 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw std::invalid_argument("BlockReader: block_elems must be positive");
-  }
-}
-
-BlockReader::~BlockReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-std::optional<std::vector<double>> BlockReader::next() {
-  std::vector<double> block(block_elems_);
-  const std::size_t got = std::fread(block.data(), sizeof(double), block_elems_, file_);
-  if (got == 0) return std::nullopt;
-  block.resize(got);
-  ++blocks_read_;
-  elements_read_ += got;
-  return block;
-}
-
 void StepStore::cleanup() {
   for (const auto& path : written_) {
     std::error_code ec;

@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,35 +39,6 @@ class StepStore {
   mutable std::size_t bytes_read_ = 0;
   double write_seconds_ = 0.0;
   mutable double read_seconds_ = 0.0;
-};
-
-/// Streams a large raw-double file through an analytics job in bounded
-/// blocks — the offline counterpart of feeding one time-step at a time,
-/// for datasets that do not fit in memory.  Usage:
-///
-///   BlockReader reader(path, /*block_elems=*/1 << 20);
-///   while (auto block = reader.next()) {
-///     scheduler.run(block->data(), block->size(), nullptr, 0);
-///   }
-class BlockReader {
- public:
-  BlockReader(const std::string& path, std::size_t block_elems);
-  ~BlockReader();
-
-  BlockReader(const BlockReader&) = delete;
-  BlockReader& operator=(const BlockReader&) = delete;
-
-  /// Next block of up to block_elems doubles; nullopt at end of file.
-  std::optional<std::vector<double>> next();
-
-  std::size_t blocks_read() const { return blocks_read_; }
-  std::size_t elements_read() const { return elements_read_; }
-
- private:
-  std::FILE* file_;
-  std::size_t block_elems_;
-  std::size_t blocks_read_ = 0;
-  std::size_t elements_read_ = 0;
 };
 
 }  // namespace smart::baselines

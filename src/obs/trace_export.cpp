@@ -1,6 +1,5 @@
 #include "obs/trace_export.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -142,25 +141,6 @@ void write_phase_csv(std::ostream& os, const std::vector<TraceEvent>& events) {
     os << ',';
     write_seconds(os, e.dur_us);
     os << '\n';
-  }
-}
-
-void serialize_events(Writer& w, const std::vector<TraceEvent>& events) {
-  w.write<std::uint64_t>(events.size());
-  for (const TraceEvent& e : events) {
-    w.write<std::uint8_t>(static_cast<std::uint8_t>(e.type));
-    w.write<std::int32_t>(e.rank);
-    w.write<std::uint32_t>(e.tid);
-    w.write<double>(e.ts_us);
-    w.write<double>(e.dur_us);
-    w.write<std::uint64_t>(e.flow_id);
-    w.write_string(e.name);
-    w.write_string(e.cat);
-    w.write<std::uint8_t>(e.num_args);
-    for (std::uint8_t i = 0; i < e.num_args; ++i) {
-      w.write_string(e.arg_key[i]);
-      w.write<std::int64_t>(e.arg_val[i]);
-    }
   }
 }
 
@@ -469,30 +449,6 @@ bool read_chrome_trace_file(const std::string& path, ChromeTrace& out, std::stri
   }
   std::string contents((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
   return read_chrome_trace(contents, out, error);
-}
-
-std::vector<TraceEvent> deserialize_events(Reader& r) {
-  const auto n = r.read<std::uint64_t>();
-  std::vector<TraceEvent> events;
-  events.reserve(std::min<std::uint64_t>(n, 1u << 20));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    TraceEvent e;
-    e.type = static_cast<TraceEvent::Type>(r.read<std::uint8_t>());
-    e.rank = r.read<std::int32_t>();
-    e.tid = r.read<std::uint32_t>();
-    e.ts_us = r.read<double>();
-    e.dur_us = r.read<double>();
-    e.flow_id = r.read<std::uint64_t>();
-    e.name = r.read_string();
-    e.cat = r.read_string();
-    e.num_args = std::min<std::uint8_t>(r.read<std::uint8_t>(), kMaxTraceArgs);
-    for (std::uint8_t a = 0; a < e.num_args; ++a) {
-      e.arg_key[a] = r.read_string();
-      e.arg_val[a] = r.read<std::int64_t>();
-    }
-    events.push_back(std::move(e));
-  }
-  return events;
 }
 
 }  // namespace smart::obs

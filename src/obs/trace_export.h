@@ -1,6 +1,5 @@
-// Chrome trace-event / Perfetto JSON export for obs::TraceEvent streams, a
-// flat per-phase CSV view of the scheduler spans, and a byte-level event
-// codec.
+// Chrome trace-event / Perfetto JSON export for obs::TraceEvent streams and
+// a flat per-phase CSV view of the scheduler spans.
 //
 // The timeline maps pid=rank and tid=dense thread id, with "process_name"
 // metadata per rank, so ui.perfetto.dev (or chrome://tracing) renders a
@@ -15,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/serialize.h"
 #include "obs/trace.h"
 
 namespace smart::obs {
@@ -57,11 +55,5 @@ bool read_chrome_trace(std::string_view json, ChromeTrace& out, std::string* err
 /// read or does not parse.
 bool read_chrome_trace_file(const std::string& path, ChromeTrace& out,
                             std::string* error = nullptr);
-
-/// Appends `events` to `w` in a compact binary form.
-void serialize_events(Writer& w, const std::vector<TraceEvent>& events);
-
-/// Reads back a serialize_events stream.
-std::vector<TraceEvent> deserialize_events(Reader& r);
 
 }  // namespace smart::obs

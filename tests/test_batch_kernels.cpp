@@ -9,8 +9,9 @@
 // chain, so equality here is EXPECT_EQ on doubles, not EXPECT_NEAR.
 //
 // Also covered: the kernel-level identities the batched apps rely on
-// (truncation == floor after clamping, hinted == unhinted argmin with the
-// lowest-index tie rule), trigger-driven mid-batch erase through the
+// (truncation == floor after clamping, the pair kernel's argmin == the
+// reference scan at every width, lowest index winning ties across lanes
+// and pairs), trigger-driven mid-batch erase through the
 // default accumulate_batch, run2's key-range walk against the per-chunk
 // walk, the walk's recycled scratch object (its construction count), the
 // call counts of both batched paths, and the consumed-count check on
@@ -106,7 +107,7 @@ TEST(HistogramKeys, StridedMatchesGatheredContiguous) {
 }
 
 // Reference argmin: full distances, strict <, lowest index wins ties —
-// the mathematical spec both the hinted and unhinted scans must realize.
+// the mathematical spec the pair kernel must realize at every width.
 int ref_nearest(const double* pt, std::size_t dims, const double* centroids, std::size_t k) {
   int best_key = 0;
   double best = std::numeric_limits<double>::max();
@@ -145,8 +146,9 @@ void expect_keys_match_reference(const std::vector<T>& pts, std::size_t dims,
   }
 }
 
-// 2/3/4/8 take the fixed-dims kernels; 1 (heat3d_kmeans), 5, 64 (fig05,
-// fig06, perfbench kmeans_d64) and 65 take the pair kernel.
+// Every width takes the pair kernel: 4 is Heat3D's (Fig 1, 7, 8), 1
+// heat3d_kmeans', 64 that of fig05, fig06 and perfbench kmeans_d64; 2, 3,
+// 5, 8 and 65 cover widths no workload runs, odd ones included.
 constexpr std::size_t kWidths[] = {2, 3, 4, 8, 1, 5, 64, 65};
 
 template <class T>
@@ -187,7 +189,7 @@ void check_far_centroids_odd_k(Rng& rng) {
   }
 }
 
-TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
+TEST(NearestCentroids, EveryWidthMatchesReference) {
   Rng rng(903);
   check_random_points<double>(rng);
   check_random_points<float>(rng);
@@ -196,11 +198,10 @@ TEST(NearestCentroids, HintedBlockedScanMatchesReference) {
 }
 
 // Duplicate centroids and points exactly midway between two distinct
-// centroids, padded with zeros to `dims`.  The run-aware hint of the
-// fixed-dims kernels can seed the scan at any index, and the pair kernel
-// holds tied centroids in different lanes and pairs, so only the full
-// lowest-index tie rule, applied in index order across lanes, keeps the
-// result equal to the reference scan.  Layout 0: c0 = 0, c1 = 2 e0,
+// centroids, padded with zeros to `dims`.  The pair kernel holds tied
+// centroids in different lanes and pairs, so only the lowest-index tie
+// rule, applied in index order across lanes, keeps the result equal to the
+// reference scan.  Layout 0: c0 = 0, c1 = 2 e0,
 // c2 = c0 (a tie within lane 0 of pairs 0 and 1).  Layout 1: c0 = 2 e0,
 // c1 = 0, c2 = c1 (lane 1 of pair 0 ties lane 0 of pair 1; key 1 must
 // win, which an argmin kept per lane and merged lane 0 first gets wrong).
@@ -220,8 +221,8 @@ void check_ties(std::size_t dims, std::size_t n, int layout, std::size_t k) {
   expect_keys_match_reference(pts, dims, centroids, k);
 }
 
-TEST(NearestCentroids, TiesBreakToLowestIndexDespiteHintSeeding) {
-  for (const std::size_t dims : {4u, 1u, 5u, 64u, 65u}) {
+TEST(NearestCentroids, TiesBreakToLowestIndexAcrossLanes) {
+  for (const std::size_t dims : kWidths) {
     for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 29u, 30u, 31u}) {
       for (const int layout : {0, 1}) {
         for (const std::size_t k : {3u, 4u}) {

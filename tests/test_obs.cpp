@@ -302,41 +302,6 @@ TEST(TraceExport, NastyNamesStillProduceValidJson) {
   EXPECT_NE(json.find("\\nnewline"), std::string::npos);
 }
 
-TEST(TraceExport, EventsSerializeRoundTrip) {
-  obs::TraceEvent e;
-  e.type = obs::TraceEvent::Type::kFlowStart;
-  e.rank = 3;
-  e.tid = 7;
-  e.ts_us = 1234.5;
-  e.dur_us = 6.25;
-  e.flow_id = 42;
-  e.name = "msg";
-  e.cat = "mpi";
-  e.num_args = 2;
-  e.arg_key[0] = "tag";
-  e.arg_val[0] = 9;
-  e.arg_key[1] = "bytes";
-  e.arg_val[1] = 512;
-
-  Buffer buf;
-  Writer w(buf);
-  obs::serialize_events(w, {e});
-  Reader r(buf);
-  const auto back = obs::deserialize_events(r);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].type, e.type);
-  EXPECT_EQ(back[0].rank, e.rank);
-  EXPECT_EQ(back[0].tid, e.tid);
-  EXPECT_DOUBLE_EQ(back[0].ts_us, e.ts_us);
-  EXPECT_DOUBLE_EQ(back[0].dur_us, e.dur_us);
-  EXPECT_EQ(back[0].flow_id, e.flow_id);
-  EXPECT_EQ(back[0].name, e.name);
-  EXPECT_EQ(back[0].cat, e.cat);
-  ASSERT_EQ(back[0].num_args, 2);
-  EXPECT_EQ(back[0].arg_key[1], "bytes");
-  EXPECT_EQ(back[0].arg_val[1], 512);
-}
-
 TEST(TraceFlow, SendRecvPairsAcrossRanks) {
   ObsTestGuard guard;
   auto& tc = obs::TraceCollector::instance();
