@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "analytics/batch_kernels.h"
 #include "common/env.h"
 #include "common/memory_tracker.h"
 #include "common/rng.h"
@@ -31,6 +32,13 @@ namespace smart::bench {
 inline std::size_t scaled(std::size_t base) {
   const double s = bench_scale();
   return static_cast<std::size_t>(static_cast<double>(base) * s);
+}
+
+/// The nearest-centroid kernel's width on this CPU, for the "this run" line
+/// of the figures with k-means legs (DESIGN.md §4.8).
+inline std::string centroid_kernel_width() {
+  return "nearest-centroid kernel " +
+         std::to_string(analytics::kernels::nearest_centroid_lanes()) + " lanes";
 }
 
 inline void print_header(const std::string& figure, const std::string& paper_setup,

@@ -165,7 +165,8 @@ int harness_main() {
       "Figure 5: Smart vs Spark (MiniSpark stand-in), 1-8 analytics threads",
       "40 GB gaussian emulator stream, Spark 1.1.1, single 8-core node; "
       "speedups up to 21x/62x/92x",
-      smart::format_bytes(n_doubles * sizeof(double)) + " gaussian emulator output per app");
+      smart::format_bytes(n_doubles * sizeof(double)) + " gaussian emulator output per app, " +
+          smart::bench::centroid_kernel_width());
 
   sim::Emulator emu({.step_len = n_doubles, .mean = 0.0, .stddev = 1.0, .seed = 42});
   const double* raw = emu.step();

@@ -94,7 +94,8 @@ int harness_main() {
   smart::bench::print_header(
       "Figure 6: Smart vs hand-written low-level (MPI/threads) analytics",
       "1 TB over 8-64 nodes; low-level wins by <= 9% on k-means, ~0% on logreg",
-      smart::format_bytes(n_doubles * sizeof(double)) + " per app, 2 threads/rank, virtual time");
+      smart::format_bytes(n_doubles * sizeof(double)) +
+          " per app, 2 threads/rank, virtual time, " + smart::bench::centroid_kernel_width());
 
   smart::Rng rng(32);
   const auto data = rng.gaussian_vector(n_doubles);

@@ -65,7 +65,7 @@ int harness_main() {
       "1 TB, 100 steps, 4-32 nodes x 8 cores, 93% average parallel efficiency",
       "32x32x" + std::to_string(nz_global) + " global grid, " + std::to_string(kSteps) +
           " steps, ranks {2,4,8} x " + std::to_string(kThreadsPerRank) +
-          " threads, virtual makespan, min of 3 runs");
+          " threads, virtual makespan, min of 3 runs, " + smart::bench::centroid_kernel_width());
 
   smart::Table table({"app", "ranks", "makespan_min_s", "makespan_median_s", "makespan_spread",
                       "speedup", "parallel_efficiency", "codec_s", "wire_bytes"});

@@ -42,7 +42,8 @@ int harness_main() {
       "1 TB, 93 steps, 64 nodes, 1-8 threads; parallel efficiency 59% (record apps) / 79% "
       "(window apps)",
       std::to_string(kRanks) + " ranks, edge " + std::to_string(edge) + " cube per rank, " +
-          std::to_string(kSteps) + " steps, threads {1,2,4,8}, virtual makespan, min of 3 runs");
+          std::to_string(kSteps) + " steps, threads {1,2,4,8}, virtual makespan, min of 3 runs, " +
+          smart::bench::centroid_kernel_width());
 
   smart::Table table({"app", "threads", "makespan_min_s", "makespan_median_s", "makespan_spread",
                       "speedup", "parallel_efficiency"});

@@ -19,12 +19,16 @@
 # time: in each panel the trigger-on peak of live reduction objects is the
 # same at every input size, and the trigger-off peak grows with the size.
 #
-# The vec-probe step compiles scripts/vec_probe.cpp at -O3 and at -O2 (the
-# default RelWithDebInfo level).  At -O3 every loop batch_kernels.h marks
-# must report "loop vectorized"; at both levels the disassembled
-# nearest-centroid pair kernel must hold packed subpd, mulpd and addpd, no
-# scalar addsd, and no packed store to the stack (an accumulator spilled
-# because one of its tile loops was left rolled).
+# The vec-probe step compiles scripts/vec_probe.cpp with the build's
+# -ffp-contract=off at -O3 and at -O2 (the default RelWithDebInfo level).
+# At -O3 every loop batch_kernels.h marks must report "loop vectorized"; at
+# both levels the disassembled 2-lane nearest-centroid kernel must hold
+# packed subpd, mulpd and addpd, no scalar addsd, and no packed store of an
+# xmm register to the stack (an accumulator spilled because one of its tile
+# loops was left rolled), and the 4-lane kernel (compiled for AVX2) packed
+# vsubpd, vmulpd and vaddpd on ymm registers, no addsd or vaddsd, no
+# vfmadd or vfmsub (a contracted chain changes keys), and no spilled ymm
+# register (a packed-double store anywhere, or any store to the stack).
 #
 # The perfbench smoke runs the end-to-end benchmark's summary self-tests
 # and a 1 s run of each of its workloads (a Release build of
@@ -300,7 +304,7 @@ echo "== tier-1: kernel vectorization probe =="
 # instead of surfacing weeks later as a bench diff.
 vec_log="$repo/build/check_vec_probe.log"
 kernels_h="$repo/src/analytics/batch_kernels.h"
-g++ -O3 -std=c++20 -I"$repo/src" -fopt-info-vec-optimized \
+g++ -O3 -std=c++20 -ffp-contract=off -I"$repo/src" -fopt-info-vec-optimized \
   -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe-O3.o" 2> "$vec_log"
 # Marked lines are code lines ending in the marker, not comments naming it.
 probe_lines=$(grep -nE '^[[:space:]]*[^/[:space:]].*// vec-probe: must vectorize' "$kernels_h" \
@@ -312,44 +316,66 @@ for line in $probe_lines; do
     || { echo "batch_kernels.h:$line: marked loop no longer vectorizes:" >&2; \
          sed -n "${line}p" "$kernels_h" >&2; cat "$vec_log" >&2; exit 1; }
 done
-# The nearest-centroid pair kernel is explicit two-lane vector code, which
-# the vectorizer does not report on, so its instantiation is checked in the
-# disassembly, at -O3 and at -O2 (the default RelWithDebInfo build):
-# every function of the kernel (detail::nearest_centroids_pairs and the
-# detail::pair_* tiles it calls) together must contain packed subpd, mulpd
-# and addpd, no addsd (a distance summed one lane at a time, as when the
-# accumulators are split into two scalars per pair), and no packed store
-# to the stack (movapd/movaps of an xmm register to (%rsp): an accumulator
-# spilled because a tile loop was left rolled, which at -O2 made the
-# kernel twice as slow per point at d = 4).
-g++ -O2 -std=c++20 -I"$repo/src" \
+# The nearest-centroid kernels are explicit vector code, which the
+# vectorizer does not report on, so their instantiations are checked in the
+# disassembly, at -O3 and at -O2 (the default RelWithDebInfo build), with
+# the build's -ffp-contract=off.  Each kernel is its entry function
+# (detail::nearest_centroids_sse2 or detail::nearest_centroids_avx2) plus
+# any detail::lane_* tile of its lane count that was left out of line.
+# The 2-lane kernel must contain packed subpd, mulpd and addpd, no addsd
+# (a distance summed one lane at a time, as when the accumulators are
+# split into scalars), and no packed store of an xmm register to the stack
+# (movapd/movaps to (%rsp): an accumulator spilled because a tile loop was
+# left rolled, which at -O2 made the kernel twice as slow per point at
+# d = 4).  The 4-lane kernel must contain vsubpd, vmulpd and vaddpd on ymm
+# registers (without its AVX2 target it is split into xmm halves), no
+# addsd or vaddsd, no vfmadd or vfmsub (a fused chain rounds once, so keys
+# change), and no spilled ymm register: no store of one to the stack, and
+# no packed-double store of one anywhere, since the kernel's only output
+# is int keys (a 16-point tile, past the pragmas' unroll count of 8, keeps
+# its accumulators in a stack array addressed through another register).
+g++ -O2 -std=c++20 -ffp-contract=off -I"$repo/src" \
   -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe-O2.o"
-pair_report=""
+kernel_asm() {  # object file, entry-function name, lane count
+  objdump -dC --no-show-raw-insn "$1" | awk -v entry="$2" -v lanes="$3" '
+    /^[0-9a-f]+ </ { in_kernel = index($0, "kernels::detail::" entry "<") ||
+                       (index($0, "kernels::detail::lane_") && index($0, "<" lanes "ul,")); next }
+    /^$/ { in_kernel = 0; next }
+    in_kernel { print $2, $3 }'
+}
+probe_fail() { echo "$1 (vec_probe.cpp)" >&2; exit 1; }
+lane_report=""
 for opt in O3 O2; do
-  pair_asm=$(objdump -dC --no-show-raw-insn "$repo/build/check_vec_probe-$opt.o" | awk '
-    /^[0-9a-f]+ <.*kernels::detail::(pair_|nearest_centroids_pairs)/ { in_kernel = 1; next }
-    /^$/ { in_kernel = 0 }
-    in_kernel { print $2, $3 }')
-  pair_ops=$(cut -d' ' -f1 <<< "$pair_asm")
+  obj="$repo/build/check_vec_probe-$opt.o"
+  sse_asm=$(kernel_asm "$obj" nearest_centroids_sse2 2)
+  sse_ops=$(cut -d' ' -f1 <<< "$sse_asm")
   for op in subpd mulpd addpd; do
-    grep -qx "$op" <<< "$pair_ops" \
-      || { echo "pair kernel at -$opt has no packed $op (vec_probe.cpp)" >&2; exit 1; }
+    grep -qx "$op" <<< "$sse_ops" || probe_fail "2-lane kernel at -$opt has no packed $op"
   done
-  if grep -qx addsd <<< "$pair_ops"; then
-    echo "pair kernel at -$opt adds distances with scalar addsd (vec_probe.cpp)" >&2
-    exit 1
-  fi
-  spills=$(grep -E '^mov[au]p[sd] %xmm[0-9]+,.*\(%[re]sp\)' <<< "$pair_asm" || true)
-  if [[ -n "$spills" ]]; then
-    echo "pair kernel at -$opt stores $(wc -l <<< "$spills") packed register(s) to the" \
-      "stack (vec_probe.cpp); a tile loop over points or pairs is not unrolled:" >&2
-    head -n 5 <<< "$spills" >&2
-    exit 1
-  fi
-  pair_report+=" -$opt $(grep -cx addpd <<< "$pair_ops") addpd;"
+  ! grep -qx addsd <<< "$sse_ops" \
+    || probe_fail "2-lane kernel at -$opt adds distances with scalar addsd"
+  spills=$(grep -E '^mov[au]p[sd] %xmm[0-9]+,.*\(%[re]sp\)' <<< "$sse_asm" || true)
+  [[ -z "$spills" ]] || probe_fail "2-lane kernel at -$opt stores $(wc -l <<< "$spills") \
+packed register(s) to the stack; a tile loop over points or groups is not unrolled:
+$(head -n 5 <<< "$spills")"
+  avx_asm=$(kernel_asm "$obj" nearest_centroids_avx2 4)
+  for op in vsubpd vmulpd vaddpd; do
+    grep -qE "^$op .*%ymm" <<< "$avx_asm" \
+      || probe_fail "4-lane kernel at -$opt has no packed $op on ymm registers"
+  done
+  ! grep -qE '^v?addsd ' <<< "$avx_asm" \
+    || probe_fail "4-lane kernel at -$opt adds distances with scalar (v)addsd"
+  ! grep -qE '^vfn?m(add|sub)' <<< "$avx_asm" \
+    || probe_fail "4-lane kernel at -$opt fuses a multiply-add: $(grep -m1 -E '^vfn?m(add|sub)' <<< "$avx_asm")"
+  spills=$(grep -E '^vmov[au]p[sd] %ymm[0-9]+,.*\(|^vmov[a-z0-9]* %ymm[0-9]+,.*\(%[re]sp\)' \
+    <<< "$avx_asm" || true)
+  [[ -z "$spills" ]] || probe_fail "4-lane kernel at -$opt spills $(wc -l <<< "$spills") \
+ymm register(s); a tile loop over points, groups or lanes is not unrolled:
+$(head -n 5 <<< "$spills")"
+  lane_report+=" -$opt $(grep -cx addpd <<< "$sse_ops") addpd, $(grep -cE '^vaddpd .*%ymm' <<< "$avx_asm") ymm vaddpd;"
 done
 echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized;" \
-  "pair kernel$pair_report 0 addsd and 0 packed stack stores at both levels"
+  "2-lane / 4-lane kernel$lane_report no scalar add, FMA or spilled accumulator at either level"
 
 echo "== tier-1: perfbench smoke =="
 # perfbench/run.py builds perfbench_e2e in Release into .bench_build/ and

@@ -8,8 +8,10 @@
 //   * a standalone TU (scripts/vec_probe.cpp) can compile just these loops
 //     with -fopt-info-vec, and check.sh can assert that the compiler
 //     vectorizes every loop marked `// vec-probe: must vectorize` and that
-//     the pair kernel's disassembly adds in packed, not scalar, doubles and
-//     stores no packed register to the stack, at -O2 and -O3.
+//     both nearest-centroid kernels' disassembly adds in packed, not
+//     scalar, doubles on their width's registers and keeps the
+//     accumulators in them (no packed xmm store to the stack in the 2-lane
+//     kernel, no spilled ymm register in the 4-lane one), at -O2 and -O3.
 //
 // Exactness contract: every kernel preserves the scalar accumulation order.
 // SIMD lanes come only from *independent* streams — per-element bucket
@@ -20,20 +22,23 @@
 // moments keep a scalar dependency chain while min/max and the squared
 // terms still vectorize.
 //
-// Nearest-centroid assignment has one kernel at every width, the pair
-// kernel, over the pair-interleaved copy a CentroidTable holds: two
-// centroids per SSE2 vector, one per lane, so the adds of two distance
-// chains go in one packed instruction and each lane still adds in dim
-// order.  No scan exits early or is seeded by the previous point's winner:
-// a per-dim exit test would be control flow in the dim loop, and summing
-// one chain at a time leaves the adds scalar however the subtractions are
-// packed.  At d = 64 (Fig 5, Fig 6, perfbench kmeans_d64) the pair kernel
-// scores a point-dim-centroid in 0.25-0.36 ns against 0.41-0.58 ns for
-// four scalar chains per pass (one thread, 6,144 points, k = 8, -O3).  At
-// d = 4, on the Heat3D fields of Fig 1, 7 and 8, a scan that exits and
-// seeds was no faster at converged centroids and slower at the initial
-// ones, once the pair kernel's tiles keep every accumulator in a register
-// (GCC 12, baseline x86-64, shared 4-CPU Xeon; DESIGN.md §4.8).
+// Nearest-centroid assignment has one kernel template at every width,
+// instantiated twice over the centroid groups a CentroidTable holds: L
+// centroids per vector, one per lane, so the adds of L distance chains go
+// in one packed instruction and each lane still adds in dim order.  L = 2
+// is the SSE2 kernel every x86-64 CPU runs; L = 4 is compiled for AVX2
+// (a target attribute on one function, so the build stays portable) and
+// runs where the CPU has it.  nearest_centroid_lanes() picks the width
+// once per process; nothing sets it, and SMART_NATIVE does not change it.
+// Both widths give the reference scan's keys bit for bit.  No scan exits
+// early or is seeded by the previous point's winner: a per-dim exit test
+// would be control flow in the dim loop, and summing one chain at a time
+// leaves the adds scalar however the subtractions are packed.  The 4-lane
+// kernel takes 0.33-0.56 of the 2-lane kernel's time at every width from 2
+// to 128: per point-dim-centroid 0.14-0.23 against 0.28-0.45 ns at d = 64
+// (Fig 5, Fig 6, perfbench kmeans_d64), 0.26-0.42 against 0.54-0.83 ns at
+// d = 4 (Heat3D in Fig 1, 7 and 8); one pinned thread, 6,144 points,
+// k = 8, GCC 12, -O2 and -O3, shared 4-CPU Xeon (DESIGN.md §4.8).
 #pragma once
 
 #include <cmath>
@@ -73,41 +78,65 @@ inline void histogram_keys(const In* x, std::size_t n, std::size_t stride, doubl
 
 namespace detail {
 
-/// Two doubles in one SSE2 register (plain GCC vector extension: baseline
-/// x86-64 codegen, no intrinsics header).  Its arithmetic is lane-wise, so
-/// each lane is its own IEEE chain.
-using pair_vec = double __attribute__((vector_size(16)));
+/// L doubles in one vector register, L centroids per group: L = 2 is an
+/// SSE2 register (baseline x86-64), L = 4 an AVX2 one.  Plain GCC vector
+/// extensions, no intrinsics header; the arithmetic is lane-wise, so each
+/// lane is its own IEEE chain.  A CentroidTable stores its groups as plain
+/// doubles, which both types may alias: outside AVX code GCC aligns a
+/// 32-byte vector type to 16 bytes only, so a std::vector of it would not
+/// be 32-byte aligned either, and one of an aligned(8) typedef trips
+/// -Wignored-attributes.  The doubles are 16-byte aligned, as operator new
+/// aligns any block of 16 bytes or more, so a 2-lane group is aligned and
+/// SSE2 takes it as a memory operand; a 4-lane group is not 32-byte
+/// aligned, so its type is loaded through at 8-byte alignment.
+template <std::size_t L>
+struct lane_vec;
+template <>
+struct lane_vec<2> {
+  using type = double __attribute__((vector_size(16), may_alias));
+};
+template <>
+struct lane_vec<4> {
+  using type = double __attribute__((vector_size(32), aligned(8), may_alias));
+};
 
-/// One tile of the pair kernel: P points against Q consecutive centroid
-/// pairs starting at pair q0, one pass over the dims.  Each (point, pair)
-/// accumulator holds two independent chains, one per lane, and each lane
-/// adds (x[d] - c[d])^2 in dim order: the same expression and order as the
-/// serial reference scan (ref::kmeans), so every distance is bit-identical.
-/// The tile then folds its distances into the running argmin in index order
-/// (2q before 2q + 1, pairs in order) with a strict <, so the lowest index
-/// wins ties.
-template <std::size_t P, std::size_t Q, class T>
-inline void pair_tile(const T* pts, std::size_t dims, const pair_vec* pairs, std::size_t q0,
-                      double* best, int* key) {
+// Every template below is always_inline, so it is compiled inside the
+// entry function that calls it: the SSE2 one, or the one compiled for
+// AVX2.  An out-of-line copy would be compiled for baseline x86-64.
+
+/// One tile of the L-lane kernel: P points against Q consecutive centroid
+/// groups starting at group q0, one pass over the dims.  Each (point,
+/// group) accumulator holds L independent chains, one per lane, and each
+/// lane adds (x[d] - c[d])^2 in dim order: the same expression and order as
+/// the serial reference scan (ref::kmeans), so every distance is
+/// bit-identical.  The tile then folds its distances into the running
+/// argmin in index order (lanes 0 to L - 1 within a group, groups in
+/// order) with a strict <, so the lowest index wins ties.
+template <std::size_t L, std::size_t P, std::size_t Q, class T>
+[[gnu::always_inline]] inline void lane_tile(const T* pts, std::size_t dims,
+                                             const double* groups, std::size_t q0,
+                                             double* best, int* key) {
   // The P x Q accumulators, and the P best/key slots, only live in
-  // registers once every loop over P or Q is unrolled, the folds included,
-  // which -O2 (the default RelWithDebInfo build) does not do on its own: a
-  // rolled loop indexes acc[p][q] through the stack.  The pragmas unroll
-  // them at every optimization level; check.sh's vec probe fails on a
-  // packed store to the stack in this kernel at -O2 and -O3.
-  pair_vec acc[P][Q] = {};
-  const pair_vec* tile = pairs + q0 * dims;
+  // registers once every loop over P, Q or L is unrolled, the folds
+  // included, which -O2 (the default RelWithDebInfo build) does not do on
+  // its own: a rolled loop indexes acc[p][q] through the stack.  The
+  // pragmas unroll them at every optimization level; check.sh's vec probe
+  // fails on a packed store to the stack in this kernel at -O2 and -O3.
+  using vec = typename lane_vec<L>::type;
+  vec acc[P][Q] = {};
+  const double* tile = groups + q0 * dims * L;
   for (std::size_t d = 0; d < dims; ++d) {
-    pair_vec c[Q];
+    vec c[Q];
 #pragma GCC unroll 8
-    for (std::size_t q = 0; q < Q; ++q) c[q] = tile[q * dims + d];
+    for (std::size_t q = 0; q < Q; ++q) {
+      c[q] = *reinterpret_cast<const vec*>(tile + (q * dims + d) * L);
+    }
 #pragma GCC unroll 8
     for (std::size_t p = 0; p < P; ++p) {
       const double x = static_cast<double>(pts[p * dims + d]);
-      const pair_vec xx = {x, x};
 #pragma GCC unroll 8
       for (std::size_t q = 0; q < Q; ++q) {
-        const pair_vec e = xx - c[q];
+        const vec e = x - c[q];
         acc[p][q] += e * e;
       }
     }
@@ -116,23 +145,24 @@ inline void pair_tile(const T* pts, std::size_t dims, const pair_vec* pairs, std
   for (std::size_t p = 0; p < P; ++p) {
 #pragma GCC unroll 8
     for (std::size_t q = 0; q < Q; ++q) {
-      const int c0 = static_cast<int>(2 * (q0 + q));
-      const double d0 = acc[p][q][0], d1 = acc[p][q][1];
-      const bool win0 = d0 < best[p];
-      key[p] = win0 ? c0 : key[p];
-      best[p] = win0 ? d0 : best[p];
-      const bool win1 = d1 < best[p];
-      key[p] = win1 ? c0 + 1 : key[p];
-      best[p] = win1 ? d1 : best[p];
+      const int c0 = static_cast<int>(L * (q0 + q));
+#pragma GCC unroll 4
+      for (std::size_t l = 0; l < L; ++l) {
+        const double dist = acc[p][q][l];
+        const bool win = dist < best[p];
+        key[p] = win ? c0 + static_cast<int>(l) : key[p];
+        best[p] = win ? dist : best[p];
+      }
     }
   }
 }
 
-/// P points against every pair, Q pairs per pass over the dims and the
-/// leftover pairs one at a time.
-template <std::size_t P, std::size_t Q, class T>
-inline void pair_points(const T* pts, std::size_t dims, const pair_vec* pairs,
-                        std::size_t num_pairs, int* keys) {
+/// P points against every group, Q groups per pass over the dims and the
+/// leftover groups one at a time.
+template <std::size_t L, std::size_t P, std::size_t Q, class T>
+[[gnu::always_inline]] inline void lane_points(const T* pts, std::size_t dims,
+                                               const double* groups, std::size_t num_groups,
+                                               int* keys) {
   double best[P];
   int key[P];
 #pragma GCC unroll 8
@@ -141,62 +171,111 @@ inline void pair_points(const T* pts, std::size_t dims, const pair_vec* pairs,
     key[p] = 0;
   }
   std::size_t q = 0;
-  for (; q + Q <= num_pairs; q += Q) pair_tile<P, Q>(pts, dims, pairs, q, best, key);
-  for (; q < num_pairs; ++q) pair_tile<P, 1>(pts, dims, pairs, q, best, key);
+  for (; q + Q <= num_groups; q += Q) lane_tile<L, P, Q>(pts, dims, groups, q, best, key);
+  for (; q < num_groups; ++q) lane_tile<L, P, 1>(pts, dims, groups, q, best, key);
 #pragma GCC unroll 8
   for (std::size_t p = 0; p < P; ++p) keys[p] = key[p];
 }
 
-template <std::size_t P, std::size_t Q, class T>
-inline void pair_scan(const T* pts, std::size_t n, std::size_t dims, const pair_vec* pairs,
-                      std::size_t num_pairs, int* keys) {
+/// n points, P at a time, and the leftover points (n % P, and the n = 1
+/// calls from KMeans::gen_key) one at a time: a one-point tile sums each
+/// distance in the same order, so batched and scalar keys are
+/// bit-identical.
+template <std::size_t L, std::size_t P, std::size_t Q, class T>
+[[gnu::always_inline]] inline void lane_scan(const T* pts, std::size_t n, std::size_t dims,
+                                             const double* groups, std::size_t num_groups,
+                                             int* keys) {
   std::size_t p = 0;
-  for (; p + P <= n; p += P) pair_points<P, Q>(pts + p * dims, dims, pairs, num_pairs, keys + p);
-  for (; p < n; ++p) pair_points<1, Q>(pts + p * dims, dims, pairs, num_pairs, keys + p);
+  for (; p + P <= n; p += P) {
+    lane_points<L, P, Q>(pts + p * dims, dims, groups, num_groups, keys + p);
+  }
+  for (; p < n; ++p) lane_points<L, 1, Q>(pts + p * dims, dims, groups, num_groups, keys + p);
 }
 
-/// Assignment at every width over the pair-interleaved centroids of a
-/// CentroidTable: two centroids per SSE2 vector, one per lane, every
-/// distance scanned to the end (no exit, no seeding).  The tile shape comes
-/// from the pair count so that about eight accumulators are in flight: 2
-/// points x 4 pairs from 4 pairs up, 4 x 2 for 2-3 pairs, 8 x 1 for one.
-/// Leftover points (n % P, and the n = 1 calls from KMeans::gen_key) take
-/// a one-point tile, which sums each distance in the same order, so batched
-/// and scalar keys are bit-identical.
+/// The 2-lane kernel, baseline SSE2: two centroids per vector.  The tile
+/// shape comes from the group count so that about eight accumulators are
+/// in flight: 2 points x 4 groups from 4 groups up, 4 x 2 for 2-3 groups,
+/// 8 x 1 for one.
 template <class T>
-inline void nearest_centroids_pairs(const T* pts, std::size_t n, std::size_t dims,
-                                    const pair_vec* pairs, std::size_t num_pairs, int* keys) {
-  if (num_pairs >= 4) {
-    pair_scan<2, 4>(pts, n, dims, pairs, num_pairs, keys);
-  } else if (num_pairs >= 2) {
-    pair_scan<4, 2>(pts, n, dims, pairs, num_pairs, keys);
+inline void nearest_centroids_sse2(const T* pts, std::size_t n, std::size_t dims,
+                                   const double* groups, std::size_t num_groups, int* keys) {
+  if (num_groups >= 4) {
+    lane_scan<2, 2, 4>(pts, n, dims, groups, num_groups, keys);
+  } else if (num_groups >= 2) {
+    lane_scan<2, 4, 2>(pts, n, dims, groups, num_groups, keys);
   } else {
-    pair_scan<8, 1>(pts, n, dims, pairs, num_pairs, keys);
+    lane_scan<2, 8, 1>(pts, n, dims, groups, num_groups, keys);
   }
+}
+
+/// The 4-lane kernel, compiled for AVX2 (without FMA, which the build's
+/// -ffp-contract=off would not use anyway): four centroids per vector, in
+/// tiles of 8 points x 1 group at every group count.  Tiles of 2 groups (4
+/// x 2, 2 x 2) were no faster at d = 64 and up to twice as slow at d = 4
+/// (DESIGN.md §4.8).
+template <class T>
+__attribute__((target("avx2"))) inline void nearest_centroids_avx2(
+    const T* pts, std::size_t n, std::size_t dims, const double* groups,
+    std::size_t num_groups, int* keys) {
+  lane_scan<4, 8, 1>(pts, n, dims, groups, num_groups, keys);
+}
+
+/// The kernel of `lanes` lanes over groups of that many centroids, every
+/// distance scanned to the end (no exit, no seeding).
+template <class T>
+inline void scan_groups(std::size_t lanes, const T* pts, std::size_t n, std::size_t dims,
+                        const double* groups, std::size_t num_groups, int* keys) {
+  if (lanes == 4) {
+    nearest_centroids_avx2(pts, n, dims, groups, num_groups, keys);
+  } else {
+    nearest_centroids_sse2(pts, n, dims, groups, num_groups, keys);
+  }
+}
+
+/// The k centroids (k rows of `dims` doubles) in groups of `lanes`, the
+/// layout the lanes-wide kernel reads.  Group g holds centroids
+/// g * lanes, ..., g * lanes + lanes - 1 dim-major: [c0[0], c1[0], ...,
+/// c0[1], c1[1], ...].  A tail group that k does not fill is padded with
+/// copies of centroid k - 1: each ties it exactly and loses on index, so
+/// no key >= k is returned.
+inline std::vector<double> centroid_groups(const double* rows, std::size_t k, std::size_t dims,
+                                           std::size_t lanes) {
+  const std::size_t num_groups = (k + lanes - 1) / lanes;
+  std::vector<double> groups(num_groups * lanes * dims);
+  for (std::size_t c = 0; c < num_groups * lanes; ++c) {
+    const double* row = rows + (c < k ? c : k - 1) * dims;
+    double* out = groups.data() + c / lanes * lanes * dims + c % lanes;
+    for (std::size_t d = 0; d < dims; ++d) out[d * lanes] = row[d];
+  }
+  return groups;
 }
 
 }  // namespace detail
 
-/// The k centroids pair-interleaved, the layout nearest_centroids scans.
-/// Pair q holds centroids 2q and 2q + 1 dim-major,
-/// [c0[0], c1[0], c0[1], c1[1], ...].  For odd k the last pair's second
-/// lane is a copy of centroid k - 1: its distance ties the first lane's
-/// exactly and loses on index, so key k is never returned.
+/// The width of the nearest-centroid kernel on this CPU, chosen once per
+/// process and the one place it is chosen: 4 lanes where the CPU has AVX2,
+/// 2 (SSE2, baseline x86-64) otherwise.  Nothing sets it; every build
+/// carries both kernels.
+inline std::size_t nearest_centroid_lanes() {
+  static const std::size_t lanes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? std::size_t{4} : std::size_t{2};
+  }();
+  return lanes;
+}
+
+/// The k centroids in groups of nearest_centroid_lanes(), the layout
+/// nearest_centroids scans (detail::centroid_groups).
 class CentroidTable {
  public:
   CentroidTable() = default;
 
   /// `rows` holds k rows of `dims` doubles.
-  CentroidTable(const double* rows, std::size_t k, std::size_t dims) : k_(k), dims_(dims) {
-    pairs_.resize((k + 1) / 2 * dims);
-    for (std::size_t c = 0; c < k + k % 2; c += 2) {
-      const double* lo = rows + c * dims;
-      const double* hi = c + 1 < k ? lo + dims : lo;
-      for (std::size_t d = 0; d < dims; ++d) {
-        pairs_[c / 2 * dims + d] = detail::pair_vec{lo[d], hi[d]};
-      }
-    }
-  }
+  CentroidTable(const double* rows, std::size_t k, std::size_t dims)
+      : k_(k),
+        dims_(dims),
+        lanes_(nearest_centroid_lanes()),
+        groups_(detail::centroid_groups(rows, k, dims, lanes_)) {}
 
  private:
   template <class T>
@@ -205,17 +284,18 @@ class CentroidTable {
 
   std::size_t k_ = 0;
   std::size_t dims_ = 0;
-  std::vector<detail::pair_vec> pairs_;
+  std::size_t lanes_ = 2;
+  std::vector<double> groups_;
 };
 
 /// Nearest centroid of each of n points of the table's width (row-major):
-/// the lowest index among the smallest squared distances, from the pair
-/// kernel at every width.
+/// the lowest index among the smallest squared distances, from the kernel
+/// of the table's lane count at every width.
 template <class T>
 inline void nearest_centroids(const T* pts, std::size_t n, const CentroidTable& table,
                               int* keys) {
-  detail::nearest_centroids_pairs(pts, n, table.dims_, table.pairs_.data(), (table.k_ + 1) / 2,
-                                  keys);
+  detail::scan_groups(table.lanes_, pts, n, table.dims_, table.groups_.data(),
+                      (table.k_ + table.lanes_ - 1) / table.lanes_, keys);
 }
 
 /// Accumulates n dims-length points into sum[0..dims): point-major order

@@ -54,11 +54,12 @@ class KMeans : public Scheduler<T, T*> {
     // the combination map, but scanning map nodes per point costs two
     // pointer hops per centroid, so the app keeps a kernels::CentroidTable
     // refreshed at every map hand-back (process_extra_data / post_combine):
-    // contiguous like Listing 4's fixed-size member arrays, two centroids
-    // per SSE2 vector, the layout the one nearest-centroid kernel scans at
-    // every width.  The n = 1 call into the batch kernel keeps the scalar
-    // and batched assignments on one distance expression (same dim order,
-    // same first-index tie break).
+    // contiguous like Listing 4's fixed-size member arrays, in groups of as
+    // many centroids as the CPU's nearest-centroid kernel holds per vector
+    // (four with AVX2, two otherwise; kernels::nearest_centroid_lanes), the
+    // layout that kernel scans at every width.  The n = 1 call into the
+    // batch kernel keeps the scalar and batched assignments on one distance
+    // expression (same dim order, same first-index tie break).
     (void)com_map;
     int key = 0;
     kernels::nearest_centroids(data + chunk.start, 1, centroid_table_, &key);

@@ -10,20 +10,12 @@ MemoryTracker& MemoryTracker::instance() {
   return tracker;
 }
 
-void MemoryTracker::raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
-  std::size_t seen = peak.load(std::memory_order_relaxed);
-  while (candidate > seen &&
-         !peak.compare_exchange_weak(seen, candidate, std::memory_order_relaxed)) {
-  }
-}
-
 void MemoryTracker::charge(MemCategory cat, std::size_t bytes) {
-  const auto i = static_cast<std::size_t>(cat);
   const std::size_t now = current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  raise_peak(peak_, now);
-  const std::size_t cat_now =
-      current_by_cat_[i].fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  raise_peak(peak_by_cat_[i], cat_now);
+  std::size_t seen = peak_.load(std::memory_order_relaxed);
+  while (now > seen && !peak_.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
+  }
+  current_by_cat_[static_cast<std::size_t>(cat)].fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void MemoryTracker::release(MemCategory cat, std::size_t bytes) {
@@ -36,15 +28,6 @@ std::size_t MemoryTracker::current_in(MemCategory cat) const {
   return current_by_cat_[static_cast<std::size_t>(cat)].load(std::memory_order_relaxed);
 }
 
-std::size_t MemoryTracker::peak_in(MemCategory cat) const {
-  return peak_by_cat_[static_cast<std::size_t>(cat)].load(std::memory_order_relaxed);
-}
-
-bool MemoryTracker::over_budget() const {
-  const std::size_t b = budget();
-  return b != 0 && current() > b;
-}
-
 bool MemoryTracker::peak_over_budget() const {
   const std::size_t b = budget();
   return b != 0 && peak() > b;
@@ -54,7 +37,6 @@ void MemoryTracker::reset() {
   current_.store(0, std::memory_order_relaxed);
   peak_.store(0, std::memory_order_relaxed);
   for (auto& c : current_by_cat_) c.store(0, std::memory_order_relaxed);
-  for (auto& p : peak_by_cat_) p.store(0, std::memory_order_relaxed);
 }
 
 std::size_t process_peak_rss_bytes() {

@@ -16,7 +16,7 @@
 
 namespace smart {
 
-/// What a tracked allocation is for; counted and peaked per category.
+/// What a tracked allocation is for; counted per category.
 enum class MemCategory : int {
   kSimulation = 0,   ///< simulation state + per-step output slabs
   kInputCopy,        ///< extra copies of simulation output (copy mode, circular buffer)
@@ -38,12 +38,10 @@ class MemoryTracker {
   std::size_t current() const { return current_.load(std::memory_order_relaxed); }
   std::size_t peak() const { return peak_.load(std::memory_order_relaxed); }
   std::size_t current_in(MemCategory cat) const;
-  std::size_t peak_in(MemCategory cat) const;
 
   /// Budget for OVER-BUDGET detection; 0 means unlimited.
   void set_budget(std::size_t bytes) { budget_.store(bytes, std::memory_order_relaxed); }
   std::size_t budget() const { return budget_.load(std::memory_order_relaxed); }
-  bool over_budget() const;
   /// True if at any point since the last reset the footprint exceeded budget.
   bool peak_over_budget() const;
 
@@ -53,15 +51,11 @@ class MemoryTracker {
  private:
   MemoryTracker() = default;
 
-  static void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate);
-
   std::atomic<std::size_t> current_{0};
   std::atomic<std::size_t> peak_{0};
   std::atomic<std::size_t> budget_{0};
   std::array<std::atomic<std::size_t>, static_cast<std::size_t>(MemCategory::kCount)>
       current_by_cat_{};
-  std::array<std::atomic<std::size_t>, static_cast<std::size_t>(MemCategory::kCount)>
-      peak_by_cat_{};
 };
 
 /// RAII charge: releases exactly what it charged.

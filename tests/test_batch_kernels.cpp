@@ -9,9 +9,10 @@
 // chain, so equality here is EXPECT_EQ on doubles, not EXPECT_NEAR.
 //
 // Also covered: the kernel-level identities the batched apps rely on
-// (truncation == floor after clamping, the pair kernel's argmin == the
-// reference scan at every width, lowest index winning ties across lanes
-// and pairs), trigger-driven mid-batch erase through the
+// (truncation == floor after clamping, the 2-lane and the 4-lane
+// nearest-centroid kernel's argmin == the reference scan at every width,
+// lowest index winning ties across lanes and groups, the width chosen from
+// the CPU), trigger-driven mid-batch erase through the
 // default accumulate_batch, run2's key-range walk against the per-chunk
 // walk, the walk's recycled scratch object (its construction count), the
 // call counts of both batched paths, and the consumed-count check on
@@ -107,7 +108,7 @@ TEST(HistogramKeys, StridedMatchesGatheredContiguous) {
 }
 
 // Reference argmin: full distances, strict <, lowest index wins ties —
-// the mathematical spec the pair kernel must realize at every width.
+// the mathematical spec both kernel widths must realize at every width.
 int ref_nearest(const double* pt, std::size_t dims, const double* centroids, std::size_t k) {
   int best_key = 0;
   double best = std::numeric_limits<double>::max();
@@ -125,113 +126,160 @@ int ref_nearest(const double* pt, std::size_t dims, const double* centroids, std
   return best_key;
 }
 
-// The batched keys must equal both the per-point keys (n = 1, the
-// KMeans::gen_key call) and the reference scan over the same points
-// widened to double.
+// The lanes-wide kernel's keys, over the centroid groups that width reads,
+// must equal both its per-point keys (n = 1, the KMeans::gen_key call) and
+// the reference scan over the same points widened to double.  At the width
+// this CPU picks, the public path (CentroidTable + nearest_centroids) must
+// give the same keys.
 template <class T>
-void expect_keys_match_reference(const std::vector<T>& pts, std::size_t dims,
+void expect_keys_match_reference(std::size_t lanes, const std::vector<T>& pts, std::size_t dims,
                                  const std::vector<double>& centroids, std::size_t k) {
   const std::size_t n = pts.size() / dims;
-  const kernels::CentroidTable table(centroids.data(), k, dims);
+  const std::vector<double> groups =
+      kernels::detail::centroid_groups(centroids.data(), k, dims, lanes);
+  const std::size_t num_groups = (k + lanes - 1) / lanes;
   std::vector<int> keys(n);
-  kernels::nearest_centroids(pts.data(), n, table, keys.data());
+  kernels::detail::scan_groups(lanes, pts.data(), n, dims, groups.data(), num_groups, keys.data());
+  std::vector<int> table_keys;
+  if (lanes == kernels::nearest_centroid_lanes()) {
+    table_keys.resize(n);
+    kernels::nearest_centroids(pts.data(), n, kernels::CentroidTable(centroids.data(), k, dims),
+                               table_keys.data());
+  }
   std::vector<double> pt(dims);
   for (std::size_t p = 0; p < n; ++p) {
     int single = -1;
-    kernels::nearest_centroids(pts.data() + p * dims, 1, table, &single);
+    kernels::detail::scan_groups(lanes, pts.data() + p * dims, 1, dims, groups.data(), num_groups,
+                                 &single);
     for (std::size_t d = 0; d < dims; ++d) pt[d] = static_cast<double>(pts[p * dims + d]);
     const int want = ref_nearest(pt.data(), dims, centroids.data(), k);
-    ASSERT_EQ(keys[p], want) << "dims=" << dims << " k=" << k << " n=" << n << " p=" << p;
-    ASSERT_EQ(single, want) << "dims=" << dims << " k=" << k << " n=" << n << " p=" << p;
+    ASSERT_EQ(keys[p], want) << "lanes=" << lanes << " dims=" << dims << " k=" << k
+                             << " n=" << n << " p=" << p;
+    ASSERT_EQ(single, want) << "lanes=" << lanes << " dims=" << dims << " k=" << k
+                            << " n=" << n << " p=" << p;
+    if (!table_keys.empty()) {
+      ASSERT_EQ(table_keys[p], want) << "lanes=" << lanes << " p=" << p;
+    }
   }
 }
 
-// Every width takes the pair kernel: 4 is Heat3D's (Fig 1, 7, 8), 1
+// Runs `check` with the 2-lane kernel (SSE2, the one a baseline x86-64 CPU
+// runs) and then the 4-lane one (AVX2), each called directly whatever
+// width nearest_centroid_lanes() picks here.  Without AVX2 the 4-lane half
+// is skipped, with its reason.
+template <class Check>
+void for_each_kernel_width(Check check) {
+  check(std::size_t{2});
+  if (!__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "this CPU has no AVX2: the 2-lane half ran, the 4-lane half cannot";
+  }
+  check(std::size_t{4});
+}
+
+// Both widths take every dims: 4 is Heat3D's (Fig 1, 7, 8), 1
 // heat3d_kmeans', 64 that of fig05, fig06 and perfbench kmeans_d64; 2, 3,
 // 5, 8 and 65 cover widths no workload runs, odd ones included.
 constexpr std::size_t kWidths[] = {2, 3, 4, 8, 1, 5, 64, 65};
 
 template <class T>
-void check_random_points(Rng& rng) {
-  // k = 1, 2 run the pair kernel's 8-point x 1-pair tile, k = 3, 5 its
-  // 4 x 2 tile (k = 5 with a leftover pair), k = 7, 9 its 2 x 4 tile (k = 9
-  // with a leftover pair); n = 1..9 runs each tile shape with every tail
-  // length, n = 403 many full blocks before a tail.
+void check_random_points(std::size_t lanes, Rng& rng) {
+  // k = 1..9 leaves every k % 4 (and k % 2) count of padded lanes, and
+  // runs every 2-lane tile shape (8 points x 1 pair for k <= 2, 4 x 2 for
+  // k = 3..6, 2 x 4 from k = 7) with and without leftover groups; n = 1..9
+  // runs each tile with every tail length, n = 403 many full tiles before
+  // a tail.
   for (const std::size_t dims : kWidths) {
-    for (const std::size_t k : {1u, 2u, 3u, 5u, 7u, 9u}) {
+    for (std::size_t k = 1; k <= 9; ++k) {
       for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 403u}) {
         std::vector<double> centroids(k * dims);
         std::vector<T> pts(n * dims);
         for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
         for (auto& v : pts) v = static_cast<T>(rng.uniform(-5.0, 5.0));
-        expect_keys_match_reference(pts, dims, centroids, k);
+        expect_keys_match_reference(lanes, pts, dims, centroids, k);
       }
     }
   }
 }
 
-// Odd k with every centroid at least 100 from the origin and every point
-// at the origin: a zero-filled padding lane would sit at distance 0 and
-// win as key k; the copy of centroid k - 1 ties it and loses on index.
+// Every k that leaves padded lanes at either width, every centroid at least
+// 100 from the origin and every point at the origin: a zero-filled padding
+// lane would sit at distance 0 and win as a key >= k; the copies of
+// centroid k - 1 tie it and lose on index.
 template <class T>
-void check_far_centroids_odd_k(Rng& rng) {
+void check_far_centroids_padded_k(std::size_t lanes, Rng& rng) {
   for (const std::size_t dims : kWidths) {
-    for (const std::size_t k : {3u, 7u, 9u}) {
+    for (const std::size_t k : {1u, 2u, 3u, 5u, 6u, 7u, 9u}) {
       std::vector<double> centroids(k * dims);
       for (auto& v : centroids) v = rng.uniform(-5.0, 5.0);
       for (std::size_t c = 0; c < k; ++c) {
         centroids[c * dims] = (c % 2 == 0 ? 1.0 : -1.0) * rng.uniform(100.0, 110.0);
       }
       for (const std::size_t n : {1u, 2u, 8u, 9u}) {
-        expect_keys_match_reference(std::vector<T>(n * dims, T{0}), dims, centroids, k);
+        expect_keys_match_reference(lanes, std::vector<T>(n * dims, T{0}), dims, centroids, k);
       }
     }
   }
 }
 
 TEST(NearestCentroids, EveryWidthMatchesReference) {
-  Rng rng(903);
-  check_random_points<double>(rng);
-  check_random_points<float>(rng);
-  check_far_centroids_odd_k<double>(rng);
-  check_far_centroids_odd_k<float>(rng);
+  for_each_kernel_width([](std::size_t lanes) {
+    Rng rng(903);
+    check_random_points<double>(lanes, rng);
+    check_random_points<float>(lanes, rng);
+    check_far_centroids_padded_k<double>(lanes, rng);
+    check_far_centroids_padded_k<float>(lanes, rng);
+  });
 }
 
-// Duplicate centroids and points exactly midway between two distinct
-// centroids, padded with zeros to `dims`.  The pair kernel holds tied
-// centroids in different lanes and pairs, so only the lowest-index tie
-// rule, applied in index order across lanes, keeps the result equal to the
-// reference scan.  Layout 0: c0 = 0, c1 = 2 e0,
-// c2 = c0 (a tie within lane 0 of pairs 0 and 1).  Layout 1: c0 = 2 e0,
-// c1 = 0, c2 = c1 (lane 1 of pair 0 ties lane 0 of pair 1; key 1 must
-// win, which an argmin kept per lane and merged lane 0 first gets wrong).
-// k = 4 adds a far c3, so pair 1 holds two real centroids.
+// Centroids a < b tie and every other centroid c sits far away, at
+// (10 + 5c) e0; the points lie on the e0 axis, padded with zeros to
+// `dims`.  Layout 0: c_a = c_b = 0 (duplicates: every point ties).
+// Layout 1: c_a = 2 e0, c_b = 0 (a point at 1.0 is midway, and key a must
+// win although b is the nearer centroid for a point at -0.5).  Over every
+// pair a < b < k for k = 2..9 the tied centroids sit in each of the four
+// lanes of a group, in the same group and in different ones, and next to
+// padded lanes, so only the lowest-index tie rule, applied in index order
+// across lanes and groups, keeps the result equal to the reference scan.
 template <class T>
-void check_ties(std::size_t dims, std::size_t n, int layout, std::size_t k) {
+void check_ties(std::size_t lanes, std::size_t dims, std::size_t n, std::size_t k,
+                std::size_t a, std::size_t b, int layout) {
   std::vector<double> centroids(k * dims, 0.0);
-  centroids[(layout == 0 ? 1 : 0) * dims] = 2.0;
-  if (k == 4) centroids[3 * dims] = 50.0;
+  for (std::size_t c = 0; c < k; ++c) centroids[c * dims] = 10.0 + 5.0 * static_cast<double>(c);
+  centroids[a * dims] = layout == 0 ? 0.0 : 2.0;
+  centroids[b * dims] = 0.0;
   std::vector<T> pts(n * dims, T{0});
   for (std::size_t i = 0; i < n; ++i) {
     const double lead = i % 3 == 0 ? 1.0    // midway between 0 and 2 e0
-                        : i % 3 == 1 ? 2.1  // nearest the centroid at 2 e0
-                                     : -0.5;  // ties the two centroids at 0
+                        : i % 3 == 1 ? 2.1  // nearest 2 e0
+                                     : -0.5;  // nearest 0
     pts[i * dims] = static_cast<T>(lead);
   }
-  expect_keys_match_reference(pts, dims, centroids, k);
+  expect_keys_match_reference(lanes, pts, dims, centroids, k);
 }
 
 TEST(NearestCentroids, TiesBreakToLowestIndexAcrossLanes) {
-  for (const std::size_t dims : kWidths) {
-    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 29u, 30u, 31u}) {
-      for (const int layout : {0, 1}) {
-        for (const std::size_t k : {3u, 4u}) {
-          check_ties<double>(dims, n, layout, k);
-          check_ties<float>(dims, n, layout, k);
+  for_each_kernel_width([](std::size_t lanes) {
+    for (const std::size_t dims : kWidths) {
+      for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 29u, 30u, 31u}) {
+        for (std::size_t k = 2; k <= 9; ++k) {
+          for (std::size_t b = 1; b < k; ++b) {
+            for (std::size_t a = 0; a < b; ++a) {
+              for (const int layout : {0, 1}) {
+                check_ties<double>(lanes, dims, n, k, a, b, layout);
+                check_ties<float>(lanes, dims, n, k, a, b, layout);
+              }
+            }
+          }
         }
       }
     }
-  }
+  });
+}
+
+// The one place the width is chosen: 4 lanes exactly where the CPU has
+// AVX2.
+TEST(NearestCentroids, FourLanesExactlyWhenTheCpuHasAvx2) {
+  EXPECT_EQ(kernels::nearest_centroid_lanes(), __builtin_cpu_supports("avx2") ? 4u : 2u);
 }
 
 TEST(AccumulateKernels, PointSumsMatchPerPointOrderBitForBit) {
