@@ -13,13 +13,7 @@
 //     TransportSharedPayload.BcastSharedMovesZeroBytes).
 //   * BufferPool steady-state acquire/release at 64 KiB and 1 MiB
 //     (TransportBufferPool.SteadyLoopHitsAfterFirstAcquire).
-//   * slow-receiver peak mailbox bytes: unbounded lanes (everything the
-//     producer sends sits queued) vs bounded lanes with sender
-//     backpressure (peak pinned at the lane cap) — the flow-control
-//     acceptance pair, measured by Mailbox::peak_pending_bytes.
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 #include "simmpi/world.h"
 
@@ -136,55 +130,6 @@ void BM_PooledBufferPerMessage(benchmark::State& state) {
   BufferPool::drain_thread_cache();
 }
 BENCHMARK(BM_PooledBufferPerMessage)->Arg(64 * 1024)->Arg(1 << 20);
-
-// --- slow-receiver peak mailbox bytes (flow-control acceptance pair) -------
-
-constexpr std::size_t kStreamMsgBytes = 64u * 1024;
-constexpr int kStreamMsgs = 64;
-constexpr std::size_t kLaneCapBytes = 256u * 1024;
-
-Envelope stream_envelope(std::size_t nbytes) {
-  Envelope e;
-  e.source = 0;
-  e.tag = kDataTag;
-  e.payload = make_shared_buffer(Buffer(nbytes, std::byte{3}));
-  return e;
-}
-
-/// Producer streams 4 MiB at a consumer that drains late: with no lane
-/// bound the entire stream buffers in the mailbox (peak = total).
-void BM_UnboundedSlowReceiverPeakBytes(benchmark::State& state) {
-  double peak = 0.0;
-  for (auto _ : state) {
-    Mailbox box;  // unbounded: World-applied caps absent on a raw mailbox
-    for (int i = 0; i < kStreamMsgs; ++i) box.post(stream_envelope(kStreamMsgBytes));
-    for (int i = 0; i < kStreamMsgs; ++i) benchmark::DoNotOptimize(box.receive(0, kDataTag));
-    peak = static_cast<double>(box.peak_pending_bytes());
-  }
-  state.SetItemsProcessed(state.iterations() * kStreamMsgs);
-  state.counters["peak_mailbox_bytes"] = benchmark::Counter(peak);
-}
-BENCHMARK(BM_UnboundedSlowReceiverPeakBytes);
-
-/// Same stream through a 256 KiB lane bound: the producer blocks at the
-/// cap, so peak queued bytes never exceeds it no matter how far the
-/// consumer lags.
-void BM_BoundedSlowReceiverPeakBytes(benchmark::State& state) {
-  double peak = 0.0;
-  for (auto _ : state) {
-    Mailbox box;
-    box.set_lane_capacity(0, kLaneCapBytes);
-    std::thread producer([&box] {
-      for (int i = 0; i < kStreamMsgs; ++i) box.post(stream_envelope(kStreamMsgBytes));
-    });
-    for (int i = 0; i < kStreamMsgs; ++i) benchmark::DoNotOptimize(box.receive(0, kDataTag));
-    producer.join();
-    peak = static_cast<double>(box.peak_pending_bytes());
-  }
-  state.SetItemsProcessed(state.iterations() * kStreamMsgs);
-  state.counters["peak_mailbox_bytes"] = benchmark::Counter(peak);
-}
-BENCHMARK(BM_BoundedSlowReceiverPeakBytes);
 
 }  // namespace
 

@@ -177,14 +177,6 @@ int run(const ArgParser& args) {
   if (args.has("net-beta")) {
     net_cfg.beta_bytes_per_second = args.get_double("net-beta", 0.0, kMaxDouble);
   }
-  if (args.has("net-lane-cap")) {
-    net_cfg.lane_capacity_msgs =
-        static_cast<std::size_t>(args.get_long("net-lane-cap", 0, LONG_MAX));
-  }
-  if (args.has("net-lane-cap-bytes")) {
-    net_cfg.lane_capacity_bytes =
-        static_cast<std::size_t>(args.get_long("net-lane-cap-bytes", 0, LONG_MAX));
-  }
 
   // Reproducibility: one master seed for the run (rank streams derive from
   // it), plus the deterministic schedule-exploration knobs.  A failing
@@ -287,7 +279,9 @@ int run(const ArgParser& args) {
 
   // Ranks are threads of this process, so the global trace collector and
   // metrics registry hold every rank's events and updates on one timeline:
-  // the exports below read them directly once launch has returned.
+  // the exports below read them directly once launch has returned.  An
+  // output that cannot be written fails the run.
+  int rc = 0;
   if (!trace_out.empty()) {
     obs::TraceCollector& tc = obs::TraceCollector::instance();
     if (obs::write_chrome_trace_file(trace_out, tc.snapshot_events(), tc.dropped_events())) {
@@ -295,35 +289,37 @@ int run(const ArgParser& args) {
       warn_dropped_events(tc.dropped_events());
     } else {
       std::fprintf(stderr, "error: could not write trace to %s\n", trace_out.c_str());
+      rc = 1;
     }
   }
   if (!metrics_out.empty()) {
     std::ofstream os(metrics_out);
-    if (os) {
-      obs::MetricsRegistry::global().snapshot().dump_json(os);
+    if (os) obs::MetricsRegistry::global().snapshot().dump_json(os);
+    if (os.good()) {
       std::printf("metrics written to %s\n", metrics_out.c_str());
     } else {
       std::fprintf(stderr, "error: could not write metrics to %s\n", metrics_out.c_str());
+      rc = 1;
     }
   }
 
   if (!phase_csv.empty()) {
     obs::TraceCollector& tc = obs::TraceCollector::instance();
     std::ofstream os(phase_csv);
-    if (os) {
-      obs::write_phase_csv(os, tc.snapshot_events());
+    if (os) obs::write_phase_csv(os, tc.snapshot_events());
+    if (os.good()) {
       std::printf("phase CSV written to %s\n", phase_csv.c_str());
       warn_dropped_events(tc.dropped_events());
     } else {
       std::fprintf(stderr, "error: could not write phase CSV to %s\n", phase_csv.c_str());
+      rc = 1;
     }
   }
 
-  int rc = 0;
   if (!critpath_out.empty() || !critpath_json.empty()) {
     obs::TraceCollector& tc = obs::TraceCollector::instance();
-    rc = emit_critpath(obs::extract_critical_path(tc.snapshot_events(), tc.dropped_events()),
-                       critpath_out, critpath_json);
+    rc |= emit_critpath(obs::extract_critical_path(tc.snapshot_events(), tc.dropped_events()),
+                        critpath_out, critpath_json);
   }
 
   std::printf("wall %.3f s, virtual makespan %.4f s, network %s across %d rank(s)\n",
@@ -352,8 +348,6 @@ int main(int argc, char** argv) {
       .option("phase-csv", "write the scheduler's per-phase timeline to this CSV path")
       .option("net-alpha", "per-message latency in seconds")
       .option("net-beta", "link bandwidth in bytes/second")
-      .option("net-lane-cap", "mailbox lane capacity in messages (0 = unbounded)")
-      .option("net-lane-cap-bytes", "mailbox lane capacity in bytes (0 = unbounded)")
       .option("seed", "master seed: rank data streams derive from it; echoed in RUNSTATS", "0")
       .option("schedule", "deterministic delivery policy: fifo | random | reorder | replay")
       .option("schedule-seed", "schedule policy seed (defaults to --seed)")

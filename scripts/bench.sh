@@ -25,10 +25,7 @@
 #     through sharded (source, tag) lanes behind a stale control backlog;
 #   * BM_SharedBcast1MiB8Ranks — one shared immutable payload per bcast,
 #     with a payload_bytes_copied_per_bcast counter;
-#   * BM_PooledBufferPerMessage — BufferPool recycling per message;
-#   * BM_UnboundedSlowReceiverPeakBytes vs BM_BoundedSlowReceiverPeakBytes —
-#     peak queued mailbox bytes under a slow receiver, unbounded lanes vs
-#     lane-capacity backpressure (peak_mailbox_bytes counter).
+#   * BM_PooledBufferPerMessage — BufferPool recycling per message.
 #
 # Numbers are container-relative; compare runs from the same machine only —
 # except the std::map pair *ratios* within BENCH_core.json, which

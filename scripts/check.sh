@@ -10,9 +10,11 @@
 # warning-free under -Wall -Wextra, and a new warning fails the check.
 #
 # The harness error-path step runs fig harnesses into a typed error (a
-# non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube; a
-# SMART_NET_* and a SMART_SCHED_* variable the network does not read) and
-# fails unless each prints `error: ...` on stderr and exits 1.
+# non-numeric SMART_BENCH_SCALE; a scale too small for Fig 8's cube; two
+# SMART_NET_* variables and a SMART_SCHED_* one the network does not read)
+# and smart_cli into three (a retired flag; a trace and a phase CSV into a
+# missing directory), and fails unless each prints `error: ...` on stderr
+# and exits 1.
 #
 # The Fig 11 shape step runs fig11_window_optimization at the default
 # scale (about 1 s) and checks the figure's claim as counts, never wall
@@ -218,7 +220,7 @@ bench_json="$repo/build/check_bench.json"
 python3 -m json.tool "$bench_json" >/dev/null
 bench_transport_json="$repo/build/check_bench_transport.json"
 "$repo/build/bench/micro_transport" \
-  --benchmark_filter='BM_ShardedAnySourceFanIn|BM_PooledBufferPerMessage|BM_BoundedSlowReceiverPeakBytes' \
+  --benchmark_filter='BM_ShardedAnySourceFanIn|BM_PooledBufferPerMessage' \
   --benchmark_min_time=0.01 \
   --benchmark_out="$bench_transport_json" --benchmark_out_format=json >/dev/null
 python3 -m json.tool "$bench_transport_json" >/dev/null
@@ -226,18 +228,20 @@ echo "   bench smoke ok"
 
 echo "== tier-1: harness error path =="
 # A fig harness that meets a typed error reports it as smart_cli does:
-# `error: <what>` on stderr and exit status 1, never an abort (134).  Four
+# `error: <what>` on stderr and exit status 1, never an abort (134).  Five
 # cases: a SMART_BENCH_SCALE that is not a number; one inside the accepted
 # range whose Fig 8 cube edge truncates below MiniLulesh's minimum (the
 # error is thrown in the ranks and rethrown by simmpi::launch);
-# SMART_NET_MODEL, a setting of the removed topology models, which
-# NetworkConfig::from_env rejects instead of pricing the run flat; and
-# SMART_SCHED_POLICCY, a misspelt schedule setting, which it rejects
+# SMART_NET_MODEL, a setting of the removed topology models, and
+# SMART_NET_LANE_CAP, the retired mailbox lane cap (lanes are unbounded),
+# which NetworkConfig::from_env rejects instead of running without them;
+# and SMART_SCHED_POLICCY, a misspelt schedule setting, which it rejects
 # instead of running the normal nondeterministic mode.
 harness_err="$repo/build/check_harness_error.log"
 for harness_case in "SMART_BENCH_SCALE=abc fig10_space_sharing" \
                     "SMART_BENCH_SCALE=1e-6 fig08_scale_threads" \
                     "SMART_NET_MODEL=fattree fig07_scale_nodes" \
+                    "SMART_NET_LANE_CAP=512 fig07_scale_nodes" \
                     "SMART_SCHED_POLICCY=random fig07_scale_nodes"; do
   read -r setting harness <<< "$harness_case"
   status=0
@@ -249,6 +253,26 @@ for harness_case in "SMART_BENCH_SCALE=abc fig10_space_sharing" \
   fi
   echo "   $harness ok: $(head -n 1 "$harness_err")"
 done
+# smart_cli the same way, three cases: --net-lane-cap, the retired lane-cap
+# flag, which the argument parser rejects as unknown; and a trace and a
+# phase CSV aimed into a directory that does not exist, which must fail the
+# run rather than print an error and exit 0.
+cli_error_case() {  # smart_cli arguments that must fail with `error:`
+  local status=0
+  "$repo/build/examples/smart_cli" --ranks 2 --steps 1 "$@" >/dev/null 2> "$harness_err" \
+    || status=$?
+  if [[ "$status" != 1 ]] || ! grep -q '^error: ' "$harness_err"; then
+    echo "smart_cli $* exited $status, want 1 with error: on stderr:" >&2
+    cat "$harness_err" >&2
+    exit 1
+  fi
+  echo "   smart_cli $1 ok: $(head -n 1 "$harness_err")"
+}
+missing_dir="$repo/build/check_no_such_dir"
+rm -rf "$missing_dir"
+cli_error_case --net-lane-cap 4
+cli_error_case --trace-out "$missing_dir/trace.json"
+cli_error_case --phase-csv "$missing_dir/phases.csv"
 
 echo "== tier-1: Fig 11 shape (live reduction objects) =="
 # With the trigger on, rank 0's peak of live reduction objects depends on

@@ -72,15 +72,13 @@ class SharedBuffer {
 /// on (pool operations are per-message, not per-byte) and surfaced through
 /// MetricsRegistry snapshots as bufferpool.* counters.
 ///
-/// Watermarks are *adaptive*: each class starts at kMaxPerClass and
-/// doubles (up to kMaxPerClassLimit) after kResizeMissStreak consecutive
-/// allocator misses — the signature of a working set larger than the
-/// retained count.  When the byte budget blocks a release into a growing
-/// class, the stalest other class (least-recently-touched) gives buffers
-/// back to the allocator and has its watermark halved, so a shifted
-/// size-class workload converges on pooling the sizes it actually uses.
-/// Every watermark change is counted in Totals::resizes
-/// (bufferpool.resize in metrics).
+/// Watermarks grow: each class starts at kMaxPerClass and doubles (up to
+/// kMaxPerClassLimit) after kResizeMissStreak consecutive allocator misses
+/// — the signature of a working set larger than the retained count.  They
+/// never shrink; the byte budget alone bounds what a thread keeps, and a
+/// release that would pass it is dropped to the allocator.  Every
+/// watermark change is counted in Totals::resizes (bufferpool.resize in
+/// metrics).
 class BufferPool {
  public:
   /// Buffers below this capacity are not worth pooling.
@@ -102,7 +100,7 @@ class BufferPool {
     std::uint64_t releases_pooled = 0; ///< releases retained for reuse
     std::uint64_t releases_dropped = 0;///< releases past the retention bound
     std::uint64_t bytes_recycled = 0;  ///< capacity handed back out by hits
-    std::uint64_t resizes = 0;         ///< adaptive watermark grow/shrink events
+    std::uint64_t resizes = 0;         ///< adaptive watermark doublings
   };
 
   /// Returns an empty buffer with capacity >= min_capacity, reusing a
@@ -118,7 +116,6 @@ class BufferPool {
     const std::size_t class_capacity =
         min_capacity < kMinPooledCapacity ? kMinPooledCapacity : round_up_pow2(min_capacity);
     const std::size_t cls = class_of(class_capacity);
-    lists.last_use[cls] = ++lists.tick;
     if (!lists.per_class[cls].empty()) {
       Buffer out = std::move(lists.per_class[cls].back());
       lists.per_class[cls].pop_back();
@@ -146,8 +143,9 @@ class BufferPool {
   }
 
   /// Hands a buffer's capacity back to this thread's pool (contents are
-  /// cleared).  Oversized, undersized, or bound-exceeding buffers are
-  /// simply dropped to the allocator.
+  /// cleared).  Oversized or undersized buffers, and any release past its
+  /// class watermark or the thread's byte budget, are simply dropped to the
+  /// allocator.
   static void release(Buffer&& buf) {
     const std::size_t cap = buf.capacity();
     if (cap < kMinPooledCapacity || cap > kMaxPooledCapacity) {
@@ -156,23 +154,13 @@ class BufferPool {
     }
     auto& lists = free_lists();
     const std::size_t cls = class_of(cap);
-    if (lists.per_class[cls].size() >= lists.limit[cls]) {
+    if (lists.per_class[cls].size() >= lists.limit[cls] ||
+        lists.retained_bytes + cap > kMaxRetainedBytes) {
       counters().releases_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // Byte budget full but this class is under its watermark: rebalance by
-    // evicting from the stalest *other* class before giving up — a shifted
-    // workload's old size class shouldn't pin the budget forever.
-    if (lists.retained_bytes + cap > kMaxRetainedBytes) {
-      evict_stale(lists, cls, cap);
-      if (lists.retained_bytes + cap > kMaxRetainedBytes) {
-        counters().releases_dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
     buf.clear();
     lists.retained_bytes += cap;
-    lists.last_use[cls] = ++lists.tick;
     lists.per_class[cls].push_back(std::move(buf));
     counters().releases_pooled.fetch_add(1, std::memory_order_relaxed);
   }
@@ -211,9 +199,7 @@ class BufferPool {
     for (std::size_t c = 0; c < kNumClasses; ++c) {
       lists.limit[c] = kMaxPerClass;
       lists.miss_streak[c] = 0;
-      lists.last_use[c] = 0;
     }
-    lists.tick = 0;
   }
 
  private:
@@ -232,8 +218,6 @@ class BufferPool {
     // Adaptive-watermark state, all per-thread like the lists themselves.
     std::size_t limit[kNumClasses];          ///< retention watermark per class
     std::size_t miss_streak[kNumClasses]{};  ///< consecutive allocator misses
-    std::uint64_t last_use[kNumClasses]{};   ///< tick of the last touch
-    std::uint64_t tick = 0;                  ///< per-thread operation counter
   };
 
   struct AtomicTotals {
@@ -244,29 +228,6 @@ class BufferPool {
     std::atomic<std::uint64_t> bytes_recycled{0};
     std::atomic<std::uint64_t> resizes{0};
   };
-
-  /// Frees buffers from the least-recently-touched class other than
-  /// `keep_cls` until `need` more bytes fit under the budget (or nothing is
-  /// left to evict).  An evicted class has its watermark halved — it must
-  /// re-earn retention through fresh miss streaks.
-  static void evict_stale(FreeLists& lists, std::size_t keep_cls, std::size_t need) {
-    while (lists.retained_bytes + need > kMaxRetainedBytes) {
-      std::size_t victim = kNumClasses;
-      for (std::size_t c = 0; c < kNumClasses; ++c) {
-        if (c == keep_cls || lists.per_class[c].empty()) continue;
-        if (victim == kNumClasses || lists.last_use[c] < lists.last_use[victim]) victim = c;
-      }
-      if (victim == kNumClasses) return;
-      auto& list = lists.per_class[victim];
-      lists.retained_bytes -= list.back().capacity();
-      list.pop_back();
-      counters().releases_dropped.fetch_add(1, std::memory_order_relaxed);
-      if (lists.limit[victim] > kMaxPerClass) {
-        lists.limit[victim] = std::max(kMaxPerClass, lists.limit[victim] / 2);
-        counters().resizes.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
 
   static std::size_t class_of(std::size_t capacity) {
     std::size_t bits = 0;

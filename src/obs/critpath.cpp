@@ -31,7 +31,6 @@ struct Checkpoint {
   double wall_us = 0.0;        ///< span end / instant timestamp
   double vt_pre = 0.0;         ///< clock before the event's own charges
   double vt_post = 0.0;        ///< clock after the event completed
-  double stall_us = 0.0;       ///< send: backpressure charge (vt_post = dep + stall)
   double delay_us = 0.0;       ///< fault.delay: injected charge
   double dep_vt_us = 0.0;      ///< send: departure stamp
   std::uint64_t flow_id = 0;   ///< recv: flow edge consumed (0 = none seen)
@@ -227,7 +226,6 @@ const char* to_string(CritCategory c) {
   switch (c) {
     case CritCategory::kCompute: return "compute";
     case CritCategory::kSerialize: return "serialize";
-    case CritCategory::kSendStall: return "send_stall";
     case CritCategory::kNetwork: return "network";
     case CritCategory::kRecvWait: return "recv_wait";
     case CritCategory::kCheckpoint: return "checkpoint";
@@ -339,10 +337,8 @@ CritPathResult extract_critical_path(const std::vector<TraceEvent>& events,
         c.wall_begin_us = wall_b;
         c.wall_us = wall_e;
         c.dep_vt_us = static_cast<double>(*dep) * kNsToUs;
-        const std::int64_t* stall = find_arg(e, "stall_ns");
-        c.stall_us = stall != nullptr ? static_cast<double>(*stall) * kNsToUs : 0.0;
         c.vt_pre = c.dep_vt_us;
-        c.vt_post = c.dep_vt_us + c.stall_us;
+        c.vt_post = c.dep_vt_us;
         send_spans[{e.rank, e.tid}].push_back({wall_b, wall_e, info.ckpts.size()});
         info.ckpts.push_back(c);
       }
@@ -529,17 +525,11 @@ CritPathResult extract_critical_path(const std::vector<TraceEvent>& events,
         --idx;
         break;
       }
-      case Checkpoint::Kind::kSend: {
-        if (c.stall_us > 0.0 && cur_vt > c.dep_vt_us) {
-          sink.push(cur_rank, -1, std::max(0.0, c.dep_vt_us), cur_vt, CritCategory::kSendStall,
-                    phase_of(*info, c.wall_begin_us, c.wall_us),
-                    round_of(*info, c.wall_begin_us, c.wall_us));
-        }
-        cur_vt = std::min(cur_vt, c.dep_vt_us);
+      case Checkpoint::Kind::kSend:
+        // A send leaves the clock where it found it (vt_post == dep_vt).
         upper_wall = c.wall_begin_us;
         --idx;
         break;
-      }
       case Checkpoint::Kind::kRecv: {
         if (!c.constrained) {
           upper_wall = c.wall_begin_us;

@@ -41,7 +41,6 @@ namespace smart::obs {
 enum class CritCategory : std::uint8_t {
   kCompute,     ///< map/accumulate/other on-rank work (default for local time)
   kSerialize,   ///< map codec spans (cat "codec")
-  kSendStall,   ///< backpressure: sender blocked on a full lane
   kNetwork,     ///< arrival_vtime - departure vtime along a followed flow edge
   kRecvWait,    ///< receiver constrained but the sender is unknown (degraded)
   kCheckpoint,  ///< checkpoint IO spans
@@ -49,11 +48,11 @@ enum class CritCategory : std::uint8_t {
   kFaultDelay,  ///< injected kDelay fault charges
 };
 
-/// Stable lowercase identifier ("compute", "send_stall", ...) used in both
+/// Stable lowercase identifier ("compute", "recv_wait", ...) used in both
 /// the report and the attribution JSON.
 const char* to_string(CritCategory c);
 
-constexpr std::size_t kNumCritCategories = 8;
+constexpr std::size_t kNumCritCategories = 7;
 
 /// One contiguous virtual-time interval of the critical path.  Segments
 /// are ascending and tile [0, makespan_us]: each vt_end_us equals the next

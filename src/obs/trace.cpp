@@ -40,11 +40,18 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
+/// An at-exit dump has no caller to return an error to, so it says so on
+/// stderr instead of failing silently.
+void report_unwritable(bool written, const char* what, const std::string& path) {
+  if (!written) std::fprintf(stderr, "smart: could not write %s to %s\n", what, path.c_str());
+}
+
 void dump_at_exit() {
   TraceCollector& tc = TraceCollector::instance();
   const std::size_t dropped = tc.dropped_events();
   if (!trace_env_path().empty()) {
-    write_chrome_trace_file(trace_env_path(), tc.snapshot_events(), dropped);
+    report_unwritable(write_chrome_trace_file(trace_env_path(), tc.snapshot_events(), dropped),
+                      "trace", trace_env_path());
     if (dropped > 0) {
       std::fprintf(stderr,
                    "smart: trace dropped %zu event(s) (ring full; raise SMART_TRACE_EVENTS)\n",
@@ -57,14 +64,17 @@ void dump_at_exit() {
     // A .json destination gets the machine-readable form; anything else
     // (including "-"-less plain paths) the human-readable report.
     if (ends_with(critpath_env_path(), ".json")) {
-      write_attribution_json_file(critpath_env_path(), report);
+      report_unwritable(write_attribution_json_file(critpath_env_path(), report),
+                        "attribution JSON", critpath_env_path());
     } else {
-      write_report_file(critpath_env_path(), report);
+      report_unwritable(write_report_file(critpath_env_path(), report), "critical-path report",
+                        critpath_env_path());
     }
   }
   if (!metrics_env_path().empty()) {
     std::ofstream os(metrics_env_path());
     if (os) MetricsRegistry::global().snapshot().dump_json(os);
+    report_unwritable(os.good(), "metrics", metrics_env_path());
   }
 }
 

@@ -36,16 +36,8 @@ void count_payload_copy(std::size_t bytes) {
   }
 }
 
-/// Copies `src` into a pooled buffer (the counted slow path every shared or
-/// lvalue payload goes through exactly once).
-Buffer pooled_copy(const Buffer& src) {
-  Buffer out = BufferPool::acquire(src.size());
-  out.assign(src.begin(), src.end());
-  count_payload_copy(src.size());
-  return out;
-}
-
-/// Same, from a shared payload.
+/// Copies a shared payload into a pooled buffer (the counted slow path of an
+/// owning receive of bytes other envelopes may still reference).
 Buffer pooled_copy(const SharedBuffer& src) {
   Buffer out = BufferPool::acquire(src.size());
   out.assign(src.data(), src.data() + src.size());
@@ -66,13 +58,6 @@ void observe_recv_wait(std::chrono::steady_clock::time_point wait_start) {
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - wait_start)
           .count();
   hist.observe(waited_us);
-}
-
-/// Sender-side backpressure stalls, same 1µs .. 1s decade buckets.
-void observe_send_stall(double stalled_seconds) {
-  static obs::FixedHistogram& hist =
-      obs::MetricsRegistry::global().histogram("simmpi.send_stall_us", recv_wait_bounds());
-  hist.observe(stalled_seconds * 1e6);
 }
 
 /// Virtual-clock stamp as an integer trace arg.  Nanoseconds keep the
@@ -225,49 +210,24 @@ void Communicator::send_envelope(int dest, int tag, SharedBuffer payload, bool s
     tc.flow_start("msg", "mpi", e.flow_id);
   }
   // Deterministic mode: the delivery decision belongs to the schedule
-  // controller, not to whichever thread reaches the mailbox first.  Submit
-  // never blocks (backpressure stalls are wall-clock effects the mode
-  // excludes), so stall accounting stays zero.
+  // controller, not to whichever thread reaches the mailbox first.  Neither
+  // path blocks: lanes are unbounded.
   ScheduleController* sched = world_.schedule();
-  double stalled_seconds = 0.0;
+  const auto dispatch = [&](Envelope env) {
+    if (sched != nullptr) {
+      sched->submit(world_dest, std::move(env));
+    } else {
+      world_.mailbox(world_dest).post(std::move(env));
+    }
+  };
   if (duplicate) {
     // Both envelopes reference the same immutable bytes; copying the
     // Envelope only bumps the refcount.  Mark both shared so neither
     // receive steals the storage out from under the other.
     e.shared_payload = true;
-    Envelope copy = e;
-    if (sched != nullptr) {
-      sched->submit(world_dest, std::move(copy));
-    } else {
-      stalled_seconds += world_.mailbox(world_dest).post(std::move(copy));
-    }
+    dispatch(e);
   }
-  if (sched != nullptr) {
-    sched->submit(world_dest, std::move(e));
-  } else {
-    stalled_seconds += world_.mailbox(world_dest).post(std::move(e));
-  }
-  if (stalled_seconds > 0.0) {
-    // Backpressure: the destination lane was full and this rank's send
-    // blocked until the receiver drained it.  The stall is real sender
-    // wall time with no CPU burned, so charge it to the virtual clock
-    // explicitly (like a fault delay) and surface it in metrics.
-    state_->vclock += stalled_seconds;
-    state_->send_stall_seconds += stalled_seconds;
-    state_->last_cpu = thread_cpu_seconds();
-    span.arg("stall_ns", vt_ns(stalled_seconds));
-    if (obs::metrics_enabled()) {
-      static obs::Counter& stalls = obs::MetricsRegistry::global().counter("simmpi.send_stalls");
-      stalls.add(1);
-      observe_send_stall(stalled_seconds);
-    }
-  }
-}
-
-void Communicator::send(int dest, int tag, const Buffer& payload) {
-  SharedBuffer data;
-  if (!payload.empty()) data = make_shared_buffer(pooled_copy(payload));
-  send_envelope(dest, tag, std::move(data), /*shared=*/false);
+  dispatch(std::move(e));
 }
 
 void Communicator::send(int dest, int tag, Buffer&& payload) {

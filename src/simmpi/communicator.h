@@ -17,9 +17,10 @@
 // — the flat alpha–beta interconnect cost (simmpi/network.h), the same for
 // every pair of ranks.  The maximum final clock across ranks is the run's
 // virtual makespan: the wall time an ideal one-core-per-rank cluster would
-// have shown.  A sender stalled by lane backpressure (simmpi/mailbox.h) charges
-// the stall to its clock too.  Split communicators share the owning rank's
-// clock (they are views over the same thread).
+// have shown.  A send never blocks (mailbox lanes are unbounded;
+// simmpi/mailbox.h), so the clock advances only by CPU time, modelled
+// arrival times and injected fault delays.  Split communicators share the
+// owning rank's clock (they are views over the same thread).
 #pragma once
 
 #include <cstdint>
@@ -36,10 +37,11 @@ namespace smart::simmpi {
 
 class World;
 
-/// Process-wide count of payload bytes physically copied by the transport
-/// (send-side copy-in for lvalue sends, receive-side materialization of
-/// shared fan-out payloads into an owning Buffer).  Always on — the
-/// transport benches diff it around a run to prove fan-out sends share
+/// Process-wide count of payload bytes physically copied by the transport.
+/// Sends never copy (they move or share their buffer), so the only copy is
+/// an owning recv() / recv_timeout() of a shared payload (a fan-out or a
+/// duplicated fault), which must materialize its own Buffer.  Always on —
+/// the transport benches diff it around a run to prove fan-out sends share
 /// bytes instead of duplicating them.
 std::uint64_t payload_bytes_copied();
 
@@ -50,9 +52,6 @@ struct RankState {
   double vclock = 0.0;
   double last_cpu = 0.0;
   std::size_t bytes_sent = 0;
-  /// Wall seconds this rank's sends spent blocked on full destination
-  /// lanes (backpressure); also folded into vclock as it accrues.
-  double send_stall_seconds = 0.0;
 };
 }  // namespace detail
 
@@ -70,11 +69,8 @@ class Communicator {
   int world_rank() const { return world_rank_; }
 
   // --- point to point (peer ids are ranks *within this communicator*) -----
-  /// Ships a copy of `payload` (the copy is made once, into a pooled
-  /// buffer, and counted in payload_bytes_copied).  Prefer the rvalue
-  /// overload or send_shared when the bytes need not survive the call.
-  void send(int dest, int tag, const Buffer& payload);
-  /// Zero-copy send: the buffer is moved into a shared payload.
+  /// Zero-copy send: the buffer is moved into a shared payload.  Never
+  /// blocks.
   void send(int dest, int tag, Buffer&& payload);
   /// Fan-out send: every destination handed the same SharedBuffer shares
   /// one immutable serialized payload — serialize once, copy never.
@@ -191,9 +187,10 @@ class Communicator {
   /// Bytes this rank has pushed through send() on any of its communicators.
   std::size_t bytes_sent() const { return state_->bytes_sent; }
 
-  /// Wall seconds this rank's sends have spent blocked on full destination
-  /// lanes (backpressure; see simmpi/mailbox.h).
-  double send_stall_seconds() const { return state_->send_stall_seconds; }
+  /// Always 0.0: a send never blocks (mailbox lanes are unbounded).  Kept
+  /// because the end-to-end benchmark (perfbench/workloads.cpp) still reads
+  /// it into its simmpi.send_stall_s metric.
+  double send_stall_seconds() const { return 0.0; }
 
  private:
   Communicator(World& world, int world_rank, std::vector<int> group,
@@ -206,10 +203,9 @@ class Communicator {
   /// delay) before blocking on the mailbox.
   void inject_recv_faults(int world_source, int tag);
   /// The one send path: fault injection, traffic accounting, trace flow
-  /// start, the alpha-beta arrival stamp, and the mailbox post (which
-  /// may block on a full lane — the stall is charged to this rank's clock
-  /// and the simmpi.send_stall_us histogram).  `shared` marks the payload
-  /// as potentially multi-referenced so receivers copy instead of steal.
+  /// start, the alpha-beta arrival stamp, and the mailbox post (or the
+  /// schedule controller's submit).  `shared` marks the payload as
+  /// potentially multi-referenced so receivers copy instead of steal.
   void send_envelope(int dest, int tag, SharedBuffer payload, bool shared);
   /// Blocking matched-envelope wait shared by recv / recv_shared.
   Envelope recv_envelope(int source, int tag);

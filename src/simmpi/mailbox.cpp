@@ -27,23 +27,10 @@ const std::vector<double>& lane_depth_bounds() {
 }
 }  // namespace
 
-void Mailbox::set_lane_capacity(std::size_t max_msgs, std::size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_lane_msgs_ = max_msgs;
-  max_lane_bytes_ = max_bytes;
-}
-
 void Mailbox::set_schedule(ScheduleController* sched, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
   sched_ = sched;
   sched_rank_ = rank;
-}
-
-bool Mailbox::lane_full_locked(const Lane& lane, std::size_t incoming_bytes) const {
-  if (lane.q.empty()) return false;  // an empty lane always accepts one message
-  if (max_lane_msgs_ != 0 && lane.q.size() >= max_lane_msgs_) return true;
-  if (max_lane_bytes_ != 0 && lane.bytes + incoming_bytes > max_lane_bytes_) return true;
-  return false;
 }
 
 void Mailbox::wake_matching_waiter_locked(int source, int tag) {
@@ -63,37 +50,8 @@ void Mailbox::wake_matching_waiter_locked(int source, int tag) {
   }
 }
 
-double Mailbox::post(Envelope e) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const int source = e.source;
-  const int tag = e.tag;
-  const std::size_t nbytes = e.size();
-  const std::uint64_t key = lane_key(source, tag);
-  double stalled_seconds = 0.0;
-  if ((max_lane_msgs_ != 0 || max_lane_bytes_ != 0) && !dead_) {
-    // Backpressure: while the destination lane is at capacity, the sender
-    // parks here until the receiver drains it.  A poke() or mark_dead()
-    // (rank death) also releases the wait — posting to a dead rank's
-    // mailbox never blocks, because nothing will ever drain it.
-    const auto full = [&] {
-      const auto it = lanes_.find(key);
-      return it != lanes_.end() && lane_full_locked(it->second, nbytes);
-    };
-    if (full()) {
-      const auto stall_start = std::chrono::steady_clock::now();
-      ++senders_waiting_;
-      space_cv_.wait(lock, [&] { return dead_ || !full(); });
-      --senders_waiting_;
-      stalled_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                      stall_start)
-                            .count();
-    }
-  }
-  enqueue_locked(std::move(e));
-  return stalled_seconds;
-}
-
-void Mailbox::enqueue_locked(Envelope e) {
+void Mailbox::post(Envelope e) {
+  std::lock_guard<std::mutex> lock(mu_);
   const int source = e.source;
   const int tag = e.tag;
   const std::size_t nbytes = e.size();
@@ -101,11 +59,9 @@ void Mailbox::enqueue_locked(Envelope e) {
   Lane& lane = lanes_[lane_key(source, tag)];
   lane.source = source;
   lane.tag = tag;
-  lane.bytes += nbytes;
   lane.q.push_back(std::move(e));
   ++pending_;
   pending_bytes_ += nbytes;
-  if (pending_bytes_ > peak_pending_bytes_) peak_pending_bytes_ = pending_bytes_;
   if (obs::metrics_enabled()) {
     static obs::FixedHistogram& depth =
         obs::MetricsRegistry::global().histogram("simmpi.lane_depth", lane_depth_bounds());
@@ -119,11 +75,6 @@ void Mailbox::enqueue_locked(Envelope e) {
   wake_matching_waiter_locked(source, tag);
 }
 
-void Mailbox::post_scheduled(Envelope e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enqueue_locked(std::move(e));
-}
-
 void Mailbox::notify_scheduled(int source, int tag) {
   std::lock_guard<std::mutex> lock(mu_);
   // Prefer a receiver whose selector the newly *held* message satisfies —
@@ -132,7 +83,7 @@ void Mailbox::notify_scheduled(int source, int tag) {
   // held message may be the event the policy is waiting for, and committing
   // it can expose follow-on commits that match receivers whose selectors
   // this submission does not — every committed envelope re-wakes its own
-  // matching waiter via enqueue_locked, so one arbitrary pumper suffices.
+  // matching waiter via post, so one arbitrary pumper suffices.
   for (Waiter* w : waiters_) {
     if (!w->signaled && selector_matches(w->source, w->tag, source, tag)) {
       w->signaled = true;
@@ -155,10 +106,7 @@ std::optional<Envelope> Mailbox::take_locked(int source, int tag) {
     Envelope e = std::move(it->second.q.front());
     it->second.q.pop_front();
     --pending_;
-    const std::size_t nbytes = e.size();
-    it->second.bytes -= nbytes;
-    pending_bytes_ -= nbytes;
-    if (senders_waiting_ != 0) space_cv_.notify_all();
+    pending_bytes_ -= e.size();
     if (it->second.q.empty()) {
       // Erase drained lanes: collective tags descend every round, so keeping
       // empty lanes around would grow the table without bound.
@@ -243,13 +191,6 @@ void Mailbox::poke() {
     w->signaled = true;
     w->cv.notify_one();
   }
-  if (senders_waiting_ != 0) space_cv_.notify_all();
-}
-
-void Mailbox::mark_dead() {
-  std::lock_guard<std::mutex> lock(mu_);
-  dead_ = true;
-  if (senders_waiting_ != 0) space_cv_.notify_all();
 }
 
 std::optional<Envelope> Mailbox::try_receive(int source, int tag) {
@@ -273,7 +214,7 @@ Envelope Mailbox::receive_scheduled(int source, int tag) {
     // nothing (but before the wait) sets w.signaled via notify_scheduled,
     // so the wait falls through and the loop pumps again.  The pump runs
     // without mu_ held — lock order is controller first, then mailbox
-    // (pump's commits re-enter via post_scheduled).
+    // (pump's commits re-enter via post).
     {
       std::lock_guard<std::mutex> lock(mu_);
       w.signaled = false;
@@ -329,16 +270,6 @@ std::optional<Envelope> Mailbox::receive_for_scheduled(int source, int tag,
 std::size_t Mailbox::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_;
-}
-
-std::size_t Mailbox::pending_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_bytes_;
-}
-
-std::size_t Mailbox::peak_pending_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_pending_bytes_;
 }
 
 std::size_t Mailbox::lane_count() const {

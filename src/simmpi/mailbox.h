@@ -65,24 +65,13 @@ struct Envelope {
 /// by construction, already verified nothing queued matches it), replacing
 /// the old notify_all stampede that woke every receiver for every post.
 ///
-/// Flow control: each lane has a bounded capacity (messages and bytes,
-/// from NetworkConfig; 0 = unbounded).  post() into a full lane *blocks
-/// the sender* until the receiver drains the lane — the backpressure a
-/// real interconnect applies to a producer outrunning its consumer, and
-/// the fix for slow receivers' mailboxes growing without bound.  Two rules
-/// keep this deadlock-safe: an empty lane always accepts one message (so a
-/// bounded lane can throttle a pipeline but never wedge a first send), and
-/// a mailbox whose owning rank is dead (mark_dead, via
-/// World::mark_rank_dead) stops blocking entirely — poke() wakes blocked
-/// senders as well as receivers, so a sender stalled on a dying rank
-/// resolves promptly instead of hanging.
+/// Lanes are unbounded and post() never blocks: simmpi models the cost of
+/// communication (simmpi/network.h), not an interconnect's buffer limits.
+/// The one bounded stream in Smart is the paper's own — the space-sharing
+/// circular buffer (threading/circular_buffer.h), whose producer blocks
+/// when every cell is full.
 class Mailbox {
  public:
-  /// Per-(source, tag) lane bounds; 0 disables the respective bound.
-  /// Configure before the mailbox carries traffic (World does this at
-  /// construction from its NetworkConfig).
-  void set_lane_capacity(std::size_t max_msgs, std::size_t max_bytes);
-
   /// Puts this mailbox in deterministic-schedule mode (simmpi/schedule.h):
   /// receive paths pump `sched` for rank `rank` (this mailbox's owner)
   /// before blocking, so envelopes the controller holds are committed in
@@ -90,17 +79,10 @@ class Mailbox {
   /// before any traffic flows; null restores normal mode.
   void set_schedule(ScheduleController* sched, int rank);
 
-  /// Enqueues e, blocking while the destination lane is at capacity (see
-  /// class comment).  Returns the seconds the sender was stalled (0.0 when
-  /// the lane had room) so the communicator can charge the stall to the
-  /// sender's virtual clock and the simmpi.send_stall_us histogram.
-  double post(Envelope e);
-
-  /// Scheduled-mode commit (ScheduleController::pump only): enqueues
-  /// without the backpressure wait — capacity stalls are wall-clock
-  /// effects the deterministic mode deliberately excludes, and a receiver
-  /// pumping its own mailbox must never block on it.
-  void post_scheduled(Envelope e);
+  /// Enqueues e and wakes one receiver it can satisfy; never blocks.  In
+  /// deterministic-schedule mode only ScheduleController::pump calls this,
+  /// committing each held envelope in policy order.
+  void post(Envelope e);
 
   /// Scheduled-mode wake-up (ScheduleController::submit only): signals one
   /// blocked receiver whose selector matches a newly *held* message so it
@@ -121,25 +103,11 @@ class Mailbox {
   /// between its bounded waits.
   std::optional<Envelope> try_receive(int source, int tag);
 
-  /// Wakes every blocked receiver *and* sender so it re-evaluates its wait
-  /// condition (used by World::mark_rank_dead to cut short waits on a dead
-  /// peer).
+  /// Wakes every blocked receiver so it re-evaluates its wait condition
+  /// (used by World::mark_rank_dead to cut short waits on a dead peer).
   void poke();
 
-  /// Declares the owning rank dead: pending messages stay readable, but
-  /// post() stops blocking on full lanes (nobody will ever drain them) and
-  /// blocked senders are released.
-  void mark_dead();
-
   std::size_t pending() const;
-
-  /// Payload bytes currently queued across all lanes.
-  std::size_t pending_bytes() const;
-
-  /// High-water mark of pending_bytes() over this mailbox's lifetime — the
-  /// number the bounded-lane work exists to keep flat under a slow
-  /// receiver (see BM_*SlowReceiverPeakBytes in bench/micro_transport.cpp).
-  std::size_t peak_pending_bytes() const;
 
   /// Active (non-empty) lanes; lanes are erased as they drain, so this is
   /// the number of distinct (source, tag) pairs with messages queued.
@@ -155,7 +123,6 @@ class Mailbox {
   struct Lane {
     int source = 0;
     int tag = 0;
-    std::size_t bytes = 0;  ///< summed payload size of q
     std::deque<Envelope> q;
   };
 
@@ -179,21 +146,16 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
-  /// True when `lane` cannot accept another `incoming_bytes`-sized message
-  /// under the configured bounds.  An empty lane never refuses.
-  bool lane_full_locked(const Lane& lane, std::size_t incoming_bytes) const;
-
   /// Wakes one unsignaled waiter whose selector matches (source, tag); the
   /// caller holds mu_.
   void wake_matching_waiter_locked(int source, int tag);
 
   std::optional<Envelope> take_locked(int source, int tag);
   void unregister_locked(Waiter* w);
-  void enqueue_locked(Envelope e);
 
   /// Scheduled-mode receive loops: pump the controller (never while
   /// holding mu_ — lock order is controller first, then mailbox), then
-  /// take; block armed against the submit/post wake-ups in between.
+  /// take; block armed against the submit/commit wake-ups in between.
   Envelope receive_scheduled(int source, int tag);
   std::optional<Envelope> receive_for_scheduled(int source, int tag,
                                                 std::chrono::nanoseconds timeout);
@@ -201,17 +163,12 @@ class Mailbox {
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Lane> lanes_;
   std::vector<Waiter*> waiters_;
-  /// Blocked senders (post() into a full lane); woken on drain/poke/death.
-  std::condition_variable space_cv_;
-  std::size_t senders_waiting_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
+  /// Payload bytes queued across all lanes (the simmpi.mailbox_bytes_peak
+  /// gauge's source).
   std::size_t pending_bytes_ = 0;
-  std::size_t peak_pending_bytes_ = 0;
   std::uint64_t heads_examined_ = 0;
-  std::size_t max_lane_msgs_ = 0;   ///< 0 = unbounded
-  std::size_t max_lane_bytes_ = 0;  ///< 0 = unbounded
-  bool dead_ = false;
   /// Deterministic-schedule mode (null = normal).  Set before traffic
   /// flows and never changed mid-run, so reads need no synchronization.
   ScheduleController* sched_ = nullptr;

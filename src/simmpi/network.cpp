@@ -34,9 +34,9 @@ NetworkConfig NetworkConfig::from_env() {
   // setting of a model that no longer exists; running anyway would mislabel
   // the run (priced at the defaults, or nondeterministic where a schedule
   // was asked for), so it is an error like a malformed value.
-  static constexpr std::string_view kKnownVars[] = {
-      "SMART_NET_ALPHA",    "SMART_NET_BETA",   "SMART_NET_LANE_CAP", "SMART_NET_LANE_CAP_BYTES",
-      "SMART_SCHED_POLICY", "SMART_SCHED_SEED", "SMART_SCHED_TRACE"};
+  static constexpr std::string_view kKnownVars[] = {"SMART_NET_ALPHA", "SMART_NET_BETA",
+                                                     "SMART_SCHED_POLICY", "SMART_SCHED_SEED",
+                                                     "SMART_SCHED_TRACE"};
   for (char** entry = environ; *entry != nullptr; ++entry) {
     const std::string_view var(*entry);
     const std::string_view name = var.substr(0, var.find('='));
@@ -47,27 +47,22 @@ NetworkConfig NetworkConfig::from_env() {
     if (std::find(std::begin(kKnownVars), std::end(kKnownVars), name) == std::end(kKnownVars)) {
       throw std::invalid_argument(
           std::string(name) +
-          (net ? ": unknown network setting (known: SMART_NET_ALPHA, SMART_NET_BETA, "
-                 "SMART_NET_LANE_CAP, SMART_NET_LANE_CAP_BYTES)"
+          (net ? ": unknown network setting (known: SMART_NET_ALPHA, SMART_NET_BETA)"
                : ": unknown schedule setting (known: SMART_SCHED_POLICY, SMART_SCHED_SEED, "
                  "SMART_SCHED_TRACE)"));
     }
   }
   // Every value is range-checked as it is read, so the error names the
   // variable and nothing wraps in a cast; validate() rejects a zero beta.
-  const auto env_unsigned = [](const char* name, std::size_t fallback) {
-    return static_cast<std::size_t>(env_long(name, static_cast<long>(fallback), 0, LONG_MAX));
-  };
   const auto env_real = [](const char* name, double fallback) {
     return env_double(name, fallback, 0.0, std::numeric_limits<double>::max());
   };
   NetworkConfig cfg;
   cfg.alpha_seconds = env_real("SMART_NET_ALPHA", cfg.alpha_seconds);
   cfg.beta_bytes_per_second = env_real("SMART_NET_BETA", cfg.beta_bytes_per_second);
-  cfg.lane_capacity_msgs = env_unsigned("SMART_NET_LANE_CAP", cfg.lane_capacity_msgs);
-  cfg.lane_capacity_bytes = env_unsigned("SMART_NET_LANE_CAP_BYTES", cfg.lane_capacity_bytes);
   cfg.sched_policy = env_string("SMART_SCHED_POLICY", cfg.sched_policy);
-  cfg.sched_seed = env_unsigned("SMART_SCHED_SEED", cfg.sched_seed);
+  cfg.sched_seed = static_cast<std::uint64_t>(
+      env_long("SMART_SCHED_SEED", static_cast<long>(cfg.sched_seed), 0, LONG_MAX));
   cfg.sched_trace = env_string("SMART_SCHED_TRACE", cfg.sched_trace);
   return cfg;
 }

@@ -1,5 +1,5 @@
 // The simulated interconnect: simmpi's one message cost model, plus the
-// transport settings that travel with it.
+// deterministic schedule settings that travel with it.
 //
 // Computation in simmpi is *emulated* (rank threads really run it, and the
 // virtual clock charges measured CPU time); communication is *modeled* — a
@@ -10,9 +10,9 @@
 // the payload earlier than that (NetworkConfig::arrival_vtime).  The cost is
 // stateless, so every arrival stamp is exact and reproducible.
 //
-// The config also carries the transport's flow-control knobs (per-lane
-// mailbox capacity; see simmpi/mailbox.h) and the deterministic schedule
-// settings (simmpi/schedule.h), so one object describes the whole
+// The cost is the whole model: mailbox lanes are unbounded and a send never
+// blocks (simmpi/mailbox.h).  The config also carries the deterministic
+// schedule settings (simmpi/schedule.h), so one object describes the whole
 // interconnect.  Every field can be overridden from the environment
 // (NetworkConfig::from_env), which is how zero-code-change binaries (fig
 // harnesses, examples) pick a setting.
@@ -29,14 +29,6 @@ namespace smart::simmpi {
 struct NetworkConfig {
   double alpha_seconds = 2e-6;         ///< per-message latency
   double beta_bytes_per_second = 5e9;  ///< link bandwidth
-
-  // Flow control (simmpi/mailbox.h): a destination (source, tag) lane
-  // holding at least this many messages / bytes blocks further posts from
-  // the sender until the receiver drains it (an empty lane always accepts
-  // one message, so flow control can throttle but never wedge a pipeline).
-  // 0 disables the respective bound.
-  std::size_t lane_capacity_msgs = 512;
-  std::size_t lane_capacity_bytes = 32u * 1024 * 1024;
 
   // Deterministic schedule exploration (simmpi/schedule.h).  Non-empty
   // sched_policy turns the mode on: every cross-rank delivery decision is
@@ -59,12 +51,10 @@ struct NetworkConfig {
   void validate() const;
 
   /// Defaults overridden by SMART_NET_ALPHA, SMART_NET_BETA,
-  /// SMART_NET_LANE_CAP (messages), SMART_NET_LANE_CAP_BYTES,
   /// SMART_SCHED_POLICY, SMART_SCHED_SEED and SMART_SCHED_TRACE.  Doubles
-  /// must be finite and >= 0, lane caps and the seed whole numbers in
-  /// [0, LONG_MAX]; anything else, or any other non-empty SMART_NET_* or
-  /// SMART_SCHED_* variable, throws std::invalid_argument naming the
-  /// variable.
+  /// must be finite and >= 0, the seed a whole number in [0, LONG_MAX];
+  /// anything else, or any other non-empty SMART_NET_* or SMART_SCHED_*
+  /// variable, throws std::invalid_argument naming the variable.
   static NetworkConfig from_env();
 };
 

@@ -184,10 +184,8 @@ std::size_t ScheduleController::pump(int dest, bool force) {
       records_.push_back(DeliveryRecord{dest, e.source, e.tag, e.arrival_vtime});
     }
     // Commit: the mailbox assigns the arrival seq — commit order IS the
-    // arrival order any-source receives observe.  Backpressure is bypassed
-    // (post_scheduled): capacity stalls are wall-clock effects the
-    // deterministic mode deliberately excludes.
-    boxes_.at(static_cast<std::size_t>(dest))->post_scheduled(std::move(e));
+    // arrival order any-source receives observe.
+    boxes_.at(static_cast<std::size_t>(dest))->post(std::move(e));
   }
   return committed_now;
 }

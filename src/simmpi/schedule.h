@@ -37,10 +37,9 @@
 // harness in tests/test_schedule_explore.cpp prints it on failure).
 //
 // Under a controller, wall-clock-dependent behavior is made virtual so
-// replays are exact: sender backpressure stalls are skipped (delivery
-// order is the controller's job) and FaultAction::kDelay charges the
-// virtual clock without sleeping — fault delays become scheduled events
-// whose interleavings the policies explore like any other.
+// replays are exact: FaultAction::kDelay charges the virtual clock without
+// sleeping — fault delays become scheduled events whose interleavings the
+// policies explore like any other.
 #pragma once
 
 #include <cstdint>

@@ -19,11 +19,7 @@ World::World(int nranks, NetworkConfig net) : net_(std::move(net)) {
   if (nranks <= 0) throw std::invalid_argument("simmpi::World: nranks must be positive");
   net_.validate();
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    auto box = std::make_unique<Mailbox>();
-    box->set_lane_capacity(net_.lane_capacity_msgs, net_.lane_capacity_bytes);
-    mailboxes_.push_back(std::move(box));
-  }
+  for (int r = 0; r < nranks; ++r) mailboxes_.push_back(std::make_unique<Mailbox>());
   dead_.assign(static_cast<std::size_t>(nranks), false);
   // Deterministic mode straight from the network config (SMART_SCHED_* /
   // CLI flags); an explicitly injected controller (set_schedule) replaces
@@ -56,9 +52,6 @@ void World::mark_rank_dead(int rank) {
     static obs::Counter& deaths = obs::MetricsRegistry::global().counter("simmpi.rank_deaths");
     deaths.add(1);
   }
-  // Nothing will ever drain the dead rank's lanes again: stop its mailbox
-  // from blocking senders, releasing any already parked there.
-  mailboxes_.at(static_cast<std::size_t>(rank))->mark_dead();
   // Blocked timed receivers re-check their peer's liveness on wake-up.
   for (auto& box : mailboxes_) box->poke();
 }
@@ -101,7 +94,6 @@ LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
   LaunchStats stats;
   stats.rank_vtime.assign(static_cast<std::size_t>(nranks), 0.0);
   stats.rank_bytes_sent.assign(static_cast<std::size_t>(nranks), 0);
-  stats.rank_send_stall_seconds.assign(static_cast<std::size_t>(nranks), 0.0);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
   std::vector<char> killed(static_cast<std::size_t>(nranks), 0);
   std::vector<std::thread> threads;
@@ -129,7 +121,6 @@ LaunchStats launch(int nranks, const std::function<void(Communicator&)>& fn,
       }
       stats.rank_vtime[static_cast<std::size_t>(r)] = comm.vclock();
       stats.rank_bytes_sent[static_cast<std::size_t>(r)] = comm.bytes_sent();
-      stats.rank_send_stall_seconds[static_cast<std::size_t>(r)] = comm.send_stall_seconds();
       if (obs::trace_enabled() && !killed[static_cast<std::size_t>(r)]) {
         // Same value LaunchStats::makespan() sees, so the trace-side
         // reconstruction (obs/critpath.h) anchors on the exact makespan.

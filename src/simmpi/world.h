@@ -1,5 +1,6 @@
-// World: the set of ranks in one SPMD launch, their mailboxes, and the
-// launch() entry point that spawns a thread per rank.
+// World: the set of ranks in one SPMD launch, their mailboxes (unbounded,
+// so a send never blocks; simmpi/mailbox.h), and the launch() entry point
+// that spawns a thread per rank.
 //
 // Fault model (see simmpi/fault.h): a World optionally carries a
 // FaultInjector whose rules the communicators consult on every send/recv,
@@ -28,8 +29,7 @@ namespace smart::simmpi {
 class World {
  public:
   /// Validates `net` (NetworkConfig::validate: std::invalid_argument
-  /// naming the bad field) and applies its lane capacities to every rank's
-  /// mailbox, before any traffic flows.
+  /// naming the bad field) and gives every rank an empty mailbox.
   World(int nranks, NetworkConfig net);
 
   int size() const { return static_cast<int>(mailboxes_.size()); }
@@ -51,8 +51,8 @@ class World {
 
   /// Declares a rank dead: wakes every blocked timed receiver so waits on
   /// the dead peer resolve to PeerUnreachable instead of their full
-  /// timeout, and marks the rank's own mailbox dead so senders blocked on
-  /// its full lanes (backpressure) release instead of hanging forever.
+  /// timeout.  Sends to a dead rank still succeed (a send never blocks);
+  /// nothing receives them.
   void mark_rank_dead(int rank);
   bool rank_dead(int rank) const;
 
@@ -69,9 +69,6 @@ class World {
 struct LaunchStats {
   std::vector<double> rank_vtime;
   std::vector<std::size_t> rank_bytes_sent;
-  /// Wall seconds each rank's sends spent blocked on full destination
-  /// lanes (backpressure); all zeros when no lane ever filled.
-  std::vector<double> rank_send_stall_seconds;
   double wall_seconds = 0.0;
   /// World ranks a FaultInjector kKillRank rule terminated, ascending.
   std::vector<int> ranks_killed;

@@ -7,9 +7,11 @@
 //   * receive_for's deadline racing a concurrent post never loses or
 //     duplicates a message,
 //   * collectives at non-power-of-two sizes (n = 3, 5, 7),
+//   * a send never blocks: mailbox lanes are unbounded,
 //   * shared fan-out payloads move zero bytes (bcast_shared, allreduce,
 //     split) while the duplicate fault shares one payload instead of
-//     deep-copying it,
+//     deep-copying it, and an owning receive of a shared payload counts
+//     its copy,
 //   * BufferPool recycling, retention bounds, and counters,
 //   * the alpha-beta arrival stamp, and the rejection of out-of-domain
 //     configs and of SMART_NET_* variables the network does not read.
@@ -260,17 +262,22 @@ TEST(TransportSharedPayload, BcastSharedMovesZeroBytes) {
   });
 }
 
-TEST(TransportSharedPayload, DuplicateFaultSharesOnePayload) {
-  static constexpr std::size_t kPayload = 1u << 18;
+/// Fault rules that deliver rank 0's first send to rank 1 on `tag` twice.
+std::shared_ptr<FaultInjector> duplicate_first_send(int tag) {
   auto faults = std::make_shared<FaultInjector>();
   FaultRule rule;
   rule.op = FaultOp::kSend;
   rule.rank = 0;
   rule.peer = 1;
-  rule.tag = 5;
+  rule.tag = tag;
   rule.action = FaultAction::kDuplicate;
   rule.max_fires = 1;
   faults->add_rule(rule);
+  return faults;
+}
+
+TEST(TransportSharedPayload, DuplicateFaultSharesOnePayload) {
+  static constexpr std::size_t kPayload = 1u << 18;
   const std::uint64_t before = payload_bytes_copied();
   launch(2,
          [](Communicator& comm) {
@@ -285,11 +292,33 @@ TEST(TransportSharedPayload, DuplicateFaultSharesOnePayload) {
              EXPECT_EQ(a, b);
            }
          },
-         NetworkConfig{}, faults);
+         NetworkConfig{}, duplicate_first_send(5));
   // An owning send moves its buffer into the envelope, the duplicated
   // envelope bumps the refcount, and both shared receives hand the same
   // bytes out — zero payload copies end to end.
   EXPECT_EQ(payload_bytes_copied() - before, 0u);
+}
+
+TEST(TransportSharedPayload, OwningReceiveOfASharedPayloadCountsItsBytes) {
+  // The counted copy path: a duplicated envelope shares one payload, so an
+  // owning recv() of either copy must materialize its own Buffer.  Both
+  // receives copy, and the counter rises by exactly both payloads.
+  static constexpr std::size_t kPayload = 1u << 16;
+  const std::uint64_t before = payload_bytes_copied();
+  launch(2,
+         [](Communicator& comm) {
+           if (comm.rank() == 0) {
+             comm.send(1, 6, Buffer(kPayload, std::byte{9}));
+           } else {
+             const Buffer a = comm.recv(0, 6);
+             const Buffer b = comm.recv(0, 6);
+             ASSERT_EQ(a.size(), kPayload);
+             EXPECT_EQ(a, b);
+             EXPECT_NE(a.data(), b.data());  // two owning copies
+           }
+         },
+         NetworkConfig{}, duplicate_first_send(6));
+  EXPECT_EQ(payload_bytes_copied() - before, 2 * kPayload);
 }
 
 TEST(TransportBufferPool, AcquireReleaseRoundTripHitsPool) {
@@ -372,125 +401,29 @@ TEST(TransportBufferPool, OversizeAcquireBypassesPool) {
   EXPECT_EQ(t1.misses - t0.misses, 1u);
 }
 
-Envelope make_sized_envelope(int source, int tag, std::size_t nbytes) {
-  Envelope e;
-  e.source = source;
-  e.tag = tag;
-  e.payload = make_shared_buffer(Buffer(nbytes, std::byte{1}));
-  return e;
-}
-
-TEST(TransportBackpressure, BlockingSendUnblockedByDrain) {
-  // A producer outrunning its consumer parks in post() once the lane holds
-  // kCap messages; every receive frees a slot and lets it continue.  All
-  // messages arrive, in order, and the producer reports nonzero stall time.
-  constexpr int kCap = 4;
-  constexpr int kTotal = 12;
-  Mailbox box;
-  box.set_lane_capacity(kCap, 0);
-  std::atomic<int> posted{0};
-  double stalled = 0.0;
-  std::thread producer([&] {
-    for (int i = 0; i < kTotal; ++i) {
-      stalled += box.post(make_envelope(0, 7, i));
-      posted.fetch_add(1);
-    }
-  });
-  // Give the producer time to hit the cap: it must stop at kCap queued
-  // (kCap posts done plus one blocked in flight).
-  while (posted.load() < kCap) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(box.pending(), static_cast<std::size_t>(kCap));
-  EXPECT_LE(posted.load(), kCap + 1);
-  for (int i = 0; i < kTotal; ++i) {
-    const Envelope e = box.receive(0, 7);
-    ASSERT_EQ(envelope_value(e), i);
-  }
-  producer.join();
-  EXPECT_EQ(box.pending(), 0u);
-  EXPECT_GT(stalled, 0.0);
-}
-
-TEST(TransportBackpressure, ByteCapBoundsPeakMailboxBytes) {
-  // The byte bound is the slow-receiver fix: with a 64 KiB lane cap, a
-  // producer pushing 512 KiB through a lagging consumer can never have more
-  // than the cap queued.  The identical workload with no cap buffers
-  // everything.
-  constexpr std::size_t kMsg = 16u * 1024;
-  constexpr std::size_t kCapBytes = 64u * 1024;
-  constexpr int kTotal = 32;
-  {
-    Mailbox bounded;
-    bounded.set_lane_capacity(0, kCapBytes);
-    std::thread producer([&] {
-      for (int i = 0; i < kTotal; ++i) bounded.post(make_sized_envelope(0, 1, kMsg));
-    });
-    for (int i = 0; i < kTotal; ++i) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));  // lagging consumer
-      (void)bounded.receive(0, 1);
-    }
-    producer.join();
-    EXPECT_LE(bounded.peak_pending_bytes(), kCapBytes);
-  }
-  {
-    Mailbox unbounded;
-    for (int i = 0; i < kTotal; ++i) unbounded.post(make_sized_envelope(0, 1, kMsg));
-    EXPECT_EQ(unbounded.peak_pending_bytes(), kMsg * kTotal);
-    for (int i = 0; i < kTotal; ++i) (void)unbounded.receive(0, 1);
-  }
-}
-
-TEST(TransportBackpressure, DeadMailboxNeverBlocksSenders) {
-  // Senders parked on a full lane of a dying rank must release (nothing
-  // will ever drain the lane), and posts after death go straight through.
-  Mailbox box;
-  box.set_lane_capacity(2, 0);
-  box.post(make_envelope(0, 3, 0));
-  box.post(make_envelope(0, 3, 1));
-  std::atomic<bool> done{false};
-  std::thread sender([&] {
-    box.post(make_envelope(0, 3, 2));  // blocks: lane is at capacity
-    done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(done.load());
-  box.mark_dead();
-  sender.join();
-  EXPECT_TRUE(done.load());
-  box.post(make_envelope(0, 3, 3));  // dead mailbox accepts without blocking
-  EXPECT_EQ(box.pending(), 4u);
-}
-
-TEST(TransportBackpressure, SenderStalledOnDyingRankResolvesViaPoke) {
-  // Launch-level variant: rank 0 floods rank 1 through a 2-message lane
-  // while rank 1 sleeps, so rank 0 is parked in post() when a recv-side
-  // fault kills rank 1.  The death must release rank 0 (via mark_dead +
-  // poke) and the launch must finish with rank 1 recorded as killed and
-  // rank 0's stall time accounted.
-  NetworkConfig cfg;
-  cfg.lane_capacity_msgs = 2;
-  auto faults = std::make_shared<FaultInjector>();
-  FaultRule rule;
-  rule.op = FaultOp::kRecv;
-  rule.rank = 1;
-  rule.peer = 0;
-  rule.tag = 9;
-  rule.action = FaultAction::kKillRank;
-  faults->add_rule(rule);
-  const LaunchStats stats = launch(
+TEST(TransportUnboundedLanes, SendsNeverWaitForTheReceiver) {
+  // Lanes are unbounded, so a send never blocks: rank 0 queues 600
+  // messages on one tag and finishes before rank 1 takes any, then rank 1
+  // drains them in order.  A sender that parks on a full lane fails the
+  // bounded wait instead of hanging the test, since the drain frees it.
+  constexpr int kMessages = 600;
+  std::atomic<bool> sent_all{false};
+  launch(
       2,
-      [](Communicator& comm) {
+      [&](Communicator& comm) {
         if (comm.rank() == 0) {
-          for (int i = 0; i < 20; ++i) comm.send(1, 9, Buffer(64, std::byte{2}));
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          (void)comm.recv(0, 9);  // the kill fires here, before any drain
+          for (int i = 0; i < kMessages; ++i) comm.send_value(1, 4, i);
+          sent_all.store(true);
+          return;
         }
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!sent_all.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_TRUE(sent_all.load()) << "rank 0 blocked on a lane rank 1 had not drained";
+        for (int i = 0; i < kMessages; ++i) ASSERT_EQ(comm.recv_value<int>(0, 4), i);
       },
-      cfg, faults);
-  ASSERT_EQ(stats.ranks_killed, std::vector<int>{1});
-  EXPECT_GT(stats.rank_send_stall_seconds[0], 0.0);
-  EXPECT_GE(stats.rank_vtime[0], stats.rank_send_stall_seconds[0]);
+      NetworkConfig{});
 }
 
 TEST(TransportCollectives, BarrierAtNonPowerOfTwoRanks) {
@@ -603,16 +536,18 @@ TEST(TransportNetwork, OutOfDomainFieldsThrowNamingTheField) {
 
 TEST(TransportNetwork, EnvironmentIsRangeCheckedAndUnknownNamesRejected) {
   // Each bad value throws naming its variable; none may wrap in a cast (a
-  // negative lane cap to SIZE_MAX).  So does any SMART_NET_* or
-  // SMART_SCHED_* variable the network does not read: a setting of the
-  // removed topology models, or a misspelling, would otherwise leave the
-  // run priced at the defaults or scheduled nondeterministically.
+  // seed of -7 or 2^64 + 1 to another seed).  So does any SMART_NET_*
+  // or SMART_SCHED_* variable the network does not read: a setting of the
+  // removed topology models or lane caps, or a misspelling, would
+  // otherwise leave the run priced at the defaults or scheduled
+  // nondeterministically.
   const std::vector<std::pair<const char*, const char*>> bad = {
-      {"SMART_NET_LANE_CAP", "-1"},
-      {"SMART_NET_LANE_CAP", "four"},
-      {"SMART_NET_LANE_CAP_BYTES", "64k"},
-      {"SMART_NET_LANE_CAP_BYTES", "18446744073709551617"},
       {"SMART_SCHED_SEED", "-7"},
+      {"SMART_SCHED_SEED", "four"},
+      {"SMART_SCHED_SEED", "18446744073709551617"},
+      {"SMART_NET_LANE_CAP", "512"},
+      {"SMART_NET_LANE_CAP", "0"},
+      {"SMART_NET_LANE_CAP_BYTES", "4096"},
       {"SMART_NET_MODEL", "dragonfly"},
       {"SMART_NET_RANKS_PER_NODE", "2"},
       {"SMART_NET_TORUS_X", "4"},
@@ -634,17 +569,13 @@ TEST(TransportNetwork, EnvironmentIsRangeCheckedAndUnknownNamesRejected) {
   EXPECT_THROW(launch(1, [](Communicator&) {}), std::invalid_argument);
   unsetenv("SMART_NET_BETA");
 
-  ASSERT_EQ(setenv("SMART_NET_LANE_CAP", "0", 1), 0);
-  ASSERT_EQ(setenv("SMART_NET_LANE_CAP_BYTES", "4096", 1), 0);
-  ASSERT_EQ(setenv("SMART_NET_MODEL", "", 1), 0);  // empty means unset
+  ASSERT_EQ(setenv("SMART_NET_LANE_CAP", "", 1), 0);  // empty means unset
+  ASSERT_EQ(setenv("SMART_NET_MODEL", "", 1), 0);
   ASSERT_EQ(setenv("SMART_SCHED_POLICCY", "", 1), 0);
   ASSERT_EQ(setenv("SMART_SCHED_SEED", "12", 1), 0);
   const NetworkConfig cfg = NetworkConfig::from_env();
-  EXPECT_EQ(cfg.lane_capacity_msgs, 0u);
-  EXPECT_EQ(cfg.lane_capacity_bytes, 4096u);
   EXPECT_EQ(cfg.sched_seed, 12u);
   unsetenv("SMART_NET_LANE_CAP");
-  unsetenv("SMART_NET_LANE_CAP_BYTES");
   unsetenv("SMART_NET_MODEL");
   unsetenv("SMART_SCHED_POLICCY");
   unsetenv("SMART_SCHED_SEED");
@@ -688,7 +619,7 @@ TEST(TransportNetwork, EnvironmentDoublesAreRangeChecked) {
   EXPECT_EQ(bench_scale(), 1.0);
 }
 
-TEST(TransportBufferPool, AdaptiveWatermarkTracksShiftingWorkload) {
+TEST(TransportBufferPool, WatermarkGrowsWithinTheByteBudget) {
   BufferPool::drain_thread_cache();
   constexpr std::size_t kSmall = 16u * 1024;
   ASSERT_EQ(BufferPool::thread_class_watermark(kSmall), BufferPool::kMaxPerClass);
@@ -720,17 +651,18 @@ TEST(TransportBufferPool, AdaptiveWatermarkTracksShiftingWorkload) {
   EXPECT_EQ(BufferPool::totals().hits - hits_before,
             static_cast<std::uint64_t>(kWorkingSet));
 
-  // Phase 2: the workload shifts to jumbo buffers that fill the 32 MiB
-  // byte budget.  Retaining them evicts the now-idle small class and
-  // halves its watermark back to the floor — the pool converges on the
-  // sizes actually in use.
-  constexpr std::size_t kJumbo = 4u * 1024 * 1024;
-  for (int round = 0; round < 4; ++round) {
-    std::vector<Buffer> live;
-    for (int i = 0; i < 9; ++i) live.push_back(BufferPool::acquire(kJumbo));
-    for (auto& b : live) BufferPool::release(std::move(b));
-  }
-  EXPECT_EQ(BufferPool::thread_class_watermark(kSmall), BufferPool::kMaxPerClass);
+  // The byte budget bounds what a thread keeps whatever the watermarks say:
+  // of five 8 MiB releases, under a class watermark of 8, the four that
+  // fill the 32 MiB budget are retained and the fifth is dropped.
+  BufferPool::drain_thread_cache();
+  constexpr std::size_t kJumbo = BufferPool::kMaxPooledCapacity;
+  static_assert(4 * kJumbo == BufferPool::kMaxRetainedBytes);
+  std::vector<Buffer> jumbo;
+  for (int i = 0; i < 5; ++i) jumbo.push_back(BufferPool::acquire(kJumbo));
+  const std::uint64_t dropped_before = BufferPool::totals().releases_dropped;
+  for (auto& b : jumbo) BufferPool::release(std::move(b));
+  EXPECT_EQ(BufferPool::thread_retained_count(), 4u);
+  EXPECT_EQ(BufferPool::totals().releases_dropped - dropped_before, 1u);
   BufferPool::drain_thread_cache();
 }
 
