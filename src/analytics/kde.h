@@ -39,22 +39,38 @@ class KernelDensity : public Scheduler<In, double> {
   double bandwidth() const { return h_; }
 
  protected:
-  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In*,
-                                        const CombinationMap&) const override {
-    return window_center_range(chunk.start, this->total_len(), window_);
+  bool gen_key_ranges(const ChunkBatch& batch, const In*, KeyRange* ranges,
+                      const CombinationMap&) const override {
+    window_center_ranges(batch, this->total_len(), window_, ranges);
+    return true;
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {
+    auto& kde = window_of(red_obj);
     const auto center = static_cast<std::size_t>(this->current_key());
-    if (!red_obj) {
-      auto obj = std::make_unique<KdeObj>();
-      obj->window = clipped_window_size(center, this->total_len(), window_);
-      red_obj = std::move(obj);
-    }
-    auto& kde = static_cast<KdeObj&>(*red_obj);
     const double u = (static_cast<double>(data[chunk.start]) - static_cast<double>(data[center])) / h_;
     kde.kernel_sum += std::exp(-0.5 * u * u);
     kde.count += 1;
+  }
+
+  /// Adds a whole run of consecutive neighbours, in chunk order and with
+  /// the per-chunk expression, so the sum's bits match the per-chunk path.
+  /// With stop_after_trigger the run stops where the window fills.
+  std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
+                               std::unique_ptr<RedObj>& red_obj,
+                               bool stop_after_trigger) override {
+    auto& kde = window_of(red_obj);
+    const std::size_t n = window_run_length(batch.count, kde.count, kde.window, stop_after_trigger);
+    const In* first = data + batch.start;  // chunk_size 1: chunk i is element start + i
+    const auto x_center = static_cast<double>(data[static_cast<std::size_t>(this->current_key())]);
+    double sum = kde.kernel_sum;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = (static_cast<double>(first[i]) - x_center) / h_;
+      sum += std::exp(-0.5 * u * u);
+    }
+    kde.kernel_sum = sum;
+    kde.count += n;
+    return n;
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {
@@ -72,7 +88,24 @@ class KernelDensity : public Scheduler<In, double> {
                : 0.0;
   }
 
+  /// Converts the estimate and empties the object for the next window,
+  /// which costs no allocation.
+  void emit(std::unique_ptr<RedObj>& red_obj, double* out) override {
+    auto& kde = static_cast<KdeObj&>(*red_obj);
+    if (out != nullptr) convert(kde, out);
+    kde.kernel_sum = 0.0;
+    kde.count = 0;
+  }
+
  private:
+  /// The object for the current key's window, clipped at the partition
+  /// boundary.
+  KdeObj& window_of(std::unique_ptr<RedObj>& red_obj) const {
+    return counted_window<KdeObj>(
+        red_obj, clipped_window_size(static_cast<std::size_t>(this->current_key()),
+                                     this->total_len(), window_));
+  }
+
   std::size_t window_;
   double h_;
 };

@@ -31,23 +31,32 @@ class MovingAverage : public Scheduler<In, double> {
   std::size_t window() const { return window_; }
 
  protected:
-  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In*,
-                                        const CombinationMap&) const override {
-    return window_center_range(chunk.start, this->total_len(), window_);
+  bool gen_key_ranges(const ChunkBatch& batch, const In*, KeyRange* ranges,
+                      const CombinationMap&) const override {
+    window_center_ranges(batch, this->total_len(), window_, ranges);
+    return true;
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {
-    if (!red_obj) {
-      auto obj = std::make_unique<WinObj>();
-      // Clipped edge windows cover fewer elements; their trigger fires at
-      // the clipped size so they too can be emitted early.
-      obj->window = clipped_window_size(static_cast<std::size_t>(this->current_key()),
-                                        this->total_len(), window_);
-      red_obj = std::move(obj);
-    }
-    auto& win = static_cast<WinObj&>(*red_obj);
+    auto& win = window_of(red_obj);
     win.sum += static_cast<double>(data[chunk.start]);
     win.count += 1;
+  }
+
+  /// Adds a whole run of consecutive elements, in chunk order and with the
+  /// per-chunk expression, so the sum's bits match the per-chunk path.
+  /// With stop_after_trigger the run stops where the window fills.
+  std::size_t accumulate_batch(const ChunkBatch& batch, const In* data,
+                               std::unique_ptr<RedObj>& red_obj,
+                               bool stop_after_trigger) override {
+    auto& win = window_of(red_obj);
+    const std::size_t n = window_run_length(batch.count, win.count, win.window, stop_after_trigger);
+    const In* first = data + batch.start;  // chunk_size 1: chunk i is element start + i
+    double sum = win.sum;
+    for (std::size_t i = 0; i < n; ++i) sum += static_cast<double>(first[i]);
+    win.sum = sum;
+    win.count += n;
+    return n;
   }
 
   void merge(const RedObj& red_obj, std::unique_ptr<RedObj>& com_obj) override {
@@ -62,7 +71,25 @@ class MovingAverage : public Scheduler<In, double> {
     *out = win.count > 0 ? win.sum / static_cast<double>(win.count) : 0.0;
   }
 
+  /// Converts the window and empties the object for the next one, which
+  /// costs no allocation.
+  void emit(std::unique_ptr<RedObj>& red_obj, double* out) override {
+    auto& win = static_cast<WinObj&>(*red_obj);
+    if (out != nullptr) convert(win, out);
+    win.sum = 0.0;
+    win.count = 0;
+  }
+
  private:
+  /// The object for the current key's window.  Clipped edge windows cover
+  /// fewer elements; their trigger fires at the clipped size so they too
+  /// can be emitted early.
+  WinObj& window_of(std::unique_ptr<RedObj>& red_obj) const {
+    return counted_window<WinObj>(
+        red_obj, clipped_window_size(static_cast<std::size_t>(this->current_key()),
+                                     this->total_len(), window_));
+  }
+
   std::size_t window_;
 };
 

@@ -28,9 +28,10 @@ class MovingMedian : public Scheduler<In, double> {
   std::size_t window() const { return window_; }
 
  protected:
-  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In*,
-                                        const CombinationMap&) const override {
-    return window_center_range(chunk.start, this->total_len(), window_);
+  bool gen_key_ranges(const ChunkBatch& batch, const In*, KeyRange* ranges,
+                      const CombinationMap&) const override {
+    window_center_ranges(batch, this->total_len(), window_, ranges);
+    return true;
   }
 
   void accumulate(const Chunk& chunk, const In* data, std::unique_ptr<RedObj>& red_obj) override {
@@ -44,10 +45,8 @@ class MovingMedian : public Scheduler<In, double> {
                                std::unique_ptr<RedObj>& red_obj,
                                bool stop_after_trigger) override {
     auto& med = window_of(red_obj);
-    std::size_t n = batch.count;
-    if (stop_after_trigger && med.window > med.elems.size()) {
-      n = std::min(n, med.window - med.elems.size());
-    }
+    const std::size_t n =
+        window_run_length(batch.count, med.elems.size(), med.window, stop_after_trigger);
     const In* first = data + batch.start;  // chunk_size 1: chunk i is element start + i
     med.elems.insert(med.elems.end(), first, first + n);
     return n;

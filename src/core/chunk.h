@@ -31,7 +31,9 @@ struct Chunk {
 ///
 /// The ragged tail chunk (length < chunk_size) is never part of a batch;
 /// the scheduler routes it through the per-chunk path, so batch kernels may
-/// assume every chunk is exactly `chunk_len` elements.
+/// assume every chunk is exactly `chunk_len` elements.  (The default
+/// Scheduler::gen_keys hands gen_key_ranges a one-chunk batch whose
+/// chunk_len is that chunk's length, which keeps the rule.)
 struct ChunkBatch {
   std::size_t start = 0;      ///< index of the first chunk's first element
   std::size_t chunk_len = 0;  ///< elements per chunk = stride between chunks
@@ -51,7 +53,8 @@ struct ChunkBatch {
 
 /// The keys one chunk feeds, as the ascending range [first, last]; empty
 /// when first > last.  A window app's element feeds the centers of every
-/// window that covers it, which is one such range (Scheduler::gen_key_range).
+/// window that covers it, which is one such range; Scheduler::gen_key_ranges
+/// writes one per chunk of a batch.
 struct KeyRange {
   int first = 0;
   int last = -1;

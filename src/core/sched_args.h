@@ -47,10 +47,11 @@ struct RunOptions {
   /// the numeric apps' kernels vectorize.  run() keys up to this many
   /// consecutive full chunks in one gen_keys_batch call and finds the runs
   /// of equal keys among them.  run2() on an app that declares key ranges
-  /// (Scheduler::gen_key_range) walks each split key by key, so a window
-  /// object is looked up once, whatever the batch size; run2() on an app
-  /// with only gen_keys stays chunk-at-a-time.  0 or 1 disables batching
-  /// (the chunk-at-a-time path) for both.  Results are bit-identical either
+  /// (Scheduler::gen_key_ranges) asks for this many chunks' ranges at a
+  /// time and walks each split key by key, so a window object is looked up
+  /// once, whatever the batch size; run2() on an app with only gen_keys
+  /// stays chunk-at-a-time.  0 or 1 disables batching (the chunk-at-a-time
+  /// path) for both.  Results are bit-identical either
   /// way: every object receives its chunks in the same order, default
   /// batch implementations replay the scalar path, and the app kernels
   /// preserve scalar accumulation order (see DESIGN.md §4.8).

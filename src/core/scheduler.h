@@ -33,7 +33,7 @@
 // may emit the object straight into the output and drop it from the map,
 // bounding live objects by the window size instead of the input size.
 // Every emission goes through one hook, emit(), which converts the object
-// and drops it or (the moving median) emits in place and recycles it.
+// and drops it or (the window apps) empties it for reuse.
 // Batched run2() on an app that declares key ranges skips the map for
 // triggered windows altogether: a key the worker's map does not hold
 // accumulates into one per-worker scratch object, which emit() hands back
@@ -64,7 +64,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -248,27 +247,32 @@ class Scheduler {
     throw std::logic_error("Scheduler: run() used but gen_key not overridden");
   }
 
-  /// The keys `chunk` feeds as one ascending range, for multi-key apps
-  /// whose keys per chunk are contiguous (the window apps).  The default
-  /// declares no range: the app keys through gen_keys or gen_key.  An app
-  /// that declares a range for one chunk declares one for every chunk, and
-  /// its ranges are monotone: neither `first` nor `last` decreases as the
-  /// chunk position grows.  Batched run2() then walks a split key by key
-  /// (see reduction_phase) and checks the monotonicity as it goes.
-  virtual std::optional<KeyRange> gen_key_range(const Chunk& chunk, const In* data,
-                                                const CombinationMap& com_map) const {
-    (void)chunk;
+  /// Writes the keys each chunk of `batch` feeds, as one ascending range
+  /// per chunk, into ranges[0..batch.count) and returns true, for multi-key
+  /// apps whose keys per chunk are contiguous (the window apps).  The
+  /// default returns false and writes nothing: the app declares no ranges
+  /// and keys through gen_keys or gen_key.  An app that declares ranges
+  /// returns true for every batch, and its ranges are monotone: neither
+  /// `first` nor `last` decreases as the chunk position grows.  Batched
+  /// run2() asks for batch_chunks chunks at a time, walks a split key by
+  /// key (see reduction_phase) and checks the monotonicity as it goes; the
+  /// default gen_keys asks for one chunk at a time.
+  virtual bool gen_key_ranges(const ChunkBatch& batch, const In* data, KeyRange* ranges,
+                              const CombinationMap& com_map) const {
+    (void)batch;
     (void)data;
+    (void)ranges;
     (void)com_map;
-    return std::nullopt;
+    return false;
   }
 
   /// Pushes the declared range's keys in ascending order, or gen_key's one
-  /// key when the app declares no range.
+  /// key when the app declares no ranges.
   virtual void gen_keys(const Chunk& chunk, const In* data, std::vector<int>& keys,
                         const CombinationMap& com_map) const {
-    if (const auto range = gen_key_range(chunk, data, com_map)) {
-      for (std::int64_t k = range->first; k <= range->last; ++k) {
+    KeyRange range;
+    if (gen_key_ranges(ChunkBatch{chunk.start, chunk.length, 1}, data, &range, com_map)) {
+      for (std::int64_t k = range.first; k <= range.last; ++k) {
         keys.push_back(static_cast<int>(k));
       }
     } else {
@@ -284,7 +288,7 @@ class Scheduler {
   // accumulate_batch call per *run* of consecutive chunks that share a key,
   // with the map lookup hoisted out of the loop: run() keys batches of up
   // to batch_chunks chunks through gen_keys_batch, and run2() on an app
-  // that declares key ranges walks its split key by key (gen_key_range).
+  // that declares key ranges walks its split key by key (gen_key_ranges).
   // The defaults below replay the per-chunk virtuals, so every
   // app is batch-correct by construction; the numeric apps override them
   // with vectorizable kernels (analytics/batch_kernels.h).  Overrides must
@@ -528,7 +532,10 @@ class Scheduler {
   ///     the split visits its keys in ascending order, skipping keys no
   ///     chunk covers.  By the ranges' monotonicity the chunks covering a
   ///     key form one contiguous run, found by two pointers that only move
-  ///     forward, so a window costs one accumulate_batch call.  A key the
+  ///     forward, so a window costs one accumulate_batch call.  The ranges
+  ///     come batch_chunks chunks at a time, one gen_key_ranges call per
+  ///     block, into a per-worker buffer that drops the chunks behind the
+  ///     lo pointer before each refill.  A key the
   ///     worker's map does not hold accumulates into the worker's scratch
   ///     object; a trigger emits it without a map insert or erase, and a
   ///     window still pending at the end of its run moves into the map.
@@ -545,6 +552,8 @@ class Scheduler {
     const std::size_t base = num_units / workers;
     const std::size_t extra = num_units % workers;
 
+    // Written once per worker, when its leg ends: the slots share a cache
+    // line.
     std::vector<std::size_t> peak_objs(workers, 0);
     std::vector<std::size_t> emitted(workers, 0);
 
@@ -556,6 +565,7 @@ class Scheduler {
       const auto uw = static_cast<std::size_t>(w);
       auto& rmap = reduction_maps_[uw];
       std::size_t peak = rmap.size();
+      std::size_t emissions = 0;
       std::vector<int> keys;
       // Consecutive chunks usually hit the same key (single-object apps,
       // grid runs), so cache the last slot.  The cache holds the dense
@@ -574,7 +584,7 @@ class Scheduler {
       auto emit_key = [&](std::unique_ptr<RedObj>& obj, int key) {
         const bool has_slot = out != nullptr && key >= 0 && static_cast<std::size_t>(key) < out_len;
         emit(obj, has_slot ? out + key : nullptr);
-        ++emitted[uw];
+        ++emissions;
       };
       auto emit_and_erase = [&](std::unique_ptr<RedObj>& slot, int key) {
         // Algorithm 2 lines 5-7: convert and drop right away.
@@ -670,13 +680,21 @@ class Scheduler {
       // Batched run2() on a range app.  All full chunks as one batch, which
       // the walk's runs index into.
       const ChunkBatch full{0, args_.chunk_size, num_chunks};
-      auto range_of = [&](std::size_t c) {
-        const auto range = gen_key_range(full.chunk(c), data, combination_map_);
-        if (!range) {
-          throw std::logic_error("Scheduler: gen_key_range declared no range for chunk " +
-                                 std::to_string(c) + " but did for an earlier one");
-        }
-        return *range;
+      // The ranges of chunks [ranges_at, ranges_at + ranges.size()).
+      // fill_ranges drops the chunks before `keep`, then appends the ranges
+      // of the next batch_chunks chunks (fewer at `stop`) from one
+      // gen_key_ranges call, and returns what that call returned.
+      std::vector<KeyRange> ranges;
+      std::size_t ranges_at = 0;
+      auto fill_ranges = [&](std::size_t keep, std::size_t stop) {
+        ranges.erase(ranges.begin(),
+                     ranges.begin() + static_cast<std::ptrdiff_t>(keep - ranges_at));
+        ranges_at = keep;
+        const std::size_t next = ranges_at + ranges.size();
+        const std::size_t n = std::min(opts_.batch_chunks, stop - next);
+        ranges.resize(ranges.size() + n);
+        return gen_key_ranges(full.sub(next, n), data, ranges.data() + (ranges.size() - n),
+                              combination_map_);
       };
       // The walk's scratch object.  The walk visits each key once, so only
       // a key seeded into the map before the phase (an iterative app's
@@ -684,24 +702,26 @@ class Scheduler {
       // only as windows left pending at the end of their run.
       std::unique_ptr<RedObj> scratch;
       const bool seeded = !rmap.empty();
-      // Walks full chunks [first, stop) key by key, from chunk first's
-      // range.  Chunks [lo, hi) are the ones covering `key`: by
-      // monotonicity every chunk before hi starts at or before it and every
-      // chunk from lo on ends at or after it, so both pointers only move
-      // forward as the key grows.
-      auto walk_key_ranges = [&](std::size_t first, std::size_t stop, KeyRange first_range) {
+      // Walks full chunks [first, stop) key by key, once the ranges buffer
+      // holds chunk first's.  Chunks [lo, hi) are the ones covering `key`:
+      // by monotonicity every chunk before hi starts at or before it and
+      // every chunk from lo on ends at or after it, so both pointers only
+      // move forward as the key grows.  The buffer is refilled as hi passes
+      // its end, and then holds one block more than chunks [lo, hi).
+      auto walk_key_ranges = [&](std::size_t first, std::size_t stop) {
         std::size_t lo = first;
         std::size_t hi = first;
-        KeyRange lo_range = first_range;  // chunk lo's, while lo < stop
-        KeyRange hi_range = first_range;  // chunk hi's, while hi < stop
-        std::int64_t key = first_range.first;
+        KeyRange lo_range = ranges[first - ranges_at];  // chunk lo's, while lo < stop
+        KeyRange hi_range = lo_range;                   // chunk hi's, while hi < stop
+        std::int64_t key = lo_range.first;
         while (lo < stop) {
           while (hi < stop && hi_range.first <= key) {
             if (++hi == stop) break;
-            const KeyRange next = range_of(hi);
+            if (hi == ranges_at + ranges.size()) fill_ranges(lo, stop);
+            const KeyRange next = ranges[hi - ranges_at];
             if (next.first < hi_range.first || next.last < hi_range.last) {
               throw std::logic_error(
-                  "Scheduler: gen_key_range of chunk " + std::to_string(hi) + " is [" +
+                  "Scheduler: gen_key_ranges of chunk " + std::to_string(hi) + " is [" +
                   std::to_string(next.first) + ", " + std::to_string(next.last) +
                   "], below the previous chunk's [" + std::to_string(hi_range.first) + ", " +
                   std::to_string(hi_range.last) + "]; key ranges must not decrease");
@@ -709,7 +729,7 @@ class Scheduler {
             hi_range = next;
           }
           while (lo < hi && lo_range.last < key) {
-            if (++lo < stop) lo_range = range_of(lo);
+            if (++lo < stop) lo_range = ranges[lo - ranges_at];
           }
           if (lo == hi) {
             // No chunk covers `key`: skip to chunk hi's first key.
@@ -734,15 +754,19 @@ class Scheduler {
           process_batch(c, n);
         }
       } else if (batched && c < full_end) {
-        if (const auto range = gen_key_range(full.chunk(c), data, combination_map_)) {
-          walk_key_ranges(c, full_end, *range);
+        // The first block's fill decides whether the split is walked by
+        // ranges.
+        ranges_at = c;
+        if (fill_ranges(c, full_end)) {
+          walk_key_ranges(c, full_end);
           c = full_end;
         }
       }
       // Per-chunk path: batching disabled, apps without key ranges under
-      // run2(), and the ragged tail unit (never part of a ChunkBatch).
+      // run2(), and the ragged tail unit (never part of a block).
       for (; c < end; ++c) process_chunk(c);
       peak_objs[uw] = peak;
+      emitted[uw] = emissions;
     });
 
     double critical_path = 0.0;

@@ -15,8 +15,8 @@
 // the CPU), trigger-driven mid-batch erase through the
 // default accumulate_batch, run2's key-range walk against the per-chunk
 // walk, the walk's recycled scratch object (its construction count), the
-// call counts of both batched paths, and the consumed-count check on
-// accumulate_batch overrides.
+// call counts of both batched paths (range calls per block of a split
+// included), and the consumed-count check on accumulate_batch overrides.
 // Registered under the `schedule` ctest label and run under TSan by
 // scripts/check.sh.
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -679,13 +678,12 @@ class KeyedWindowSum : public Scheduler<double, double> {
   std::atomic<std::size_t> batch_calls{0};  ///< accumulate_batch calls, all workers
 
  protected:
-  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const double*,
-                                        const CombinationMap&) const override {
+  bool gen_key_ranges(const ChunkBatch& batch, const double*, KeyRange* ranges,
+                      const CombinationMap&) const override {
     if constexpr (kRanges) {
-      return keys_fn_(chunk.start);
-    } else {
-      return std::nullopt;
+      for (std::size_t i = 0; i < batch.count; ++i) ranges[i] = keys_fn_(batch.chunk(i).start);
     }
+    return kRanges;
   }
   void gen_keys(const Chunk& chunk, const double* data, std::vector<int>& keys,
                 const CombinationMap& map) const override {
@@ -895,6 +893,104 @@ TEST(Run2Batched, OneAccumulateBatchPerWindowRun) {
   }
 }
 
+/// Counts the reduction-path calls a window app receives and delegates
+/// each to it.  Every worker calls, so the counters are atomic.
+template <class App>
+class WindowCallCounting : public App {
+ public:
+  using App::App;
+  mutable std::atomic<std::size_t> range_batches{0};  ///< gen_key_ranges calls
+  std::atomic<std::size_t> accumulates{0};            ///< per-chunk accumulate calls
+  std::atomic<std::size_t> accumulate_batches{0};     ///< accumulate_batch calls
+
+ protected:
+  bool gen_key_ranges(const ChunkBatch& batch, const double* data, KeyRange* ranges,
+                      const CombinationMap& map) const override {
+    range_batches.fetch_add(1, std::memory_order_relaxed);
+    return App::gen_key_ranges(batch, data, ranges, map);
+  }
+  void accumulate(const Chunk& chunk, const double* data, std::unique_ptr<RedObj>& obj) override {
+    accumulates.fetch_add(1, std::memory_order_relaxed);
+    App::accumulate(chunk, data, obj);
+  }
+  std::size_t accumulate_batch(const ChunkBatch& batch, const double* data,
+                               std::unique_ptr<RedObj>& obj, bool stop_after_trigger) override {
+    accumulate_batches.fetch_add(1, std::memory_order_relaxed);
+    return App::accumulate_batch(batch, data, obj, stop_after_trigger);
+  }
+};
+
+// The deterministic guard for the range hook: batched run2 asks for a
+// split's ranges batch_chunks chunks at a time, so a worker split of S full
+// chunks costs exactly ceil(S / B) gen_key_ranges calls.  The per-chunk walk
+// asks once per chunk.
+TEST(Run2Batched, OneRangeCallPerBlockOfTheSplit) {
+  using CountingAverage = WindowCallCounting<MovingAverage<double>>;
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{64 * 20 + 13}}) {
+    const auto data = gaussian_data(n, 936);
+    std::vector<double> out(n);
+    for (const int threads : {1, 2, 3}) {
+      const auto t = static_cast<std::size_t>(threads);
+      for (const std::size_t b : {std::size_t{64}, std::size_t{7}}) {
+        std::size_t blocks = 0;
+        for (std::size_t w = 0; w < t; ++w) {
+          const std::size_t split = n / t + (w < n % t ? 1 : 0);
+          blocks += (split + b - 1) / b;
+        }
+        CountingAverage app(SchedArgs(threads, 1), kWindow, with_batch(b));
+        app.run2(data.data(), n, out.data(), n);
+        EXPECT_EQ(app.range_batches.load(), blocks)
+            << "n=" << n << " threads=" << threads << " batch_chunks=" << b;
+      }
+      CountingAverage per_chunk(SchedArgs(threads, 1), kWindow, with_batch(0));
+      per_chunk.run2(data.data(), n, out.data(), n);
+      EXPECT_EQ(per_chunk.range_batches.load(), n) << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
+// MovingAverage, KernelDensity and SavitzkyGolay, like MovingMedian,
+// accumulate each window's run in one accumulate_batch call and never
+// through the per-chunk accumulate: with the trigger on, a single-thread
+// batched run2 makes one call per window key, n - `keyless` of them
+// (Savitzky-Golay keys only the full windows).  That the batched outputs
+// equal the per-chunk walk's bit for bit is checked by the apps'
+// MatchesPerChunkWalk tests above.
+template <class Make>
+void expect_one_accumulate_batch_per_window(const char* name, const Make& make,
+                                            std::size_t keyless) {
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{64 * 20 + 13}}) {
+    const auto data = gaussian_data(n, 937);
+    std::vector<double> out(n);
+    auto batched = make(SchedArgs(1, 1), with_batch(64));
+    batched->run2(data.data(), n, out.data(), n);
+    EXPECT_EQ(batched->accumulates.load(), 0u) << name << " n=" << n;
+    EXPECT_EQ(batched->accumulate_batches.load(), n - keyless) << name << " n=" << n;
+  }
+}
+
+TEST(Run2Batched, AlgebraicWindowAppsTakeOneAccumulateBatchPerWindow) {
+  expect_one_accumulate_batch_per_window(
+      "MovingAverage",
+      [](const SchedArgs& a, RunOptions o) {
+        return std::make_unique<WindowCallCounting<MovingAverage<double>>>(a, kWindow, o);
+      },
+      0);
+  expect_one_accumulate_batch_per_window(
+      "KernelDensity",
+      [](const SchedArgs& a, RunOptions o) {
+        return std::make_unique<WindowCallCounting<KernelDensity<double>>>(a, kWindow, 0.5, o);
+      },
+      0);
+  expect_one_accumulate_batch_per_window(
+      "SavitzkyGolay",
+      [](const SchedArgs& a, RunOptions o) {
+        return std::make_unique<WindowCallCounting<SavitzkyGolay<double>>>(
+            a, static_cast<int>(kWindow), 3, o);
+      },
+      kWindow - 1);
+}
+
 // --- run2: triggered windows never enter the map -----------------------------
 
 /// A window sum that counts its constructions.
@@ -917,9 +1013,10 @@ class RecyclingWindowSum : public Scheduler<double, double> {
   std::atomic<std::size_t> constructed{0};  ///< CountedWinObj constructions, all workers
 
  protected:
-  std::optional<KeyRange> gen_key_range(const Chunk& chunk, const double*,
-                                        const CombinationMap&) const override {
-    return window_center_range(chunk.start, total_len(), kWindow);
+  bool gen_key_ranges(const ChunkBatch& batch, const double*, KeyRange* ranges,
+                      const CombinationMap&) const override {
+    window_center_ranges(batch, total_len(), kWindow, ranges);
+    return true;
   }
   void accumulate(const Chunk& chunk, const double* data,
                   std::unique_ptr<RedObj>& obj) override {
@@ -1138,9 +1235,10 @@ class MiscountingSum : public Scheduler<double, double> {
 
  protected:
   int gen_key(const Chunk&, const double*, const CombinationMap&) const override { return 0; }
-  std::optional<KeyRange> gen_key_range(const Chunk&, const double*,
-                                        const CombinationMap&) const override {
-    return KeyRange{0, 0};
+  bool gen_key_ranges(const ChunkBatch& batch, const double*, KeyRange* ranges,
+                      const CombinationMap&) const override {
+    for (std::size_t i = 0; i < batch.count; ++i) ranges[i] = KeyRange{0, 0};
+    return true;
   }
   void accumulate(const Chunk& chunk, const double* data, std::unique_ptr<RedObj>& obj) override {
     if (!obj) obj = std::make_unique<WinObj>();
