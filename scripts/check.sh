@@ -23,7 +23,8 @@
 #
 # The vec-probe step compiles scripts/vec_probe.cpp with the build's
 # -ffp-contract=off at -O3 and at -O2 (the default RelWithDebInfo level).
-# At -O3 every loop batch_kernels.h marks must report "loop vectorized"; at
+# At -O3 every loop batch_kernels.h marks must report "loop vectorized", and
+# so must every loop src/sim/minilulesh.cpp marks (compiled on its own); at
 # both levels the disassembled 2-lane nearest-centroid kernel must hold
 # packed subpd, mulpd and addpd, no scalar addsd, and no packed store of an
 # xmm register to the stack (an accumulator spilled because one of its tile
@@ -130,7 +131,8 @@ EOF
 echo "== tier-1: phase CSV export =="
 # --phase-csv exports the scheduler's obs spans (category "sched") as a flat
 # timeline: a 4-rank run must write an RFC 4180 CSV with the five-column
-# header and rows for the reduction and both combination phases.
+# header and rows for the simulation step, the reduction and both
+# combination phases.
 phase_csv="$repo/build/check_phases.csv"
 "$repo/build/examples/smart_cli" --sim heat3d --app histogram --ranks 4 \
   --threads 2 --steps 3 --phase-csv "$phase_csv" >/dev/null
@@ -142,7 +144,7 @@ header = ["phase", "thread", "begin_s", "end_s", "duration_s"]
 assert rows and rows[0] == header, f"bad header: {rows[:1]}"
 assert all(len(r) == 5 for r in rows[1:]), "a row does not have five fields"
 phases = {r[0] for r in rows[1:]}
-missing = {"reduction", "local_combine", "global_combine"} - phases
+missing = {"simulate", "reduction", "local_combine", "global_combine"} - phases
 assert not missing, f"phases missing from the CSV: {sorted(missing)}"
 for r in rows[1:]:
     begin, end, duration = map(float, r[2:])
@@ -325,21 +327,32 @@ echo "== tier-1: kernel vectorization probe =="
 # `// vec-probe: must vectorize` (the bucketing loops, the k-means point
 # sums and the grid sum) — a libm call, an early exit, loop-carried
 # dependence, or aliasing hazard reintroduced into one of them fails here
-# instead of surfacing weeks later as a bench diff.
+# instead of surfacing weeks later as a bench diff.  The same holds for
+# the loops src/sim/minilulesh.cpp marks (the EOS kernel and the flux
+# sweep's row-interior kernel), compiled on their own: a neighbour term
+# added under a condition, as the per-element gather did, leaves the row
+# kernel scalar.
+# Marked lines are code lines ending in the marker, not comments naming it.
+check_vec_markers() {  # diagnostics log, marked source file
+  local marked_lines line
+  marked_lines=$(grep -nE '^[[:space:]]*[^/[:space:]].*// vec-probe: must vectorize' "$2" \
+    | cut -d: -f1 || true)
+  [[ -n "$marked_lines" ]] || { echo "no vec-probe markers in $2" >&2; exit 1; }
+  for line in $marked_lines; do
+    grep -q "$(basename "$2"):$line:[0-9]*: optimized: loop vectorized" "$1" \
+      || { echo "$(basename "$2"):$line: marked loop no longer vectorizes:" >&2; \
+           sed -n "${line}p" "$2" >&2; cat "$1" >&2; exit 1; }
+  done
+  wc -l <<< "$marked_lines"
+}
 vec_log="$repo/build/check_vec_probe.log"
-kernels_h="$repo/src/analytics/batch_kernels.h"
 g++ -O3 -std=c++20 -ffp-contract=off -I"$repo/src" -fopt-info-vec-optimized \
   -c "$repo/scripts/vec_probe.cpp" -o "$repo/build/check_vec_probe-O3.o" 2> "$vec_log"
-# Marked lines are code lines ending in the marker, not comments naming it.
-probe_lines=$(grep -nE '^[[:space:]]*[^/[:space:]].*// vec-probe: must vectorize' "$kernels_h" \
-  | cut -d: -f1 || true)
-[[ -n "$probe_lines" ]] \
-  || { echo "no vec-probe markers in $kernels_h" >&2; exit 1; }
-for line in $probe_lines; do
-  grep -q "batch_kernels\.h:$line:[0-9]*: optimized: loop vectorized" "$vec_log" \
-    || { echo "batch_kernels.h:$line: marked loop no longer vectorizes:" >&2; \
-         sed -n "${line}p" "$kernels_h" >&2; cat "$vec_log" >&2; exit 1; }
-done
+kernel_loops=$(check_vec_markers "$vec_log" "$repo/src/analytics/batch_kernels.h")
+sim_vec_log="$repo/build/check_vec_probe_minilulesh.log"
+g++ -O3 -std=c++20 -ffp-contract=off -I"$repo/src" -fopt-info-vec-optimized \
+  -c "$repo/src/sim/minilulesh.cpp" -o "$repo/build/check_vec_probe_minilulesh.o" 2> "$sim_vec_log"
+sim_loops=$(check_vec_markers "$sim_vec_log" "$repo/src/sim/minilulesh.cpp")
 # The nearest-centroid kernels are explicit vector code, which the
 # vectorizer does not report on, so their instantiations are checked in the
 # disassembly, at -O3 and at -O2 (the default RelWithDebInfo build), with
@@ -398,7 +411,7 @@ ymm register(s); a tile loop over points, groups or lanes is not unrolled:
 $(head -n 5 <<< "$spills")"
   lane_report+=" -$opt $(grep -cx addpd <<< "$sse_ops") addpd, $(grep -cE '^vaddpd .*%ymm' <<< "$avx_asm") ymm vaddpd;"
 done
-echo "   vec probe ok: $(wc -w <<< "$probe_lines") marked loop(s) vectorized;" \
+echo "   vec probe ok: $kernel_loops + $sim_loops marked loop(s) vectorized;" \
   "2-lane / 4-lane kernel$lane_report no scalar add, FMA or spilled accumulator at either level"
 
 echo "== tier-1: perfbench smoke =="

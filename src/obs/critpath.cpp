@@ -71,8 +71,8 @@ struct SpanRef {
 };
 
 bool is_phase_name(const std::string& name) {
-  static const char* kPhases[] = {"feed_copy",      "copy_input", "reduction",
-                                  "local_combine",  "global_combine", "checkpoint"};
+  static const char* kPhases[] = {"simulate",      "feed_copy",      "copy_input", "reduction",
+                                  "local_combine", "global_combine", "checkpoint"};
   for (const char* p : kPhases) {
     if (name == p) return true;
   }

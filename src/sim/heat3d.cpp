@@ -3,8 +3,11 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "common/memory_tracker.h"
+#include "common/serialize.h"
+#include "obs/trace.h"
 
 namespace smart::sim {
 
@@ -57,31 +60,34 @@ void Heat3D::apply_boundaries(std::vector<double>& grid) {
 void Heat3D::exchange_halos() {
   if (comm_ == nullptr || comm_->size() == 1) return;
   const int rank = comm_->rank();
-  const int size = comm_->size();
-  auto& grid = current();
-  const std::size_t top_interior = p_.nz_local * plane_;  // z = nz_local plane offset
+  const bool below = rank > 0;
+  const bool above = rank + 1 < comm_->size();
+  double* grid = current().data();
+  const std::size_t plane_bytes = plane_ * sizeof(double);
 
-  // Even/odd phase ordering avoids a send/recv cycle among neighbors.
-  for (int phase = 0; phase < 2; ++phase) {
-    const bool send_up = (rank % 2 == phase % 2);
-    if (send_up) {
-      if (rank + 1 < size) {
-        comm_->send(rank + 1, kHaloUpTag,
-                    Buffer(reinterpret_cast<const std::byte*>(grid.data() + top_interior),
-                           reinterpret_cast<const std::byte*>(grid.data() + top_interior + plane_)));
-        Buffer down = comm_->recv(rank + 1, kHaloDownTag);
-        std::memcpy(grid.data() + (p_.nz_local + 1) * plane_, down.data(), down.size());
-      }
-    } else {
-      if (rank - 1 >= 0) {
-        Buffer up = comm_->recv(rank - 1, kHaloUpTag);
-        std::memcpy(grid.data(), up.data(), up.size());
-        comm_->send(rank - 1, kHaloDownTag,
-                    Buffer(reinterpret_cast<const std::byte*>(grid.data() + plane_),
-                           reinterpret_cast<const std::byte*>(grid.data() + 2 * plane_)));
-      }
+  auto pack = [&](std::size_t z) {
+    Buffer out = BufferPool::acquire(plane_bytes);
+    const auto* bytes = reinterpret_cast<const std::byte*>(grid + z * plane_);
+    out.insert(out.end(), bytes, bytes + plane_bytes);
+    return out;
+  };
+  auto unpack = [&](int from, int tag, std::size_t z) {
+    const SharedBuffer halo = comm_->recv_shared(from, tag);
+    if (halo.size() != plane_bytes) {
+      throw std::runtime_error("Heat3D: rank " + std::to_string(from) + " sent a " +
+                               std::to_string(halo.size()) + "-byte halo, expected " +
+                               std::to_string(plane_bytes));
     }
-  }
+    std::memcpy(grid + z * plane_, halo.data(), plane_bytes);
+  };
+
+  // Both boundary planes go out before either halo is received (a send
+  // never blocks), so the step waits for one message latency, as an
+  // Isend/Irecv/Waitall exchange does.
+  if (below) comm_->send(rank - 1, kHaloDownTag, pack(1));
+  if (above) comm_->send(rank + 1, kHaloUpTag, pack(p_.nz_local));
+  if (below) unpack(rank - 1, kHaloUpTag, 0);
+  if (above) unpack(rank + 1, kHaloDownTag, p_.nz_local + 1);
 }
 
 void Heat3D::sweep_planes(std::size_t z_begin, std::size_t z_end) {
@@ -104,6 +110,7 @@ void Heat3D::sweep_planes(std::size_t z_begin, std::size_t z_end) {
 }
 
 void Heat3D::step() {
+  obs::TraceSpan span("simulate", "sched");
   exchange_halos();
   // The global top face is cold Dirichlet: the top rank's outermost
   // interior plane keeps its halo (initialized to 0) as neighbor.

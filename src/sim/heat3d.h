@@ -2,7 +2,8 @@
 // paper's "large output per time-step" simulation (reference [2]).
 //
 // The global domain is partitioned along Z across simmpi ranks; each step
-// exchanges one-plane halos with the Z neighbors and applies an explicit
+// exchanges one-plane halos with the Z neighbors (both sends before either
+// receive, so a step costs one message latency) and applies an explicit
 // Euler update.  The per-step output — the rank's interior slab — is a
 // contiguous range inside the live grid, so Smart's time-sharing mode can
 // analyze it with zero copy, exactly the read-pointer arrangement of the
@@ -39,7 +40,8 @@ class Heat3D {
   Heat3D(const Heat3D&) = delete;
   Heat3D& operator=(const Heat3D&) = delete;
 
-  /// Advances one time-step (halo exchange + Jacobi sweep).
+  /// Advances one time-step (halo exchange + Jacobi sweep), traced as one
+  /// `simulate` span (category "sched").
   void step();
 
   /// Zero-copy view of this rank's interior slab after the last step:

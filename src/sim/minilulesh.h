@@ -8,14 +8,26 @@
 //
 //   * each rank owns an edge^3 element cube (the paper varies exactly this
 //     edge size); cubes are stacked along Z with one-plane halo exchange;
-//   * per element we carry energy e, relative volume v, pressure p and an
-//     artificial viscosity q — five edge^3 double fields, so memory grows
-//     cubically in `edge` just like LULESH;
+//   * per element we carry energy e, relative volume v, total pressure
+//     P = p + q (an ideal-gas p plus a von-Neumann-style artificial
+//     viscosity q for compressing cells), the flux bound e/6 and the net
+//     flux — five edge^3 double fields, so memory grows cubically in
+//     `edge` just like LULESH;
 //   * a Sedov-like point energy deposition initializes the corner of rank
-//     0's cube; each step computes p via an ideal-gas EOS, adds a
-//     von-Neumann-style q for compressing cells, and moves energy between
+//     0's cube; each step evaluates the EOS, exchanges the (P, e/6)
+//     boundary planes with the Z neighbours, and moves energy between
 //     neighbor elements in flux form (antisymmetric), so total energy is
 //     conserved exactly — the invariant the test suite checks;
+//   * the exchange posts both sends before either receive, so a step costs
+//     one message latency of virtual time, as LULESH's Isend/Irecv/Waitall
+//     does;
+//   * the EOS and the flux sweep's row interiors are branch-free kernels
+//     GCC vectorizes at -O3 (scripts/check.sh's vec probe checks both),
+//     and every field is bit-identical to the per-element form they
+//     replaced (MiniLulesh.StepMatchesParentBitForBit keeps that form as
+//     its reference);
+//   * each step is one `simulate` trace span (category "sched"), which the
+//     critical-path report counts as a phase;
 //   * the per-step analytics input is the energy field (edge^3 doubles),
 //     contiguous and zero-copy, matching the paper's "typically smaller
 //     than 100 MB per node" output.
@@ -61,19 +73,18 @@ class MiniLulesh {
 
   /// All five fields, for the memory experiments (grows as edge^3).
   std::size_t state_bytes() const {
-    return (e_.size() + v_.size() + pres_.size() + q_.size() + flux_.size()) * sizeof(double);
+    return (e_.size() + v_.size() + ptot_.size() + bound_.size() + flux_.size()) * sizeof(double);
   }
 
   /// Rank-local total energy; allreduced across ranks it is conserved.
   double local_energy() const;
 
  private:
-  std::size_t idx(std::size_t x, std::size_t y, std::size_t z) const {
-    return (z * p_.edge + y) * p_.edge + x;
-  }
+  /// Reads every field (tests/test_sims.cpp).
+  friend struct MiniLuleshFields;
 
   void compute_eos(std::size_t z_begin, std::size_t z_end);
-  void exchange_boundary_pressure();
+  void exchange_boundary_planes();
   void gather_fluxes(std::size_t z_begin, std::size_t z_end);
   void integrate(std::size_t z_begin, std::size_t z_end);
   void parallel_over_z(const std::function<void(std::size_t, std::size_t)>& body);
@@ -83,13 +94,13 @@ class MiniLulesh {
   ThreadPool* pool_;
   std::vector<double> e_;      ///< element energy
   std::vector<double> v_;      ///< relative volume
-  std::vector<double> pres_;   ///< pressure
-  std::vector<double> q_;      ///< artificial viscosity
+  std::vector<double> ptot_;   ///< total pressure P = p + q
+  std::vector<double> bound_;  ///< flux bound e/6 (the most one face may move)
   std::vector<double> flux_;   ///< per-element net flux scratch
-  std::vector<double> halo_below_;  ///< neighbor pressure plane from rank-1
-  std::vector<double> halo_above_;  ///< neighbor pressure plane from rank+1
-  std::vector<double> e_halo_below_;
-  std::vector<double> e_halo_above_;
+  /// The Z neighbours' boundary planes, copied out of each step's halo
+  /// messages: rank-1's top P and e/6 planes, then rank+1's bottom ones.
+  /// Empty without a communicator or on one rank.
+  std::vector<double> halo_;
   std::size_t steps_ = 0;
   ScopedMemCharge mem_charge_;
 };
